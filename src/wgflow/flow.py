@@ -164,8 +164,9 @@ class FlowConfig:
     """Run parameters for the descent loop.
 
     ``diag_every`` controls the trace stride; ``diag_subsample`` bounds the
-    cloud size used for exact transport diagnostics.  ``workers`` chunks the
-    per-particle sweep; any worker count produces bit-identical results.
+    cloud size used for exact transport diagnostics.  ``workers`` is
+    accepted and validated but has no effect: every worker count runs the
+    same single pass, so results are identical by construction.
     ``on_invalid`` chooses between aborting on a bad observation (default)
     and skipping it with a log message.
     """
@@ -204,16 +205,23 @@ class FlowConfig:
             raise ValueError("checkpoint_every must be nonnegative")
 
 
-def _field_sweep(obj, pts, y, mu_mean, workers):
-    # Chunked evaluation of the per-particle gradient.  The arithmetic is
-    # elementwise per row, so the chunking cannot change the bits.
-    if workers <= 1 or pts.shape[0] < 2 * workers:
-        return functionals.stochastic_gradient(obj, pts, y, mu_mean)
-    chunks = np.array_split(np.arange(pts.shape[0]), workers)
-    parts = [functionals.stochastic_gradient(obj, pts[c], y, mu_mean) for c in chunks]
-    return np.concatenate(parts, axis=0)
+def _grad_norm(prev: np.ndarray, moved: np.ndarray, tau: float) -> float:
+    # The step moved every particle to ``prev - tau * xi`` before projecting,
+    # so the perturbed field it followed is ``(prev - moved) / tau``.
+    g = prev - moved
+    g *= g
+    return math.sqrt(float(g.sum()) / g.shape[0]) / tau
 
 
+def _divergence(x: np.ndarray, k: int) -> NumericalError:
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    what = f"particle {int(bad[0])} is not finite" if bad.size else "the particle mean overflowed"
+    return NumericalError(f"flow diverged at iteration {k}: {what}")
+
+
+# Overflow inside a step shows up as a non-finite mean, which run reports
+# as divergence; NumPy's warnings about it would only repeat that.
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     m0: ParticleMeasure,
     obj: StreamingLSObjective,
@@ -223,13 +231,19 @@ def run(
 ) -> tuple[ParticleMeasure, FlowTrace]:
     """Run the descent, consuming one observation per iteration.
 
+    Iteration ``k`` is :func:`step` with the perturbed stochastic gradient
+    of observation ``y_k``, written as one affine map and a projection:
+    ``x -> proj_S(x A + c_k - tau eps_k)`` with ``A = I - tau (W^T W + rho I)``,
+    ``c_k = tau (W^T y_k + rho mean_k)`` and ``eps_k`` the perturbation.
+
     The iteration index ``k`` counts observations (``start_iteration``
     offsets it when resuming from a checkpoint); perturbation noise is
     drawn from a stream keyed by ``(seed, k)``, so a resumed run reproduces
     the uninterrupted one bit for bit.  Diagnostics rows are recorded at
     ``k = 0``, every ``diag_every`` iterations and at the final iterate.
     If the stream runs out early the trace's ``iterations_run`` reports the
-    actual count.
+    actual count.  A cloud that turns non-finite raises
+    :class:`NumericalError` naming the iteration.
     """
     if m0.d != obj.d:
         raise ValueError(f"dimension mismatch: measure d={m0.d}, objective d={obj.d}")
@@ -263,7 +277,7 @@ def run(
 
     trace = FlowTrace()
 
-    def record(k, m, grad_norm):
+    def record(k, m, mean, grad_norm):
         objective = w2 = None
         if obj.theta_star is not None:
             objective = functionals.evaluate_objective(obj, m)
@@ -274,17 +288,32 @@ def run(
                 k=k,
                 objective=objective,
                 w2_ref=w2,
-                mean=measures.mean(m),
+                mean=mean,
                 cov_trace=float(np.trace(measures.covariance(m))),
                 grad_norm=grad_norm,
             )
         )
 
+    tau = cfg.tau
+    d = m0.d
+    # A is symmetric, so a row of particles multiplies it from the left.
+    a = np.eye(d) - tau * (obj.W.T @ obj.W + obj.rho * np.eye(d))
+    tau_wt = tau * obj.W.T
+    tau_rho = tau * obj.rho
+    noise_scale = tau * cfg.perturb_std
+    # Particles live in column-major arrays: the per-step column mean and
+    # the broadcast of c_k then run over contiguous columns.  The noise is
+    # drawn row-major, which fills it in particle order.
+    x = np.asfortranarray(m0.points)
+    moved = np.empty_like(x)
+    noise = np.empty((m0.n, d)) if noise_scale > 0 else None
+    prev = None  # the iterate before the last step, for its grad_norm
+    mean = x.mean(axis=0)
+
     m = m0
     k = start_iteration
-    record(k, m, None)
+    record(k, m, mean, None)
     last_recorded = k
-    last_grad_norm = None
 
     it = iter(stream)
     for _ in range(cfg.max_iters):
@@ -293,7 +322,7 @@ def run(
         except StopIteration:
             break
         y = np.asarray(y, dtype=float)
-        ok = y.shape == (m.d,) and bool(np.all(np.isfinite(y)))
+        ok = y.shape == (d,) and bool(np.all(np.isfinite(y)))
         if not ok:
             if cfg.on_invalid == "abort":
                 raise DataError(f"invalid observation at iteration {k}: {y!r}")
@@ -303,24 +332,40 @@ def run(
             k += 1
             continue
 
-        mu_mean = m.points.mean(axis=0)
-        xi = _field_sweep(obj, m.points, y, mu_mean, cfg.workers)
-        if cfg.perturb_std > 0:
-            rng = measures.substream(cfg.seed, _PERTURB_STREAM, k)
-            xi = functionals.perturbed_gradient(xi, cfg.perturb_std, rng)
-        last_grad_norm = math.sqrt(float(np.mean(np.sum(xi * xi, axis=1))))
-        m = step(m, xi, cfg.tau, cfg.constraint)
+        np.matmul(x, a, out=moved)
+        moved += tau_wt @ y + tau_rho * mean
+        if noise is not None:
+            measures.substream(cfg.seed, _PERTURB_STREAM, k).standard_normal(out=noise)
+            noise *= noise_scale
+            # Column by column: a subtract across the two layouts at
+            # once is several times slower.
+            for j in range(d):
+                moved[:, j] -= noise[:, j]
+        prev = x
+        x = cfg.constraint.project_points(moved)
         k += 1
+        mean = x.mean(axis=0)
+        if not np.isfinite(mean).all():
+            raise _divergence(x, k)
 
-        if (k - start_iteration) % cfg.diag_every == 0:
-            record(k, m, last_grad_norm)
+        record_due = (k - start_iteration) % cfg.diag_every == 0
+        checkpoint_due = (
+            cfg.checkpoint_every
+            and cfg.checkpoint_path is not None
+            and (k - start_iteration) % cfg.checkpoint_every == 0
+        )
+        grad_norm = _grad_norm(prev, moved, tau) if record_due else None
+        m = ParticleMeasure(x) if record_due or checkpoint_due else None
+        if record_due:
+            record(k, m, mean, grad_norm)
             last_recorded = k
-        if cfg.checkpoint_every and cfg.checkpoint_path is not None:
-            if (k - start_iteration) % cfg.checkpoint_every == 0:
-                write_checkpoint(cfg.checkpoint_path, m, k, cfg.seed)
+        if checkpoint_due:
+            write_checkpoint(cfg.checkpoint_path, m, k, cfg.seed)
 
+    if m is None:
+        m = ParticleMeasure(x)
     if last_recorded != k:
-        record(k, m, last_grad_norm)
+        record(k, m, mean, None if prev is None else _grad_norm(prev, moved, tau))
     trace.iterations_run = k - start_iteration
     return m, trace
 

@@ -49,13 +49,13 @@ class ParticleMeasure:
     ----------
     points : array-like, shape (N, d)
         Particle positions; every coordinate must be finite and ``N >= 1``,
-        ``d >= 1``.  The array is copied and frozen.
+        ``d >= 1``.  The array is copied (row-major) and frozen.
     """
 
     __slots__ = ("_points",)
 
     def __init__(self, points):
-        pts = np.array(points, dtype=float)
+        pts = np.array(points, dtype=float, order="C")
         if pts.ndim != 2:
             raise ValueError(
                 f"points must form a 2-d array of shape (N, d), got ndim={pts.ndim}"

@@ -27,7 +27,10 @@ class ConvexSet:
         raise NotImplementedError
 
     def project_points(self, pts: np.ndarray) -> np.ndarray:
-        """Project each row of ``pts`` onto the set. Shape is preserved."""
+        """Project each row of ``pts`` onto the set into a new array.
+
+        Shape and memory layout are preserved; ``pts`` is not modified.
+        """
         raise NotImplementedError
 
     def contains(self, x, tol: float = 1e-12) -> bool:
@@ -136,7 +139,7 @@ class Halfspace(ConvexSet):
         pts = np.asarray(pts, dtype=float)
         self._check_points(pts)
         t, s = self._gap(pts)
-        out = pts.copy()
+        out = pts.copy(order="K")
         mask = t > _SNAP * s
         if mask.any():
             shift = t[mask] / self._a_norm2
@@ -181,7 +184,7 @@ class Ball(ConvexSet):
         pts = np.asarray(pts, dtype=float)
         self._check_points(pts)
         dist = self._dist(pts)
-        out = pts.copy()
+        out = pts.copy(order="K")
         mask = dist > self.radius * (1.0 + _SNAP)
         if mask.any():
             scale = self.radius / dist[mask]
@@ -210,7 +213,7 @@ class FullSpace(ConvexSet):
     def project_points(self, pts):
         pts = np.asarray(pts, dtype=float)
         self._check_points(pts)
-        return pts.copy()
+        return pts.copy(order="K")
 
     def contains(self, x, tol=1e-12):
         return True

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
 from .measures import ParticleMeasure, covariance, mean
@@ -73,6 +71,11 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, TransportPl
     (float, TransportPlan)
         Distance (square root of the optimal mean squared matching cost)
         and a minimizing permutation.
+
+    Raises
+    ------
+    NumericalError
+        If a squared distance is not finite.
     """
     if m.n != n.n:
         raise ValueError(
@@ -86,7 +89,16 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, TransportPl
             f"cloud size {m.n} exceeds the exact-solver cap {MAX_EXACT_PARTICLES}; "
             "subsample the clouds (e.g. 256 particles) before measuring"
         )
+    # Imported here: scipy costs more than the rest of the package to import,
+    # and only the exact solve needs it.
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     cost_matrix = cdist(m.points, n.points, "sqeuclidean")
+    if not math.isfinite(cost_matrix.max()):
+        raise NumericalError(
+            "squared distances between the clouds overflow; their coordinates are too large"
+        )
     rows, cols = linear_sum_assignment(cost_matrix)
     cost = float(cost_matrix[rows, cols].mean())
     plan = TransportPlan(cols, cost)

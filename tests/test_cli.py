@@ -1,13 +1,18 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wgflow
 from wgflow import cli, measures, pdm
 from wgflow.pdm import DegradationModel, Observation, degrade, write_observations_csv
 
 LAM = np.array([2.0 / 60.0, 5.0 / 60.0])
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
 
 
 def run_cli(*argv):
@@ -20,6 +25,14 @@ def fast_sim_args(out, days=3, extra=()):
         "--days", str(days), "--horizon", "2.0",
         *extra,
     ]
+
+
+def run_cli_process(*args, **kwargs):
+    """Run a fresh ``python`` on the package, capturing its output."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, **kwargs
+    )
 
 
 def write_noise_free_observations(path, days, spacing=5.0):
@@ -131,6 +144,17 @@ class TestFlow:
         assert (outs[0] / "particles.csv").read_bytes() == (outs[1] / "particles.csv").read_bytes()
         assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
 
+    def test_divergence_exits_4_with_one_line(self, tmp_path):
+        write_noise_free_observations(tmp_path / "observations.csv", days=8)
+        proc = run_cli_process(
+            "-m", "wgflow.cli", "flow", "--paper-preset", "--out", str(tmp_path),
+            "--n_particles", "64", "--force", "--tau", "1e200",
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error:"), proc.stderr
+        assert not (tmp_path / "particles.csv").exists()
+
     def test_missing_observations_exits_2(self, tmp_path):
         assert run_cli("flow", "--paper-preset", "--out", str(tmp_path / "z")) == 2
         assert not (tmp_path / "z").exists()
@@ -227,6 +251,14 @@ class TestDiagnose:
             measures.ParticleMeasure(np.zeros((4, 3))), tmp_path / "reference.csv"
         )
         assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 3
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = run_cli_process(
+        "-c", "import sys, wgflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfigHandling:

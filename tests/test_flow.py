@@ -16,9 +16,9 @@ from wgflow.flow import (
     write_checkpoint,
     write_trace_csv,
 )
-from wgflow.functionals import StreamingLSObjective
-from wgflow.measures import ParticleMeasure, init_uniform_box
-from wgflow.sets import FullSpace, NonnegativeOrthant, project_measure
+from wgflow.functionals import StreamingLSObjective, perturbed_gradient, stochastic_gradient
+from wgflow.measures import ParticleMeasure, init_uniform_box, substream
+from wgflow.sets import Ball, Box, FullSpace, Halfspace, NonnegativeOrthant, project_measure
 from wgflow.transport import w2_exact
 
 THETA = np.array([2.0 / 60.0, 5.0 / 60.0])
@@ -254,6 +254,95 @@ class TestRun:
         cfg = flow_config(diag_subsample=17)
         with pytest.raises(ValueError, match="diag_subsample"):
             run(m0, preset_objective(), noise_free_stream(1), cfg)
+
+
+    def test_divergence_names_the_iteration(self):
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
+        obj = StreamingLSObjective(W, 0.1, None, 0.0)
+        cfg = flow_config(tau=1e200, max_iters=10, diag_subsample=16, allow_unsafe_tau=True)
+        with pytest.raises(NumericalError, match="diverged at iteration 2"):
+            run(m0, obj, noise_free_stream(10), cfg)
+
+
+# A process matrix that is not symmetric, so a transposed W^T shows.
+W_SKEW = np.array([[-5.0, 1.0], [0.5, 4.0]])
+EPS = np.finfo(float).eps
+ORACLE_K = 40
+# Each step rounds differently from the reference (a few ulps of O(1)
+# coordinates); the contraction and the projections do not amplify it.
+ORACLE_TOL_X = 16 * ORACLE_K * EPS
+ORACLE_TOL_GRAD = 2 * ORACLE_TOL_X / 0.01
+
+
+def oracle_stream(k, seed=23):
+    rng = np.random.default_rng(seed)
+    return [W_SKEW @ THETA + rng.normal(0.0, 0.2, 2) for _ in range(k)]
+
+
+def reference_run(m0, obj, stream, cfg):
+    """The flow as an explicit loop of the public gradient, noise and step."""
+    m = m0
+    rows = [(0, m0.points.mean(axis=0), None)]
+    for k, y in enumerate(stream):
+        xi = stochastic_gradient(obj, m.points, y, m.points.mean(axis=0))
+        if cfg.perturb_std > 0:
+            xi = perturbed_gradient(xi, cfg.perturb_std, substream(cfg.seed, 21, k))
+        grad_norm = math.sqrt(float(np.mean(np.sum(xi * xi, axis=1))))
+        m = step(m, xi, cfg.tau, cfg.constraint)
+        if (k + 1) % cfg.diag_every == 0 or k + 1 == len(stream):
+            rows.append((k + 1, m.points.mean(axis=0), grad_norm))
+    return m, rows
+
+
+class TestRunAgainstReference:
+    # Every set clips part of a cloud drawn around the origin.
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            Box([0.0, 0.02], [0.1, 0.09]),
+            NonnegativeOrthant(2),
+            Halfspace([1.0, 1.0], 0.1),
+            Ball(THETA, 0.05),
+            FullSpace(2),
+        ],
+        ids=["box", "orthant", "halfspace", "ball", "all"],
+    )
+    @pytest.mark.parametrize("perturb_std", [0.0, 0.05])
+    def test_matches_explicit_loop(self, constraint, perturb_std):
+        m0 = init_uniform_box([-0.1, -0.1], [0.2, 0.2], 37, seed=4)
+        obj = StreamingLSObjective(W_SKEW, 0.1, THETA, 0.08)
+        stream = oracle_stream(ORACLE_K)
+        cfg = flow_config(
+            max_iters=ORACLE_K, diag_every=3, diag_subsample=37,
+            constraint=constraint, perturb_std=perturb_std,
+        )
+        final, trace = run(m0, obj, stream, cfg)
+        want, rows = reference_run(m0, obj, stream, cfg)
+
+        assert np.max(np.abs(final.points - want.points)) <= ORACLE_TOL_X
+        assert [r.k for r in trace.rows] == [k for k, _, _ in rows]
+        for row, (_, mean_want, grad_want) in zip(trace.rows, rows):
+            assert np.max(np.abs(row.mean - mean_want)) <= ORACLE_TOL_X
+            if grad_want is None:
+                assert row.grad_norm is None
+            else:
+                assert abs(row.grad_norm - grad_want) <= ORACLE_TOL_GRAD
+
+    def test_full_space_mean_follows_affine_recursion(self):
+        m0 = init_uniform_box([-0.1, -0.1], [0.2, 0.2], 37, seed=6)
+        obj = StreamingLSObjective(W_SKEW, 0.1, None, 0.0)
+        stream = oracle_stream(ORACLE_K, seed=29)
+        cfg = flow_config(max_iters=ORACLE_K, diag_every=1, diag_subsample=37, constraint=FullSpace(2))
+        _, trace = run(m0, obj, stream, cfg)
+
+        tau = cfg.tau
+        a = np.eye(2) - tau * W_SKEW.T @ W_SKEW
+        mean = m0.points.mean(axis=0)
+        assert [r.k for r in trace.rows] == list(range(ORACLE_K + 1))
+        for row in trace.rows:
+            assert np.max(np.abs(row.mean - mean)) <= ORACLE_TOL_X
+            if row.k < ORACLE_K:
+                mean = a @ mean + tau * W_SKEW.T @ stream[row.k]
 
 
 class TestCheckpointResume:

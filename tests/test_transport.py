@@ -89,6 +89,10 @@ class TestW2Exact:
         with pytest.raises(ValueError, match="dimension"):
             w2_exact(cloud([[0.0]]), cloud([[0.0, 1.0]]))
 
+    def test_overflowing_cost_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflow"):
+            w2_exact(cloud([[1e200, 0.0], [0.0, 0.0]]), cloud([[-1e200, 0.0], [0.0, 1.0]]))
+
     def test_size_cap_mentions_subsampling(self):
         big = ParticleMeasure(np.zeros((MAX_EXACT_PARTICLES + 1, 1)))
         with pytest.raises(ValueError, match="[Ss]ubsample"):
