@@ -27,6 +27,9 @@ from .errors import ConfigError, DataError, EngineError, NumericalError, UnsafeS
 _SIM_DAY_STREAM = 41
 _DIAG_SUB_STREAM = 61
 
+#: Most time points `predict` evaluates the damping band on.
+_MAX_GRID_POINTS = 10**6
+
 #: Desk-scale case-study constants loaded by --paper-preset.
 CASE_STUDY_PRESET = {
     "a0": "2.5",
@@ -335,9 +338,15 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     t_start = cfg.get_float("t_start", "0")
     t_stop = cfg.get_float("t_stop", "60")
     t_step = cfg.get_float("t_step", "0.5")
-    if t_step <= 0 or t_stop < t_start:
+    if not (t_step > 0 and t_stop >= t_start):
         raise ConfigError("need t_step > 0 and t_stop >= t_start")
-    count = int((t_stop - t_start) / t_step + 1e-9) + 1
+    span = (t_stop - t_start) / t_step
+    if not span < _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"prediction grid from t_start={t_start} to t_stop={t_stop} in steps of "
+            f"{t_step} exceeds {_MAX_GRID_POINTS} points; raise t_step"
+        )
+    count = int(span + 1e-9) + 1
     t_grid = t_start + t_step * np.arange(count)
     p_lo = cfg.get_float("p_lo", "0.1")
     p_hi = cfg.get_float("p_hi", "0.9")

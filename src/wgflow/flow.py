@@ -147,7 +147,6 @@ class TraceRow:
     objective: Optional[float]
     w2_ref: Optional[float]
     mean: np.ndarray
-    cov_trace: float
     grad_norm: Optional[float]
 
 
@@ -282,16 +281,12 @@ def run(
         if obj.theta_star is not None:
             objective = functionals.evaluate_objective(obj, m)
             cloud = m.points if sub_idx is None else m.points[sub_idx]
-            w2, _ = transport.w2_exact(ParticleMeasure(cloud), ref_measure)
+            try:
+                w2, _ = transport.w2_exact(ParticleMeasure(cloud), ref_measure)
+            except NumericalError as exc:
+                raise NumericalError(f"flow diverged at iteration {k}: {exc}") from None
         trace.rows.append(
-            TraceRow(
-                k=k,
-                objective=objective,
-                w2_ref=w2,
-                mean=mean,
-                cov_trace=float(np.trace(measures.covariance(m))),
-                grad_norm=grad_norm,
-            )
+            TraceRow(k=k, objective=objective, w2_ref=w2, mean=mean, grad_norm=grad_norm)
         )
 
     tau = cfg.tau
@@ -435,7 +430,7 @@ def read_trace_csv(path) -> FlowTrace:
             mean_vec = np.array([float(v) for v in row[3 : 3 + d]])
             gn = float(row[-1]) if row[-1] else None
             trace.rows.append(
-                TraceRow(k=k, objective=opt, w2_ref=w2, mean=mean_vec, cov_trace=float("nan"), grad_norm=gn)
+                TraceRow(k=k, objective=opt, w2_ref=w2, mean=mean_vec, grad_norm=gn)
             )
         if trace.rows:
             trace.iterations_run = trace.rows[-1].k - trace.rows[0].k

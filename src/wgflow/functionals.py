@@ -34,8 +34,11 @@ from .measures import ParticleMeasure
 def _rows_times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row-wise matrix-vector products: row i of the result is ``m @ x[i]``.
 
-    Accumulated column by column with elementwise arithmetic, so the result
-    is bitwise identical however the rows are chunked across workers.
+    Accumulated column by column with elementwise arithmetic, so a row's
+    value does not depend on how many rows are evaluated together: a field
+    evaluated on a batch equals its pointwise values bit for bit, which a
+    BLAS product (one kernel for a vector, another for a matrix) does not
+    guarantee.
     """
     out = np.zeros((x.shape[0], m.shape[0]))
     for j in range(x.shape[1]):

@@ -22,6 +22,11 @@ from .measures import ParticleMeasure, nearest_rank_quantile, substream
 
 _TRAJ_STREAM = 31
 
+# Steps per block of the plant simulation: the forced response of a block
+# is one row of a (blocks, B) x (B, 2B) product, and a Python loop carries
+# only the block starts.
+_BLOCK = 128
+
 # Stiffness floor inside the damping ratio, so extrapolating a belief with
 # particles near b = 0 stays defined.
 _B_FLOOR = 1e-12
@@ -82,6 +87,12 @@ class PlantParams:
 def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the Euler-discretized plant under uniform reference noise.
 
+    The recurrence ``x_{k+1} = M x_k + g (r + eps_k)`` is linear, so it is
+    evaluated exactly in blocks of steps rather than one step at a time:
+    a matrix product gives every block's response to its noise, and only
+    the block starts are carried from one block to the next.  The states
+    agree with a step-by-step loop to rounding.
+
     Parameters
     ----------
     p : PlantParams
@@ -100,27 +111,40 @@ def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.n
     if x0.shape != (2,) or not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be a finite state vector (position, velocity)")
     n = int(p.horizon / p.dt + 1e-9)
+    nb = -(-n // _BLOCK)
+    # Deviations e = x - (r, 0) from the equilibrium follow
+    # e_{k+1} = M e_k + g eps_k: the step maps (r, 0) to itself exactly.
+    # Within a block of B steps, e_{jB+q+1} = M^{q+1} e_{jB} + F[j, q] with
+    # the forced response F[j, q] = sum_{l <= q} M^{q-l} g eps_{jB+l}.
+    m = p.transition_matrix()
+    powers = np.empty((_BLOCK + 1, 2, 2))  # M^0 .. M^B
+    powers[0] = np.eye(2)
+    for i in range(_BLOCK):
+        powers[i + 1] = m @ powers[i]
+    forced = np.zeros((nb, _BLOCK, 2))
     if p.eps_half_width > 0:
-        eps = substream(seed, _TRAJ_STREAM).uniform(-p.eps_half_width, p.eps_half_width, n)
-    else:
-        eps = np.zeros(n)
-    dt = p.dt
-    a21 = -dt * p.b
-    a22 = 1.0 - dt * p.a
-    bcoef = dt * p.b
-    r = p.r
-    zs = np.empty(n + 1)
-    vs = np.empty(n + 1)
-    z = float(x0[0])
-    v = float(x0[1])
-    for k in range(n):
-        zs[k] = z
-        vs[k] = v
-        u = r + eps[k]
-        z, v = z + dt * v, a21 * z + a22 * v + bcoef * u
-    zs[n] = z
-    vs[n] = v
-    return np.column_stack([zs, vs]), np.full(n + 1, r)
+        eps = np.zeros(nb * _BLOCK)
+        eps[:n] = substream(seed, _TRAJ_STREAM).uniform(-p.eps_half_width, p.eps_half_width, n)
+        impulse = powers[:_BLOCK, :, 1] * (p.dt * p.b)  # M^i g
+        lag = np.arange(_BLOCK)[None, :] - np.arange(_BLOCK)[:, None]  # q - l
+        toeplitz = np.where((lag >= 0)[..., None], impulse[np.maximum(lag, 0)], 0.0)
+        forced = (eps.reshape(nb, _BLOCK) @ toeplitz.reshape(_BLOCK, 2 * _BLOCK)).reshape(forced.shape)
+
+    (c11, c12), (c21, c22) = powers[_BLOCK].tolist()
+    starts = np.empty((nb, 2))
+    e1 = float(x0[0]) - p.r
+    e2 = float(x0[1])
+    for j, (f1, f2) in enumerate(forced[:, -1].tolist()):
+        starts[j] = e1, e2
+        e1, e2 = c11 * e1 + c12 * e2 + f1, c21 * e1 + c22 * e2 + f2
+    # Row b of the block propagator holds M^{q+1}[a, b] at column 2q + a.
+    propagator = powers[1:].transpose(2, 0, 1).reshape(2, 2 * _BLOCK)
+    dev = (starts @ propagator).reshape(forced.shape) + forced
+
+    states = np.empty((n + 1, 2))
+    states[0] = x0
+    states[1:] = dev.reshape(-1, 2)[:n] + (p.r, 0.0)
+    return states, np.full(n + 1, p.r)
 
 
 def ls_estimate(traj: tuple[np.ndarray, np.ndarray], dt: float) -> np.ndarray:

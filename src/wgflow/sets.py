@@ -125,8 +125,9 @@ class Halfspace(ConvexSet):
         return self.a.size
 
     def _gap(self, pts):
-        # a.x - b accumulated coordinate by coordinate (plus a magnitude
-        # scale), so results do not depend on how rows are chunked.
+        # a.x - b and its magnitude scale, accumulated coordinate by
+        # coordinate in one pass; elementwise, so a point's gap is the same
+        # whether it is tested alone (contains) or in a batch (projection).
         t = np.full(pts.shape[0], -self.b)
         s = np.full(pts.shape[0], abs(self.b))
         for j in range(self.dim):

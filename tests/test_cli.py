@@ -155,6 +155,19 @@ class TestFlow:
         assert len(lines) == 1 and lines[0].startswith("numerical error:"), proc.stderr
         assert not (tmp_path / "particles.csv").exists()
 
+    def test_trace_row_divergence_names_the_iteration(self, tmp_path):
+        # The first step already overflows the squared distances of the
+        # k = 1 trace row, before the cloud itself turns non-finite.
+        write_noise_free_observations(tmp_path / "observations.csv", days=8)
+        proc = run_cli_process(
+            "-m", "wgflow.cli", "flow", "--paper-preset", "--out", str(tmp_path),
+            "--n_particles", "64", "--force", "--tau", "1e200",
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "iteration 1" in lines[0], proc.stderr
+        assert not (tmp_path / "particles.csv").exists()
+
     def test_missing_observations_exits_2(self, tmp_path):
         assert run_cli("flow", "--paper-preset", "--out", str(tmp_path / "z")) == 2
         assert not (tmp_path / "z").exists()
@@ -191,6 +204,19 @@ class TestPredict:
         row = next(csv.DictReader(open(tmp_path / "tstar.csv")))
         assert float(row["day"]) == 15.0
         assert abs(float(row["ls"]) - float(row["true"])) < 1e-3
+
+    def test_oversized_grid_exits_2_with_one_line(self, tmp_path):
+        measures.write_particles_csv(
+            measures.ParticleMeasure(np.tile(LAM, (8, 1))), tmp_path / "particles.csv"
+        )
+        proc = run_cli_process(
+            "-m", "wgflow.cli", "predict", "--paper-preset", "--out", str(tmp_path),
+            "--t_step", "1e-300",
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
+        assert not (tmp_path / "prediction.csv").exists()
 
     def test_empty_particle_file_exits_3(self, tmp_path):
         (tmp_path / "particles.csv").write_text("x1,x2\n")

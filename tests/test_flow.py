@@ -263,6 +263,16 @@ class TestRun:
         with pytest.raises(NumericalError, match="diverged at iteration 2"):
             run(m0, obj, noise_free_stream(10), cfg)
 
+    def test_trace_row_overflow_names_the_iteration(self):
+        # At k = 1 the cloud is finite (about 1e200) but its squared
+        # distances to theta* overflow inside the trace row's W2.
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
+        cfg = flow_config(
+            tau=1e200, max_iters=10, diag_every=1, diag_subsample=16, allow_unsafe_tau=True
+        )
+        with pytest.raises(NumericalError, match="diverged at iteration 1: squared distances"):
+            run(m0, preset_objective(), noise_free_stream(10), cfg)
+
 
 # A process matrix that is not symmetric, so a transposed W^T shows.
 W_SKEW = np.array([[-5.0, 1.0], [0.5, 4.0]])

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import simulate_loop
 from scipy.optimize import brentq
 
 from wgflow.errors import DataError, NumericalError
 from wgflow.measures import ParticleMeasure
+from wgflow.pdm import _BLOCK as BLOCK
 from wgflow.pdm import (
     DegradationModel,
     Observation,
@@ -26,6 +28,7 @@ from wgflow.pdm import (
 )
 
 LAM = np.array([2.0 / 60.0, 5.0 / 60.0])
+EPS = np.finfo(float).eps
 
 
 def case_study_model(zeta_min=0.4):
@@ -113,6 +116,53 @@ class TestLsEstimate:
                 errs.append(float(np.linalg.norm(est - [2.5, 1.0])))
             errors[width] = float(np.median(errs))
         assert errors[3.0] > errors[0.3] > errors[0.03]
+
+
+# The fast simulation against the step-by-step loop.  Each transition
+# rounds each coordinate a few times and a stable M does not amplify the
+# error, so both stay within a few ulps per step of the exact trajectory.
+def sim_tol(n, states):
+    return 32 * (n + 1) * EPS * max(1.0, float(np.max(np.abs(states))))
+
+
+DAY60 = degrade(case_study_model(), 60.0)
+# Complex eigenvalues of modulus about 0.99999: dt just below a / b.
+NEAR_UNSTABLE_DT = float(DAY60[0] / DAY60[1]) * (1.0 - 5e-4)
+SIM_PLANTS = {
+    "fresh": (2.5, 1.0, 0.001),
+    "degraded": (float(DAY60[0]), float(DAY60[1]), 0.001),
+    "near_unstable": (float(DAY60[0]), float(DAY60[1]), NEAR_UNSTABLE_DT),
+}
+
+
+class TestSimulateAgainstLoop:
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 100_000])
+    @pytest.mark.parametrize("width", [0.0, 3.0])
+    @pytest.mark.parametrize("plant", sorted(SIM_PLANTS))
+    def test_matches_loop(self, plant, width, n):
+        a, b, dt = SIM_PLANTS[plant]
+        p = PlantParams(a, b, 1.0, dt, n * dt, width)
+        x0 = np.array([-2.5, 0.0])
+        states, refs = simulate_trajectory(p, x0, seed=7)
+        ref_states, ref_refs = simulate_loop(p, x0, seed=7)
+        assert states.shape == ref_states.shape == (n + 1, 2)
+        assert np.array_equal(refs, ref_refs)
+        assert np.array_equal(states[0], x0)
+        assert np.max(np.abs(states - ref_states)) <= sim_tol(n, ref_states)
+
+    @pytest.mark.parametrize("n", [1, BLOCK + 1])
+    def test_first_state_is_x0_bit_for_bit(self, n):
+        # (0.1 - r) + r rounds to 0.09999999999999998, so states[0] must
+        # be x0 itself rather than the equilibrium plus its deviation.
+        p = PlantParams(2.5, 1.0, 1.0, 0.001, n * 0.001, 3.0)
+        x0 = np.array([0.1, 0.3])
+        states, _ = simulate_trajectory(p, x0, seed=1)
+        assert np.array_equal(states[0], x0)
+
+    def test_near_unstable_plant_is_near_the_boundary(self):
+        a, b, dt = SIM_PLANTS["near_unstable"]
+        m = PlantParams(a, b, 1.0, dt, 1.0, 0.0).transition_matrix()
+        assert 0.9999 < max(abs(np.linalg.eigvals(m))) < 1.0
 
 
 class TestDegradeAndRatio:
