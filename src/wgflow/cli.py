@@ -14,14 +14,13 @@ error, 5 refused unsafe step size.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import flow, functionals, measures, pdm, sets, transport
+from . import files, flow, functionals, measures, pdm, sets, transport
 from .errors import ConfigError, DataError, EngineError, NumericalError, UnsafeStepError
 
 _SIM_DAY_STREAM = 41
@@ -122,19 +121,7 @@ class Config:
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+    return files.read_settings(path, ConfigError)
 
 
 def _parse_overrides(extra: list[str]) -> dict[str, str]:
@@ -167,10 +154,6 @@ def _input_path(cfg: Config, key: str, out_dir: str, default_name: str) -> str:
     return path
 
 
-def _fmt(v) -> str:
-    return "" if v is None else repr(float(v))
-
-
 # -- commands ---------------------------------------------------------------
 
 def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
@@ -190,20 +173,17 @@ def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
     # Build every day's plant up front: an unstable discretization on any
     # day refuses the whole run before anything is written.
     day_times = [j * model.T for j in range(days)]
-    try:
-        plants = [
-            pdm.PlantParams(
-                a=float(pdm.degrade(model, t)[0]),
-                b=float(pdm.degrade(model, t)[1]),
-                r=r,
-                dt=dt,
-                horizon=horizon,
-                eps_half_width=eps,
-            )
-            for t in day_times
-        ]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    plants = [
+        pdm.PlantParams(
+            a=float(pdm.degrade(model, t)[0]),
+            b=float(pdm.degrade(model, t)[1]),
+            r=r,
+            dt=dt,
+            horizon=horizon,
+            eps_half_width=eps,
+        )
+        for t in day_times
+    ]
 
     observations = []
     for j, (t, plant) in enumerate(zip(day_times, plants)):
@@ -235,10 +215,7 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
     theta_star = cfg.get_vec("theta_star") if cfg.has("theta_star") else None
     rho = cfg.get_float("rho", "0.1")
     sigma_w2 = cfg.get_float("sigma_w2", "0")
-    try:
-        obj = functionals.StreamingLSObjective(w, rho, theta_star, sigma_w2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    obj = functionals.StreamingLSObjective(w, rho, theta_star, sigma_w2)
 
     constraint = sets.convex_set_from_config(
         cfg.get_record("constraint", '{"kind": "nonneg_orthant", "d": 2}')
@@ -259,33 +236,27 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
         n_particles = cfg.get_int("n_particles", "1000")
         init_lo = cfg.get_vec("init_lo", "0,0")
         init_hi = cfg.get_vec("init_hi")
-        try:
-            m0 = measures.init_uniform_box(init_lo, init_hi, n_particles, seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        m0 = measures.init_uniform_box(init_lo, init_hi, n_particles, seed)
 
     remaining = len(diffs) - start_iteration
     max_iters = cfg.get_int("max_iters", str(remaining))
     if max_iters > remaining:
         max_iters = remaining
     checkpoint_every = cfg.get_int("checkpoint_every", "0")
-    try:
-        run_cfg = flow.FlowConfig(
-            tau=cfg.get_float("tau", "0.01"),
-            max_iters=max_iters,
-            seed=seed,
-            constraint=constraint,
-            perturb_std=cfg.get_float("perturb_std", "0"),
-            diag_every=cfg.get_int("diag_every", "1"),
-            diag_subsample=min(cfg.get_int("diag_subsample", "256"), m0.n),
-            allow_unsafe_tau=force,
-            on_invalid=cfg.get_str("on_invalid", "abort"),
-            workers=cfg.get_int("workers", "1"),
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=os.path.join(out_dir, "checkpoint") if checkpoint_every else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    run_cfg = flow.FlowConfig(
+        tau=cfg.get_float("tau", "0.01"),
+        max_iters=max_iters,
+        seed=seed,
+        constraint=constraint,
+        perturb_std=cfg.get_float("perturb_std", "0"),
+        diag_every=cfg.get_int("diag_every", "1"),
+        diag_subsample=min(cfg.get_int("diag_subsample", "256"), m0.n),
+        allow_unsafe_tau=force,
+        on_invalid=cfg.get_str("on_invalid", "abort"),
+        workers=cfg.get_int("workers", "1"),
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=os.path.join(out_dir, "checkpoint") if checkpoint_every else None,
+    )
 
     report = flow.validate_tau(obj.W, obj.rho, obj.sigma_w2, run_cfg.tau)
     if not report.tau_valid and not force:
@@ -316,16 +287,13 @@ def _degradation_model(cfg: Config, require_truth: bool) -> pdm.DegradationModel
         lam = np.array([cfg.get_float("lambda1"), cfg.get_float("lambda2")])
     elif require_truth:
         raise ConfigError("missing required config keys 'lambda1'/'lambda2'")
-    try:
-        return pdm.DegradationModel(
-            a0=cfg.get_float("a0"),
-            b0=cfg.get_float("b0"),
-            lam=lam,
-            zeta_min=cfg.get_float("zeta_min"),
-            T=cfg.get_float("T", "5"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return pdm.DegradationModel(
+        a0=cfg.get_float("a0"),
+        b0=cfg.get_float("b0"),
+        lam=lam,
+        zeta_min=cfg.get_float("zeta_min"),
+        T=cfg.get_float("T", "5"),
+    )
 
 
 def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
@@ -383,27 +351,17 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     prediction_path = os.path.join(out_dir, "prediction.csv")
-    with open(prediction_path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["t", "p10", "mean", "p90", "zeta_true"])
-        for t, lo, mean_z, hi in band:
-            zt = pdm.damping_ratio(pdm.degrade(model, float(t))) if have_truth else None
-            wtr.writerow(
-                [repr(float(t)), repr(float(lo)), repr(float(mean_z)), repr(float(hi)), _fmt(zt)]
-            )
-
+    files.write_table(
+        prediction_path,
+        ["t", "p10", "mean", "p90", "zeta_true"],
+        (
+            [*row, pdm.damping_ratio(pdm.degrade(model, row[0])) if have_truth else None]
+            for row in band.tolist()
+        ),
+    )
     tstar_path = os.path.join(out_dir, "tstar.csv")
-    with open(tstar_path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["day", "ours", "ls", "true"])
-        wtr.writerow(
-            [
-                repr(day),
-                _fmt(ours.days),
-                _fmt(ls_time.days if ls_time is not None else None),
-                _fmt(true_time.days if true_time is not None else None),
-            ]
-        )
+    baselines = [None if c is None else c.days for c in (ls_time, true_time)]
+    files.write_table(tstar_path, ["day", "ours", "ls", "true"], [[day, ours.days, *baselines]])
 
     print(f"wrote {prediction_path} and {tstar_path}")
     print(
@@ -472,11 +430,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     diag_path = os.path.join(out_dir, "diagnostics.csv")
-    with open(diag_path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["metric", "value"])
-        for name, value in metrics:
-            wtr.writerow([name, repr(float(value))])
+    files.write_table(diag_path, ["metric", "value"], metrics)
 
     print(f"step-size report: tau={report.tau} valid={report.tau_valid} "
           f"(tau_max={report.tau_max:.6g}, cap={report.simple_cap:.6g})")
@@ -525,7 +479,9 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args, extra)
         return _COMMANDS[args.command](cfg, args.out, args.force)
-    except ConfigError as exc:
+    # Library code raises ValueError only for arguments out of contract,
+    # and every argument here comes from the configuration.
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

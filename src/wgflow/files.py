@@ -1,0 +1,108 @@
+"""On-disk conventions: CSV tables with a header row and ``key = value`` files.
+
+A table field is ``""`` for ``None``, the value itself for a string or an
+``int``, and ``repr(float(v))`` (the shortest round-trip string) for any
+other number.  Every file is written whole: into a temporary file in the
+target's directory that then replaces the target by one rename.  There is
+no ``fsync``, so this guards against a failed or killed writer, not a
+power cut.
+"""
+
+import contextlib
+import csv
+import math
+import os
+
+from .errors import DataError
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    # Created as open(path, "w") creates a file, so the umask applies.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _field(v) -> str:
+    if v is None:
+        return ""
+    return str(v) if isinstance(v, (str, int)) else repr(float(v))
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: the header row, then one row per item of ``rows``."""
+    with _replacing(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_field(v) for v in row] for row in rows)
+
+
+def read_table(path, what: str, header_ok) -> list[list[str]]:
+    """Read the rows of a CSV table, as strings, below its header.
+
+    An unreadable or empty file, a header that ``header_ok`` rejects, no
+    rows, or a row unlike the header in width raises :class:`DataError`.
+    """
+    try:
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable {what}: {exc}") from None
+    if not table:
+        raise DataError(f"{path}: empty {what}")
+    header, rows = table[0], table[1:]
+    if not header_ok(header):
+        raise DataError(f"{path}: bad header {header!r}")
+    if not rows:
+        raise DataError(f"{path}: {what} contains no rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
+    return rows
+
+
+def float_rows(path, rows) -> list[list[float]]:
+    """Parse table rows as floats, an empty field as NaN; a field that is
+    not a number raises :class:`DataError` naming the row."""
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            out.append([float(v) if v else math.nan for v in row])
+        except ValueError as exc:
+            raise DataError(f"{path}: row {i}: {exc}") from None
+    return out
+
+
+def write_settings(path, settings: dict) -> None:
+    """Write one ``key = value`` line per item of ``settings``."""
+    with _replacing(path) as fh:
+        fh.writelines(f"{k} = {v}\n" for k, v in settings.items())
+
+
+def read_settings(path, error) -> dict[str, str]:
+    """Read ``key = value`` lines, skipping blank lines and ``#`` comments.
+
+    A missing or undecodable file, or a line without ``=``, raises the
+    exception class ``error``.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+    values = {}
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            key, eq, value = stripped.partition("=")
+            if not eq:
+                raise error(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+            values[key.strip()] = value.strip()
+    return values

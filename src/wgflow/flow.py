@@ -10,7 +10,6 @@ safe step, asymptotic ball radius) so runs can be judged against them.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import functionals, measures, transport
+from . import files, functionals, measures, transport
 from .errors import DataError, NumericalError, UnsafeStepError
 from .functionals import StreamingLSObjective
 from .measures import ParticleMeasure
@@ -69,38 +68,25 @@ class StepBoundReport:
 
 
 def validate_tau(W, rho: float, sigma_w2: float, tau: float) -> StepBoundReport:
-    """Derive the convergence constants and check a step size against them."""
-    w = np.asarray(W, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("W must be a square matrix")
-    sv = np.linalg.svd(w, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise NumericalError(
-            f"process matrix is numerically singular (min singular value {sv[-1]:.3e}); "
-            "an invertible model is required"
-        )
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if sigma_w2 < 0:
-        raise ValueError("sigma_w2 must be nonnegative")
+    """Derive the convergence constants and check a step size against them;
+    ``W``, ``rho`` and ``sigma_w2`` are checked by :class:`StreamingLSObjective`."""
+    obj = StreamingLSObjective(W, rho, None, sigma_w2)
     if not tau > 0:
         raise ValueError("tau must be positive")
-    alpha = float(sv[-1]) ** 2
-    c = 4.0 * max(float(sv[0]) ** 2, rho)
-    sigma2 = c * sigma_w2
+    alpha = obj.sigma_min ** 2
+    top = max(obj.sigma_max ** 2, obj.rho)
+    c = 4.0 * top
     eta = c / alpha
     tau_max = min(1.0 / alpha, 2.0 / c)
-    simple_cap = 1.0 / (2.0 * max(float(sv[0]) ** 2, rho))
-    ball_radius = math.sqrt(sigma_w2) * math.sqrt(eta * tau)
     return StepBoundReport(
         alpha=alpha,
         C=c,
-        sigma2=sigma2,
+        sigma2=c * obj.sigma_w2,
         eta=eta,
         tau=float(tau),
         tau_max=tau_max,
-        simple_cap=simple_cap,
-        ball_radius=ball_radius,
+        simple_cap=1.0 / (2.0 * top),
+        ball_radius=math.sqrt(obj.sigma_w2) * math.sqrt(eta * tau),
         per_step_rate=1.0 - alpha * tau,
         tau_valid=bool(tau < tau_max),
     )
@@ -381,60 +367,42 @@ def lipschitz_norm_gap(m: ParticleMeasure, ref: ParticleMeasure, phi, L: float) 
 
 # -- trace and checkpoint files ------------------------------------------
 
-def _fmt(v) -> str:
-    return "" if v is None else repr(float(v))
-
-
 def write_trace_csv(trace: FlowTrace, path, d: int) -> None:
     """Write trace rows: ``k,objective,w2_ref,mean_1..mean_d,grad_norm``.
 
     Absent quantities become empty fields.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["k", "objective", "w2_ref"]
-            + [f"mean_{j + 1}" for j in range(d)]
-            + ["grad_norm"]
-        )
-        for row in trace.rows:
-            w.writerow(
-                [str(row.k), _fmt(row.objective), _fmt(row.w2_ref)]
-                + [repr(float(v)) for v in row.mean]
-                + [_fmt(row.grad_norm)]
-            )
+    files.write_table(
+        path,
+        ["k", "objective", "w2_ref"] + [f"mean_{j + 1}" for j in range(d)] + ["grad_norm"],
+        ([r.k, r.objective, r.w2_ref, *r.mean, r.grad_norm] for r in trace.rows),
+    )
 
 
 def read_trace_csv(path) -> FlowTrace:
     """Read a trace file written by :func:`write_trace_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty trace file") from None
-        if len(header) < 5 or header[:3] != ["k", "objective", "w2_ref"] or header[-1] != "grad_norm":
-            raise DataError(f"{path}: unexpected trace header {header!r}")
-        d = len(header) - 4
-        trace = FlowTrace()
-        prev_k = None
-        for row in reader:
-            if len(row) != len(header):
-                raise DataError(f"{path}: malformed trace row {row!r}")
-            k = int(row[0])
-            if prev_k is not None and k <= prev_k:
-                raise DataError(f"{path}: trace rows out of order at k={k}")
-            prev_k = k
-            opt = float(row[1]) if row[1] else None
-            w2 = float(row[2]) if row[2] else None
-            mean_vec = np.array([float(v) for v in row[3 : 3 + d]])
-            gn = float(row[-1]) if row[-1] else None
-            trace.rows.append(
-                TraceRow(k=k, objective=opt, w2_ref=w2, mean=mean_vec, grad_norm=gn)
-            )
-        if trace.rows:
-            trace.iterations_run = trace.rows[-1].k - trace.rows[0].k
+    rows = files.read_table(
+        path,
+        "trace file",
+        lambda h: len(h) >= 5 and h[:3] == ["k", "objective", "w2_ref"] and h[-1] == "grad_norm",
+    )
+    trace = FlowTrace()
+    for i, (k, *v) in enumerate(files.float_rows(path, rows)):
+        if not k.is_integer() or (trace.rows and k <= trace.rows[-1].k):
+            raise DataError(f"{path}: row {i}: k={k} is not an integer above the previous row's")
+        objective, w2, gn = (None if math.isnan(x) else x for x in (v[0], v[1], v[-1]))
+        trace.rows.append(
+            TraceRow(k=int(k), objective=objective, w2_ref=w2, mean=np.array(v[2:-1]), grad_norm=gn)
+        )
+    trace.iterations_run = trace.rows[-1].k - trace.rows[0].k
     return trace
+
+
+def _sha256(path) -> str:
+    import hashlib  # at module level it would slow the CLI's import
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write_checkpoint(path_base: str, m: ParticleMeasure, iteration: int, seed: int) -> None:
@@ -443,27 +411,29 @@ def write_checkpoint(path_base: str, m: ParticleMeasure, iteration: int, seed: i
     The sidecar records the iteration counter and the seed; together they
     fully determine every remaining random draw (streams are keyed by
     ``(seed, iteration)``), so resuming reproduces the uninterrupted run
-    bit for bit.
+    bit for bit.  It is written last and holds the sha256 of the particle
+    file, which :func:`read_checkpoint` checks.
     """
-    measures.write_particles_csv(m, path_base + ".particles.csv")
-    with open(path_base + ".meta.txt", "w") as fh:
-        fh.write(f"iteration = {iteration}\n")
-        fh.write(f"seed = {seed}\n")
-        fh.write("rng = substreams keyed by (seed, purpose, iteration)\n")
+    particles = path_base + ".particles.csv"
+    measures.write_particles_csv(m, particles)
+    rng = "substreams keyed by (seed, purpose, iteration)"
+    meta = {"iteration": iteration, "seed": seed, "rng": rng, "sha256": _sha256(particles)}
+    files.write_settings(path_base + ".meta.txt", meta)
 
 
 def read_checkpoint(path_base: str) -> tuple[ParticleMeasure, int, int]:
-    """Read a snapshot written by :func:`write_checkpoint`."""
-    m = measures.read_particles_csv(path_base + ".particles.csv")
-    meta = {}
-    with open(path_base + ".meta.txt") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
+    """Read a snapshot written by :func:`write_checkpoint`.
+
+    A particle file whose sha256 differs from the sidecar's, or a sidecar
+    without one, raises :class:`DataError` before anything is parsed.
+    """
+    particles = path_base + ".particles.csv"
+    meta_path = path_base + ".meta.txt"
+    meta = files.read_settings(meta_path, DataError)
+    if meta.get("sha256") != _sha256(particles):
+        raise DataError(f"{particles} does not match the sha256 in {meta_path}: damaged checkpoint")
     try:
-        return m, int(meta["iteration"]), int(meta["seed"])
+        iteration, seed = int(meta["iteration"]), int(meta["seed"])
     except (KeyError, ValueError) as exc:
-        raise DataError(f"{path_base}.meta.txt: bad checkpoint metadata ({exc})") from None
+        raise DataError(f"{meta_path}: bad checkpoint metadata ({exc})") from None
+    return measures.read_particles_csv(particles), iteration, seed

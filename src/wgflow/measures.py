@@ -8,12 +8,12 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Callable
 
 import numpy as np
 
+from . import files
 from .errors import DataError
 
 # Spawn-key tag for the uniform-box sampler, keeping its draws disjoint
@@ -179,43 +179,19 @@ def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:
     return ParticleMeasure(pts)
 
 
-def _format(v: float) -> str:
-    # repr of a Python float is the shortest string that round-trips.
-    return repr(float(v))
-
-
 def write_particles_csv(m: ParticleMeasure, path) -> None:
     """Write a particle checkpoint: header ``x1,...,xd``, one row per
     particle in particle order, full round-trip precision."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{j + 1}" for j in range(m.d)])
-        for row in m.points:
-            w.writerow([_format(v) for v in row])
+    files.write_table(path, [f"x{j + 1}" for j in range(m.d)], m.points.tolist())
 
 
 def read_particles_csv(path) -> ParticleMeasure:
     """Read a particle checkpoint written by :func:`write_particles_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty particle file") from None
-        expected = [f"x{j + 1}" for j in range(len(header))]
-        if header != expected:
-            raise DataError(f"{path}: bad header {header!r}, expected {expected!r}")
-        rows = []
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}: row {i}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: particle file contains no particles")
+    rows = files.read_table(
+        path, "particle file", lambda h: h == [f"x{j + 1}" for j in range(len(h))]
+    )
+    points = files.float_rows(path, rows)
     try:
-        return ParticleMeasure(np.array(rows))
+        return ParticleMeasure(points)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -10,13 +10,13 @@ those rates into damping-ratio bands and suggested maintenance times.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import files
 from .errors import DataError, NumericalError
 from .measures import ParticleMeasure, nearest_rank_quantile, substream
 
@@ -473,33 +473,21 @@ def _last_safe_time(zeta, zeta_min: float, cap: float = _SCAN_CAP, tol: float = 
 
 # -- observation files -----------------------------------------------------
 
+_OBS_HEADER = ["t", "a_hat", "b_hat"]
+
+
 def write_observations_csv(obs: Sequence[Observation], path) -> None:
     """Write observations: header ``t,a_hat,b_hat``, full precision."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "a_hat", "b_hat"])
-        for o in obs:
-            w.writerow([repr(o.t), repr(float(o.y_hat[0])), repr(float(o.y_hat[1]))])
+    files.write_table(path, _OBS_HEADER, ([o.t, *o.y_hat] for o in obs))
 
 
 def read_observations_csv(path) -> list[Observation]:
     """Read observations written by :func:`write_observations_csv`."""
+    rows = files.read_table(path, "observation file", lambda h: h == _OBS_HEADER)
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for i, (t, a, b) in enumerate(files.float_rows(path, rows)):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty observation file") from None
-        if header != ["t", "a_hat", "b_hat"]:
-            raise DataError(f"{path}: bad header {header!r}")
-        for i, row in enumerate(reader):
-            if len(row) != 3:
-                raise DataError(f"{path}: row {i} has {len(row)} fields, expected 3")
-            try:
-                out.append(Observation(float(row[0]), np.array([float(row[1]), float(row[2])])))
-            except ValueError as exc:
-                raise DataError(f"{path}: row {i}: {exc}") from None
-    if not out:
-        raise DataError(f"{path}: observation file contains no rows")
+            out.append(Observation(t, np.array([a, b])))
+        except ValueError as exc:
+            raise DataError(f"{path}: row {i}: {exc}") from None
     return out

@@ -168,6 +168,26 @@ class TestFlow:
         assert len(lines) == 1 and "iteration 1" in lines[0], proc.stderr
         assert not (tmp_path / "particles.csv").exists()
 
+    def test_truncated_checkpoint_refused_on_resume(self, tmp_path, capsys):
+        write_noise_free_observations(tmp_path / "observations.csv", days=12)
+        obs = str(tmp_path / "observations.csv")
+        first = tmp_path / "first"
+        assert run_cli(
+            "flow", "--paper-preset", "--out", str(first), "--observations", obs,
+            "--max_iters", "6", "--checkpoint_every", "6",
+        ) == 0
+        checkpoint = first / "checkpoint.particles.csv"
+        checkpoint.write_bytes(checkpoint.read_bytes()[:20000])  # cuts a row mid-number
+        capsys.readouterr()
+        resumed = tmp_path / "resumed"
+        assert run_cli(
+            "flow", "--paper-preset", "--out", str(resumed), "--observations", obs,
+            "--resume", str(first / "checkpoint"),
+        ) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "sha256" in lines[0], lines
+        assert not (resumed / "particles.csv").exists()
+
     def test_missing_observations_exits_2(self, tmp_path):
         assert run_cli("flow", "--paper-preset", "--out", str(tmp_path / "z")) == 2
         assert not (tmp_path / "z").exists()
@@ -285,6 +305,47 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Library argument checks raise ValueError; the CLI reports each as a
+# configuration error.  Inputs per command: config key -> file under in/.
+_INPUTS = {
+    "simulate": {},
+    "flow": {"observations": "observations.csv"},
+    "predict": {"particles": "particles.csv"},
+    "diagnose": {"particles": "particles.csv", "reference": "particles.csv"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("predict", ("--t_start", "-1")),
+        ("predict", ("--p_lo", "0.95")),
+        ("predict", ("--rule_level", "1.5")),
+        ("predict", ("--chance_alpha", "0")),
+        ("flow", ("--constraint", '{"kind":"box","lo":[0],"hi":[1]}')),
+        ("diagnose", ("--diag_subsample", "0")),
+        ("diagnose", ("--T", "0")),
+        ("simulate", ("--horizon", "0.0015")),
+    ],
+)
+def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_noise_free_observations(inputs / "observations.csv", days=4)
+    measures.write_particles_csv(
+        measures.ParticleMeasure(np.tile(LAM, (8, 1))), inputs / "particles.csv"
+    )
+    args = [arg for k, name in _INPUTS[command].items() for arg in (f"--{k}", str(inputs / name))]
+    out = tmp_path / "out"
+    proc = run_cli_process(
+        "-m", "wgflow.cli", command, "--paper-preset", "--out", str(out), *args, *overrides
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
+    assert not out.exists() or not any(out.iterdir())
 
 
 class TestConfigHandling:

@@ -1,0 +1,128 @@
+import ast
+import math
+import os
+
+import pytest
+
+import wgflow
+from wgflow import files
+from wgflow.errors import ConfigError, DataError
+
+PACKAGE = os.path.dirname(os.path.abspath(wgflow.__file__))
+
+
+class TestWriteTable:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        files.write_table(path, ["a"], [[1.5]])
+        before = path.read_bytes()
+
+        def rows():
+            yield [1, 2]
+            raise RuntimeError("source failed halfway")
+
+        with pytest.raises(RuntimeError, match="halfway"):
+            files.write_table(path, ["a", "b"], rows())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_fields_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        values = [None, 7, 0.1, -2.5e-300, 1e16, "name"]
+        files.write_table(path, ["a", "b", "c", "d", "e", "f"], [values])
+        assert path.read_bytes() == b"a,b,c,d,e,f\r\n,7,0.1,-2.5e-300,1e+16,name\r\n"
+        rows = files.read_table(path, "table", lambda h: True)
+        assert rows == [["", "7", "0.1", "-2.5e-300", "1e+16", "name"]]
+        parsed = files.float_rows(path, [row[:5] for row in rows])[0]
+        assert math.isnan(parsed[0])
+        assert parsed[1:] == [7.0, 0.1, -2.5e-300, 1e16]
+
+    def test_new_file_gets_the_mode_open_would_give(self, tmp_path):
+        files.write_table(tmp_path / "a.csv", ["a"], [[1]])
+        with open(tmp_path / "b.csv", "w"):
+            pass
+        assert os.stat(tmp_path / "a.csv").st_mode == os.stat(tmp_path / "b.csv").st_mode
+
+
+class TestReadTable:
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            (b"", "empty"),
+            (b"a,b\n1,2\n", "header"),
+            (b"x,y\n", "no rows"),
+            (b"x,y\n1,2\n3\n", "row 1 has 1 fields"),
+            (b"x,y\n1,\xff2\n", "unreadable"),
+        ],
+    )
+    def test_rejects_malformed_tables(self, tmp_path, text, match):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=match):
+            files.read_table(path, "table", lambda h: h == ["x", "y"])
+
+    def test_float_rows_names_the_bad_row(self):
+        with pytest.raises(DataError, match="row 1"):
+            files.float_rows("t.csv", [["1"], ["one"]])
+
+
+class TestSettings:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "s.txt"
+        files.write_settings(path, {"iteration": 8, "rng": "keyed by (seed, k)"})
+        assert path.read_text() == "iteration = 8\nrng = keyed by (seed, k)\n"
+        assert files.read_settings(path, DataError) == {
+            "iteration": "8",
+            "rng": "keyed by (seed, k)",
+        }
+
+    def test_skips_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("# a comment\n\n  a = 1 \n")
+        assert files.read_settings(path, ConfigError) == {"a": "1"}
+
+    @pytest.mark.parametrize("error", [ConfigError, DataError])
+    def test_errors_take_the_callers_class(self, tmp_path, error):
+        with pytest.raises(error, match="cannot read"):
+            files.read_settings(tmp_path / "missing.txt", error)
+        path = tmp_path / "s.txt"
+        path.write_text("a = 1\nno equals sign\n")
+        with pytest.raises(error, match=":2: expected"):
+            files.read_settings(path, error)
+
+
+def _write_sites(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            if "csv" in names:
+                yield node.lineno, "imports csv"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("write_text", "write_bytes"):
+                yield node.lineno, name
+            if name not in ("open", "fdopen"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else None
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+            if isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+"):
+                yield node.lineno, f"opens a file with mode {mode.value!r}"
+
+
+def test_only_the_files_module_writes_files():
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py") and name != "files.py":
+            with open(os.path.join(PACKAGE, name)) as fh:
+                tree = ast.parse(fh.read())
+            found += [f"{name}:{line}: {what}" for line, what in _write_sites(tree)]
+    assert found == []
+
+
+def test_write_guard_sees_each_kind_of_write():
+    source = (
+        "import csv\nopen(p, 'w')\nopen(p, mode='a')\nio.open(p, 'r+')\n"
+        "p.write_text('x')\nopen(p)\nopen(p, 'rb')\n"
+    )
+    assert [line for line, _ in _write_sites(ast.parse(source))] == [1, 2, 3, 4, 5]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -386,6 +387,32 @@ class TestCheckpointResume:
         m, k, seed = read_checkpoint(base)
         assert k == 8 and seed == 3
         assert m.n == 16
+
+
+    def test_sidecar_records_the_particle_digest(self, tmp_path):
+        base = str(tmp_path / "ck")
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2)
+        digest = hashlib.sha256((tmp_path / "ck.particles.csv").read_bytes()).hexdigest()
+        assert (tmp_path / "ck.meta.txt").read_text().splitlines() == [
+            "iteration = 5",
+            "seed = 2",
+            "rng = substreams keyed by (seed, purpose, iteration)",
+            f"sha256 = {digest}",
+        ]
+
+    @pytest.mark.parametrize("damage", ["edited particle", "missing digest"])
+    def test_damaged_checkpoint_refused(self, tmp_path, damage):
+        base = str(tmp_path / "ck")
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2)
+        if damage == "edited particle":
+            path = tmp_path / "ck.particles.csv"
+            path.write_bytes(path.read_bytes().replace(b"0.", b"1.", 1))
+        else:
+            path = tmp_path / "ck.meta.txt"
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(line for line in lines if not line.startswith("sha256")))
+        with pytest.raises(DataError, match="sha256"):
+            read_checkpoint(base)
 
 
 class TestLipschitzGap:
