@@ -67,6 +67,13 @@ CASE_STUDY_PRESET = {
 }
 
 
+#: Every key some command reads; one config file can serve all four.
+CONFIG_KEYS = frozenset(CASE_STUDY_PRESET) | {
+    "observations", "particles", "reference", "resume", "day",
+    "max_iters", "checkpoint_every", "on_invalid",
+}
+
+
 class Config:
     """Flat string-to-string configuration with typed accessors."""
 
@@ -144,6 +151,13 @@ def _build_config(args, extra: list[str]) -> Config:
     if args.seed is not None:
         values["seed"] = str(args.seed)
     values.update(_parse_overrides(extra))
+    for key in values:
+        if key not in CONFIG_KEYS:
+            import difflib  # only on this error path, to keep the import fast
+
+            close = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
+            hint = f"; did you mean '{close[0]}'?" if close else ""
+            raise ConfigError(f"unknown config key '{key}'{hint}")
     return Config(values)
 
 
@@ -221,19 +235,21 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
         cfg.get_record("constraint", '{"kind": "nonneg_orthant", "d": 2}')
     )
     seed = cfg.get_int("seed", "0")
+    tau = cfg.get_float("tau", "0.01")
+    n_particles = cfg.get_int("n_particles", "1000")
 
     start_iteration = 0
     if cfg.has("resume"):
         base = cfg.get_str("resume")
         if not os.path.isfile(base + ".particles.csv"):
             raise ConfigError(f"checkpoint not found: {base}.particles.csv")
-        m0, start_iteration, seed = flow.read_checkpoint(base)
+        expect = flow.checkpoint_fields(n_particles, obj.d, tau, constraint)
+        m0, start_iteration, seed = flow.read_checkpoint(base, expect)
         if start_iteration > len(diffs):
             raise DataError(
                 f"checkpoint iteration {start_iteration} exceeds available observations"
             )
     else:
-        n_particles = cfg.get_int("n_particles", "1000")
         init_lo = cfg.get_vec("init_lo", "0,0")
         init_hi = cfg.get_vec("init_hi")
         m0 = measures.init_uniform_box(init_lo, init_hi, n_particles, seed)
@@ -244,7 +260,7 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
         max_iters = remaining
     checkpoint_every = cfg.get_int("checkpoint_every", "0")
     run_cfg = flow.FlowConfig(
-        tau=cfg.get_float("tau", "0.01"),
+        tau=tau,
         max_iters=max_iters,
         seed=seed,
         constraint=constraint,
@@ -480,8 +496,9 @@ def main(argv=None) -> int:
         cfg = _build_config(args, extra)
         return _COMMANDS[args.command](cfg, args.out, args.force)
     # Library code raises ValueError only for arguments out of contract,
-    # and every argument here comes from the configuration.
-    except (ConfigError, ValueError) as exc:
+    # and every argument here comes from the configuration; so does every
+    # path, such as an output directory that cannot be made or written.
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

@@ -10,6 +10,7 @@ safe step, asymptotic ball radius) so runs can be judged against them.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -190,10 +191,23 @@ class FlowConfig:
             raise ValueError("checkpoint_every must be nonnegative")
 
 
-def _grad_norm(prev: np.ndarray, moved: np.ndarray, tau: float) -> float:
+def _affine(x: np.ndarray, a: np.ndarray, c: np.ndarray, noise, out: np.ndarray) -> np.ndarray:
+    """``x A + c - noise`` into the column-major ``out``: a step's cloud
+    before projection."""
+    np.matmul(x, a, out=out)
+    out += c
+    if noise is not None:
+        # Column by column: a subtract across the two layouts at once is
+        # several times slower.
+        for j in range(out.shape[1]):
+            out[:, j] -= noise[:, j]
+    return out
+
+
+def _grad_norm(prev: np.ndarray, moved: np.ndarray, tau: float, out=None) -> float:
     # The step moved every particle to ``prev - tau * xi`` before projecting,
     # so the perturbed field it followed is ``(prev - moved) / tau``.
-    g = prev - moved
+    g = np.subtract(prev, moved, out=out)
     g *= g
     return math.sqrt(float(g.sum()) / g.shape[0]) / tau
 
@@ -282,16 +296,22 @@ def run(
     tau_wt = tau * obj.W.T
     tau_rho = tau * obj.rho
     noise_scale = tau * cfg.perturb_std
-    # Particles live in column-major arrays: the per-step column mean and
-    # the broadcast of c_k then run over contiguous columns.  The noise is
-    # drawn row-major, which fills it in particle order.
-    x = np.asfortranarray(m0.points)
+    sidecar = (
+        checkpoint_fields(m0.n, d, tau, cfg.constraint) if cfg.checkpoint_every else None
+    )
+    # Three (N, d) buffers.  The iterate x and the work buffer moved are
+    # column-major: the per-step column mean and the broadcast of c_k then
+    # run over contiguous columns.  The noise is drawn row-major, which
+    # fills it in particle order.  A step builds its cloud in moved,
+    # projects it in place and swaps the two, so the previous iterate
+    # stays in moved until the next step overwrites it.
+    x = np.array(m0.points, order="F")
     moved = np.empty_like(x)
     noise = np.empty((m0.n, d)) if noise_scale > 0 else None
-    prev = None  # the iterate before the last step, for its grad_norm
     mean = x.mean(axis=0)
+    c = grad_norm = None  # of the last step taken
 
-    m = m0
+    m = m0  # the iterate as a measure, while one is at hand
     k = start_iteration
     record(k, m, mean, None)
     last_recorded = k
@@ -313,40 +333,53 @@ def run(
             k += 1
             continue
 
-        np.matmul(x, a, out=moved)
-        moved += tau_wt @ y + tau_rho * mean
+        c = tau_wt @ y + tau_rho * mean
         if noise is not None:
             measures.substream(cfg.seed, _PERTURB_STREAM, k).standard_normal(out=noise)
             noise *= noise_scale
-            # Column by column: a subtract across the two layouts at
-            # once is several times slower.
-            for j in range(d):
-                moved[:, j] -= noise[:, j]
-        prev = x
-        x = cfg.constraint.project_points(moved)
+        _affine(x, a, c, noise, moved)
         k += 1
-        mean = x.mean(axis=0)
-        if not np.isfinite(mean).all():
-            raise _divergence(x, k)
-
         record_due = (k - start_iteration) % cfg.diag_every == 0
         checkpoint_due = (
             cfg.checkpoint_every
             and cfg.checkpoint_path is not None
             and (k - start_iteration) % cfg.checkpoint_every == 0
         )
-        grad_norm = _grad_norm(prev, moved, tau) if record_due else None
-        m = ParticleMeasure(x) if record_due or checkpoint_due else None
+        # Taken before the projection overwrites moved.  The spent noise,
+        # seen column-major, holds the field in place of a new array and
+        # sums it in the same order.
+        grad_norm = None
         if record_due:
+            spent = None if noise is None else noise.reshape(d, -1).T
+            grad_norm = _grad_norm(x, moved, tau, spent)
+        cfg.constraint.project_points(moved, out=moved)
+        x, moved = moved, x
+        mean = x.mean(axis=0)
+        if not np.isfinite(mean).all():
+            raise _divergence(x, k)
+
+        m = None
+        if record_due:
+            if obj.theta_star is not None:
+                m = ParticleMeasure(x)
             record(k, m, mean, grad_norm)
             last_recorded = k
         if checkpoint_due:
-            write_checkpoint(cfg.checkpoint_path, m, k, cfg.seed)
+            snapshot = m if m is not None else ParticleMeasure(x)
+            write_checkpoint(cfg.checkpoint_path, snapshot, k, cfg.seed, sidecar)
 
+    if last_recorded != k:
+        if grad_norm is None and c is not None:
+            # Rebuild the last step's cloud before projection from the
+            # iterate it started at, which moved still holds.
+            pre = _affine(moved, a, c, noise, np.empty_like(moved))
+            grad_norm = _grad_norm(moved, pre, tau, pre)
+        if m is None and obj.theta_star is not None:
+            m = ParticleMeasure(x)
+        record(k, m, mean, grad_norm)
+    moved = noise = spent = pre = None  # freed before the final copy
     if m is None:
         m = ParticleMeasure(x)
-    if last_recorded != k:
-        record(k, m, mean, None if prev is None else _grad_norm(prev, moved, tau))
     trace.iterations_run = k - start_iteration
     return m, trace
 
@@ -405,33 +438,56 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def write_checkpoint(path_base: str, m: ParticleMeasure, iteration: int, seed: int) -> None:
+def checkpoint_fields(n: int, d: int, tau: float, constraint: ConvexSet) -> dict:
+    """The sidecar fields that tie a checkpoint to its run: particle count,
+    dimension, step size and constraint record, as the sidecar spells them."""
+    return {
+        "n": str(n),
+        "d": str(d),
+        "tau": repr(float(tau)),
+        "constraint": json.dumps(constraint.record()),
+    }
+
+
+def write_checkpoint(
+    path_base: str, m: ParticleMeasure, iteration: int, seed: int, run_fields: Optional[dict] = None
+) -> None:
     """Write a resumable snapshot: particle CSV plus a key-value sidecar.
 
     The sidecar records the iteration counter and the seed; together they
     fully determine every remaining random draw (streams are keyed by
     ``(seed, iteration)``), so resuming reproduces the uninterrupted run
-    bit for bit.  It is written last and holds the sha256 of the particle
-    file, which :func:`read_checkpoint` checks.
+    bit for bit.  ``run_fields`` (see :func:`checkpoint_fields`) follow.
+    The sidecar is written last and holds the sha256 of the particle file,
+    which :func:`read_checkpoint` checks.
     """
     particles = path_base + ".particles.csv"
     measures.write_particles_csv(m, particles)
     rng = "substreams keyed by (seed, purpose, iteration)"
-    meta = {"iteration": iteration, "seed": seed, "rng": rng, "sha256": _sha256(particles)}
+    meta = {"iteration": iteration, "seed": seed, "rng": rng, **(run_fields or {})}
+    meta["sha256"] = _sha256(particles)
     files.write_settings(path_base + ".meta.txt", meta)
 
 
-def read_checkpoint(path_base: str) -> tuple[ParticleMeasure, int, int]:
+def read_checkpoint(path_base: str, expect: Optional[dict] = None) -> tuple[ParticleMeasure, int, int]:
     """Read a snapshot written by :func:`write_checkpoint`.
 
     A particle file whose sha256 differs from the sidecar's, or a sidecar
-    without one, raises :class:`DataError` before anything is parsed.
+    without one, raises :class:`DataError` before anything is parsed, as
+    does a sidecar that lacks a field of ``expect`` or holds another value.
     """
     particles = path_base + ".particles.csv"
     meta_path = path_base + ".meta.txt"
     meta = files.read_settings(meta_path, DataError)
     if meta.get("sha256") != _sha256(particles):
         raise DataError(f"{particles} does not match the sha256 in {meta_path}: damaged checkpoint")
+    for key, value in (expect or {}).items():
+        if key not in meta:
+            raise DataError(f"{meta_path}: checkpoint does not record '{key}', so it cannot be resumed")
+        if meta[key] != value:
+            raise DataError(
+                f"{meta_path}: checkpoint {key} = {meta[key]} does not match this run's {key} = {value}"
+            )
     try:
         iteration, seed = int(meta["iteration"]), int(meta["seed"])
     except (KeyError, ValueError) as exc:

@@ -2,12 +2,13 @@
 
 Only variants whose projection has a closed form are provided, which keeps
 the cost of projecting an ``N``-particle cloud at ``O(N d)``.  Point and
-measure projections are pure; projecting twice is a strict no-op.
+measure projections are pure (``project_points`` can also write in place);
+projecting twice is a strict no-op.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,35 +21,67 @@ _SNAP = 1e-13
 
 
 class ConvexSet:
-    """A closed convex subset of R^d with an exact nearest-point map."""
+    """A closed convex subset of R^d with an exact nearest-point map.
+
+    A kind defines ``_project_in_place``; ``kind`` and the dataclass fields
+    form the record :func:`convex_set_from_config` reads.
+    """
+
+    kind = ""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Each kind holds project_points in its own namespace, so wrapping
+        # one kind's method (to instrument it) leaves the others alone.
+        cls.project_points = ConvexSet.project_points
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
 
-    def project_points(self, pts: np.ndarray) -> np.ndarray:
-        """Project each row of ``pts`` onto the set into a new array.
+    def project_points(self, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Project each row of ``pts`` onto the set.
 
-        Shape and memory layout are preserved; ``pts`` is not modified.
+        Without ``out`` the result is a new array of the same shape and
+        memory layout, and ``pts`` is not modified.  With ``out`` (which may
+        be ``pts`` itself) the result is written there and returned.
         """
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(
+                f"points of dimension {pts.shape[-1] if pts.ndim else '?'} "
+                f"do not match set dimension {self.dim}"
+            )
+        if out is None:
+            out = pts.copy(order="K")
+        elif out is not pts:
+            if out.shape != pts.shape:
+                raise ValueError(f"output of shape {out.shape} does not hold points of shape {pts.shape}")
+            np.copyto(out, pts)
+        self._project_in_place(out)
+        return out
+
+    def _project_in_place(self, pts: np.ndarray) -> None:
         raise NotImplementedError
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         """Whether ``x`` satisfies the defining inequalities within ``tol``."""
         raise NotImplementedError
 
-    def _check_points(self, pts: np.ndarray) -> None:
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(
-                f"points of dimension {pts.shape[-1] if pts.ndim else '?'} "
-                f"do not match set dimension {self.dim}"
-            )
+    def record(self) -> dict:
+        """The tagged record :func:`convex_set_from_config` builds this set from."""
+        rec = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            rec[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return rec
 
 
 @dataclass(frozen=True, eq=False)
 class Box(ConvexSet):
     """Axis-aligned box ``{x : lo <= x <= hi}``."""
 
+    kind = "box"
     lo: np.ndarray
     hi: np.ndarray
 
@@ -71,10 +104,8 @@ class Box(ConvexSet):
     def dim(self) -> int:
         return self.lo.size
 
-    def project_points(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        self._check_points(pts)
-        return np.clip(pts, self.lo, self.hi)
+    def _project_in_place(self, pts):
+        np.clip(pts, self.lo, self.hi, out=pts)
 
     def contains(self, x, tol=1e-12):
         x = np.asarray(x, dtype=float)
@@ -85,6 +116,7 @@ class Box(ConvexSet):
 class NonnegativeOrthant(ConvexSet):
     """The orthant ``{x : x >= 0}``."""
 
+    kind = "nonneg_orthant"
     d: int
 
     def __post_init__(self):
@@ -95,10 +127,8 @@ class NonnegativeOrthant(ConvexSet):
     def dim(self) -> int:
         return self.d
 
-    def project_points(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        self._check_points(pts)
-        return np.maximum(pts, 0.0)
+    def _project_in_place(self, pts):
+        np.maximum(pts, 0.0, out=pts)
 
     def contains(self, x, tol=1e-12):
         return bool(np.all(np.asarray(x, dtype=float) >= -tol))
@@ -108,6 +138,7 @@ class NonnegativeOrthant(ConvexSet):
 class Halfspace(ConvexSet):
     """Halfspace ``{x : a . x <= b}`` with ``a != 0``."""
 
+    kind = "halfspace"
     a: np.ndarray
     b: float
 
@@ -136,16 +167,12 @@ class Halfspace(ConvexSet):
             s = s + np.abs(c)
         return t, s
 
-    def project_points(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        self._check_points(pts)
+    def _project_in_place(self, pts):
         t, s = self._gap(pts)
-        out = pts.copy(order="K")
         mask = t > _SNAP * s
         if mask.any():
             shift = t[mask] / self._a_norm2
-            out[mask] = out[mask] - shift[:, None] * self.a[None, :]
-        return out
+            pts[mask] = pts[mask] - shift[:, None] * self.a[None, :]
 
     def contains(self, x, tol=1e-12):
         x = np.asarray(x, dtype=float)
@@ -157,6 +184,7 @@ class Halfspace(ConvexSet):
 class Ball(ConvexSet):
     """Euclidean ball ``{x : ||x - center|| <= radius}``."""
 
+    kind = "ball"
     center: np.ndarray
     radius: float
 
@@ -181,16 +209,12 @@ class Ball(ConvexSet):
             r2 = r2 + diff * diff
         return np.sqrt(r2)
 
-    def project_points(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        self._check_points(pts)
+    def _project_in_place(self, pts):
         dist = self._dist(pts)
-        out = pts.copy(order="K")
         mask = dist > self.radius * (1.0 + _SNAP)
         if mask.any():
             scale = self.radius / dist[mask]
-            out[mask] = self.center[None, :] + scale[:, None] * (out[mask] - self.center[None, :])
-        return out
+            pts[mask] = self.center[None, :] + scale[:, None] * (pts[mask] - self.center[None, :])
 
     def contains(self, x, tol=1e-12):
         x = np.asarray(x, dtype=float)
@@ -201,6 +225,7 @@ class Ball(ConvexSet):
 class FullSpace(ConvexSet):
     """All of R^d (no constraint)."""
 
+    kind = "all"
     d: int
 
     def __post_init__(self):
@@ -211,10 +236,8 @@ class FullSpace(ConvexSet):
     def dim(self) -> int:
         return self.d
 
-    def project_points(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        self._check_points(pts)
-        return pts.copy(order="K")
+    def _project_in_place(self, pts):
+        pass
 
     def contains(self, x, tol=1e-12):
         return True

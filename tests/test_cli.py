@@ -1,3 +1,4 @@
+import ast
 import csv
 import math
 import os
@@ -188,6 +189,46 @@ class TestFlow:
         assert len(lines) == 1 and "sha256" in lines[0], lines
         assert not (resumed / "particles.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, override",
+        [
+            ("tau", ("--tau", "0.015")),
+            ("n", ("--n_particles", "65")),
+            ("constraint", ("--constraint", '{"kind": "all", "d": 2}')),
+        ],
+    )
+    def test_resume_of_another_run_exits_3(self, tmp_path, capsys, field, override):
+        write_noise_free_observations(tmp_path / "observations.csv", days=12)
+        common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
+        first = tmp_path / "first"
+        assert run_cli(
+            "flow", *common, "--out", str(first), "--max_iters", "6", "--checkpoint_every", "6",
+        ) == 0
+        capsys.readouterr()
+        resumed = tmp_path / "resumed"
+        assert run_cli(
+            "flow", *common, "--out", str(resumed), "--resume", str(first / "checkpoint"), *override,
+        ) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and f"checkpoint {field} = " in lines[0], lines
+        assert not (resumed / "particles.csv").exists()
+
+    def test_resume_from_sidecar_without_run_fields_exits_3(self, tmp_path, capsys):
+        write_noise_free_observations(tmp_path / "observations.csv", days=12)
+        common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
+        first = tmp_path / "first"
+        assert run_cli(
+            "flow", *common, "--out", str(first), "--max_iters", "6", "--checkpoint_every", "6",
+        ) == 0
+        meta = first / "checkpoint.meta.txt"
+        meta.write_text("".join(
+            line for line in meta.read_text().splitlines(keepends=True) if not line.startswith("tau")
+        ))
+        capsys.readouterr()
+        assert run_cli("flow", *common, "--out", str(first), "--resume", str(first / "checkpoint")) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "does not record 'tau'" in lines[0], lines
+
     def test_missing_observations_exits_2(self, tmp_path):
         assert run_cli("flow", "--paper-preset", "--out", str(tmp_path / "z")) == 2
         assert not (tmp_path / "z").exists()
@@ -375,9 +416,70 @@ class TestConfigHandling:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "nope.cfg")) == 2
 
+    @pytest.mark.parametrize("source", ["override", "config file"])
+    def test_unknown_key_exits_2_naming_the_closest(self, tmp_path, capsys, source):
+        if source == "override":
+            args = ["--tua", "0.5"]
+        else:
+            (tmp_path / "run.cfg").write_text("tua = 0.5\n")
+            args = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out"
+        assert run_cli("flow", "--paper-preset", "--out", str(out), *args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["config error: unknown config key 'tua'; did you mean 'tau'?"]
+        assert not out.exists()
+
+    def test_unknown_key_without_a_close_match(self, tmp_path, capsys):
+        assert run_cli("simulate", "--paper-preset", "--out", str(tmp_path), "--zzzz", "1") == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: unknown config key 'zzzz'"]
+
+    def test_one_config_file_serves_every_stage(self, tmp_path):
+        # Keys that only flow, predict or diagnose read do not stop simulate.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau = 0.01\nrule = mean\nreference = elsewhere.csv\ndays = 2\nhorizon = 1.0\n")
+        assert run_cli("simulate", "--paper-preset", "--config", str(cfg), "--out", str(tmp_path)) == 0
+
+    def test_key_table_holds_every_key_a_command_reads(self):
+        # Keys appear as literals in cfg.<accessor>("key", ...) and
+        # _input_path(cfg, "key", ...).
+        read = set()
+        for node in ast.walk(ast.parse(open(cli.__file__).read())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "cfg":
+                key = node.args[0]
+            elif getattr(func, "id", None) == "_input_path":
+                key = node.args[1]
+            else:
+                continue
+            if isinstance(key, ast.Constant):
+                read.add(key.value)
+        assert {"tau", "resume", "particles", "reference"} <= read
+        assert read <= cli.CONFIG_KEYS
+        assert set(cli.CASE_STUDY_PRESET) <= cli.CONFIG_KEYS
+
     def test_seed_flag_overrides_preset(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert run_cli(*fast_sim_args(out_a), "--seed", "9") == 0
         assert run_cli(*fast_sim_args(out_b), "--seed", "10") == 0
         assert (out_a / "observations.csv").read_bytes() != (out_b / "observations.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "predict"])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, command):
+    # simulate: the output directory would sit under a regular file;
+    # predict: the output directory is an existing regular file.
+    (tmp_path / "file").write_text("")
+    if command == "simulate":
+        args = ["--days", "1", "--horizon", "1.0", "--out", str(tmp_path / "file" / "sub")]
+    else:
+        measures.write_particles_csv(
+            measures.ParticleMeasure(np.tile(LAM, (8, 1))), tmp_path / "particles.csv"
+        )
+        args = ["--particles", str(tmp_path / "particles.csv"), "--out", str(tmp_path / "file")]
+    proc = run_cli_process("-m", "wgflow.cli", command, "--paper-preset", *args)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from wgflow.errors import DataError, NumericalError, UnsafeStepError
 from wgflow.flow import (
     FlowConfig,
+    checkpoint_fields,
     convergence_bound,
     lipschitz_norm_gap,
     read_checkpoint,
@@ -18,7 +20,7 @@ from wgflow.flow import (
     write_trace_csv,
 )
 from wgflow.functionals import StreamingLSObjective, perturbed_gradient, stochastic_gradient
-from wgflow.measures import ParticleMeasure, init_uniform_box, substream
+from wgflow.measures import ParticleMeasure, covariance, init_uniform_box, substream
 from wgflow.sets import Ball, Box, FullSpace, Halfspace, NonnegativeOrthant, project_measure
 from wgflow.transport import w2_exact
 
@@ -355,6 +357,77 @@ class TestRunAgainstReference:
             if row.k < ORACLE_K:
                 mean = a @ mean + tau * W_SKEW.T @ stream[row.k]
 
+    def test_full_space_covariance_follows_affine_recursion(self):
+        # Noise-free and unconstrained, every particle moves by the same
+        # affine map x -> x A + c_k, so cov_{k+1} = A cov_k A^T exactly.
+        m = init_uniform_box([-0.1, -0.1], [0.2, 0.2], 37, seed=8)
+        obj = StreamingLSObjective(W_SKEW, 0.1, None, 0.0)
+        stream = oracle_stream(ORACLE_K, seed=31)
+        cfg = flow_config(max_iters=1, diag_subsample=37, constraint=FullSpace(2))
+        a = np.eye(2) - cfg.tau * (W_SKEW.T @ W_SKEW + 0.1 * np.eye(2))
+        for k, y in enumerate(stream):
+            cov = covariance(m)
+            m, _ = run(m, obj, [y], cfg, start_iteration=k)
+            # A step rounds each coordinate by a few ulps of its magnitude,
+            # which moves the covariance by about spread times that.
+            spread = math.sqrt(np.max(np.abs(cov)))
+            tol = 16 * EPS * spread * (spread + np.max(np.abs(m.points)))
+            assert np.max(np.abs(covariance(m) - a @ cov @ a.T)) <= tol
+
+    @pytest.mark.parametrize("perturb_std", [0.0, 0.05])
+    def test_final_grad_norm_is_the_same_recorded_or_rebuilt(self, perturb_std):
+        # A record step takes grad_norm before projecting; an unrecorded
+        # final step rebuilds its cloud after the loop.  Both give the
+        # same bits.
+        m0 = init_uniform_box([-0.1, -0.1], [0.2, 0.2], 37, seed=4)
+        obj = StreamingLSObjective(W_SKEW, 0.1, None, 0.08)
+        stream = oracle_stream(7)
+        rows = [
+            run(m0, obj, stream, flow_config(
+                max_iters=7, diag_every=every, diag_subsample=37,
+                constraint=Ball(THETA, 0.05), perturb_std=perturb_std,
+            ))[1].rows
+            for every in (1, 5)
+        ]
+        assert [r.k for r in rows[1]] == [0, 5, 7]
+        assert rows[1][-1].grad_norm == rows[0][-1].grad_norm
+        assert rows[1][1].grad_norm == rows[0][5].grad_norm
+
+    def test_skip_after_the_last_step_repeats_its_grad_norm(self):
+        m0 = init_uniform_box([-0.1, -0.1], [0.2, 0.2], 37, seed=4)
+        obj = StreamingLSObjective(W_SKEW, 0.1, None, 0.08)
+        stream = oracle_stream(4) + [np.array([np.nan, 0.0])]
+        cfg = flow_config(
+            max_iters=5, diag_every=2, diag_subsample=37, perturb_std=0.05, on_invalid="skip"
+        )
+        _, trace = run(m0, obj, stream, cfg)
+        assert [r.k for r in trace.rows] == [0, 2, 4, 5]
+        assert trace.rows[-1].grad_norm == trace.rows[-2].grad_norm
+
+
+class TestRunMemory:
+    """``run`` works in three (N, d) buffers: the iterate, the cloud before
+    projection and the noise, plus one temporary when the last step's
+    grad_norm has to be rebuilt after the loop."""
+
+    N = 20000
+
+    @pytest.mark.parametrize("max_iters, limit", [(20, 3.5), (19, 4.5)], ids=["recorded", "unrecorded"])
+    def test_peak_in_particle_arrays(self, max_iters, limit):
+        m0 = init_uniform_box([0, 0], [8.0 / 60.0] * 2, self.N, seed=5)
+        obj = StreamingLSObjective(W, 0.1, None, 4e-4)
+        stream = oracle_stream(max_iters)
+        cfg = flow_config(max_iters=max_iters, diag_every=20, perturb_std=0.02)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            final, trace = run(m0, obj, stream, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.rows[-1].k == max_iters and trace.rows[-1].grad_norm is not None
+        assert (peak - base) / m0.points.nbytes <= limit
+
 
 class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
@@ -399,6 +472,44 @@ class TestCheckpointResume:
             "rng = substreams keyed by (seed, purpose, iteration)",
             f"sha256 = {digest}",
         ]
+
+    def test_sidecar_records_the_run_fields(self, tmp_path):
+        base = str(tmp_path / "ck")
+        fields = checkpoint_fields(8, 2, 0.01, Ball([0.05, 0.05], 0.03))
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2, fields)
+        lines = (tmp_path / "ck.meta.txt").read_text().splitlines()
+        assert lines[3:7] == [
+            "n = 8",
+            "d = 2",
+            "tau = 0.01",
+            'constraint = {"kind": "ball", "center": [0.05, 0.05], "radius": 0.03}',
+        ]
+        assert read_checkpoint(base, fields)[1:] == (5, 2)
+
+    def test_run_writes_the_run_fields(self, tmp_path):
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=2)
+        base = str(tmp_path / "auto")
+        cfg = flow_config(max_iters=4, diag_subsample=16, checkpoint_every=4, checkpoint_path=base)
+        run(m0, preset_objective(), noise_free_stream(4), cfg)
+        assert read_checkpoint(base, checkpoint_fields(16, 2, 0.01, NonnegativeOrthant(2)))[1] == 4
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 9), ("d", 3), ("tau", 0.015), ("constraint", FullSpace(2))],
+    )
+    def test_mismatched_run_field_refused(self, tmp_path, field, value):
+        base = str(tmp_path / "ck")
+        args = {"n": 8, "d": 2, "tau": 0.01, "constraint": NonnegativeOrthant(2)}
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2, checkpoint_fields(**args))
+        args[field] = value
+        with pytest.raises(DataError, match=f"checkpoint {field} = .* does not match"):
+            read_checkpoint(base, checkpoint_fields(**args))
+
+    def test_sidecar_without_run_fields_refused(self, tmp_path):
+        base = str(tmp_path / "ck")
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2)
+        with pytest.raises(DataError, match="does not record 'n'"):
+            read_checkpoint(base, checkpoint_fields(8, 2, 0.01, NonnegativeOrthant(2)))
 
     @pytest.mark.parametrize("damage", ["edited particle", "missing digest"])
     def test_damaged_checkpoint_refused(self, tmp_path, damage):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wgflow import transport
 from wgflow.errors import ConfigError
@@ -159,3 +162,68 @@ class TestConfigEncoding:
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
             convex_set_from_config({"kind": "box", "lo": [1], "hi": [0]})
+
+
+def _kind_ids():
+    return [s.kind for s in all_variants()]
+
+
+@st.composite
+def clouds(draw, n=None):
+    """A (n, 2) cloud, row- or column-major, spread over every variant's
+    inside and outside."""
+    n = draw(st.integers(1, 12)) if n is None else n
+    values = arrays(float, (n, 2), elements=st.floats(-4.0, 4.0, allow_subnormal=False))
+    return np.asarray(draw(values), order=draw(st.sampled_from("CF")))
+
+
+class TestProjectPointsProperties:
+    @pytest.mark.parametrize("s", all_variants(), ids=_kind_ids())
+    @given(p=clouds())
+    def test_copying_projection_keeps_input_shape_and_layout(self, s, p):
+        before = p.copy(order="K")
+        got = s.project_points(p)
+        assert got is not p and not np.shares_memory(got, p)
+        assert np.array_equal(p, before)
+        assert got.shape == p.shape
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+            p.flags.c_contiguous,
+            p.flags.f_contiguous,
+        )
+
+    @pytest.mark.parametrize("s", all_variants(), ids=_kind_ids())
+    @given(p=clouds())
+    def test_in_place_projection_is_bit_identical(self, s, p):
+        want = s.project_points(p)
+        inplace = p.copy(order="K")
+        assert s.project_points(inplace, out=inplace) is inplace
+        assert inplace.tobytes() == want.tobytes()
+        other = np.empty(p.shape, order="F")
+        assert s.project_points(p, out=other) is other
+        assert other.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", all_variants(), ids=_kind_ids())
+    @given(p=clouds())
+    def test_idempotent(self, s, p):
+        once = s.project_points(p)
+        assert s.project_points(once).tobytes() == once.tobytes()
+        assert all(s.contains(x) for x in once)
+
+    @pytest.mark.parametrize("s", all_variants(), ids=_kind_ids())
+    @given(pq=st.integers(1, 12).flatmap(lambda n: st.tuples(clouds(n), clouds(n))))
+    def test_nonexpansive(self, s, pq):
+        p, q = pq
+        gap = np.linalg.norm(s.project_points(p) - s.project_points(q), axis=1)
+        dist = np.linalg.norm(p - q, axis=1)
+        # A point within the snap slack of the boundary stays where it is,
+        # so two nearby points may end up up to that slack apart.
+        assert np.all(gap <= dist * (1.0 + 1e-12) + 1e-11)
+
+    def test_out_of_another_shape_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            NonnegativeOrthant(2).project_points(np.zeros((3, 2)), out=np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("s", all_variants(), ids=_kind_ids())
+    def test_record_rebuilds_the_set(self, s):
+        rebuilt = convex_set_from_config(s.record())
+        assert type(rebuilt) is type(s) and rebuilt.record() == s.record()
