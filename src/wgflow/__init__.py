@@ -24,8 +24,6 @@ from .functionals import (
     StreamingLSObjective,
     evaluate_objective,
     exact_gradient,
-    generic_gradient_expected_value,
-    generic_gradient_variance,
     perturbed_gradient,
     stochastic_gradient,
 )
@@ -34,9 +32,6 @@ from .measures import (
     covariance,
     init_uniform_box,
     mean,
-    percentile,
-    pushforward,
-    variance_of_sum,
 )
 from .sets import (
     Ball,
@@ -83,21 +78,16 @@ __all__ = [
     "evaluate_objective",
     "exact_gradient",
     "gelbrich_lower_bound",
-    "generic_gradient_expected_value",
-    "generic_gradient_variance",
     "init_uniform_box",
     "lipschitz_norm_gap",
     "mean",
-    "percentile",
     "perturbed_gradient",
     "project_measure",
     "project_point",
-    "pushforward",
     "run",
     "step",
     "stochastic_gradient",
     "validate_tau",
-    "variance_of_sum",
     "w2_1d",
     "w2_exact",
 ]

@@ -127,10 +127,6 @@ class Config:
         return record
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    return files.read_settings(path, ConfigError)
-
-
 def _parse_overrides(extra: list[str]) -> dict[str, str]:
     if len(extra) % 2 != 0:
         raise ConfigError(f"overrides must come in '--key value' pairs, got {extra!r}")
@@ -147,7 +143,7 @@ def _build_config(args, extra: list[str]) -> Config:
     if args.paper_preset:
         values.update(CASE_STUDY_PRESET)
     if args.config:
-        values.update(_parse_config_file(args.config))
+        values.update(files.read_settings(args.config, ConfigError))
     if args.seed is not None:
         values["seed"] = str(args.seed)
     values.update(_parse_overrides(extra))
@@ -188,15 +184,8 @@ def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
     # day refuses the whole run before anything is written.
     day_times = [j * model.T for j in range(days)]
     plants = [
-        pdm.PlantParams(
-            a=float(pdm.degrade(model, t)[0]),
-            b=float(pdm.degrade(model, t)[1]),
-            r=r,
-            dt=dt,
-            horizon=horizon,
-            eps_half_width=eps,
-        )
-        for t in day_times
+        pdm.PlantParams(a=a, b=b, r=r, dt=dt, horizon=horizon, eps_half_width=eps)
+        for a, b in (pdm.degrade(model, t).tolist() for t in day_times)
     ]
 
     observations = []

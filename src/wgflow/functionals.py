@@ -214,29 +214,3 @@ def evaluate_objective(obj: StreamingLSObjective, m: ParticleMeasure) -> float:
     spread = 0.5 * obj.rho * float(np.trace(measures.covariance(m)))
     return quad + 0.5 * obj.sigma_w2 + spread
 
-
-def generic_gradient_expected_value(v_grad: Callable[[np.ndarray], np.ndarray]) -> GradientField:
-    """Gradient field of ``mu -> E_mu[V]``: the field is just ``grad V``."""
-
-    def fn(pts):
-        return np.stack([np.asarray(v_grad(x), dtype=float) for x in pts])
-
-    return GradientField(fn)
-
-
-def generic_gradient_variance(m: ParticleMeasure, i: int) -> GradientField:
-    """Gradient field of ``mu -> Var_mu[theta_i]``, mean frozen at call time.
-
-    Evaluates to ``2 (theta_i - E_mu[theta_i]) e_i``; it integrates to zero
-    against ``m`` by construction.
-    """
-    if not 0 <= i < m.d:
-        raise ValueError(f"coordinate index {i} out of range for d={m.d}")
-    mi = float(measures.mean(m)[i])
-
-    def fn(pts):
-        out = np.zeros_like(pts)
-        out[:, i] = 2.0 * (pts[:, i] - mi)
-        return out
-
-    return GradientField(fn)

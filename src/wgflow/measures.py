@@ -9,7 +9,6 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -86,33 +85,6 @@ class ParticleMeasure:
         return f"ParticleMeasure(n={self.n}, d={self.d})"
 
 
-def pushforward(m: ParticleMeasure, f: Callable[[np.ndarray], np.ndarray]) -> ParticleMeasure:
-    """Apply a map to every particle, preserving particle order.
-
-    Parameters
-    ----------
-    m : ParticleMeasure
-    f : callable
-        Map from a ``(d,)`` point to a ``(d,)`` point.
-
-    Returns
-    -------
-    ParticleMeasure
-        The image measure; ``N`` and ``d`` are unchanged.
-    """
-    out = np.empty((m.n, m.d))
-    for i, x in enumerate(m.points):
-        y = np.asarray(f(x), dtype=float).reshape(-1)
-        if y.shape != (m.d,):
-            raise ValueError(
-                f"map returned shape {y.shape} at particle {i}, expected ({m.d},)"
-            )
-        if not np.all(np.isfinite(y)):
-            raise ValueError(f"map produced a non-finite coordinate at particle {i}")
-        out[i] = y
-    return ParticleMeasure(out)
-
-
 def mean(m: ParticleMeasure) -> np.ndarray:
     """Particle average, a ``(d,)`` vector."""
     return m.points.mean(axis=0)
@@ -123,12 +95,6 @@ def covariance(m: ParticleMeasure) -> np.ndarray:
     centered = m.points - m.points.mean(axis=0)
     s = centered.T @ centered / m.n
     return (s + s.T) / 2.0
-
-
-def variance_of_sum(m: ParticleMeasure) -> float:
-    """Population variance of the scalar ``s(x) = x_1 + ... + x_d``."""
-    s = m.points.sum(axis=1)
-    return float(np.mean((s - s.mean()) ** 2))
 
 
 def nearest_rank_quantile(values, p: float) -> float:
@@ -148,15 +114,6 @@ def nearest_rank_quantile(values, p: float) -> float:
     k = int(round(t)) if abs(t - round(t)) < 1e-9 else int(math.ceil(t))
     k = min(max(k, 1), n)
     return float(v[k - 1])
-
-
-def percentile(m: ParticleMeasure, g: Callable[[np.ndarray], float], p: float) -> float:
-    """Nearest-rank ``p``-quantile of ``{g(x_i)}`` over the particles."""
-    values = np.array([float(g(x)) for x in m.points])
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise ValueError(f"g is non-finite at particle {bad}")
-    return nearest_rank_quantile(values, p)
 
 
 def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:

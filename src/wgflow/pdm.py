@@ -255,6 +255,17 @@ def _zeta_at(d: DegradationModel, lam1, lam2, t: float):
     return a / (2.0 * np.sqrt(b))
 
 
+def _bisect(safe, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    # Halve [lo, hi] down to tol, keeping safe(lo) true and safe(hi) false.
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if safe(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def true_maintenance_time(d: DegradationModel, tol: float = 1e-6) -> CrossingTime:
     """Last time the true coefficients stay safe, by bisection.
 
@@ -264,23 +275,17 @@ def true_maintenance_time(d: DegradationModel, tol: float = 1e-6) -> CrossingTim
     """
     lam1, lam2 = float(d.lam[0]), float(d.lam[1])
 
-    def f(t):
-        return float(_zeta_at(d, lam1, lam2, t)) - d.zeta_min
+    def safe(t):
+        return float(_zeta_at(d, lam1, lam2, t)) >= d.zeta_min
 
-    if f(0.0) < 0:
+    if not safe(0.0):
         return CrossingTime(0.0, "immediate")
     hi = max(d.T, 1.0)
-    while f(hi) >= 0:
+    while safe(hi):
         hi *= 2.0
         if hi > 1e12:
             return CrossingTime(float("inf"), "never")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(safe, 0.0, hi, tol)
     return CrossingTime(0.5 * (lo + hi), "crossed")
 
 
@@ -408,13 +413,7 @@ def suggested_maintenance_time(
         hi *= 2.0
         if hi > 1e9:
             return CrossingTime(float("inf"), "never")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if safe(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = _bisect(safe, 0.0, hi, tol)
     return CrossingTime(lo, "crossed")
 
 
@@ -461,13 +460,7 @@ def _last_safe_time(zeta, zeta_min: float, cap: float = _SCAN_CAP, tol: float = 
     if safe[-1]:
         return CrossingTime(float("inf"), "never")
     last = int(np.flatnonzero(safe)[-1])
-    lo, hi = float(grid[last]), float(grid[last + 1])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if zeta(mid) >= zeta_min:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda t: zeta(t) >= zeta_min, float(grid[last]), float(grid[last + 1]), tol)
     return CrossingTime(0.5 * (lo + hi), "crossed")
 
 

@@ -262,6 +262,13 @@ def project_measure(s: ConvexSet, m: ParticleMeasure) -> ParticleMeasure:
     return ParticleMeasure(s.project_points(m.points))
 
 
+def _whole(value) -> int:
+    # A dimension as read from a record: 2 and 2.0 are 2; 2.7 and true are refused.
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"dimension must be a whole number, got {value!r}")
+    return int(value)
+
+
 def convex_set_from_config(record: dict) -> ConvexSet:
     """Build a set from a tagged record, e.g. ``{"kind": "nonneg_orthant", "d": 2}``.
 
@@ -275,15 +282,15 @@ def convex_set_from_config(record: dict) -> ConvexSet:
         if kind == "box":
             return Box(np.asarray(record["lo"], float), np.asarray(record["hi"], float))
         if kind == "nonneg_orthant":
-            return NonnegativeOrthant(int(record["d"]))
+            return NonnegativeOrthant(_whole(record["d"]))
         if kind == "halfspace":
             return Halfspace(np.asarray(record["a"], float), float(record["b"]))
         if kind == "ball":
             return Ball(np.asarray(record["center"], float), float(record["radius"]))
         if kind == "all":
-            return FullSpace(int(record["d"]))
+            return FullSpace(_whole(record["d"]))
     except KeyError as exc:
         raise ConfigError(f"constraint kind '{kind}' is missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid constraint parameters: {exc}") from None
     raise ConfigError(f"unknown constraint kind '{kind}'")

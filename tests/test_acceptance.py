@@ -175,12 +175,16 @@ def test_criterion_3_asymptotic_ball_and_moment_criteria(noisy_ensemble):
     w2_means, moment_means, lip_means = [], [], []
     for s in range(N_SEEDS):
         w2_vals, moment_vals, lip_vals = [], [], []
+        # Each checkpoint resumes from the previous one, which reproduces
+        # the uninterrupted run from k = 0 bit for bit.
+        cloud, prev = m0, 0
         for k in burn_in_ks:
             cfg = FlowConfig(
-                tau=TAU, max_iters=k, seed=s, constraint=ORTHANT,
-                diag_every=max(k, 1), diag_subsample=ENSEMBLE_N,
+                tau=TAU, max_iters=k - prev, seed=s, constraint=ORTHANT,
+                diag_every=max(k - prev, 1), diag_subsample=ENSEMBLE_N,
             )
-            cloud, _ = run(m0, obj, streams[s][:k], cfg)
+            cloud, _ = run(cloud, obj, streams[s][prev:k], cfg, start_iteration=prev)
+            prev = k
             w2_vals.append(w2_exact(cloud, ref)[0])
             gap = mean(cloud) - THETA
             moment_vals.append(

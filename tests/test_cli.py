@@ -369,6 +369,7 @@ _INPUTS = {
         ("diagnose", ("--diag_subsample", "0")),
         ("diagnose", ("--T", "0")),
         ("simulate", ("--horizon", "0.0015")),
+        ("flow", ("--constraint", '{"kind":"nonneg_orthant","d":2.7}')),
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):

@@ -10,8 +10,6 @@ from wgflow.functionals import (
     StreamingLSObjective,
     evaluate_objective,
     exact_gradient,
-    generic_gradient_expected_value,
-    generic_gradient_variance,
     perturbed_gradient,
     stochastic_gradient,
 )
@@ -103,6 +101,11 @@ class TestExactGradient:
         batch = field(m.points)
         for i, x in enumerate(m.points):
             assert np.array_equal(batch[i], field(x))
+
+    def test_field_rejects_3d_input(self):
+        field = GradientField(lambda pts: pts)
+        with pytest.raises(ValueError):
+            field(np.zeros((2, 2, 2)))
 
 
 class TestStochasticGradient:
@@ -261,39 +264,3 @@ class TestGradientConsistency:
             w2, _ = transport.w2_exact(m, ref)
             gap = evaluate_objective(obj, m) - evaluate_objective(obj, ParticleMeasure(obj.theta_star[None, :]))
             assert gap >= 0.5 * obj.sigma_min**2 * w2**2 - 1e-8
-
-
-class TestGenericFields:
-    def test_expected_value_rule_quadratic(self):
-        field = generic_gradient_expected_value(lambda x: x)
-        theta = np.array([1.0, -2.0])
-        assert np.array_equal(field(theta), theta)
-
-    def test_expected_value_rule_linear(self):
-        c = np.array([2.0, -1.0])
-        field = generic_gradient_expected_value(lambda x: c)
-        assert np.array_equal(field(np.array([5.0, 5.0])), c)
-
-    def test_variance_rule_dirac(self):
-        field = generic_gradient_variance(dirac(np.array([1.0, 2.0])), 0)
-        assert np.allclose(field(np.array([1.0, 2.0])), 0.0)
-
-    def test_variance_rule_hand_computed(self):
-        m = cloud([[-1.0], [1.0]])
-        field = generic_gradient_variance(m, 0)
-        assert field(np.array([1.0]))[0] == pytest.approx(2.0)
-
-    def test_variance_rule_integrates_to_zero(self):
-        rng = np.random.default_rng(7)
-        m = cloud(rng.normal(size=(30, 3)))
-        field = generic_gradient_variance(m, 2)
-        assert np.allclose(field(m.points).mean(axis=0), 0.0, atol=1e-12)
-
-    def test_variance_rule_index_check(self):
-        with pytest.raises(ValueError, match="out of range"):
-            generic_gradient_variance(dirac(np.zeros(2)), 2)
-
-    def test_field_rejects_3d_input(self):
-        field = GradientField(lambda pts: pts)
-        with pytest.raises(ValueError):
-            field(np.zeros((2, 2, 2)))

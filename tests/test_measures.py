@@ -11,9 +11,6 @@ from wgflow.measures import (
     init_uniform_box,
     mean,
     nearest_rank_quantile,
-    percentile,
-    pushforward,
-    variance_of_sum,
 )
 
 
@@ -46,46 +43,6 @@ class TestConstruction:
             m.points[0, 0] = 9.0
 
 
-class TestPushforward:
-    def test_identity(self):
-        m = cloud((1.0, 2.0), (3.0, 4.0))
-        out = pushforward(m, lambda x: x)
-        assert np.array_equal(out.points, m.points)
-
-    def test_sign_flip_dirac(self):
-        m = cloud((1.0, 0.0))
-        out = pushforward(m, lambda x: -x)
-        assert np.array_equal(out.points, np.array([[-1.0, 0.0]]))
-
-    def test_affine_hand_computed(self):
-        m = cloud((0.0, 0.0), (2.0, 2.0))
-        out = pushforward(m, lambda x: x / 2 + np.array([1.0, 1.0]))
-        assert np.allclose(out.points, [[1.0, 1.0], [2.0, 2.0]], atol=0, rtol=0)
-
-    def test_composition_matches_single_map(self):
-        rng = np.random.default_rng(5)
-        m = ParticleMeasure(rng.normal(size=(17, 3)))
-        f = lambda x: np.sin(x) + 0.5 * x
-        g = lambda x: x * x - 1.0
-        once = pushforward(m, lambda x: g(f(x)))
-        twice = pushforward(pushforward(m, f), g)
-        assert np.array_equal(once.points, twice.points)
-
-    def test_invalid_map_names_particle(self):
-        m = cloud((0.0,), (1.0,))
-        with pytest.raises(ValueError, match="particle 1"):
-            pushforward(m, lambda x: x if x[0] == 0 else x * math.inf)
-
-    def test_affine_mean_property(self):
-        rng = np.random.default_rng(11)
-        m = ParticleMeasure(rng.normal(size=(40, 2)))
-        a = rng.normal(size=(2, 2))
-        b = rng.normal(size=2)
-        out = pushforward(m, lambda x: a @ x + b)
-        expected = a @ mean(m) + b
-        assert np.allclose(mean(out), expected, rtol=1e-10)
-
-
 class TestMoments:
     def test_mean_symmetry(self):
         assert np.allclose(mean(cloud((0.0, 0.0), (2.0, 2.0))), [1.0, 1.0])
@@ -114,31 +71,6 @@ class TestMoments:
             w = np.linalg.eigvalsh(covariance(m))
             assert w.min() >= -1e-12
 
-    def test_variance_of_sum_dirac(self):
-        assert variance_of_sum(cloud((4.0, -1.0))) == 0.0
-
-    def test_variance_of_sum_hand(self):
-        assert variance_of_sum(cloud((0.0, 0.0), (1.0, 1.0))) == pytest.approx(1.0)
-
-    def test_variance_of_sum_anticorrelated(self):
-        assert variance_of_sum(cloud((1.0, -1.0), (-1.0, 1.0))) == 0.0
-
-    def test_variance_of_sum_matches_quadratic_form(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            m = ParticleMeasure(rng.normal(size=(rng.integers(2, 40), 4)))
-            ones = np.ones(4)
-            expected = float(ones @ covariance(m) @ ones)
-            assert variance_of_sum(m) == pytest.approx(expected, rel=1e-10, abs=1e-14)
-
-
-class TestPercentile:
-    def test_single_particle_any_p(self):
-        m = cloud((2.0, 3.0))
-        g = lambda x: float(x.sum())
-        for p in (0.0, 0.3, 1.0):
-            assert percentile(m, g, p) == 5.0
-
     def test_nearest_rank_examples(self):
         values = np.arange(1.0, 11.0)
         assert nearest_rank_quantile(values, 0.9) == 9.0
@@ -146,21 +78,14 @@ class TestPercentile:
         assert nearest_rank_quantile(values, 0.0) == 1.0
         assert nearest_rank_quantile(values, 1.0) == 10.0
 
-    def test_monotone_in_p(self):
-        rng = np.random.default_rng(9)
-        m = ParticleMeasure(rng.normal(size=(23, 2)))
-        g = lambda x: float(x[0] - x[1] ** 2)
-        ps = np.linspace(0, 1, 21)
-        vals = [percentile(m, g, p) for p in ps]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
+    def test_nearest_rank_monotone_in_p(self):
+        values = np.random.default_rng(9).normal(size=23)
+        quantiles = [nearest_rank_quantile(values, p) for p in np.linspace(0, 1, 21)]
+        assert all(a <= b for a, b in zip(quantiles, quantiles[1:]))
 
-    def test_rejects_bad_p(self):
-        with pytest.raises(ValueError):
-            percentile(cloud((0.0,)), lambda x: 0.0, 1.5)
-
-    def test_rejects_nonfinite_g(self):
-        with pytest.raises(ValueError, match="particle 0"):
-            percentile(cloud((0.0,)), lambda x: math.nan, 0.5)
+    def test_nearest_rank_rejects_bad_p(self):
+        with pytest.raises(ValueError, match="p must lie"):
+            nearest_rank_quantile([0.0], 1.5)
 
 
 class TestInitUniformBox:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -163,6 +165,20 @@ class TestConfigEncoding:
         with pytest.raises(ConfigError):
             convex_set_from_config({"kind": "box", "lo": [1], "hi": [0]})
 
+    @pytest.mark.parametrize("kind", ["nonneg_orthant", "all"])
+    @pytest.mark.parametrize(
+        "d", [2.7, True, float("inf"), 10**400], ids=["fraction", "bool", "inf", "huge-int"]
+    )
+    def test_dimension_that_is_not_whole_refused(self, kind, d):
+        with pytest.raises(ConfigError, match="invalid constraint parameters"):
+            convex_set_from_config({"kind": kind, "d": d})
+
+    @pytest.mark.parametrize("kind", ["nonneg_orthant", "all"])
+    @pytest.mark.parametrize("d", [2, 2.0])
+    def test_whole_dimension_builds(self, kind, d):
+        s = convex_set_from_config({"kind": kind, "d": d})
+        assert s.dim == 2 and type(s.d) is int
+
 
 def _kind_ids():
     return [s.kind for s in all_variants()]
@@ -227,3 +243,32 @@ class TestProjectPointsProperties:
     def test_record_rebuilds_the_set(self, s):
         rebuilt = convex_set_from_config(s.record())
         assert type(rebuilt) is type(s) and rebuilt.record() == s.record()
+
+
+@st.composite
+def convex_sets(draw):
+    """A set of any of the five kinds, of dimension 1 to 3, with drawn parameters."""
+    d = draw(st.integers(1, 3))
+    vec = arrays(float, d, elements=st.floats(-4.0, 4.0, allow_subnormal=False))
+    kind = draw(st.sampled_from([s.kind for s in all_variants()]))
+    if kind == "box":
+        ends = np.sort(np.stack([draw(vec), draw(vec)]), axis=0)
+        return Box(ends[0], ends[1])
+    if kind == "halfspace":
+        # A normal whose squared norm underflows to 0 cannot be projected onto.
+        a = draw(vec.filter(lambda a: a @ a > 1e-12))
+        return Halfspace(a, draw(st.floats(-4.0, 4.0)))
+    if kind == "ball":
+        return Ball(draw(vec), draw(st.floats(0.0, 4.0)))
+    return NonnegativeOrthant(d) if kind == "nonneg_orthant" else FullSpace(d)
+
+
+class TestConfigRoundTrip:
+    @given(data=st.data(), s=convex_sets())
+    def test_record_rebuilds_the_same_set(self, data, s):
+        # Through JSON, as a --constraint value reaches the parser.
+        rebuilt = convex_set_from_config(json.loads(json.dumps(s.record())))
+        assert type(rebuilt) is type(s) and rebuilt.record() == s.record()
+        n = data.draw(st.integers(1, 8))
+        p = data.draw(arrays(float, (n, s.dim), elements=st.floats(-8.0, 8.0)))
+        assert rebuilt.project_points(p).tobytes() == s.project_points(p).tobytes()
