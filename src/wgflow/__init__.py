@@ -20,7 +20,6 @@ from .flow import (
     validate_tau,
 )
 from .functionals import (
-    GradientField,
     StreamingLSObjective,
     evaluate_objective,
     exact_gradient,
@@ -63,7 +62,6 @@ __all__ = [
     "FlowConfig",
     "FlowTrace",
     "FullSpace",
-    "GradientField",
     "Halfspace",
     "NonnegativeOrthant",
     "NumericalError",

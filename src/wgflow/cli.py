@@ -56,7 +56,6 @@ CASE_STUDY_PRESET = {
     "p_hi": "0.9",
     "rule": "percentile",
     "rule_level": "0.1",
-    "chance_alpha": "0.1",
     "t_start": "0",
     "t_stop": "60",
     "t_step": "0.5",
@@ -325,7 +324,6 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     p_hi = cfg.get_float("p_hi", "0.9")
     rule = cfg.get_str("rule", "percentile")
     rule_level = cfg.get_float("rule_level", "0.1")
-    chance_alpha = cfg.get_float("chance_alpha", "0.1")
     if rule not in ("percentile", "mean", "chance"):
         raise ConfigError(f"unknown maintenance rule '{rule}'")
 
@@ -337,14 +335,12 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
 
     band = pdm.predict_damping_band(belief, model, t_grid, p_lo, p_hi)
 
-    ours = pdm.suggested_maintenance_time(
-        belief, model, rule=rule, level=rule_level if rule != "mean" else 0.5
-    )
     by_rule = {
         "percentile": pdm.suggested_maintenance_time(belief, model, "percentile", rule_level),
         "mean": pdm.suggested_maintenance_time(belief, model, "mean"),
-        "chance": pdm.suggested_maintenance_time(belief, model, "chance", chance_alpha),
+        "chance": pdm.suggested_maintenance_time(belief, model, "chance", rule_level),
     }
+    ours = by_rule[rule]
 
     ls_time = None
     lam_hat = None
@@ -374,7 +370,7 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
         f"percentile({rule_level})={by_rule['percentile'].days:.3f} "
         f"[{by_rule['percentile'].status}], "
         f"mean={by_rule['mean'].days:.3f} [{by_rule['mean'].status}], "
-        f"chance({chance_alpha})={by_rule['chance'].days:.3f} [{by_rule['chance'].status}]"
+        f"chance({rule_level})={by_rule['chance'].days:.3f} [{by_rule['chance'].status}]"
     )
     if lam_hat is not None:
         flag = " (negative component!)" if np.any(lam_hat < 0) else ""

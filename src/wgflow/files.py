@@ -81,7 +81,9 @@ def float_rows(path, rows) -> list[list[float]]:
 
 
 def write_settings(path, settings: dict) -> None:
-    """Write one ``key = value`` line per item of ``settings``."""
+    """Write one ``key = value`` line per item; :func:`read_settings` gives back
+    the same strings if none has a line break or outer whitespace and no key
+    holds ``=`` or starts with ``#``."""
     with _replacing(path) as fh:
         fh.writelines(f"{k} = {v}\n" for k, v in settings.items())
 

@@ -114,50 +114,23 @@ class StreamingLSObjective:
         return self._sigma_max
 
 
-class GradientField:
-    """A vector field over parameter space, evaluable on one point or a batch.
-
-    Calling with a ``(d,)`` vector returns a ``(d,)`` vector; calling with
-    an ``(n, d)`` batch returns an ``(n, d)`` batch.  Fields close over any
-    measure statistics they need (e.g. the belief mean), frozen at the time
-    the field was built.
-    """
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self._fn = fn
-
-    def __call__(self, theta) -> np.ndarray:
-        arr = np.asarray(theta, dtype=float)
-        if arr.ndim == 1:
-            return self._fn(arr[None, :])[0]
-        if arr.ndim == 2:
-            return self._fn(arr)
-        raise ValueError("expected a point (d,) or a batch (n, d)")
-
-
-def exact_gradient(obj: StreamingLSObjective, m: ParticleMeasure) -> GradientField:
+def exact_gradient(obj: StreamingLSObjective, m: ParticleMeasure) -> Callable[[np.ndarray], np.ndarray]:
     """Gradient field of the objective with the belief mean frozen now.
 
-    Requires the true parameter (simulation mode).  The returned field
-    evaluates ``W^T W (theta - theta*) + rho (theta - mean)`` where ``mean``
-    is the mean of ``m`` at call time, so evaluating the field on a batch is
-    order-independent.
+    Requires the true parameter (simulation mode).  The exact field is the
+    stochastic one at the noise-free observation ``y* = W theta*``, which
+    is why the estimate is unbiased.  The returned field takes a ``(d,)``
+    point or an ``(n, d)`` batch, like :func:`stochastic_gradient`.
     """
     if obj.theta_star is None:
         raise ValueError("true parameter unknown: exact gradient unavailable in deployment mode")
     if m.d != obj.d:
         raise ValueError(f"dimension mismatch: measure d={m.d}, objective d={obj.d}")
-    wtw = obj.W.T @ obj.W
+    # The same row kernel as the field's own W theta, so the field is
+    # exactly 0 at a Dirac on theta*.
+    y_star = _rows_times(obj.W, obj.theta_star[None, :])[0]
     mu_mean = measures.mean(m)
-    theta_star = obj.theta_star
-    rho = obj.rho
-
-    def fn(pts):
-        return _rows_times(wtw, pts - theta_star[None, :]) + rho * (pts - mu_mean[None, :])
-
-    return GradientField(fn)
+    return lambda theta: stochastic_gradient(obj, theta, y_star, mu_mean)
 
 
 def stochastic_gradient(obj: StreamingLSObjective, theta, y_hat, mu_mean) -> np.ndarray:

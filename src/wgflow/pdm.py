@@ -249,9 +249,10 @@ def damping_ratio(y) -> float:
     return a / (2.0 * math.sqrt(b))
 
 
-def _zeta_at(d: DegradationModel, lam1, lam2, t: float):
-    a = d.a0 - lam1 * t
-    b = np.maximum(d.b0 + lam2 * t, _B_FLOOR)
+def _zeta_at(a0: float, b0: float, lam1, lam2, t):
+    # Damping ratio along the drift from (a0, b0); any argument may be an array.
+    a = a0 - lam1 * t
+    b = np.maximum(b0 + lam2 * t, _B_FLOOR)
     return a / (2.0 * np.sqrt(b))
 
 
@@ -273,10 +274,8 @@ def true_maintenance_time(d: DegradationModel, tol: float = 1e-6) -> CrossingTim
     safe set is left exactly once.  Returns ``inf`` with status ``"never"``
     when both rates vanish.
     """
-    lam1, lam2 = float(d.lam[0]), float(d.lam[1])
-
     def safe(t):
-        return float(_zeta_at(d, lam1, lam2, t)) >= d.zeta_min
+        return float(_zeta_at(d.a0, d.b0, *d.lam, t)) >= d.zeta_min
 
     if not safe(0.0):
         return CrossingTime(0.0, "immediate")
@@ -351,11 +350,9 @@ def predict_damping_band(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(t_grid < 0):
         raise ValueError("t_grid must be nonnegative")
-    lam1 = m.points[:, 0]
-    lam2 = m.points[:, 1]
     rows = np.empty((t_grid.size, 4))
     for i, t in enumerate(t_grid):
-        z = _zeta_at(d, lam1, lam2, float(t))
+        z = _zeta_at(d.a0, d.b0, *m.points.T, float(t))
         rows[i] = (
             t,
             nearest_rank_quantile(z, p_lo),
@@ -393,15 +390,13 @@ def suggested_maintenance_time(
         raise ValueError(f"unknown rule '{rule}'")
     if rule != "mean" and not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    lam1 = m.points[:, 0]
-    lam2 = m.points[:, 1]
     mean_rates = m.points.mean(axis=0)
 
     def safe(t: float) -> bool:
         if rule == "mean":
-            z = float(_zeta_at(d, mean_rates[0], mean_rates[1], t))
+            z = float(_zeta_at(d.a0, d.b0, *mean_rates, t))
             return z >= d.zeta_min
-        z = _zeta_at(d, lam1, lam2, t)
+        z = _zeta_at(d.a0, d.b0, *m.points.T, t)
         if rule == "percentile":
             return nearest_rank_quantile(z, level) >= d.zeta_min
         return float(np.mean(z >= d.zeta_min)) >= 1.0 - level
@@ -440,23 +435,17 @@ def ls_baseline(
     lam_hat = np.array(
         [float(np.sum(times * a_inc)) / denom, float(np.sum(times * b_inc)) / denom]
     )
-
-    def zeta(t: float) -> float:
-        a = a0 - lam_hat[0] * t
-        b = max(b0 + lam_hat[1] * t, _B_FLOOR)
-        return a / (2.0 * math.sqrt(b))
-
-    return lam_hat, _last_safe_time(zeta, zeta_min)
+    return lam_hat, _last_safe_time(lambda t: _zeta_at(a0, b0, *lam_hat, t), zeta_min)
 
 
 def _last_safe_time(zeta, zeta_min: float, cap: float = _SCAN_CAP, tol: float = 1e-6) -> CrossingTime:
     # Robust "last time above the floor" for possibly non-monotone paths:
-    # coarse grid scan for the final safe point, then bisection.
+    # coarse grid scan (one call of zeta on the whole grid) for the final
+    # safe point, then bisection.
     if zeta(0.0) < zeta_min:
         return CrossingTime(0.0, "immediate")
     grid = np.arange(0.0, cap + 0.25, 0.25)
-    values = np.array([zeta(float(t)) for t in grid])
-    safe = values >= zeta_min
+    safe = zeta(grid) >= zeta_min
     if safe[-1]:
         return CrossingTime(float("inf"), "never")
     last = int(np.flatnonzero(safe)[-1])

@@ -8,6 +8,7 @@ projecting twice is a strict no-op.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -136,7 +137,7 @@ class NonnegativeOrthant(ConvexSet):
 
 @dataclass(frozen=True, eq=False)
 class Halfspace(ConvexSet):
-    """Halfspace ``{x : a . x <= b}`` with ``a != 0``."""
+    """Halfspace ``{x : a . x <= b}``; ``a . a`` must be a normal float."""
 
     kind = "halfspace"
     a: np.ndarray
@@ -144,12 +145,16 @@ class Halfspace(ConvexSet):
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        if a.ndim != 1 or not np.all(np.isfinite(a)) or not np.any(a != 0.0):
-            raise ValueError("halfspace normal must be a finite nonzero vector")
+        norm = math.hypot(*a) if a.ndim == 1 else math.nan
+        # Projecting divides by |a|: refuse a squared norm that underflows
+        # below the normal floats, or overflows (so does a nonfinite entry).
+        if not np.finfo(float).tiny <= norm * norm < math.inf:
+            raise ValueError("halfspace normal must be finite with a squared norm that is a normal float")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "_a_norm2", float(a @ a))
+        object.__setattr__(self, "_a_norm", norm)
+        object.__setattr__(self, "_unit", a / norm)
 
     @property
     def dim(self) -> int:
@@ -171,8 +176,9 @@ class Halfspace(ConvexSet):
         t, s = self._gap(pts)
         mask = t > _SNAP * s
         if mask.any():
-            shift = t[mask] / self._a_norm2
-            pts[mask] = pts[mask] - shift[:, None] * self.a[None, :]
+            # Along the unit normal: t / |a|^2 overflows for a short normal.
+            shift = t[mask] / self._a_norm
+            pts[mask] = pts[mask] - shift[:, None] * self._unit[None, :]
 
     def contains(self, x, tol=1e-12):
         x = np.asarray(x, dtype=float)

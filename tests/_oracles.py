@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the brute-force
 transport cost enumerates every permutation, the matrix square root
-comes from scipy rather than the package's eigendecomposition, and the
-plant is stepped one Euler transition at a time.
+comes from scipy rather than the package's eigendecomposition, the
+plant is stepped one Euler transition at a time, and the LS baseline's
+damping ratio is evaluated one time point at a time.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from wgflow.measures import substream
-from wgflow.pdm import _TRAJ_STREAM
+from wgflow.pdm import _B_FLOOR, _SCAN_CAP, _TRAJ_STREAM, CrossingTime
 
 
 def w2_brute_force(xs, ys):
@@ -65,3 +66,40 @@ def simulate_loop(p, x0, seed):
     zs[n] = z
     vs[n] = v
     return np.column_stack([zs, vs]), np.full(n + 1, r)
+
+
+def ls_baseline_scalar(obs, a0, b0, zeta_min, tol=1e-6):
+    """``pdm.ls_baseline`` with a scalar damping ratio called per grid point.
+
+    The through-origin fit, then the last safe time: scan the 0.25-day
+    grid up to ``_SCAN_CAP`` for the final safe point and bisect the step
+    after it.  Returns ``(lam_hat, CrossingTime)``.
+    """
+    times = np.array([o.t for o in obs], dtype=float)
+    denom = float(np.sum(times * times))
+    a_inc = a0 - np.array([o.y_hat[0] for o in obs])
+    b_inc = np.array([o.y_hat[1] for o in obs]) - b0
+    lam_hat = np.array(
+        [float(np.sum(times * a_inc)) / denom, float(np.sum(times * b_inc)) / denom]
+    )
+
+    def zeta(t):
+        a = a0 - lam_hat[0] * t
+        b = max(b0 + lam_hat[1] * t, _B_FLOOR)
+        return a / (2.0 * math.sqrt(b))
+
+    if zeta(0.0) < zeta_min:
+        return lam_hat, CrossingTime(0.0, "immediate")
+    grid = np.arange(0.0, _SCAN_CAP + 0.25, 0.25)
+    safe = np.array([zeta(float(t)) >= zeta_min for t in grid])
+    if safe[-1]:
+        return lam_hat, CrossingTime(float("inf"), "never")
+    last = int(np.flatnonzero(safe)[-1])
+    lo, hi = float(grid[last]), float(grid[last + 1])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if zeta(mid) >= zeta_min:
+            lo = mid
+        else:
+            hi = mid
+    return lam_hat, CrossingTime(0.5 * (lo + hi), "crossed")

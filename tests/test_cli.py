@@ -2,6 +2,7 @@ import ast
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -266,6 +267,20 @@ class TestPredict:
         assert float(row["day"]) == 15.0
         assert abs(float(row["ls"]) - float(row["true"])) < 1e-3
 
+    @pytest.mark.parametrize("rule", ["percentile", "mean", "chance"])
+    def test_written_rule_is_the_printed_rule(self, tmp_path, capsys, rule):
+        # rule_level is the level of every printed rule, and tstar.csv
+        # holds the printed time of the chosen one.
+        cloud = np.abs(LAM + np.random.default_rng(8).normal(scale=0.01, size=(64, 2)))
+        measures.write_particles_csv(measures.ParticleMeasure(cloud), tmp_path / "particles.csv")
+        argv = ("--out", str(tmp_path), "--rule", rule, "--rule_level", "0.3")
+        assert run_cli("predict", "--paper-preset", *argv) == 0
+        out = capsys.readouterr().out
+        assert "percentile(0.3)=" in out and "chance(0.3)=" in out
+        printed = dict(re.findall(r"(\w+)(?:\([\d.]+\))?=([\d.]+) \[", out))
+        ours = float(next(csv.DictReader(open(tmp_path / "tstar.csv")))["ours"])
+        assert f"{ours:.3f}" == printed[rule]
+
     def test_oversized_grid_exits_2_with_one_line(self, tmp_path):
         measures.write_particles_csv(
             measures.ParticleMeasure(np.tile(LAM, (8, 1))), tmp_path / "particles.csv"
@@ -370,6 +385,8 @@ _INPUTS = {
         ("diagnose", ("--T", "0")),
         ("simulate", ("--horizon", "0.0015")),
         ("flow", ("--constraint", '{"kind":"nonneg_orthant","d":2.7}')),
+        ("flow", ("--constraint", '{"kind":"halfspace","a":[1e200,0],"b":1}')),
+        ("predict", ("--rule", "chance", "--rule_level", "0")),
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):

@@ -2,7 +2,10 @@ import ast
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wgflow
 from wgflow import files
@@ -89,6 +92,49 @@ class TestSettings:
         path.write_text("a = 1\nno equals sign\n")
         with pytest.raises(error, match=":2: expected"):
             files.read_settings(path, error)
+
+
+# Table fields in the documented domain: None, an int, or any other number
+# (a Python or NumPy float, NaN and the infinities included).
+_FIELDS = st.one_of(
+    st.none(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+)
+_NAMES = st.from_regex(r"[a-z_][a-z0-9_]*", fullmatch=True)
+# Settings strings: no line break, no outer whitespace (ASCII, so any
+# locale's default encoding writes them).
+_LINE = st.text(st.characters(codec="ascii", exclude_characters="\r\n")).filter(
+    lambda v: v == v.strip()
+)
+
+
+class TestRoundTrips:
+    @given(data=st.data(), header=st.lists(_NAMES, min_size=1, max_size=4))
+    def test_table_reads_back_bit_exact(self, tmp_path_factory, data, header):
+        row = st.lists(_FIELDS, min_size=len(header), max_size=len(header))
+        rows = data.draw(st.lists(row, min_size=1, max_size=4))
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        files.write_table(path, header, rows)
+        read = files.float_rows(path, files.read_table(path, "table", lambda h: h == header))
+        want = [[math.nan if v is None else float(v) for v in r] for r in rows]
+        # NaN compares by being NaN (repr writes every NaN as 'nan');
+        # every other value by its bits, so -0.0 stays -0.0.
+        got, want = np.array(read, dtype=float), np.array(want, dtype=float)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    @given(
+        settings=st.dictionaries(
+            _LINE.filter(lambda k: "=" not in k and not k.startswith("#")), _LINE, max_size=5
+        )
+    )
+    def test_settings_read_back_the_same_dict(self, tmp_path_factory, settings):
+        path = tmp_path_factory.mktemp("settings") / "s.txt"
+        files.write_settings(path, settings)
+        assert files.read_settings(path, DataError) == settings
 
 
 def _write_sites(tree):

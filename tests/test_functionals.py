@@ -6,7 +6,6 @@ import pytest
 from wgflow import transport
 from wgflow.errors import NumericalError
 from wgflow.functionals import (
-    GradientField,
     StreamingLSObjective,
     evaluate_objective,
     exact_gradient,
@@ -103,7 +102,8 @@ class TestExactGradient:
             assert np.array_equal(batch[i], field(x))
 
     def test_field_rejects_3d_input(self):
-        field = GradientField(lambda pts: pts)
+        obj = StreamingLSObjective(np.eye(2), 0.1, np.zeros(2))
+        field = exact_gradient(obj, dirac(np.zeros(2)))
         with pytest.raises(ValueError):
             field(np.zeros((2, 2, 2)))
 

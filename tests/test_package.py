@@ -5,7 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import wgflow
+from wgflow import measures
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
 
@@ -23,6 +26,31 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_simulate_and_predict_load_no_scipy(tmp_path):
+    # Two of the four cold pipeline stages; scipy would about triple the
+    # cost of either if it crept in.  Both run in one process, and the
+    # modules loaded by the end are checked.
+    rates = np.tile([2.0 / 60.0, 5.0 / 60.0], (8, 1))
+    measures.write_particles_csv(measures.ParticleMeasure(rates), tmp_path / "particles.csv")
+    code = (
+        "import sys\n"
+        "from wgflow.cli import main\n"
+        "for command in ('simulate', 'predict'):\n"
+        "    assert main([command, '--paper-preset', '--out', sys.argv[1]]) == 0, command\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "tstar.csv").is_file()
 
 
 def test_all_lists_exactly_the_public_imports():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import simulate_loop
+from _oracles import ls_baseline_scalar, simulate_loop
 from scipy.optimize import brentq
 
 from wgflow.errors import DataError, NumericalError
@@ -415,6 +415,34 @@ class TestLsBaseline:
         lam_hat, t_star = ls_baseline(obs, 2.5, 1.0, 0.4)
         assert lam_hat[0] < 0
         assert t_star.status == "never" and math.isinf(t_star.days)
+
+    def test_matches_scalar_scan_on_random_fits(self):
+        # The grid scan evaluates the damping ratio on the whole grid in one
+        # call; it must give exactly what a per-point evaluation gives.
+        rng = np.random.default_rng(2024)
+        statuses = set()
+        negative = non_monotone = 0
+        for _ in range(120):
+            a0 = float(rng.uniform(0.5, 4.0))
+            b0 = float(rng.uniform(0.2, 3.0))
+            zeta_min = a0 / (2.0 * math.sqrt(b0)) * float(rng.uniform(0.3, 1.1))
+            lam = rng.normal(scale=0.1, size=2)
+            times = 5.0 * np.arange(int(rng.integers(0, 2)), int(rng.integers(2, 9)))
+            obs = [
+                Observation(t, [a0 - lam[0] * t, b0 + lam[1] * t] + rng.normal(scale=0.05, size=2))
+                for t in times
+            ]
+            lam_hat, got = ls_baseline(obs, a0, b0, zeta_min)
+            want_lam, want = ls_baseline_scalar(obs, a0, b0, zeta_min)
+            assert lam_hat.tobytes() == want_lam.tobytes()
+            assert got == want and type(got.days) is type(want.days)
+            statuses.add(got.status)
+            negative += bool(np.any(lam_hat < 0))
+            grid = np.linspace(0.0, 2000.0, 801)
+            path = (a0 - lam_hat[0] * grid) / (2 * np.sqrt(np.maximum(b0 + lam_hat[1] * grid, 1e-12)))
+            non_monotone += bool(np.any(np.diff(path) > 0) and np.any(np.diff(path) < 0))
+        assert statuses == {"crossed", "never", "immediate"}
+        assert negative >= 10 and non_monotone >= 10, (negative, non_monotone)
 
     def test_all_observations_at_zero_rejected(self):
         obs = [Observation(0.0, np.array([2.5, 1.0]))]

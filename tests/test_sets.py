@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -126,6 +126,23 @@ class TestValidation:
     def test_halfspace_zero_normal(self):
         with pytest.raises(ValueError):
             Halfspace([0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "a",
+        [[1.2e-163], [1e-155], [1e-170, 1e-170], [1e200], [1e200, 0.0], [1e160, 1e160]],
+        ids=["square-0", "square-subnormal", "square-0-2d", "square-inf", "square-inf-2d", "sum-inf"],
+    )
+    def test_halfspace_normal_whose_square_is_not_a_normal_float(self, a):
+        # 1/(a.a) would be inf (projecting to -inf) or a.a would be inf
+        # (leaving outside points where they are).
+        with pytest.raises(ValueError, match="normal"):
+            Halfspace(a, -1.0)
+
+    def test_halfspace_short_normal_projects_far_and_finite(self):
+        # a.a = 2.56e-308 is a normal float, but 8 / (a.a) overflows; the
+        # nearest point of {1.6e-154 x <= -8} to 0 is -8 / 1.6e-154 = -5e154.
+        got = project_point(Halfspace([1.6e-154], -8.0), np.array([0.0]))
+        assert got[0] == pytest.approx(-5e154, rel=1e-15)
 
     def test_ball_negative_radius(self):
         with pytest.raises(ValueError):
@@ -255,9 +272,11 @@ def convex_sets(draw):
         ends = np.sort(np.stack([draw(vec), draw(vec)]), axis=0)
         return Box(ends[0], ends[1])
     if kind == "halfspace":
-        # A normal whose squared norm underflows to 0 cannot be projected onto.
-        a = draw(vec.filter(lambda a: a @ a > 1e-12))
-        return Halfspace(a, draw(st.floats(-4.0, 4.0)))
+        a, b = draw(vec), draw(st.floats(-4.0, 4.0))
+        try:
+            return Halfspace(a, b)
+        except ValueError:  # a normal whose squared norm is not a normal float
+            assume(False)
     if kind == "ball":
         return Ball(draw(vec), draw(st.floats(0.0, 4.0)))
     return NonnegativeOrthant(d) if kind == "nonneg_orthant" else FullSpace(d)
@@ -272,3 +291,19 @@ class TestConfigRoundTrip:
         n = data.draw(st.integers(1, 8))
         p = data.draw(arrays(float, (n, s.dim), elements=st.floats(-8.0, 8.0)))
         assert rebuilt.project_points(p).tobytes() == s.project_points(p).tobytes()
+
+
+class TestProjectionOptimality:
+    @given(data=st.data(), s=convex_sets())
+    def test_variational_inequality(self, data, s):
+        # P(x) is the nearest point of the set to x exactly when
+        # <x - P(x), z - P(x)> <= 0 for every z in the set; here z = P(w).
+        # The slack covers rounding in P(x) and the snap slack of z.
+        n = data.draw(st.integers(1, 8))
+        points = arrays(float, (n, s.dim), elements=st.floats(-8.0, 8.0))
+        x, w = data.draw(points), data.draw(points)
+        px, z = s.project_points(x), s.project_points(w)
+        inner = np.sum((x - px) * (z - px), axis=1)
+        norm = lambda v: np.linalg.norm(v, axis=1)
+        scale = norm(x - px) * (norm(x) + norm(px) + norm(z) + 1.0)
+        assert np.all(inner <= 1e-12 * scale), np.max(inner / scale)
