@@ -352,13 +352,11 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     prediction_path = os.path.join(out_dir, "prediction.csv")
+    zeta_true = pdm._zeta_at(model.a0, model.b0, *model.lam, t_grid) if have_truth else [None] * count
     files.write_table(
         prediction_path,
         ["t", "p10", "mean", "p90", "zeta_true"],
-        (
-            [*row, pdm.damping_ratio(pdm.degrade(model, row[0])) if have_truth else None]
-            for row in band.tolist()
-        ),
+        ([*row, z] for row, z in zip(band.tolist(), zeta_true)),
     )
     tstar_path = os.path.join(out_dir, "tstar.csv")
     baselines = [None if c is None else c.days for c in (ls_time, true_time)]

@@ -177,8 +177,8 @@ class FlowConfig:
             raise ValueError("max_iters must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.perturb_std < 0:
-            raise ValueError("perturb_std must be nonnegative")
+        if not 0 <= self.perturb_std < math.inf:
+            raise ValueError("perturb_std must be finite and nonnegative")
         if self.diag_every < 1:
             raise ValueError("diag_every must be at least 1")
         if self.diag_subsample < 1:
@@ -232,8 +232,9 @@ def run(
 
     Iteration ``k`` is :func:`step` with the perturbed stochastic gradient
     of observation ``y_k``, written as one affine map and a projection:
-    ``x -> proj_S(x A + c_k - tau eps_k)`` with ``A = I - tau (W^T W + rho I)``,
-    ``c_k = tau (W^T y_k + rho mean_k)`` and ``eps_k`` the perturbation.
+    ``x -> proj_S(x A + c_k - tau eps_k)`` with ``A = I - tau H`` (``H`` the
+    objective's Hessian), ``c_k = tau (W^T y_k + rho mean_k)`` and ``eps_k``
+    the perturbation.
 
     The iteration index ``k`` counts observations (``start_iteration``
     offsets it when resuming from a checkpoint); perturbation noise is
@@ -292,7 +293,7 @@ def run(
     tau = cfg.tau
     d = m0.d
     # A is symmetric, so a row of particles multiplies it from the left.
-    a = np.eye(d) - tau * (obj.W.T @ obj.W + obj.rho * np.eye(d))
+    a = np.eye(d) - tau * obj.H
     tau_wt = tau * obj.W.T
     tau_rho = tau * obj.rho
     noise_scale = tau * cfg.perturb_std

@@ -8,10 +8,11 @@ expected model-output error under observation noise plus a spread penalty:
 
 The gradient field of ``J`` over the support is
 
-    theta -> W^T W (theta - theta*) + rho (theta - E_mu[theta]),
+    theta -> H theta - (W^T W theta* + rho E_mu[theta]),   H = W^T W + rho I,
 
 and replacing ``W theta*`` by a noisy observation ``y = W theta* + w``
 gives an unbiased estimate of it that needs no knowledge of ``theta*``.
+The Hessian ``H`` also fixes the affine map of a flow step.
 
 Note the spread penalty is the *summed coordinate variance* (the trace of
 the covariance); that is the functional whose gradient field is the
@@ -62,6 +63,9 @@ class StreamingLSObjective:
         unavailable (stochastic gradients still work).
     sigma_w2 : float
         Total noise second moment ``E ||w||^2`` (summed over coordinates).
+
+    Construction also sets, read-only, the Hessian ``H = W^T W + rho I``
+    and the extreme singular values ``sigma_min`` and ``sigma_max`` of ``W``.
     """
 
     W: np.ndarray
@@ -81,8 +85,8 @@ class StreamingLSObjective:
                 f"process matrix is numerically singular (min singular value {sv[-1]:.3e}); "
                 "an invertible model is required"
             )
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
         if self.sigma_w2 < 0 or not np.isfinite(self.sigma_w2):
             raise ValueError("sigma_w2 must be finite and nonnegative")
         ts = self.theta_star
@@ -91,27 +95,20 @@ class StreamingLSObjective:
             if ts.shape != (w.shape[0],) or not np.all(np.isfinite(ts)):
                 raise ValueError(f"theta_star must be a finite vector of length {w.shape[0]}")
             ts.setflags(write=False)
+        h = w.T @ w + float(self.rho) * np.eye(w.shape[0])
         w.setflags(write=False)
+        h.setflags(write=False)
         object.__setattr__(self, "W", w)
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "theta_star", ts)
         object.__setattr__(self, "sigma_w2", float(self.sigma_w2))
-        object.__setattr__(self, "_sigma_min", float(sv[-1]))
-        object.__setattr__(self, "_sigma_max", float(sv[0]))
+        object.__setattr__(self, "H", h)
+        object.__setattr__(self, "sigma_min", float(sv[-1]))
+        object.__setattr__(self, "sigma_max", float(sv[0]))
 
     @property
     def d(self) -> int:
         return self.W.shape[0]
-
-    @property
-    def sigma_min(self) -> float:
-        """Smallest singular value of ``W``."""
-        return self._sigma_min
-
-    @property
-    def sigma_max(self) -> float:
-        """Largest singular value of ``W``."""
-        return self._sigma_max
 
 
 def exact_gradient(obj: StreamingLSObjective, m: ParticleMeasure) -> Callable[[np.ndarray], np.ndarray]:
@@ -126,9 +123,7 @@ def exact_gradient(obj: StreamingLSObjective, m: ParticleMeasure) -> Callable[[n
         raise ValueError("true parameter unknown: exact gradient unavailable in deployment mode")
     if m.d != obj.d:
         raise ValueError(f"dimension mismatch: measure d={m.d}, objective d={obj.d}")
-    # The same row kernel as the field's own W theta, so the field is
-    # exactly 0 at a Dirac on theta*.
-    y_star = _rows_times(obj.W, obj.theta_star[None, :])[0]
+    y_star = obj.W @ obj.theta_star
     mu_mean = measures.mean(m)
     return lambda theta: stochastic_gradient(obj, theta, y_star, mu_mean)
 
@@ -136,7 +131,7 @@ def exact_gradient(obj: StreamingLSObjective, m: ParticleMeasure) -> Callable[[n
 def stochastic_gradient(obj: StreamingLSObjective, theta, y_hat, mu_mean) -> np.ndarray:
     """Unbiased gradient estimate from one observation.
 
-    ``W^T (W theta - y_hat) + rho (theta - mu_mean)``; its expectation over
+    ``H theta - (W^T y_hat + rho mu_mean)``; its expectation over
     ``y_hat = W theta* + w`` (zero-mean ``w``) is the exact gradient.
     Accepts a single ``(d,)`` point or an ``(n, d)`` batch.
     """
@@ -151,8 +146,7 @@ def stochastic_gradient(obj: StreamingLSObjective, theta, y_hat, mu_mean) -> np.
         raise ValueError(f"y_hat and mu_mean must be vectors of length {obj.d}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y_hat must be finite")
-    resid = _rows_times(obj.W, pts) - y[None, :]
-    out = _rows_times(obj.W.T, resid) + obj.rho * (pts - mm[None, :])
+    out = _rows_times(obj.H, pts) - (obj.W.T @ y + obj.rho * mm)
     return out[0] if single else out
 
 

@@ -97,23 +97,27 @@ def covariance(m: ParticleMeasure) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
-def nearest_rank_quantile(values, p: float) -> float:
-    """Empirical ``p``-quantile by the nearest-rank rule.
+def nearest_rank_index(n: int, p: float) -> int:
+    """Position of the nearest-rank ``p``-quantile in ``n`` sorted values.
 
-    Returns the value at 1-based index ``ceil(p * N)`` of the sorted list
-    (``p = 0`` maps to the minimum).  No interpolation is performed.
+    The 1-based rank is ``ceil(p * n)``, clamped to ``[1, n]`` (``p = 0``
+    maps to the minimum); the result is that rank minus one.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    v = np.sort(np.asarray(values, dtype=float))
-    n = v.shape[0]
-    if n == 0:
-        raise ValueError("quantile of an empty collection")
     t = p * n
     # Guard against float products landing a hair above an integer rank.
     k = int(round(t)) if abs(t - round(t)) < 1e-9 else int(math.ceil(t))
-    k = min(max(k, 1), n)
-    return float(v[k - 1])
+    return min(max(k, 1), n) - 1
+
+
+def nearest_rank_quantile(values, p: float) -> float:
+    """Empirical ``p``-quantile by the nearest-rank rule of
+    :func:`nearest_rank_index`.  No interpolation is performed."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    v = np.sort(np.asarray(values, dtype=float))
+    if v.shape[0] == 0:
+        raise ValueError("quantile of an empty collection")
+    return float(v[nearest_rank_index(v.shape[0], p)])
 
 
 def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:
@@ -128,6 +132,8 @@ def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:
         raise ValueError("lo and hi must be vectors of equal length")
     if n < 1:
         raise ValueError("need at least one particle")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("box bounds must be finite")
     if np.any(lo > hi):
         j = int(np.flatnonzero(lo > hi)[0])
         raise ValueError(f"invalid box: lo > hi in coordinate {j}")

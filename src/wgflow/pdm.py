@@ -18,7 +18,7 @@ import numpy as np
 
 from . import files
 from .errors import DataError, NumericalError
-from .measures import ParticleMeasure, nearest_rank_quantile, substream
+from .measures import ParticleMeasure, nearest_rank_index, nearest_rank_quantile, substream
 
 _TRAJ_STREAM = 31
 
@@ -27,9 +27,17 @@ _TRAJ_STREAM = 31
 # only the block starts.
 _BLOCK = 128
 
+# Particle values per block of grid rows in the damping band: 512 KB, so
+# a block's temporaries stay in cache.
+_BAND_BLOCK = 2**16
+
 # Stiffness floor inside the damping ratio, so extrapolating a belief with
 # particles near b = 0 stays defined.
 _B_FLOOR = 1e-12
+
+#: Most Euler transitions one simulated trajectory may take; a day's
+#: arrays hold about 80 bytes per transition.
+_MAX_TRANSITIONS = 10**7
 
 #: Largest time (days) scanned when a decay fit need not be monotone.
 _SCAN_CAP = 2000.0
@@ -69,10 +77,15 @@ class PlantParams:
         for name in ("a", "b", "dt", "horizon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.eps_half_width < 0:
-            raise ValueError("eps_half_width must be nonnegative")
+        if not 0 <= self.eps_half_width < math.inf:
+            raise ValueError("eps_half_width must be finite and nonnegative")
         if not np.isfinite(self.r):
             raise ValueError("r must be finite")
+        if not self.horizon / self.dt <= _MAX_TRANSITIONS:
+            raise ValueError(
+                f"horizon {self.horizon} in steps of dt={self.dt} exceeds "
+                f"{_MAX_TRANSITIONS} transitions; raise dt"
+            )
         radius = max(abs(ev) for ev in np.linalg.eigvals(self.transition_matrix()))
         if radius >= 1.0:
             raise NumericalError(
@@ -340,6 +353,8 @@ def predict_damping_band(
     For each ``t`` the particles map to damping ratios of the drifted
     coefficients (stiffness floored near zero) and the row records
     ``(t, lower quantile, mean, upper quantile)`` by the nearest-rank rule.
+    Grid rows are evaluated in blocks of about ``_BAND_BLOCK`` values (at
+    least one row each).
 
     Returns a ``(len(t_grid), 4)`` array.
     """
@@ -350,15 +365,18 @@ def predict_damping_band(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(t_grid < 0):
         raise ValueError("t_grid must be nonnegative")
+    lo, hi = nearest_rank_index(m.n, p_lo), nearest_rank_index(m.n, p_hi)
     rows = np.empty((t_grid.size, 4))
-    for i, t in enumerate(t_grid):
-        z = _zeta_at(d.a0, d.b0, *m.points.T, float(t))
-        rows[i] = (
-            t,
-            nearest_rank_quantile(z, p_lo),
-            float(z.mean()),
-            nearest_rank_quantile(z, p_hi),
-        )
+    rows[:, 0] = t_grid
+    size = max(1, _BAND_BLOCK // m.n)
+    for start in range(0, t_grid.size, size):
+        block = rows[start:start + size]
+        z = _zeta_at(d.a0, d.b0, *m.points.T, block[:, :1])
+        # The mean first: sorting would change its summation order.
+        block[:, 2] = z.mean(axis=1)
+        z.sort(axis=1)
+        block[:, 1] = z[:, lo]
+        block[:, 3] = z[:, hi]
     return rows
 
 

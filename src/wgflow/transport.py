@@ -15,7 +15,7 @@ both used by convergence diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +30,9 @@ MAX_EXACT_PARTICLES = 4096
 _PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """Optimal assignment between two equal-size clouds.
+class TransportPlan(NamedTuple):
+    """Optimal assignment between two equal-size clouds, as the solver
+    returned it.
 
     Attributes
     ----------
@@ -44,17 +44,6 @@ class TransportPlan:
 
     permutation: np.ndarray
     cost: float
-
-    def __post_init__(self):
-        perm = np.asarray(self.permutation, dtype=int)
-        n = perm.shape[0]
-        if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError("permutation must be a bijection of {0..N-1}")
-        if not np.isfinite(self.cost) or self.cost < 0:
-            raise ValueError("plan cost must be finite and nonnegative")
-        perm.setflags(write=False)
-        object.__setattr__(self, "permutation", perm)
-        object.__setattr__(self, "cost", float(self.cost))
 
 
 def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, TransportPlan]:
@@ -101,8 +90,7 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, TransportPl
         )
     rows, cols = linear_sum_assignment(cost_matrix)
     cost = float(cost_matrix[rows, cols].mean())
-    plan = TransportPlan(cols, cost)
-    return math.sqrt(max(cost, 0.0)), plan
+    return math.sqrt(cost), TransportPlan(cols, cost)
 
 
 def w2_1d(m: ParticleMeasure, n: ParticleMeasure) -> float:

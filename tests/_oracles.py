@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: the brute-force
 transport cost enumerates every permutation, the matrix square root
 comes from scipy rather than the package's eigendecomposition, the
 plant is stepped one Euler transition at a time, and the LS baseline's
-damping ratio is evaluated one time point at a time.
+damping ratio and the belief's damping band are evaluated one time point
+at a time.
 """
 
 import itertools
@@ -103,3 +104,24 @@ def ls_baseline_scalar(obs, a0, b0, zeta_min, tol=1e-6):
         else:
             hi = mid
     return lam_hat, CrossingTime(0.5 * (lo + hi), "crossed")
+
+
+def damping_band_rows(points, a0, b0, t_grid, p_lo, p_hi):
+    """``pdm.predict_damping_band`` one grid time at a time.
+
+    Each row holds ``(t, p_lo-quantile, mean, p_hi-quantile)`` of the
+    particles' damping ratios at ``t``: the quantiles are read from one
+    sorted copy at 1-based rank ``ceil(p * N)`` (at least 1), and the mean
+    is taken over the ratios in particle order.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    rows = []
+    for t in t_grid:
+        a = a0 - points[:, 0] * t
+        b = np.maximum(b0 + points[:, 1] * t, _B_FLOOR)
+        z = a / (2.0 * np.sqrt(b))
+        ranked = sorted(z.tolist())
+        lo, hi = (ranked[max(math.ceil(p * n - 1e-9), 1) - 1] for p in (p_lo, p_hi))
+        rows.append((t, lo, z.mean(), hi))
+    return np.array(rows)

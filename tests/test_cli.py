@@ -407,6 +407,41 @@ def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("flow", ("--init_hi", "1,nan")),
+        ("flow", ("--init_hi", "inf,1")),
+        ("flow", ("--init_lo", "-inf,0")),
+        ("flow", ("--perturb_std", "nan")),
+        ("flow", ("--perturb_std", "inf")),
+        ("flow", ("--rho", "inf")),
+        ("simulate", ("--eps_half_width", "nan")),
+        ("simulate", ("--eps_half_width", "inf")),
+    ],
+)
+def test_nonfinite_value_exits_2_with_one_line(tmp_path, capsys, command, overrides):
+    obs = tmp_path / "observations.csv"
+    write_noise_free_observations(obs, days=4)
+    out = tmp_path / "out"
+    assert run_cli(command, "--paper-preset", "--observations", str(obs), "--out", str(out), *overrides) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert not out.exists()
+
+
+def test_day_over_the_transition_cap_exits_2_before_simulating(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a day over the transition cap was simulated")
+
+    monkeypatch.setattr(pdm, "simulate_trajectory", unreachable)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--paper-preset", "--out", str(out), "--dt", "1e-12") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "transitions" in lines[0], lines
+    assert not out.exists()
+
+
 class TestConfigHandling:
     def test_config_file_plus_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"

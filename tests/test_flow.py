@@ -1,9 +1,13 @@
 import hashlib
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgflow.errors import DataError, NumericalError, UnsafeStepError
 from wgflow.flow import (
@@ -524,6 +528,63 @@ class TestCheckpointResume:
             path.write_text("".join(line for line in lines if not line.startswith("sha256")))
         with pytest.raises(DataError, match="sha256"):
             read_checkpoint(base)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_resume_at_a_random_split_is_identical(self, data):
+        # A run with skipped observations, resumed at any split, in memory
+        # and through a checkpoint file, against the uninterrupted run.
+        total = data.draw(st.integers(1, 24), label="observations")
+        split = data.draw(st.integers(0, total), label="split")
+        invalid = data.draw(st.sets(st.integers(0, total - 1)), label="invalid at")
+        diag_every = data.draw(st.integers(1, 6), label="diag_every")
+        checkpoint_every = data.draw(st.integers(1, 6), label="checkpoint_every")
+        perturb_std = data.draw(st.sampled_from([0.0, 0.05]), label="perturb_std")
+
+        n = 12
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], n, seed=11)
+        obj = preset_objective(sigma_w2=0.2)
+        rng = np.random.default_rng(17)
+        stream = [W @ THETA + rng.normal(0, 0.3, 2) for _ in range(total)]
+        for i in invalid:
+            stream[i] = np.array([np.nan, 0.0])
+
+        def cfg(max_iters, path=None):
+            return flow_config(
+                max_iters=max_iters, diag_every=diag_every, diag_subsample=n,
+                perturb_std=perturb_std, on_invalid="skip",
+                checkpoint_every=checkpoint_every, checkpoint_path=path,
+            )
+
+        def stepped(first, k):
+            return any(i not in invalid for i in range(first, k))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            full, full_trace = run(m0, obj, stream, cfg(total, os.path.join(tmp, "full")))
+            head, head_trace = run(m0, obj, stream[:split], cfg(split))
+            fields = checkpoint_fields(n, 2, 0.01, NonnegativeOrthant(2))
+            write_checkpoint(os.path.join(tmp, "split"), head, split, 3, fields)
+            resumes = [(head, split), read_checkpoint(os.path.join(tmp, "split"), fields)[:2]]
+            if os.path.exists(os.path.join(tmp, "full.meta.txt")):
+                resumes.append(read_checkpoint(os.path.join(tmp, "full"), fields)[:2])
+
+            rows = {r.k: r for r in full_trace.rows}
+            for m, first in resumes:
+                final, tail_trace = run(m, obj, stream[first:], cfg(total - first), start_iteration=first)
+                assert np.array_equal(final.points, full.points)
+                resumed = {r.k: r for r in tail_trace.rows}
+                if first == split:
+                    resumed.update({r.k: r for r in head_trace.rows})
+                for k in rows.keys() & resumed.keys():
+                    a, b = rows[k], resumed[k]
+                    assert (a.objective, a.w2_ref) == (b.objective, b.w2_ref), k
+                    assert np.array_equal(a.mean, b.mean), k
+                    # A run knows the field only of steps it took itself;
+                    # rows up to the split come from the head run.
+                    if stepped(0 if first == split and k <= split else first, k):
+                        assert a.grad_norm == b.grad_norm, k
+                    else:
+                        assert b.grad_norm is None, k
 
 
 class TestLipschitzGap:

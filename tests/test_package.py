@@ -1,6 +1,7 @@
 """Guards on the package surface: what it exports and what it imports."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -65,3 +66,25 @@ def test_all_lists_exactly_the_public_imports():
         for alias in node.names
     }
     assert {name for name in imported if not name.startswith("_")} == set(wgflow.__all__)
+
+
+def _tracer_table(name):
+    # Read from the benchmark's tracer without importing it.
+    with open(os.path.join(os.path.dirname(SRC), "perfbench", "tracing.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracing.py defines no {name}")
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # `perfbench/run.py --trace 1` wraps each of these by owner.__dict__
+    # lookup and fails on a missing one.
+    from wgflow import sets
+
+    for module, attr, _ in _tracer_table("_FUNCTIONS"):
+        assert attr in vars(importlib.import_module(f"wgflow.{module}")), f"{module}.{attr}"
+    assert "__init__" in vars(measures.ParticleMeasure)
+    for kind in _tracer_table("_SET_CLASSES"):
+        assert "project_points" in vars(getattr(sets, kind)), kind

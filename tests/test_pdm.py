@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import ls_baseline_scalar, simulate_loop
+from _oracles import damping_band_rows, ls_baseline_scalar, simulate_loop
 from scipy.optimize import brentq
 
+from wgflow import pdm
 from wgflow.errors import DataError, NumericalError
 from wgflow.measures import ParticleMeasure
 from wgflow.pdm import _BLOCK as BLOCK
@@ -43,6 +44,12 @@ class TestPlantParams:
     def test_positivity(self):
         with pytest.raises(ValueError):
             PlantParams(a=-1.0, b=1.0, r=1.0, dt=0.001, horizon=1.0, eps_half_width=0.0)
+
+    def test_transition_cap(self):
+        cap = pdm._MAX_TRANSITIONS
+        PlantParams(a=2.5, b=1.0, r=1.0, dt=1e-3, horizon=cap * 1e-3, eps_half_width=0.0)
+        with pytest.raises(ValueError, match="transitions"):
+            PlantParams(a=2.5, b=1.0, r=1.0, dt=1e-3, horizon=(cap + 1) * 1e-3, eps_half_width=0.0)
 
     def test_case_study_regimes_are_stable(self):
         for t in (0.0, 30.0, 60.0):
@@ -310,6 +317,20 @@ class TestPredictDampingBand:
         m = ParticleMeasure(np.array([[0.0, 0.0], [0.2, 0.2]]))
         band = predict_damping_band(m, case_study_model(), [1e6])
         assert np.all(np.isfinite(band))
+
+    # One row per block, several rows per block, and the default size.
+    @pytest.mark.parametrize("block", [1, 7, pdm._BAND_BLOCK])
+    def test_matches_per_row_oracle(self, monkeypatch, block):
+        monkeypatch.setattr(pdm, "_BAND_BLOCK", block)
+        rng = np.random.default_rng(5)
+        model = case_study_model()
+        for n in (1, 2, 5, 33, 1000):
+            # Some negative stiffness rates, so the floor is reached.
+            pts = rng.normal(0.05, 0.05, size=(n, 2))
+            t_grid = np.concatenate([[0.0], rng.uniform(0.0, 200.0, size=23)])
+            p_lo, p_hi = sorted(rng.uniform(0.0, 1.0, size=2))
+            band = predict_damping_band(ParticleMeasure(pts), model, t_grid, p_lo, p_hi)
+            assert np.array_equal(band, damping_band_rows(pts, 2.5, 1.0, t_grid, p_lo, p_hi))
 
 
 class TestSuggestedMaintenanceTime:

@@ -8,7 +8,6 @@ from wgflow.errors import NumericalError
 from wgflow.measures import ParticleMeasure
 from wgflow.transport import (
     MAX_EXACT_PARTICLES,
-    TransportPlan,
     bures_distance,
     gelbrich_lower_bound,
     w2_1d,
@@ -51,6 +50,7 @@ class TestW2Exact:
             ys = rng.normal(size=(n, d))
             dist, plan = w2_exact(cloud(xs), cloud(ys))
             assert dist == pytest.approx(w2_brute_force(xs, ys), abs=1e-10)
+            assert sorted(plan.permutation.tolist()) == list(range(n))
             matched = float(np.mean(np.sum((xs - ys[plan.permutation]) ** 2, axis=1)))
             assert plan.cost == pytest.approx(matched, rel=1e-12)
 
@@ -189,12 +189,3 @@ class TestGelbrich:
             b = cloud(rng.normal(size=(64, 2)) * rng.uniform(0.5, 2.0))
             assert gelbrich_lower_bound(a, b) <= w2_exact(a, b)[0] + 1e-8
 
-
-class TestTransportPlan:
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError, match="bijection"):
-            TransportPlan(np.array([0, 0]), 1.0)
-
-    def test_rejects_negative_cost(self):
-        with pytest.raises(ValueError, match="cost"):
-            TransportPlan(np.array([1, 0]), -1.0)
