@@ -1,11 +1,14 @@
 """Command-line front end: simulate, flow, predict, diagnose.
 
-Configuration is a flat ``key = value`` text file; any key can be
-overridden on the command line as ``--key value``.  ``--paper-preset``
-loads the full desk-scale case-study parameter set as defaults, so each
-pipeline stage runs with one command.  Every command validates its whole
-configuration before writing anything, and all outputs are deterministic
-given (config, seed).
+Configuration is a flat ``key = value`` text file; any key, ``seed``
+included, can be overridden on the command line as ``--key value``.
+Values are layered: :data:`DEFAULTS`, then with ``--paper-preset`` the
+desk-scale case-study constants of :data:`CASE_STUDY_PRESET` (so each
+pipeline stage runs with one command), then the config file, then the
+overrides.  A key none of them sets is missing, and a command that needs
+it refuses to run.  Every command validates its whole configuration
+before writing anything, and all outputs are deterministic given
+(config, seed).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 error, 5 refused unsafe step size.
@@ -14,6 +17,7 @@ error, 5 refused unsafe step size.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,29 +33,17 @@ _DIAG_SUB_STREAM = 61
 #: Most time points `predict` evaluates the damping band on.
 _MAX_GRID_POINTS = 10**6
 
-#: Desk-scale case-study constants loaded by --paper-preset.
-CASE_STUDY_PRESET = {
-    "a0": "2.5",
-    "b0": "1",
-    "lambda1": repr(2.0 / 60.0),
-    "lambda2": repr(5.0 / 60.0),
-    "zeta_min": "0.4",
-    "T": "5",
-    "days": "10",
-    "dt": "0.001",
-    "horizon": "100",
-    "eps_half_width": "3",
-    "r": "1",
-    "x0": "-2.5,0",
+#: The default of every key that has one, loaded under everything else.
+DEFAULTS = {
+    "x0": "0,0",
+    "perturb_std": "0",
     "n_particles": "1000",
     "rho": "0.1",
     "tau": "0.01",
-    "perturb_std": "0.02",
     "sigma_w2": "0",
     "init_lo": "0,0",
-    "init_hi": repr(8.0 / 60.0) + "," + repr(8.0 / 60.0),
     "constraint": '{"kind": "nonneg_orthant", "d": 2}',
-    "theta_star": repr(2.0 / 60.0) + "," + repr(5.0 / 60.0),
+    "T": "5",
     "p_lo": "0.1",
     "p_hi": "0.9",
     "rule": "percentile",
@@ -61,20 +53,49 @@ CASE_STUDY_PRESET = {
     "t_step": "0.5",
     "diag_every": "1",
     "diag_subsample": "256",
+    "checkpoint_every": "0",
+    "on_invalid": "abort",
     "workers": "1",
     "seed": "0",
 }
 
-
-#: Every key some command reads; one config file can serve all four.
-CONFIG_KEYS = frozenset(CASE_STUDY_PRESET) | {
-    "observations", "particles", "reference", "resume", "day",
-    "max_iters", "checkpoint_every", "on_invalid",
+#: Desk-scale case-study constants --paper-preset sets over the defaults.
+CASE_STUDY_PRESET = {
+    "a0": "2.5",
+    "b0": "1",
+    "lambda1": repr(2.0 / 60.0),
+    "lambda2": repr(5.0 / 60.0),
+    "zeta_min": "0.4",
+    "days": "10",
+    "dt": "0.001",
+    "horizon": "100",
+    "eps_half_width": "3",
+    "r": "1",
+    "x0": "-2.5,0",
+    "perturb_std": "0.02",
+    "init_hi": repr(8.0 / 60.0) + "," + repr(8.0 / 60.0),
+    "theta_star": repr(2.0 / 60.0) + "," + repr(5.0 / 60.0),
 }
 
 
+#: Every key some command reads; one config file can serve all four.
+CONFIG_KEYS = frozenset(DEFAULTS) | frozenset(CASE_STUDY_PRESET) | {
+    "observations", "particles", "reference", "resume", "day", "max_iters",
+}
+
+
+def _json_object(raw: str) -> dict:
+    record = json.loads(raw)
+    if not isinstance(record, dict):
+        raise ValueError("not an object")
+    return record
+
+
 class Config:
-    """Flat string-to-string configuration with typed accessors."""
+    """Flat string-to-string configuration with typed accessors.
+
+    A key is set or missing; reading a missing key is a configuration error.
+    """
 
     def __init__(self, values: dict[str, str]):
         self.values = values
@@ -82,48 +103,31 @@ class Config:
     def has(self, key: str) -> bool:
         return key in self.values
 
-    def _raw(self, key: str, default):
-        if key in self.values:
-            return self.values[key]
-        if default is None:
+    def _get(self, key: str, parse, what: str):
+        if key not in self.values:
             raise ConfigError(f"missing required config key '{key}'")
-        return default
-
-    def get_str(self, key: str, default=None) -> str:
-        return str(self._raw(key, default))
-
-    def get_float(self, key: str, default=None) -> float:
-        raw = self._raw(key, default)
+        raw = self.values[key]
         try:
-            return float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key '{key}' must be a number, got {raw!r}") from None
-
-    def get_int(self, key: str, default=None) -> int:
-        raw = self._raw(key, default)
-        try:
-            return int(str(raw))
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key '{key}' must be an integer, got {raw!r}") from None
-
-    def get_vec(self, key: str, default=None) -> np.ndarray:
-        raw = self._raw(key, default)
-        try:
-            return np.array([float(v) for v in str(raw).split(",")])
+            return parse(raw)
         except ValueError:
-            raise ConfigError(
-                f"config key '{key}' must be comma-separated numbers, got {raw!r}"
-            ) from None
+            raise ConfigError(f"config key '{key}' must be {what}, got {raw!r}") from None
 
-    def get_record(self, key: str, default=None) -> dict:
-        raw = self._raw(key, default)
-        try:
-            record = json.loads(str(raw))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config key '{key}' is not a valid tagged record: {exc}") from None
-        if not isinstance(record, dict):
-            raise ConfigError(f"config key '{key}' must be a JSON object")
-        return record
+    def get_str(self, key: str) -> str:
+        return self._get(key, str, "text")
+
+    def get_float(self, key: str) -> float:
+        return self._get(key, float, "a number")
+
+    def get_int(self, key: str) -> int:
+        return self._get(key, int, "an integer")
+
+    def get_vec(self, key: str) -> np.ndarray:
+        return self._get(
+            key, lambda raw: np.array([float(v) for v in raw.split(",")]), "comma-separated numbers"
+        )
+
+    def get_record(self, key: str) -> dict:
+        return self._get(key, _json_object, "a JSON object")
 
 
 def _parse_overrides(extra: list[str]) -> dict[str, str]:
@@ -138,13 +142,11 @@ def _parse_overrides(extra: list[str]) -> dict[str, str]:
 
 
 def _build_config(args, extra: list[str]) -> Config:
-    values: dict[str, str] = {}
+    values = dict(DEFAULTS)
     if args.paper_preset:
         values.update(CASE_STUDY_PRESET)
     if args.config:
         values.update(files.read_settings(args.config, ConfigError))
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
     values.update(_parse_overrides(extra))
     for key in values:
         if key not in CONFIG_KEYS:
@@ -157,7 +159,7 @@ def _build_config(args, extra: list[str]) -> Config:
 
 
 def _input_path(cfg: Config, key: str, out_dir: str, default_name: str) -> str:
-    path = cfg.get_str(key, os.path.join(out_dir, default_name))
+    path = cfg.get_str(key) if cfg.has(key) else os.path.join(out_dir, default_name)
     if not os.path.isfile(path):
         raise ConfigError(f"input file for '{key}' not found: {path}")
     return path
@@ -171,9 +173,9 @@ def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
     horizon = cfg.get_float("horizon")
     eps = cfg.get_float("eps_half_width")
     r = cfg.get_float("r")
-    x0 = cfg.get_vec("x0", "0,0")
+    x0 = cfg.get_vec("x0")
     days = cfg.get_int("days")
-    seed = cfg.get_int("seed", "0")
+    seed = cfg.get_int("seed")
     if days < 1:
         raise ConfigError("days must be at least 1")
     if x0.shape != (2,):
@@ -182,10 +184,13 @@ def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
     # Build every day's plant up front: an unstable discretization on any
     # day refuses the whole run before anything is written.
     day_times = [j * model.T for j in range(days)]
-    plants = [
-        pdm.PlantParams(a=a, b=b, r=r, dt=dt, horizon=horizon, eps_half_width=eps)
-        for a, b in (pdm.degrade(model, t).tolist() for t in day_times)
-    ]
+    plants = []
+    for j, t in enumerate(day_times):
+        a, b = pdm.degrade(model, t).tolist()
+        try:
+            plants.append(pdm.PlantParams(a=a, b=b, r=r, dt=dt, horizon=horizon, eps_half_width=eps))
+        except (ValueError, NumericalError) as exc:
+            raise type(exc)(f"day {j} (t = {t}): {exc}") from None
 
     observations = []
     for j, (t, plant) in enumerate(zip(day_times, plants)):
@@ -215,16 +220,14 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
     w = pdm.process_matrix(spacing)
 
     theta_star = cfg.get_vec("theta_star") if cfg.has("theta_star") else None
-    rho = cfg.get_float("rho", "0.1")
-    sigma_w2 = cfg.get_float("sigma_w2", "0")
+    rho = cfg.get_float("rho")
+    sigma_w2 = cfg.get_float("sigma_w2")
     obj = functionals.StreamingLSObjective(w, rho, theta_star, sigma_w2)
 
-    constraint = sets.convex_set_from_config(
-        cfg.get_record("constraint", '{"kind": "nonneg_orthant", "d": 2}')
-    )
-    seed = cfg.get_int("seed", "0")
-    tau = cfg.get_float("tau", "0.01")
-    n_particles = cfg.get_int("n_particles", "1000")
+    constraint = sets.convex_set_from_config(cfg.get_record("constraint"))
+    seed = cfg.get_int("seed")
+    tau = cfg.get_float("tau")
+    n_particles = cfg.get_int("n_particles")
 
     start_iteration = 0
     if cfg.has("resume"):
@@ -238,26 +241,24 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
                 f"checkpoint iteration {start_iteration} exceeds available observations"
             )
     else:
-        init_lo = cfg.get_vec("init_lo", "0,0")
+        init_lo = cfg.get_vec("init_lo")
         init_hi = cfg.get_vec("init_hi")
         m0 = measures.init_uniform_box(init_lo, init_hi, n_particles, seed)
 
     remaining = len(diffs) - start_iteration
-    max_iters = cfg.get_int("max_iters", str(remaining))
-    if max_iters > remaining:
-        max_iters = remaining
-    checkpoint_every = cfg.get_int("checkpoint_every", "0")
+    max_iters = min(cfg.get_int("max_iters"), remaining) if cfg.has("max_iters") else remaining
+    checkpoint_every = cfg.get_int("checkpoint_every")
     run_cfg = flow.FlowConfig(
         tau=tau,
         max_iters=max_iters,
         seed=seed,
         constraint=constraint,
-        perturb_std=cfg.get_float("perturb_std", "0"),
-        diag_every=cfg.get_int("diag_every", "1"),
-        diag_subsample=min(cfg.get_int("diag_subsample", "256"), m0.n),
+        perturb_std=cfg.get_float("perturb_std"),
+        diag_every=cfg.get_int("diag_every"),
+        diag_subsample=min(cfg.get_int("diag_subsample"), m0.n),
         allow_unsafe_tau=force,
-        on_invalid=cfg.get_str("on_invalid", "abort"),
-        workers=cfg.get_int("workers", "1"),
+        on_invalid=cfg.get_str("on_invalid"),
+        workers=cfg.get_int("workers"),
         checkpoint_every=checkpoint_every,
         checkpoint_path=os.path.join(out_dir, "checkpoint") if checkpoint_every else None,
     )
@@ -296,7 +297,7 @@ def _degradation_model(cfg: Config, require_truth: bool) -> pdm.DegradationModel
         b0=cfg.get_float("b0"),
         lam=lam,
         zeta_min=cfg.get_float("zeta_min"),
-        T=cfg.get_float("T", "5"),
+        T=cfg.get_float("T"),
     )
 
 
@@ -307,9 +308,9 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     have_truth = cfg.has("lambda1") and cfg.has("lambda2")
     model = _degradation_model(cfg, require_truth=False)
 
-    t_start = cfg.get_float("t_start", "0")
-    t_stop = cfg.get_float("t_stop", "60")
-    t_step = cfg.get_float("t_step", "0.5")
+    t_start = cfg.get_float("t_start")
+    t_stop = cfg.get_float("t_stop")
+    t_step = cfg.get_float("t_step")
     if not (t_step > 0 and t_stop >= t_start):
         raise ConfigError("need t_step > 0 and t_stop >= t_start")
     span = (t_stop - t_start) / t_step
@@ -320,10 +321,10 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
         )
     count = int(span + 1e-9) + 1
     t_grid = t_start + t_step * np.arange(count)
-    p_lo = cfg.get_float("p_lo", "0.1")
-    p_hi = cfg.get_float("p_hi", "0.9")
-    rule = cfg.get_str("rule", "percentile")
-    rule_level = cfg.get_float("rule_level", "0.1")
+    p_lo = cfg.get_float("p_lo")
+    p_hi = cfg.get_float("p_hi")
+    rule = cfg.get_str("rule")
+    rule_level = cfg.get_float("rule_level")
     if rule not in ("percentile", "mean", "chance"):
         raise ConfigError(f"unknown maintenance rule '{rule}'")
 
@@ -348,7 +349,9 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
         lam_hat, ls_time = pdm.ls_baseline(observations, model.a0, model.b0, model.zeta_min)
 
     true_time = pdm.true_maintenance_time(model) if have_truth else None
-    day = cfg.get_float("day", repr(observations[-1].t) if observations else "0")
+    day = cfg.get_float("day") if cfg.has("day") else (observations[-1].t if observations else 0.0)
+    if not 0 <= day < np.inf:
+        raise ConfigError(f"day must be finite and nonnegative, got {day}")
 
     os.makedirs(out_dir, exist_ok=True)
     prediction_path = os.path.join(out_dir, "prediction.csv")
@@ -389,13 +392,13 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     if m.d != ref.d:
         raise DataError(f"dimension mismatch: particles d={m.d}, reference d={ref.d}")
 
-    w = pdm.process_matrix(cfg.get_float("T", "5"))
+    w = pdm.process_matrix(cfg.get_float("T"))
     report = flow.validate_tau(
-        w, cfg.get_float("rho", "0.1"), cfg.get_float("sigma_w2", "0"), cfg.get_float("tau", "0.01")
+        w, cfg.get_float("rho"), cfg.get_float("sigma_w2"), cfg.get_float("tau")
     )
 
-    k = min(cfg.get_int("diag_subsample", "256"), m.n, ref.n)
-    seed = cfg.get_int("seed", "0")
+    k = min(cfg.get_int("diag_subsample"), m.n, ref.n)
+    seed = cfg.get_int("seed")
     idx_m = np.sort(measures.substream(seed, _DIAG_SUB_STREAM).choice(m.n, size=k, replace=False))
     idx_r = np.sort(measures.substream(seed, _DIAG_SUB_STREAM).choice(ref.n, size=k, replace=False))
     sub_m = measures.ParticleMeasure(m.points[idx_m])
@@ -407,17 +410,8 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     bures_gap = transport.bures_distance(measures.covariance(m), measures.covariance(ref))
     lipschitz_gap = flow.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)), 1.0)
 
-    metrics = [
-        ("alpha", report.alpha),
-        ("C", report.C),
-        ("sigma2", report.sigma2),
-        ("eta", report.eta),
-        ("tau", report.tau),
-        ("tau_max", report.tau_max),
-        ("simple_cap", report.simple_cap),
-        ("ball_radius", report.ball_radius),
-        ("per_step_rate", report.per_step_rate),
-        ("tau_valid", float(report.tau_valid)),
+    metrics = [(f.name, float(getattr(report, f.name))) for f in dataclasses.fields(report)]
+    metrics += [
         ("w2_subsampled", w2),
         ("subsample", float(k)),
         ("gelbrich_lower_bound", gelbrich),
@@ -467,10 +461,9 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--paper-preset", action="store_true",
-                       help="load the desk-scale case-study constants as defaults")
+                       help="set the desk-scale case-study constants over the defaults")
         p.add_argument("--force", action="store_true",
                        help="run even if the step size fails validation")
 

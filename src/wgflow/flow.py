@@ -277,13 +277,14 @@ def run(
 
     trace = FlowTrace()
 
-    def record(k, m, mean, grad_norm):
+    def record(k, mean, grad_norm):
         objective = w2 = None
         if obj.theta_star is not None:
+            m = ParticleMeasure(x)
             objective = functionals.evaluate_objective(obj, m)
-            cloud = m.points if sub_idx is None else m.points[sub_idx]
+            cloud = m if sub_idx is None else ParticleMeasure(x[sub_idx])
             try:
-                w2, _ = transport.w2_exact(ParticleMeasure(cloud), ref_measure)
+                w2, _ = transport.w2_exact(cloud, ref_measure)
             except NumericalError as exc:
                 raise NumericalError(f"flow diverged at iteration {k}: {exc}") from None
         trace.rows.append(
@@ -312,9 +313,8 @@ def run(
     mean = x.mean(axis=0)
     c = grad_norm = None  # of the last step taken
 
-    m = m0  # the iterate as a measure, while one is at hand
     k = start_iteration
-    record(k, m, mean, None)
+    record(k, mean, None)
     last_recorded = k
 
     it = iter(stream)
@@ -359,15 +359,11 @@ def run(
         if not np.isfinite(mean).all():
             raise _divergence(x, k)
 
-        m = None
         if record_due:
-            if obj.theta_star is not None:
-                m = ParticleMeasure(x)
-            record(k, m, mean, grad_norm)
+            record(k, mean, grad_norm)
             last_recorded = k
         if checkpoint_due:
-            snapshot = m if m is not None else ParticleMeasure(x)
-            write_checkpoint(cfg.checkpoint_path, snapshot, k, cfg.seed, sidecar)
+            write_checkpoint(cfg.checkpoint_path, ParticleMeasure(x), k, cfg.seed, sidecar)
 
     if last_recorded != k:
         if grad_norm is None and c is not None:
@@ -375,14 +371,10 @@ def run(
             # iterate it started at, which moved still holds.
             pre = _affine(moved, a, c, noise, np.empty_like(moved))
             grad_norm = _grad_norm(moved, pre, tau, pre)
-        if m is None and obj.theta_star is not None:
-            m = ParticleMeasure(x)
-        record(k, m, mean, grad_norm)
+        record(k, mean, grad_norm)
     moved = noise = spent = pre = None  # freed before the final copy
-    if m is None:
-        m = ParticleMeasure(x)
     trace.iterations_run = k - start_iteration
-    return m, trace
+    return ParticleMeasure(x), trace
 
 
 def lipschitz_norm_gap(m: ParticleMeasure, ref: ParticleMeasure, phi, L: float) -> float:

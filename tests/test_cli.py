@@ -75,6 +75,14 @@ class TestSimulate:
         assert run_cli("simulate", "--out", str(tmp_path / "y")) == 2
         assert not (tmp_path / "y").exists()
 
+    def test_refused_day_is_named_with_its_time(self, tmp_path, capsys):
+        # Day 15 (t = 75) drives the damping a0 - lambda1 t to 0.
+        out = tmp_path / "out"
+        assert run_cli(*fast_sim_args(out, days=16)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["config error: day 15 (t = 75.0): a must be positive"]
+        assert not out.exists()
+
 
 class TestFlow:
     def test_noise_free_convergence_to_truth(self, tmp_path):
@@ -387,6 +395,11 @@ _INPUTS = {
         ("flow", ("--constraint", '{"kind":"nonneg_orthant","d":2.7}')),
         ("flow", ("--constraint", '{"kind":"halfspace","a":[1e200,0],"b":1}')),
         ("predict", ("--rule", "chance", "--rule_level", "0")),
+        ("simulate", ("--seed", "abc")),
+        ("simulate", ("--seed=5",)),
+        ("predict", ("--day", "nan")),
+        ("predict", ("--day", "inf")),
+        ("predict", ("--day", "-3")),
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
@@ -493,14 +506,16 @@ class TestConfigHandling:
         assert run_cli("simulate", "--paper-preset", "--config", str(cfg), "--out", str(tmp_path)) == 0
 
     def test_key_table_holds_every_key_a_command_reads(self):
-        # Keys appear as literals in cfg.<accessor>("key", ...) and
-        # _input_path(cfg, "key", ...).
+        # Keys appear as literals in cfg.<accessor>("key") and
+        # _input_path(cfg, "key", ...).  A default lives only in DEFAULTS,
+        # so no accessor call passes one.
         read = set()
         for node in ast.walk(ast.parse(open(cli.__file__).read())):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "cfg":
+                assert len(node.args) == 1 and not node.keywords, ast.unparse(node)
                 key = node.args[0]
             elif getattr(func, "id", None) == "_input_path":
                 key = node.args[1]
@@ -510,7 +525,9 @@ class TestConfigHandling:
                 read.add(key.value)
         assert {"tau", "resume", "particles", "reference"} <= read
         assert read <= cli.CONFIG_KEYS
-        assert set(cli.CASE_STUDY_PRESET) <= cli.CONFIG_KEYS
+        assert set(cli.DEFAULTS) <= read
+        computed = {"observations", "particles", "reference", "resume", "day", "max_iters"}
+        assert cli.CONFIG_KEYS == set(cli.DEFAULTS) | set(cli.CASE_STUDY_PRESET) | computed
 
     def test_seed_flag_overrides_preset(self, tmp_path):
         out_a = tmp_path / "a"
