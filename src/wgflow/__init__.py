@@ -40,10 +40,8 @@ from .sets import (
     Halfspace,
     NonnegativeOrthant,
     project_measure,
-    project_point,
 )
 from .transport import (
-    TransportPlan,
     bures_distance,
     gelbrich_lower_bound,
     w2_1d,
@@ -68,7 +66,6 @@ __all__ = [
     "ParticleMeasure",
     "StepBoundReport",
     "StreamingLSObjective",
-    "TransportPlan",
     "UnsafeStepError",
     "bures_distance",
     "convergence_bound",
@@ -81,7 +78,6 @@ __all__ = [
     "mean",
     "perturbed_gradient",
     "project_measure",
-    "project_point",
     "run",
     "step",
     "stochastic_gradient",

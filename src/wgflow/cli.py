@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import files, flow, functionals, measures, pdm, sets, transport
-from .errors import ConfigError, DataError, EngineError, NumericalError, UnsafeStepError
+from .errors import ConfigError, DataError, NumericalError, UnsafeStepError
 
 _SIM_DAY_STREAM = 41
 _DIAG_SUB_STREAM = 61
@@ -181,22 +181,22 @@ def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
     if x0.shape != (2,):
         raise ConfigError("x0 must have two components (position, velocity)")
 
-    # Build every day's plant up front: an unstable discretization on any
-    # day refuses the whole run before anything is written.
-    day_times = [j * model.T for j in range(days)]
-    plants = []
-    for j, t in enumerate(day_times):
-        a, b = pdm.degrade(model, t).tolist()
-        try:
-            plants.append(pdm.PlantParams(a=a, b=b, r=r, dt=dt, horizon=horizon, eps_half_width=eps))
-        except (ValueError, NumericalError) as exc:
-            raise type(exc)(f"day {j} (t = {t}): {exc}") from None
-
+    # Every day is simulated before anything is written, so a refused day
+    # (its plant, trajectory or estimate) leaves no output, and the message
+    # names it.  A trajectory that overflows is refused as a non-finite
+    # estimate; NumPy's warnings about it would only repeat that.
     observations = []
-    for j, (t, plant) in enumerate(zip(day_times, plants)):
-        traj = pdm.simulate_trajectory(plant, x0, measures.spawn_seed(seed, _SIM_DAY_STREAM, j))
-        y_hat = pdm.ls_estimate(traj, dt)
-        observations.append(pdm.Observation(t, y_hat))
+    with np.errstate(all="ignore"):
+        for j in range(days):
+            t = j * model.T
+            try:
+                a, b = pdm.degrade(model, t).tolist()
+                plant = pdm.PlantParams(a=a, b=b, r=r, dt=dt, horizon=horizon, eps_half_width=eps)
+                day_seed = measures.spawn_seed(seed, _SIM_DAY_STREAM, j)
+                traj = pdm.simulate_trajectory(plant, x0, day_seed)
+                observations.append(pdm.Observation(t, pdm.ls_estimate(traj, dt)))
+            except (ValueError, NumericalError) as exc:
+                raise type(exc)(f"day {j} (t = {t}): {exc}") from None
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "observations.csv")
@@ -417,7 +417,6 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
         ("gelbrich_lower_bound", gelbrich),
         ("mean_gap", mean_gap),
         ("bures_gap", bures_gap),
-        ("moment_gap", float(np.hypot(mean_gap, bures_gap))),
         ("lipschitz_norm_gap", lipschitz_gap),
     ]
 
@@ -432,8 +431,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
           f"rate={report.per_step_rate:.6g}")
     print(f"measured on {k} subsampled particles: W2={w2:.6g}")
     print(f"gelbrich lower bound={gelbrich:.6g} (never exceeds the exact W2)")
-    print(f"mean gap={mean_gap:.6g} bures gap={bures_gap:.6g} "
-          f"moment gap={float(np.hypot(mean_gap, bures_gap)):.6g}")
+    print(f"mean gap={mean_gap:.6g} bures gap={bures_gap:.6g}")
     print(f"lipschitz norm gap (|x|, L=1)={lipschitz_gap:.6g}")
     print(f"wrote {diag_path}")
     return 0
@@ -486,9 +484,6 @@ def main(argv=None) -> int:
     except UnsafeStepError as exc:
         print(f"unsafe step size: {exc}", file=sys.stderr)
         return 5
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

@@ -189,6 +189,8 @@ class FlowConfig:
             raise ValueError("workers must be at least 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be nonnegative")
+        if self.checkpoint_every and self.checkpoint_path is None:
+            raise ValueError("checkpoint_every needs a checkpoint_path to write to")
 
 
 def _affine(x: np.ndarray, a: np.ndarray, c: np.ndarray, noise, out: np.ndarray) -> np.ndarray:
@@ -341,11 +343,7 @@ def run(
         _affine(x, a, c, noise, moved)
         k += 1
         record_due = (k - start_iteration) % cfg.diag_every == 0
-        checkpoint_due = (
-            cfg.checkpoint_every
-            and cfg.checkpoint_path is not None
-            and (k - start_iteration) % cfg.checkpoint_every == 0
-        )
+        checkpoint_due = cfg.checkpoint_every and (k - start_iteration) % cfg.checkpoint_every == 0
         # Taken before the projection overwrites moved.  The spent noise,
         # seen column-major, holds the field in place of a new array and
         # sums it in the same order.
@@ -403,25 +401,6 @@ def write_trace_csv(trace: FlowTrace, path, d: int) -> None:
         ["k", "objective", "w2_ref"] + [f"mean_{j + 1}" for j in range(d)] + ["grad_norm"],
         ([r.k, r.objective, r.w2_ref, *r.mean, r.grad_norm] for r in trace.rows),
     )
-
-
-def read_trace_csv(path) -> FlowTrace:
-    """Read a trace file written by :func:`write_trace_csv`."""
-    rows = files.read_table(
-        path,
-        "trace file",
-        lambda h: len(h) >= 5 and h[:3] == ["k", "objective", "w2_ref"] and h[-1] == "grad_norm",
-    )
-    trace = FlowTrace()
-    for i, (k, *v) in enumerate(files.float_rows(path, rows)):
-        if not k.is_integer() or (trace.rows and k <= trace.rows[-1].k):
-            raise DataError(f"{path}: row {i}: k={k} is not an integer above the previous row's")
-        objective, w2, gn = (None if math.isnan(x) else x for x in (v[0], v[1], v[-1]))
-        trace.rows.append(
-            TraceRow(k=int(k), objective=objective, w2_ref=w2, mean=np.array(v[2:-1]), grad_norm=gn)
-        )
-    trace.iterations_run = trace.rows[-1].k - trace.rows[0].k
-    return trace
 
 
 def _sha256(path) -> str:

@@ -249,15 +249,6 @@ class FullSpace(ConvexSet):
         return True
 
 
-def project_point(s: ConvexSet, x) -> np.ndarray:
-    """Euclidean nearest point of ``s`` to ``x``; a point already in ``s``
-    is returned unchanged."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a single point (1-d vector)")
-    return s.project_points(x[None, :])[0]
-
-
 def project_measure(s: ConvexSet, m: ParticleMeasure) -> ParticleMeasure:
     """Project every particle of ``m`` onto ``s``.
 

@@ -15,7 +15,6 @@ both used by convergence diagnostics.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,24 +29,8 @@ MAX_EXACT_PARTICLES = 4096
 _PSD_TOL = 1e-10
 
 
-class TransportPlan(NamedTuple):
-    """Optimal assignment between two equal-size clouds, as the solver
-    returned it.
-
-    Attributes
-    ----------
-    permutation : ndarray of int, shape (N,)
-        Target index matched to each source particle.
-    cost : float
-        Mean squared matched distance, ``(1/N) sum_i ||x_i - y_{pi(i)}||^2``.
-    """
-
-    permutation: np.ndarray
-    cost: float
-
-
-def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, TransportPlan]:
-    """Exact Wasserstein-2 distance and an optimal plan.
+def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]:
+    """Exact Wasserstein-2 distance and an optimal matching.
 
     Parameters
     ----------
@@ -57,9 +40,10 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, TransportPl
 
     Returns
     -------
-    (float, TransportPlan)
+    (float, ndarray of int)
         Distance (square root of the optimal mean squared matching cost)
-        and a minimizing permutation.
+        and a minimizing permutation: the target index matched to each
+        source particle.
 
     Raises
     ------
@@ -89,8 +73,7 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, TransportPl
             "squared distances between the clouds overflow; their coordinates are too large"
         )
     rows, cols = linear_sum_assignment(cost_matrix)
-    cost = float(cost_matrix[rows, cols].mean())
-    return math.sqrt(cost), TransportPlan(cols, cost)
+    return math.sqrt(float(cost_matrix[rows, cols].mean())), cols
 
 
 def w2_1d(m: ParticleMeasure, n: ParticleMeasure) -> float:

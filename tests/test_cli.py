@@ -11,6 +11,7 @@ import pytest
 
 import wgflow
 from wgflow import cli, measures, pdm
+from wgflow.errors import EngineError
 from wgflow.pdm import DegradationModel, Observation, degrade, write_observations_csv
 
 LAM = np.array([2.0 / 60.0, 5.0 / 60.0])
@@ -81,6 +82,18 @@ class TestSimulate:
         assert run_cli(*fast_sim_args(out, days=16)) == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["config error: day 15 (t = 75.0): a must be positive"]
+        assert not out.exists()
+
+    def test_overflowing_day_is_named_in_one_line(self, tmp_path):
+        # A huge but finite x0 overflows day 0's fit.  NumPy's warning
+        # about it must not reach stderr, which a fresh process shows.
+        out = tmp_path / "out"
+        args = fast_sim_args(out, days=2, extra=("--x0", "1e308,1e308"))
+        proc = run_cli_process("-m", "wgflow.cli", *args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "config error: day 0 (t = 0.0): y_hat must be a finite vector (a_hat, b_hat)"
+        ]
         assert not out.exists()
 
 
@@ -363,14 +376,6 @@ class TestDiagnose:
         assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 3
 
 
-def test_import_leaves_scipy_unloaded():
-    proc = run_cli_process(
-        "-c", "import sys, wgflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
 # Library argument checks raise ValueError; the CLI reports each as a
 # configuration error.  Inputs per command: config key -> file under in/.
 _INPUTS = {
@@ -453,6 +458,19 @@ def test_day_over_the_transition_cap_exits_2_before_simulating(tmp_path, capsys,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "transitions" in lines[0], lines
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", EngineError.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_every_engine_error_exits_with_a_documented_code(capsys, monkeypatch, error):
+    # main has one handler per error class; a class without one would
+    # escape as a traceback.
+    def refuse(cfg, out_dir, force):
+        raise error("refused")
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", refuse)
+    assert run_cli("simulate") in (2, 3, 4, 5)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].endswith(": refused"), lines
 
 
 class TestConfigHandling:

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgflow.errors import DataError, NumericalError, UnsafeStepError
+from wgflow.files import float_rows, read_table
 from wgflow.flow import (
     FlowConfig,
     checkpoint_fields,
     convergence_bound,
     lipschitz_norm_gap,
     read_checkpoint,
-    read_trace_csv,
     run,
     step,
     validate_tau,
@@ -262,6 +262,24 @@ class TestRun:
         with pytest.raises(ValueError, match="diag_subsample"):
             run(m0, preset_objective(), noise_free_stream(1), cfg)
 
+    def test_checkpoint_interval_without_a_path_refused(self):
+        # run would otherwise take every step and write no checkpoint.
+        with pytest.raises(ValueError, match="checkpoint_path"):
+            flow_config(checkpoint_every=3)
+
+    def test_trace_w2_is_the_closed_form_distance_to_the_dirac(self):
+        # W2 to the Dirac at theta* is sqrt(mean |x - theta*|^2), an oracle
+        # independent of the assignment solve.
+        n = 64
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], n, seed=1)
+        cfg = flow_config(max_iters=12, diag_every=5, diag_subsample=n, perturb_std=0.01)
+        final, trace = run(m0, preset_objective(sigma_w2=0.1), noise_free_stream(12), cfg)
+
+        def closed_form(points):
+            return math.sqrt(float(np.mean(np.sum((points - THETA) ** 2, axis=1))))
+
+        assert trace.rows[0].w2_ref == pytest.approx(closed_form(m0.points), rel=1e-12)
+        assert trace.rows[-1].w2_ref == pytest.approx(closed_form(final.points), rel=1e-12)
 
     def test_divergence_names_the_iteration(self):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
@@ -553,7 +571,7 @@ class TestCheckpointResume:
             return flow_config(
                 max_iters=max_iters, diag_every=diag_every, diag_subsample=n,
                 perturb_std=perturb_std, on_invalid="skip",
-                checkpoint_every=checkpoint_every, checkpoint_path=path,
+                checkpoint_every=checkpoint_every if path else 0, checkpoint_path=path,
             )
 
         def stepped(first, k):
@@ -617,13 +635,14 @@ class TestTraceCsv:
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
         cfg = flow_config(max_iters=12, diag_every=5, diag_subsample=16, perturb_std=0.01)
         _, trace = run(m0, preset_objective(sigma_w2=0.1), noise_free_stream(12), cfg)
-        p1 = tmp_path / "t1.csv"
-        p2 = tmp_path / "t2.csv"
-        write_trace_csv(trace, p1, 2)
-        again = read_trace_csv(p1)
-        write_trace_csv(again, p2, 2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert [r.k for r in again.rows] == [r.k for r in trace.rows]
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, path, 2)
+        got = float_rows(path, read_table(path, "trace file", lambda header: True))
+        # An absent quantity is an empty field, which reads back as NaN;
+        # every number reads back to the same float.
+        want = [[r.k, r.objective, r.w2_ref, *r.mean, r.grad_norm] for r in trace.rows]
+        want = [[math.nan if v is None else float(v) for v in row] for row in want]
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_header_shape(self, tmp_path):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 8, seed=1)

@@ -16,7 +16,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
 
 def test_cli_import_loads_no_scipy():
     # scipy is imported on first use only: it costs more to import than the
-    # rest of the package, and simulate, flow and predict never need it.
+    # rest of the package, and simulate, predict and a deployment-mode flow
+    # never need it (w2_exact, which a simulation-mode flow and diagnose
+    # call, imports it).
     code = "import sys, wgflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
         [sys.executable, "-c", code],

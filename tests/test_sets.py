@@ -18,7 +18,6 @@ from wgflow.sets import (
     NonnegativeOrthant,
     convex_set_from_config,
     project_measure,
-    project_point,
 )
 
 
@@ -34,26 +33,26 @@ def all_variants():
 
 class TestPointProjection:
     def test_orthant_clamps_negatives(self):
-        got = project_point(NonnegativeOrthant(2), np.array([-1.0, 2.0]))
+        got = NonnegativeOrthant(2).project_points(np.array([[-1.0, 2.0]]))[0]
         assert np.array_equal(got, [0.0, 2.0])
 
     def test_ball_radial_scaling(self):
-        got = project_point(Ball([0.0, 0.0], 1.0), np.array([3.0, 4.0]))
+        got = Ball([0.0, 0.0], 1.0).project_points(np.array([[3.0, 4.0]]))[0]
         assert np.allclose(got, [0.6, 0.8], rtol=1e-14)
 
     def test_halfspace_closed_form(self):
-        got = project_point(Halfspace([1.0, 0.0], 0.0), np.array([2.0, 5.0]))
+        got = Halfspace([1.0, 0.0], 0.0).project_points(np.array([[2.0, 5.0]]))[0]
         assert np.allclose(got, [0.0, 5.0], rtol=0, atol=1e-14)
 
     def test_inside_point_returned_unchanged(self):
         for s in all_variants():
             x = np.array([0.1, 0.2])
             assert s.contains(x)
-            assert np.array_equal(project_point(s, x), x)
+            assert np.array_equal(s.project_points(x[None, :])[0], x)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            project_point(NonnegativeOrthant(2), np.array([1.0, 2.0, 3.0]))
+            NonnegativeOrthant(2).project_points(np.array([[1.0, 2.0, 3.0]]))
 
     def test_idempotent_exactly(self):
         rng = np.random.default_rng(21)
@@ -67,7 +66,7 @@ class TestPointProjection:
         rng = np.random.default_rng(22)
         for s in all_variants():
             for x in rng.normal(scale=5.0, size=(100, 2)):
-                assert s.contains(project_point(s, x), tol=1e-12)
+                assert s.contains(s.project_points(x[None, :])[0], tol=1e-12)
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(23)
@@ -141,7 +140,7 @@ class TestValidation:
     def test_halfspace_short_normal_projects_far_and_finite(self):
         # a.a = 2.56e-308 is a normal float, but 8 / (a.a) overflows; the
         # nearest point of {1.6e-154 x <= -8} to 0 is -8 / 1.6e-154 = -5e154.
-        got = project_point(Halfspace([1.6e-154], -8.0), np.array([0.0]))
+        got = Halfspace([1.6e-154], -8.0).project_points(np.array([[0.0]]))[0]
         assert got[0] == pytest.approx(-5e154, rel=1e-15)
 
     def test_ball_negative_radius(self):
@@ -153,7 +152,7 @@ class TestValidation:
             NonnegativeOrthant(0)
 
     def test_zero_radius_ball_projects_to_center(self):
-        got = project_point(Ball([1.0, 2.0], 0.0), np.array([5.0, 5.0]))
+        got = Ball([1.0, 2.0], 0.0).project_points(np.array([[5.0, 5.0]]))[0]
         assert np.array_equal(got, [1.0, 2.0])
 
 

@@ -22,24 +22,24 @@ def cloud(rows):
 class TestW2Exact:
     def test_self_distance_zero(self):
         m = cloud([[0.0, 1.0], [2.0, 3.0], [4.0, -1.0]])
-        dist, plan = w2_exact(m, m)
+        dist, perm = w2_exact(m, m)
         assert dist == 0.0
-        assert plan.cost == 0.0
+        assert perm.tolist() == [0, 1, 2]
 
     def test_two_diracs(self):
         x = np.array([[1.0, 2.0]])
         y = np.array([[4.0, 6.0]])
-        dist, plan = w2_exact(cloud(x), cloud(y))
+        dist, perm = w2_exact(cloud(x), cloud(y))
         assert dist == pytest.approx(5.0, rel=1e-14)
-        assert plan.permutation.tolist() == [0]
+        assert perm.tolist() == [0]
 
     def test_monotone_matching_1d(self):
         m = cloud([[0.0], [1.0]])
         n = cloud([[2.0], [3.0]])
-        dist, plan = w2_exact(m, n)
+        dist, perm = w2_exact(m, n)
         assert dist == pytest.approx(2.0, rel=1e-14)
-        assert plan.permutation.tolist() == [0, 1]
-        assert plan.cost == pytest.approx(4.0, rel=1e-14)
+        assert perm.tolist() == [0, 1]
+        assert dist**2 == pytest.approx(4.0, rel=1e-14)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
@@ -48,11 +48,11 @@ class TestW2Exact:
             d = int(rng.integers(1, 4))
             xs = rng.normal(size=(n, d))
             ys = rng.normal(size=(n, d))
-            dist, plan = w2_exact(cloud(xs), cloud(ys))
+            dist, perm = w2_exact(cloud(xs), cloud(ys))
             assert dist == pytest.approx(w2_brute_force(xs, ys), abs=1e-10)
-            assert sorted(plan.permutation.tolist()) == list(range(n))
-            matched = float(np.mean(np.sum((xs - ys[plan.permutation]) ** 2, axis=1)))
-            assert plan.cost == pytest.approx(matched, rel=1e-12)
+            assert sorted(perm.tolist()) == list(range(n))
+            matched = float(np.mean(np.sum((xs - ys[perm]) ** 2, axis=1)))
+            assert dist**2 == pytest.approx(matched, rel=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
