@@ -405,9 +405,10 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     sub_r = measures.ParticleMeasure(ref.points[idx_r])
 
     w2, _ = transport.w2_exact(sub_m, sub_r)
-    gelbrich = transport.gelbrich_lower_bound(m, ref)
-    mean_gap = float(np.linalg.norm(measures.mean(m) - measures.mean(ref)))
+    mean_diff = measures.mean(m) - measures.mean(ref)
+    mean_gap = float(np.linalg.norm(mean_diff))
     bures_gap = transport.bures_distance(measures.covariance(m), measures.covariance(ref))
+    gelbrich = transport.moment_bound(mean_diff, bures_gap)
     lipschitz_gap = flow.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)), 1.0)
 
     metrics = [(f.name, float(getattr(report, f.name))) for f in dataclasses.fields(report)]

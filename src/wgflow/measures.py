@@ -109,17 +109,6 @@ def nearest_rank_index(n: int, p: float) -> int:
     return min(max(k, 1), n) - 1
 
 
-def nearest_rank_quantile(values, p: float) -> float:
-    """Empirical ``p``-quantile by the nearest-rank rule of
-    :func:`nearest_rank_index`.  No interpolation is performed."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.shape[0] == 0:
-        raise ValueError("quantile of an empty collection")
-    return float(v[nearest_rank_index(v.shape[0], p)])
-
-
 def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:
     """Draw ``n`` i.i.d. uniform particles in the closed box ``[lo, hi]``.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import files
 from .errors import DataError, NumericalError
-from .measures import ParticleMeasure, nearest_rank_index, nearest_rank_quantile, substream
+from .measures import ParticleMeasure, nearest_rank_index, substream
 
 _TRAJ_STREAM = 31
 
@@ -195,8 +195,8 @@ class DegradationModel:
     """Ground truth of the slow parameter drift.
 
     ``(a0, b0)`` are the coefficients right after maintenance, ``lam`` the
-    nonnegative decay rates, ``zeta_min`` the safe damping-ratio floor and
-    ``T`` the spacing (days) between measurements.  The fresh system must
+    nonnegative decay rates, ``zeta_min >= 0`` the safe damping-ratio floor
+    and ``T`` the spacing (days) between measurements.  The fresh system must
     start safe: ``a0 / (2 sqrt(b0)) >= zeta_min``.
     """
 
@@ -216,8 +216,8 @@ class DegradationModel:
             raise ValueError("b0 must be positive")
         if not self.T > 0:
             raise ValueError("T must be positive")
-        if not np.isfinite(self.a0) or not np.isfinite(self.zeta_min):
-            raise ValueError("a0 and zeta_min must be finite")
+        if not np.isfinite(self.a0) or not 0 <= self.zeta_min < math.inf:
+            raise ValueError("a0 must be finite and zeta_min finite and nonnegative")
         if self.a0 / (2.0 * math.sqrt(self.b0)) < self.zeta_min:
             raise ValueError("the freshly maintained system must start in the safe set")
         lam.setflags(write=False)
@@ -269,36 +269,37 @@ def _zeta_at(a0: float, b0: float, lam1, lam2, t):
     return a / (2.0 * np.sqrt(b))
 
 
-def _bisect(safe, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # Halve [lo, hi] down to tol, keeping safe(lo) true and safe(hi) false.
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if safe(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def _first_exits(d: DegradationModel, lam1, lam2) -> np.ndarray:
+    # First time t >= 0 at which each rate pair's ratio falls below zeta_min
+    # (-inf: from the start; inf: never).  Above the stiffness floor it is the
+    # smaller root of lam1^2 t^2 - B t + C, in stable form; on the floor, `edge`,
+    # where a(t) falls below 2 zeta_min sqrt(_B_FLOOR).  `edge` is never before
+    # the root, and is the root at zeta_min = 0, where disc may round below 0.
+    c = 4.0 * d.zeta_min**2
+    B = 2.0 * d.a0 * lam1 + c * lam2
+    C = d.a0 * d.a0 - c * d.b0
+    disc = B * B - 4.0 * lam1 * lam1 * C
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.where((B > 0) & (disc >= 0), 2.0 * C / (B + np.sqrt(disc)), np.inf)
+        edge = np.where(lam1 > 0, (d.a0 - 2.0 * d.zeta_min * math.sqrt(_B_FLOOR)) / lam1, np.inf)
+    t = np.maximum(np.minimum(root, edge), 0.0)
+    return np.where(_zeta_at(d.a0, d.b0, lam1, lam2, 0.0) < d.zeta_min, -np.inf, t)
 
 
-def true_maintenance_time(d: DegradationModel, tol: float = 1e-6) -> CrossingTime:
-    """Last time the true coefficients stay safe, by bisection.
+def _crossing(days: float) -> CrossingTime:
+    # One first exit time of _first_exits as an answer.
+    status = "immediate" if days < 0 else "crossed" if days < math.inf else "never"
+    return CrossingTime(max(days, 0.0), status)
 
-    With nonnegative decay rates the damping ratio is nonincreasing, so the
-    safe set is left exactly once.  Returns ``inf`` with status ``"never"``
-    when both rates vanish.
+
+def true_maintenance_time(d: DegradationModel) -> CrossingTime:
+    """Last time the true coefficients stay safe, in closed form.
+
+    With nonnegative decay rates the damping ratio falls and leaves the safe
+    set once, at a root of a quadratic in ``t``: ``inf`` (``"never"``) when
+    both rates vanish.
     """
-    def safe(t):
-        return float(_zeta_at(d.a0, d.b0, *d.lam, t)) >= d.zeta_min
-
-    if not safe(0.0):
-        return CrossingTime(0.0, "immediate")
-    hi = max(d.T, 1.0)
-    while safe(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            return CrossingTime(float("inf"), "never")
-    lo, hi = _bisect(safe, 0.0, hi, tol)
-    return CrossingTime(0.5 * (lo + hi), "crossed")
+    return _crossing(float(_first_exits(d, *d.lam)))
 
 
 def process_matrix(T: float) -> np.ndarray:
@@ -385,7 +386,6 @@ def suggested_maintenance_time(
     d: DegradationModel,
     rule: str = "percentile",
     level: float = 0.1,
-    tol: float = 1e-3,
 ) -> CrossingTime:
     """Largest time at which the belief still calls the system safe.
 
@@ -399,8 +399,13 @@ def suggested_maintenance_time(
     ``"chance"``
         At least a ``1 - level`` fraction of particles stays above the floor.
 
-    Each criterion is nonincreasing in time for nonnegative decay rates, so
-    the answer is found by bisection to ``tol`` days.
+    Each particle leaves the safe set at a closed-form first exit time; the
+    answer is the order statistic of those times at the nearest-rank
+    ``level`` position (``"percentile"``) or at the most exits the fraction
+    test allows (``"chance"``).  With nonnegative rates no particle returns,
+    so this is the last time the criterion holds.  A particle with a
+    negative rate may return, but its first exit still counts, so the time
+    is never later than the criterion's first failure.
     """
     if m.d != 2:
         raise ValueError("belief particles must be 2-d decay rates")
@@ -408,26 +413,12 @@ def suggested_maintenance_time(
         raise ValueError(f"unknown rule '{rule}'")
     if rule != "mean" and not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    mean_rates = m.points.mean(axis=0)
-
-    def safe(t: float) -> bool:
-        if rule == "mean":
-            z = float(_zeta_at(d.a0, d.b0, *mean_rates, t))
-            return z >= d.zeta_min
-        z = _zeta_at(d.a0, d.b0, *m.points.T, t)
-        if rule == "percentile":
-            return nearest_rank_quantile(z, level) >= d.zeta_min
-        return float(np.mean(z >= d.zeta_min)) >= 1.0 - level
-
-    if not safe(0.0):
-        return CrossingTime(0.0, "immediate")
-    hi = max(d.T, 1.0)
-    while safe(hi):
-        hi *= 2.0
-        if hi > 1e9:
-            return CrossingTime(float("inf"), "never")
-    lo, _ = _bisect(safe, 0.0, hi, tol)
-    return CrossingTime(lo, "crossed")
+    if rule == "mean":
+        return _crossing(float(_first_exits(d, *m.points.mean(axis=0))))
+    # For "chance": the most exits j after which (n - j) / n >= 1 - level.
+    k = (nearest_rank_index(m.n, level) if rule == "percentile"
+         else np.flatnonzero((m.n - np.arange(m.n)) / m.n >= 1.0 - level)[-1])
+    return _crossing(float(np.sort(_first_exits(d, *m.points.T))[k]))
 
 
 def ls_baseline(
@@ -456,18 +447,21 @@ def ls_baseline(
     return lam_hat, _last_safe_time(lambda t: _zeta_at(a0, b0, *lam_hat, t), zeta_min)
 
 
-def _last_safe_time(zeta, zeta_min: float, cap: float = _SCAN_CAP, tol: float = 1e-6) -> CrossingTime:
+def _last_safe_time(zeta, zeta_min: float) -> CrossingTime:
     # Robust "last time above the floor" for possibly non-monotone paths:
     # coarse grid scan (one call of zeta on the whole grid) for the final
-    # safe point, then bisection.
+    # safe point, then bisection of the step after it to 1e-6 days.
     if zeta(0.0) < zeta_min:
         return CrossingTime(0.0, "immediate")
-    grid = np.arange(0.0, cap + 0.25, 0.25)
+    grid = np.arange(0.0, _SCAN_CAP + 0.25, 0.25)
     safe = zeta(grid) >= zeta_min
     if safe[-1]:
         return CrossingTime(float("inf"), "never")
     last = int(np.flatnonzero(safe)[-1])
-    lo, hi = _bisect(lambda t: zeta(t) >= zeta_min, float(grid[last]), float(grid[last + 1]), tol)
+    lo, hi = float(grid[last]), float(grid[last + 1])
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if zeta(mid) >= zeta_min else (lo, mid)
     return CrossingTime(0.5 * (lo + hi), "crossed")
 
 

@@ -144,6 +144,9 @@ def gelbrich_lower_bound(m: ParticleMeasure, n: ParticleMeasure) -> float:
     """
     if m.d != n.d:
         raise ValueError(f"dimension mismatch: {m.d} vs {n.d}")
-    dm = mean(m) - mean(n)
-    b = bures_distance(covariance(m), covariance(n))
-    return math.sqrt(float(dm @ dm) + b * b)
+    return moment_bound(mean(m) - mean(n), bures_distance(covariance(m), covariance(n)))
+
+
+def moment_bound(mean_diff: np.ndarray, bures_gap: float) -> float:
+    """The Gelbrich bound from the mean difference and the covariances' Bures gap."""
+    return math.sqrt(float(mean_diff @ mean_diff) + bures_gap * bures_gap)

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths: the brute-force
 transport cost enumerates every permutation, the matrix square root
 comes from scipy rather than the package's eigendecomposition, the
-plant is stepped one Euler transition at a time, and the LS baseline's
+plant is stepped one Euler transition at a time, the LS baseline's
 damping ratio and the belief's damping band are evaluated one time point
-at a time.
+at a time, and maintenance times are found by bisection instead of in
+closed form.
 """
 
 import itertools
@@ -125,3 +126,76 @@ def damping_band_rows(points, a0, b0, t_grid, p_lo, p_hi):
         lo, hi = (ranked[max(math.ceil(p * n - 1e-9), 1) - 1] for p in (p_lo, p_hi))
         rows.append((t, lo, z.mean(), hi))
     return np.array(rows)
+
+
+def _zeta(d, lam1, lam2, t):
+    # Damping ratio along the drift of model d, stiffness floored at _B_FLOOR.
+    return (d.a0 - lam1 * t) / (2.0 * np.sqrt(np.maximum(d.b0 + lam2 * t, _B_FLOOR)))
+
+
+def _bisect(safe, lo, hi, tol):
+    # Halve [lo, hi] down to tol, keeping safe(lo) true and safe(hi) false.
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if safe(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def true_maintenance_time_bisect(d, tol=1e-6):
+    """``pdm.true_maintenance_time`` by doubling and bisection.
+
+    Returns the midpoint of the final bracket, which is within ``tol / 2``
+    of the crossing; ``inf`` (``"never"``) once the doubling passes 1e12.
+    """
+    def safe(t):
+        return float(_zeta(d, *d.lam, t)) >= d.zeta_min
+
+    if not safe(0.0):
+        return CrossingTime(0.0, "immediate")
+    hi = max(d.T, 1.0)
+    while safe(hi):
+        hi *= 2.0
+        if hi > 1e12:
+            return CrossingTime(float("inf"), "never")
+    lo, hi = _bisect(safe, 0.0, hi, tol)
+    return CrossingTime(0.5 * (lo + hi), "crossed")
+
+
+def rule_holds(m, d, rule, level, t):
+    """Whether a maintenance rule calls the belief safe at time ``t``.
+
+    ``t`` is a scalar, or a column of shape ``(k, 1)`` for ``k`` answers.
+    The ``"percentile"`` rule reads the damping ratios at 1-based rank
+    ``ceil(level * N)`` (at least 1) of one sorted copy.
+    """
+    rates = m.points.mean(axis=0, keepdims=True) if rule == "mean" else m.points
+    z = _zeta(d, *rates.T, t)
+    if rule == "chance":
+        return np.mean(z >= d.zeta_min, axis=-1) >= 1.0 - level
+    rank = 1 if rule == "mean" else max(math.ceil(level * m.n - 1e-9), 1)
+    return np.sort(z, axis=-1)[..., rank - 1] >= d.zeta_min
+
+
+def suggested_maintenance_time_bisect(m, d, rule="percentile", level=0.1, tol=1e-3):
+    """``pdm.suggested_maintenance_time`` by doubling and bisection.
+
+    Bisects the rule's criterion (:func:`rule_holds`) and returns the safe
+    end ``lo`` of the final bracket, so the crossing of a criterion that
+    fails once lies in ``[lo, lo + tol]``; ``inf`` (``"never"``) once the
+    doubling passes 1e9.
+    """
+    def safe(t):
+        return bool(rule_holds(m, d, rule, level, t))
+
+    if not safe(0.0):
+        return CrossingTime(0.0, "immediate")
+    hi = max(d.T, 1.0)
+    while safe(hi):
+        hi *= 2.0
+        if hi > 1e9:
+            return CrossingTime(float("inf"), "never")
+    lo, _ = _bisect(safe, 0.0, hi, tol)
+    return CrossingTime(lo, "crossed")

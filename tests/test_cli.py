@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wgflow
-from wgflow import cli, measures, pdm
+from wgflow import cli, measures, pdm, transport
 from wgflow.errors import EngineError
 from wgflow.pdm import DegradationModel, Observation, degrade, write_observations_csv
 
@@ -366,6 +366,29 @@ class TestDiagnose:
         assert metrics["ball_radius"] == pytest.approx(math.sqrt(0.005) * math.sqrt(0.04), rel=1e-12)
         assert metrics["gelbrich_lower_bound"] <= metrics["w2_subsampled"] + 1e-8
 
+    def test_each_moment_gap_computed_once(self, tmp_path, monkeypatch):
+        # The Gelbrich bound is built from the reported mean and Bures gaps,
+        # so each cloud's covariance and their Bures distance are computed once.
+        calls = {"covariance": 0, "bures_distance": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module, name in ((measures, "covariance"), (transport, "covariance"),
+                             (transport, "bures_distance")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        measures.write_particles_csv(
+            measures.init_uniform_box([0, 0], [0.2, 0.3], 32, seed=2), tmp_path / "particles.csv"
+        )
+        measures.write_particles_csv(
+            measures.init_uniform_box([0, 0], [0.1, 0.4], 32, seed=3), tmp_path / "reference.csv"
+        )
+        assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 0
+        assert calls == {"covariance": 2, "bures_distance": 1}
+
     def test_dimension_mismatch_exits_3(self, tmp_path):
         measures.write_particles_csv(
             measures.ParticleMeasure(np.zeros((4, 2))), tmp_path / "particles.csv"
@@ -405,6 +428,7 @@ _INPUTS = {
         ("predict", ("--day", "nan")),
         ("predict", ("--day", "inf")),
         ("predict", ("--day", "-3")),
+        ("predict", ("--zeta_min", "-0.1")),
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):

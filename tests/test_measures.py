@@ -10,7 +10,7 @@ from wgflow.measures import (
     covariance,
     init_uniform_box,
     mean,
-    nearest_rank_quantile,
+    nearest_rank_index,
 )
 
 
@@ -72,20 +72,16 @@ class TestMoments:
             assert w.min() >= -1e-12
 
     def test_nearest_rank_examples(self):
-        values = np.arange(1.0, 11.0)
-        assert nearest_rank_quantile(values, 0.9) == 9.0
-        assert nearest_rank_quantile(values, 0.1) == 1.0
-        assert nearest_rank_quantile(values, 0.0) == 1.0
-        assert nearest_rank_quantile(values, 1.0) == 10.0
+        # Positions in 10 sorted values: ranks ceil(p n), at least 1.
+        assert nearest_rank_index(10, 0.9) == 8
+        assert nearest_rank_index(10, 0.1) == 0
+        assert nearest_rank_index(10, 0.0) == 0
+        assert nearest_rank_index(10, 1.0) == 9
 
     def test_nearest_rank_monotone_in_p(self):
-        values = np.random.default_rng(9).normal(size=23)
-        quantiles = [nearest_rank_quantile(values, p) for p in np.linspace(0, 1, 21)]
-        assert all(a <= b for a, b in zip(quantiles, quantiles[1:]))
-
-    def test_nearest_rank_rejects_bad_p(self):
-        with pytest.raises(ValueError, match="p must lie"):
-            nearest_rank_quantile([0.0], 1.5)
+        positions = [nearest_rank_index(23, p) for p in np.linspace(0, 1, 21)]
+        assert all(a <= b for a, b in zip(positions, positions[1:]))
+        assert positions[0] == 0 and positions[-1] == 22
 
 
 class TestInitUniformBox:

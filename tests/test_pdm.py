@@ -2,7 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import damping_band_rows, ls_baseline_scalar, simulate_loop
+import test_acceptance
+from _oracles import (
+    damping_band_rows,
+    ls_baseline_scalar,
+    rule_holds,
+    simulate_loop,
+    suggested_maintenance_time_bisect,
+    true_maintenance_time_bisect,
+)
 from scipy.optimize import brentq
 
 from wgflow import pdm
@@ -30,10 +38,24 @@ from wgflow.pdm import (
 
 LAM = np.array([2.0 / 60.0, 5.0 / 60.0])
 EPS = np.finfo(float).eps
+RULES = ("percentile", "mean", "chance")
+
+# Rounding allowance (days per day of the answer) between a closed-form
+# maintenance time and a bisection bracket of the same crossing.
+ROUNDING = 1e-9
 
 
 def case_study_model(zeta_min=0.4):
     return DegradationModel(2.5, 1.0, LAM, zeta_min, 5.0)
+
+
+def random_model(rng, lam=LAM, zeta_min=None):
+    # A fresh system that starts safe; zeta_min defaults to a random
+    # fraction of the starting ratio.
+    a0, b0 = float(rng.uniform(1.0, 3.0)), float(rng.uniform(0.5, 2.0))
+    if zeta_min is None:
+        zeta_min = a0 / (2.0 * math.sqrt(b0)) * float(rng.uniform(0.2, 0.95))
+    return DegradationModel(a0, b0, lam, zeta_min, 5.0)
 
 
 class TestPlantParams:
@@ -221,6 +243,33 @@ class TestTrueMaintenanceTime:
         got = true_maintenance_time(model)
         assert math.isinf(got.days) and got.status == "never"
 
+    def test_matches_bisection_on_random_models(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            model = random_model(rng, lam=rng.uniform(0.0, 0.2, size=2) * (rng.random(2) < 0.9))
+            got = true_maintenance_time(model)
+            want = true_maintenance_time_bisect(model)
+            assert got.status == want.status
+            if got.status == "crossed":
+                # The bisection's midpoint is within tol / 2 = 5e-7 days.
+                assert abs(got.days - want.days) <= 5e-7 + ROUNDING * got.days
+
+    def test_zero_floor_is_where_damping_vanishes(self):
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            model = random_model(rng, lam=rng.uniform(1e-3, 0.2, size=2), zeta_min=0.0)
+            got = true_maintenance_time(model)
+            vanish = model.a0 / model.lam[0]
+            assert got.status == "crossed"
+            assert vanish * (1.0 - 1e-7) <= got.days <= vanish
+
+    def test_constant_damping_gives_the_linear_root(self):
+        model = DegradationModel(2.5, 1.0, np.array([0.0, LAM[1]]), 0.4, 5.0)
+        got = true_maintenance_time(model)
+        want = (2.5**2 / (4.0 * 0.4**2) - 1.0) / LAM[1]
+        assert got.status == "crossed"
+        assert got.days == pytest.approx(want, rel=1e-13)
+
     def test_ratio_strictly_decreasing_on_grid(self):
         model = case_study_model()
         t_star = true_maintenance_time(model).days
@@ -237,6 +286,11 @@ class TestDegradationModelValidation:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DegradationModel(2.5, 1.0, np.array([-0.1, 0.1]), 0.4, 5.0)
+
+    def test_negative_floor_rejected(self):
+        with pytest.raises(ValueError, match="zeta_min finite and nonnegative"):
+            DegradationModel(2.5, 1.0, LAM, -0.1, 5.0)
+        DegradationModel(2.5, 1.0, LAM, 0.0, 5.0)
 
 
 class TestDifferenceStream:
@@ -397,6 +451,106 @@ class TestSuggestedMaintenanceTime:
         m = ParticleMeasure(LAM[None, :])
         with pytest.raises(ValueError, match="rule"):
             suggested_maintenance_time(m, case_study_model(), "median")
+
+    def test_boundary_threshold_is_crossed_at_zero(self):
+        model = DegradationModel(2.5, 1.0, LAM, 1.25, 5.0)
+        m = ParticleMeasure(np.tile(LAM, (3, 1)))
+        for rule in RULES:
+            assert suggested_maintenance_time(m, model, rule, 0.5) == (0.0, "crossed")
+        assert true_maintenance_time(model) == (0.0, "crossed")
+
+    def test_zero_rates_never_cross_for_every_rule(self):
+        m = ParticleMeasure(np.zeros((4, 2)))
+        for rule in RULES:
+            got = suggested_maintenance_time(m, case_study_model(), rule, 0.5)
+            assert got == (math.inf, "never")
+
+    def test_zero_floor_and_constant_damping_for_every_rule(self):
+        # At zeta_min = 0 a particle exits where a(t) reaches 0; without
+        # damping decay (lambda1 = 0) the squared crossing is linear in t.
+        m = ParticleMeasure(LAM[None, :])
+        for rule in RULES:
+            got = suggested_maintenance_time(m, case_study_model(0.0), rule, 0.5)
+            assert got.status == "crossed"
+            assert got.days == pytest.approx(2.5 / LAM[0], rel=1e-7)
+        flat = ParticleMeasure(np.array([[0.0, LAM[1]]]))
+        want = (2.5**2 / (4.0 * 0.4**2) - 1.0) / LAM[1]
+        for rule in RULES:
+            got = suggested_maintenance_time(flat, case_study_model(), rule, 0.5)
+            assert got.days == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 33, 1000])
+    def test_matches_bisection_on_random_beliefs(self, n):
+        # Nonnegative rates, some exactly 0: each criterion fails once, so
+        # the closed form lies in the bisection's final bracket [lo, lo + tol].
+        rng = np.random.default_rng(n)
+        for _ in range(6):
+            model = random_model(rng)
+            points = rng.uniform(0.0, 8.0 / 60.0, size=(n, 2)) * (rng.random((n, 2)) < 0.9)
+            m = ParticleMeasure(points)
+            for rule in RULES:
+                level = float(rng.uniform(0.01, 0.99))
+                got = suggested_maintenance_time(m, model, rule, level)
+                want = suggested_maintenance_time_bisect(m, model, rule, level, tol=1e-3)
+                assert got.status == want.status, (rule, level)
+                if got.status == "crossed":
+                    slack = ROUNDING * max(1.0, got.days)
+                    assert want.days - slack <= got.days <= want.days + 1e-3 + slack, (rule, level)
+
+    def test_signed_beliefs_never_later_than_the_first_failure(self):
+        # Negative rates make a particle's ratio non-monotone, and lambda2 < 0
+        # drives its stiffness onto the floor.  The order statistic of first
+        # exits is then no later than the first grid time the criterion fails.
+        rng = np.random.default_rng(13)
+        grid = np.arange(0.0, 40.0, 1e-3)[:, None]
+        failures = floored = 0
+        for n in (1, 2, 5, 33):
+            for _ in range(6):
+                model = random_model(rng)
+                points = np.column_stack(
+                    [rng.uniform(-0.1, 0.15, n), rng.uniform(-0.3, 0.2, n)]
+                )
+                floored += int(np.sum(model.b0 + points[:, 1] * grid[-1, 0] < pdm._B_FLOOR))
+                m = ParticleMeasure(points)
+                for rule in RULES:
+                    level = float(rng.uniform(0.01, 0.99))
+                    got = suggested_maintenance_time(m, model, rule, level)
+                    fails = np.flatnonzero(~rule_holds(m, model, rule, level, grid))
+                    if fails.size:
+                        failures += 1
+                        first = float(grid[fails[0], 0])
+                        assert got.days <= first + ROUNDING * max(1.0, first), (n, rule, level)
+        # The draws exercise the floor and a failure inside the grid (27 of 72).
+        assert floored > 0 and failures >= 20
+
+
+class TestBeliefAgainstLeastSquares:
+    def test_percentile_rule_is_safer_than_least_squares(self, monkeypatch):
+        # Criterion 8's pipeline (20 seeds, days 10-45, 160 pairs).  A time
+        # is safe when it is at most t* + 1e-3 days.  The LS baseline fits
+        # the observations the belief has seen; the pipeline differences
+        # them once per seed, which is where they are recorded.
+        model = DegradationModel(2.5, 1.0, test_acceptance.THETA, 0.4, 5.0)
+        t_star = true_maintenance_time(model).days
+        seen = []
+        monkeypatch.setattr(
+            test_acceptance, "difference_stream", lambda obs: seen.append(obs) or difference_stream(obs)
+        )
+        ours, ls = [], []
+        for seed in range(20):
+            beliefs = test_acceptance._pipeline_one_seed(seed, model)
+            obs = seen.pop()
+            for k, (day, belief) in enumerate(beliefs):
+                if day < 2 * model.T:
+                    continue
+                ours.append(suggested_maintenance_time(belief, model, "percentile", 0.1).days)
+                ls.append(ls_baseline(obs[:k + 2], model.a0, model.b0, model.zeta_min)[1].days)
+        ours = np.array(ours) - t_star
+        ls = np.array(ls) - t_star
+        assert ours.size == ls.size == 160
+        assert np.mean(ours <= 1e-3) >= 0.90
+        assert np.mean(ls <= 1e-3) <= 0.60
+        assert ls.max() > 1.0
 
 
 class TestLsBaseline:
