@@ -472,9 +472,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args.out, args.force)
     # Library code raises ValueError only for arguments out of contract,
     # and every argument here comes from the configuration; so does every
-    # path, such as an output directory that cannot be made or written.
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    # path, such as an output directory that cannot be made or written, and
+    # every size, such as a particle count too large to allocate.
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        print(f"config error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -153,7 +153,7 @@ def stochastic_gradient(obj: StreamingLSObjective, theta, y_hat, mu_mean) -> np.
 def perturbed_gradient(base, noise_std: float, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. Gaussian noise to a gradient evaluation.
 
-    Zero-mean noise keeps the estimate unbiased while inflating its second
+    Zero-mean noise keeps the estimate unbiased but inflates its second
     moment.  ``noise_std = 0`` returns the input values unchanged.
     """
     b = np.asarray(base, dtype=float)

@@ -39,9 +39,6 @@ _B_FLOOR = 1e-12
 #: arrays hold about 80 bytes per transition.
 _MAX_TRANSITIONS = 10**7
 
-#: Largest time (days) scanned when a decay fit need not be monotone.
-_SCAN_CAP = 2000.0
-
 
 class CrossingTime(NamedTuple):
     """A maintenance-time answer: days plus how the threshold was (not) met.
@@ -197,7 +194,8 @@ class DegradationModel:
     ``(a0, b0)`` are the coefficients right after maintenance, ``lam`` the
     nonnegative decay rates, ``zeta_min >= 0`` the safe damping-ratio floor
     and ``T`` the spacing (days) between measurements.  The fresh system must
-    start safe: ``a0 / (2 sqrt(b0)) >= zeta_min``.
+    start safe: ``a0 / (2 sqrt(b0)) >= zeta_min``.  ``a0**2`` must be finite,
+    as the maintenance times solve a quadratic in it.
     """
 
     a0: float
@@ -216,8 +214,8 @@ class DegradationModel:
             raise ValueError("b0 must be positive")
         if not self.T > 0:
             raise ValueError("T must be positive")
-        if not np.isfinite(self.a0) or not 0 <= self.zeta_min < math.inf:
-            raise ValueError("a0 must be finite and zeta_min finite and nonnegative")
+        if not abs(self.a0) <= math.sqrt(np.finfo(float).max) or not 0 <= self.zeta_min < math.inf:
+            raise ValueError("a0 and a0**2 must be finite and zeta_min finite and nonnegative")
         if self.a0 / (2.0 * math.sqrt(self.b0)) < self.zeta_min:
             raise ValueError("the freshly maintained system must start in the safe set")
         lam.setflags(write=False)
@@ -269,21 +267,23 @@ def _zeta_at(a0: float, b0: float, lam1, lam2, t):
     return a / (2.0 * np.sqrt(b))
 
 
-def _first_exits(d: DegradationModel, lam1, lam2) -> np.ndarray:
+def _first_exits(a0: float, b0: float, zeta_min: float, lam1, lam2) -> np.ndarray:
     # First time t >= 0 at which each rate pair's ratio falls below zeta_min
     # (-inf: from the start; inf: never).  Above the stiffness floor it is the
     # smaller root of lam1^2 t^2 - B t + C, in stable form; on the floor, `edge`,
     # where a(t) falls below 2 zeta_min sqrt(_B_FLOOR).  `edge` is never before
     # the root, and is the root at zeta_min = 0, where disc may round below 0.
-    c = 4.0 * d.zeta_min**2
-    B = 2.0 * d.a0 * lam1 + c * lam2
-    C = d.a0 * d.a0 - c * d.b0
-    disc = B * B - 4.0 * lam1 * lam1 * C
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Signed rates may make the ratio return above the floor; this is still
+    # its first exit.  Every overflow maps to inf or to `edge` in a `where`.
+    with np.errstate(all="ignore"):
+        c = 4.0 * zeta_min**2
+        B = 2.0 * a0 * lam1 + c * lam2
+        C = a0 * a0 - c * b0
+        disc = B * B - 4.0 * lam1 * lam1 * C
         root = np.where((B > 0) & (disc >= 0), 2.0 * C / (B + np.sqrt(disc)), np.inf)
-        edge = np.where(lam1 > 0, (d.a0 - 2.0 * d.zeta_min * math.sqrt(_B_FLOOR)) / lam1, np.inf)
-    t = np.maximum(np.minimum(root, edge), 0.0)
-    return np.where(_zeta_at(d.a0, d.b0, lam1, lam2, 0.0) < d.zeta_min, -np.inf, t)
+        edge = np.where(lam1 > 0, (a0 - 2.0 * zeta_min * math.sqrt(_B_FLOOR)) / lam1, np.inf)
+        t = np.maximum(np.minimum(root, edge), 0.0)
+        return np.where(_zeta_at(a0, b0, lam1, lam2, 0.0) < zeta_min, -np.inf, t)
 
 
 def _crossing(days: float) -> CrossingTime:
@@ -299,7 +299,7 @@ def true_maintenance_time(d: DegradationModel) -> CrossingTime:
     set once, at a root of a quadratic in ``t``: ``inf`` (``"never"``) when
     both rates vanish.
     """
-    return _crossing(float(_first_exits(d, *d.lam)))
+    return _crossing(float(_first_exits(d.a0, d.b0, d.zeta_min, *d.lam)))
 
 
 def process_matrix(T: float) -> np.ndarray:
@@ -414,11 +414,11 @@ def suggested_maintenance_time(
     if rule != "mean" and not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     if rule == "mean":
-        return _crossing(float(_first_exits(d, *m.points.mean(axis=0))))
+        return _crossing(float(_first_exits(d.a0, d.b0, d.zeta_min, *m.points.mean(axis=0))))
     # For "chance": the most exits j after which (n - j) / n >= 1 - level.
     k = (nearest_rank_index(m.n, level) if rule == "percentile"
          else np.flatnonzero((m.n - np.arange(m.n)) / m.n >= 1.0 - level)[-1])
-    return _crossing(float(np.sort(_first_exits(d, *m.points.T))[k]))
+    return _crossing(float(np.sort(_first_exits(d.a0, d.b0, d.zeta_min, *m.points.T))[k]))
 
 
 def ls_baseline(
@@ -429,9 +429,10 @@ def ls_baseline(
     Fits the decay rates by through-origin regression of the coefficient
     increments on time (``lambda1`` from ``a0 - a_hat``, ``lambda2`` from
     ``b_hat - b0``) and converts the *unclamped* fit into a maintenance
-    time.  Negative fitted rates are deliberately kept, so the predicted
-    ratio path need not be monotone; the crossing search scans a grid
-    before refining.
+    time: the fit's first predicted failure, the closed-form first exit
+    that the true and the suggested times use.  Negative fitted rates are
+    deliberately kept, so the predicted ratio path need not be monotone;
+    a path that dips below the floor and returns counts from its first dip.
     """
     if len(obs) < 1:
         raise ValueError("need at least one observation")
@@ -444,25 +445,7 @@ def ls_baseline(
     lam_hat = np.array(
         [float(np.sum(times * a_inc)) / denom, float(np.sum(times * b_inc)) / denom]
     )
-    return lam_hat, _last_safe_time(lambda t: _zeta_at(a0, b0, *lam_hat, t), zeta_min)
-
-
-def _last_safe_time(zeta, zeta_min: float) -> CrossingTime:
-    # Robust "last time above the floor" for possibly non-monotone paths:
-    # coarse grid scan (one call of zeta on the whole grid) for the final
-    # safe point, then bisection of the step after it to 1e-6 days.
-    if zeta(0.0) < zeta_min:
-        return CrossingTime(0.0, "immediate")
-    grid = np.arange(0.0, _SCAN_CAP + 0.25, 0.25)
-    safe = zeta(grid) >= zeta_min
-    if safe[-1]:
-        return CrossingTime(float("inf"), "never")
-    last = int(np.flatnonzero(safe)[-1])
-    lo, hi = float(grid[last]), float(grid[last + 1])
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if zeta(mid) >= zeta_min else (lo, mid)
-    return CrossingTime(0.5 * (lo + hi), "crossed")
+    return lam_hat, _crossing(float(_first_exits(a0, b0, zeta_min, *lam_hat)))
 
 
 # -- observation files -----------------------------------------------------

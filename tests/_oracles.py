@@ -3,10 +3,9 @@
 These deliberately avoid the library's own code paths: the brute-force
 transport cost enumerates every permutation, the matrix square root
 comes from scipy rather than the package's eigendecomposition, the
-plant is stepped one Euler transition at a time, the LS baseline's
-damping ratio and the belief's damping band are evaluated one time point
-at a time, and maintenance times are found by bisection instead of in
-closed form.
+plant is stepped one Euler transition at a time, the belief's damping
+band is evaluated one time point at a time, and maintenance times are
+found by grid scans and bisection instead of in closed form.
 """
 
 import itertools
@@ -16,7 +15,10 @@ import numpy as np
 import scipy.linalg
 
 from wgflow.measures import substream
-from wgflow.pdm import _B_FLOOR, _SCAN_CAP, _TRAJ_STREAM, CrossingTime
+from wgflow.pdm import _B_FLOOR, _TRAJ_STREAM, CrossingTime
+
+#: Largest time (days) the LS oracle scans for its last safe point.
+_SCAN_CAP = 2000.0
 
 
 def w2_brute_force(xs, ys):
@@ -71,11 +73,14 @@ def simulate_loop(p, x0, seed):
 
 
 def ls_baseline_scalar(obs, a0, b0, zeta_min, tol=1e-6):
-    """``pdm.ls_baseline`` with a scalar damping ratio called per grid point.
+    """``pdm.ls_baseline`` by a grid scan, one damping ratio per grid point.
 
     The through-origin fit, then the last safe time: scan the 0.25-day
     grid up to ``_SCAN_CAP`` for the final safe point and bisect the step
-    after it.  Returns ``(lam_hat, CrossingTime)``.
+    after it.  Where the fitted path crosses the floor once within the
+    scan, this is the first exit; a path that returns above the floor, or
+    crosses after ``_SCAN_CAP``, gives a later time or ``"never"``.
+    Returns ``(lam_hat, CrossingTime)``.
     """
     times = np.array([o.t for o in obs], dtype=float)
     denom = float(np.sum(times * times))

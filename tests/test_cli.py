@@ -429,6 +429,7 @@ _INPUTS = {
         ("predict", ("--day", "inf")),
         ("predict", ("--day", "-3")),
         ("predict", ("--zeta_min", "-0.1")),
+        ("predict", ("--a0", "1e200")),
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
@@ -481,6 +482,20 @@ def test_day_over_the_transition_cap_exits_2_before_simulating(tmp_path, capsys,
     assert run_cli("simulate", "--paper-preset", "--out", str(out), "--dt", "1e-12") == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "transitions" in lines[0], lines
+    assert not out.exists()
+
+
+def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(measures, "init_uniform_box", too_large)
+    write_noise_free_observations(tmp_path / "observations.csv", days=4)
+    out = tmp_path / "out"
+    args = ["flow", "--paper-preset", "--observations", str(tmp_path / "observations.csv")]
+    assert run_cli(*args, "--out", str(out), "--n_particles", "100000000000") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["config error: Unable to allocate 1.46 TiB for an array"]
     assert not out.exists()
 
 

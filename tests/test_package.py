@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 
@@ -90,3 +91,21 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     assert "__init__" in vars(measures.ParticleMeasure)
     for kind in _tracer_table("_SET_CLASSES"):
         assert "project_points" in vars(getattr(sets, kind)), kind
+
+
+def test_every_demo_runs_cleanly(tmp_path):
+    # Each demo runs from a copy, so its demo_out/ lands under tmp_path.
+    demos = os.path.join(os.path.dirname(SRC), "demos")
+    names = sorted(n for n in os.listdir(demos) if n.endswith(".py"))
+    assert len(names) == 3, names
+    for name in names:
+        shutil.copy(os.path.join(demos, name), tmp_path)
+        proc = subprocess.run(
+            [sys.executable, name],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", (name, proc.stderr)

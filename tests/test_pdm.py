@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import test_acceptance
 from _oracles import (
+    _SCAN_CAP,
     damping_band_rows,
     ls_baseline_scalar,
     rule_holds,
@@ -270,6 +271,16 @@ class TestTrueMaintenanceTime:
         assert got.status == "crossed"
         assert got.days == pytest.approx(want, rel=1e-13)
 
+    def test_overflowing_terms_give_the_root_or_never_without_warnings(self):
+        # lambda1^2 underflows and a0 / lambda1 overflows; the ratio still
+        # crosses where 0.64 (1 + 0.1 t) = a0^2, and never without lambda2.
+        # A RuntimeWarning fails the suite.
+        got = true_maintenance_time(DegradationModel(1e150, 1.0, [1e-200, 0.1], 0.4, 5.0))
+        assert got.status == "crossed"
+        assert got.days == pytest.approx((1e300 / 0.64 - 1.0) / 0.1, rel=1e-12)
+        got = true_maintenance_time(DegradationModel(1e150, 1.0, [1e-200, 0.0], 0.4, 5.0))
+        assert got == (math.inf, "never")
+
     def test_ratio_strictly_decreasing_on_grid(self):
         model = case_study_model()
         t_star = true_maintenance_time(model).days
@@ -291,6 +302,11 @@ class TestDegradationModelValidation:
         with pytest.raises(ValueError, match="zeta_min finite and nonnegative"):
             DegradationModel(2.5, 1.0, LAM, -0.1, 5.0)
         DegradationModel(2.5, 1.0, LAM, 0.0, 5.0)
+
+    def test_a0_with_an_overflowing_square_rejected(self):
+        with pytest.raises(ValueError, match=r"a0\*\*2 must be finite"):
+            DegradationModel(1e200, 1.0, LAM, 0.4, 5.0)
+        DegradationModel(1e154, 1.0, LAM, 0.4, 5.0)
 
 
 class TestDifferenceStream:
@@ -591,12 +607,15 @@ class TestLsBaseline:
         assert lam_hat[0] < 0
         assert t_star.status == "never" and math.isinf(t_star.days)
 
-    def test_matches_scalar_scan_on_random_fits(self):
-        # The grid scan evaluates the damping ratio on the whole grid in one
-        # call; it must give exactly what a per-point evaluation gives.
+    def test_first_exit_against_scalar_scan_on_random_fits(self):
+        # The oracle scans a 0.25-day grid up to 2000 days for the last safe
+        # point; the baseline takes the fit's first exit.  They agree where
+        # the path crosses once within the scan; elsewhere the first exit is
+        # earlier, and a fine grid checks that it is the first failure.
         rng = np.random.default_rng(2024)
+        scan = np.arange(0.0, _SCAN_CAP + 0.25, 0.25)
         statuses = set()
-        negative = non_monotone = 0
+        negative = non_monotone = single = 0
         for _ in range(120):
             a0 = float(rng.uniform(0.5, 4.0))
             b0 = float(rng.uniform(0.2, 3.0))
@@ -610,14 +629,54 @@ class TestLsBaseline:
             lam_hat, got = ls_baseline(obs, a0, b0, zeta_min)
             want_lam, want = ls_baseline_scalar(obs, a0, b0, zeta_min)
             assert lam_hat.tobytes() == want_lam.tobytes()
-            assert got == want and type(got.days) is type(want.days)
             statuses.add(got.status)
+
+            def fails(t):
+                return (a0 - lam_hat[0] * t) / (2 * np.sqrt(np.maximum(b0 + lam_hat[1] * t, pdm._B_FLOOR))) < zeta_min
+
+            assert (got.status == "immediate") == (want.status == "immediate")
+            assert got.days <= want.days + 1e-6
+            unsafe = np.flatnonzero(fails(scan))
+            if unsafe.size and unsafe[-1] - unsafe[0] == unsafe.size - 1 and unsafe[-1] == scan.size - 1:
+                single += 1
+                assert abs(got.days - want.days) <= 1e-6
+            if got.status == "never":
+                assert not np.any(fails(np.arange(0.0, 1e4, 1e-2)))
+            else:
+                slack = ROUNDING * max(1.0, got.days)
+                grid = np.arange(0.0, got.days + 2e-3, 1e-3)
+                failing = fails(grid)
+                assert not np.any(failing[grid < got.days - slack])
+                assert np.any(failing[(grid >= got.days) & (grid <= got.days + 1e-3 + slack)])
             negative += bool(np.any(lam_hat < 0))
             grid = np.linspace(0.0, 2000.0, 801)
             path = (a0 - lam_hat[0] * grid) / (2 * np.sqrt(np.maximum(b0 + lam_hat[1] * grid, 1e-12)))
             non_monotone += bool(np.any(np.diff(path) > 0) and np.any(np.diff(path) < 0))
         assert statuses == {"crossed", "never", "immediate"}
-        assert negative >= 10 and non_monotone >= 10, (negative, non_monotone)
+        assert negative >= 10 and non_monotone >= 10 and single >= 10, (negative, non_monotone, single)
+
+    def test_crossing_after_two_thousand_days_is_found(self):
+        # A slow damping decay crosses at 3400 days, as the true time of the
+        # same rates says; a scan capped at 2000 days called it "never".
+        model = DegradationModel(2.5, 1.0, np.array([5e-4, 0.0]), 0.4, 5.0)
+        obs = [Observation(t, degrade(model, t)) for t in (5.0, 10.0, 15.0)]
+        _, got = ls_baseline(obs, 2.5, 1.0, 0.4)
+        want = true_maintenance_time(model)
+        assert got.status == want.status == "crossed"
+        assert got.days == pytest.approx(want.days, rel=1e-12)
+        assert got.days == pytest.approx(3400.0, rel=1e-12)
+
+    def test_path_that_dips_and_returns_gives_its_first_failure(self):
+        # a = 2 - 0.015 t, b = 1 - 0.01 t: the ratio falls below 0.9 at the
+        # smaller root of 2.25e-4 t^2 - 0.0276 t + 0.76, returns above it as
+        # b -> 0, and leaves for good when a falls to 0 at 133.33 days.
+        obs = [Observation(t, np.array([2.0 - 0.015 * t, 1.0 - 0.01 * t])) for t in (5.0, 10.0)]
+        lam_hat, got = ls_baseline(obs, 2.0, 1.0, 0.9)
+        assert np.allclose(lam_hat, [0.015, -0.01], rtol=1e-12)
+        root = (0.0276 - math.sqrt(0.0276**2 - 4 * 2.25e-4 * 0.76)) / (2 * 2.25e-4)
+        assert got.status == "crossed"
+        assert got.days == pytest.approx(root, rel=1e-9)
+        assert got.days == pytest.approx(41.737, abs=1e-3)
 
     def test_all_observations_at_zero_rejected(self):
         obs = [Observation(0.0, np.array([2.5, 1.0]))]
