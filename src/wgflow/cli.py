@@ -198,7 +198,6 @@ def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
             except (ValueError, NumericalError) as exc:
                 raise type(exc)(f"day {j} (t = {t}): {exc}") from None
 
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "observations.csv")
     pdm.write_observations_csv(observations, path)
 
@@ -234,8 +233,8 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
         base = cfg.get_str("resume")
         if not os.path.isfile(base + ".particles.csv"):
             raise ConfigError(f"checkpoint not found: {base}.particles.csv")
-        expect = flow.checkpoint_fields(n_particles, obj.d, tau, constraint)
-        m0, start_iteration, seed = flow.read_checkpoint(base, expect)
+        expect = {"seed": str(seed), **flow.checkpoint_fields(n_particles, obj.d, tau, constraint)}
+        m0, start_iteration, _ = flow.read_checkpoint(base, expect)
         if start_iteration > len(diffs):
             raise DataError(
                 f"checkpoint iteration {start_iteration} exceeds available observations"
@@ -270,7 +269,6 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
             "rerun with --force to override"
         )
 
-    os.makedirs(out_dir, exist_ok=True)
     final, trace = flow.run(m0, obj, diffs[start_iteration:], run_cfg, start_iteration)
     particles_path = os.path.join(out_dir, "particles.csv")
     trace_path = os.path.join(out_dir, "trace.csv")
@@ -353,12 +351,11 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     if not 0 <= day < np.inf:
         raise ConfigError(f"day must be finite and nonnegative, got {day}")
 
-    os.makedirs(out_dir, exist_ok=True)
     prediction_path = os.path.join(out_dir, "prediction.csv")
     zeta_true = pdm._zeta_at(model.a0, model.b0, *model.lam, t_grid) if have_truth else [None] * count
     files.write_table(
         prediction_path,
-        ["t", "p10", "mean", "p90", "zeta_true"],
+        ["t", f"p{100 * p_lo:g}", "mean", f"p{100 * p_hi:g}", "zeta_true"],
         ([*row, z] for row, z in zip(band.tolist(), zeta_true)),
     )
     tstar_path = os.path.join(out_dir, "tstar.csv")
@@ -421,7 +418,6 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
         ("lipschitz_norm_gap", lipschitz_gap),
     ]
 
-    os.makedirs(out_dir, exist_ok=True)
     diag_path = os.path.join(out_dir, "diagnostics.csv")
     files.write_table(diag_path, ["metric", "value"], metrics)
 

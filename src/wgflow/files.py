@@ -3,9 +3,10 @@
 A table field is ``""`` for ``None``, the value itself for a string or an
 ``int``, and ``repr(float(v))`` (the shortest round-trip string) for any
 other number.  Every file is written whole: into a temporary file in the
-target's directory that then replaces the target by one rename.  There is
-no ``fsync``, so this guards against a failed or killed writer, not a
-power cut.
+target's directory (made first if it is missing) that then replaces the
+target by one rename, so a command that fails before it writes leaves no
+directory behind.  There is no ``fsync``, so this guards against a failed
+or killed writer, not a power cut.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ from .errors import DataError
 
 @contextlib.contextmanager
 def _replacing(path):
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
     # Created as open(path, "w") creates a file, so the umask applies.
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

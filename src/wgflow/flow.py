@@ -464,4 +464,6 @@ def read_checkpoint(path_base: str, expect: Optional[dict] = None) -> tuple[Part
         iteration, seed = int(meta["iteration"]), int(meta["seed"])
     except (KeyError, ValueError) as exc:
         raise DataError(f"{meta_path}: bad checkpoint metadata ({exc})") from None
+    if iteration < 0:
+        raise DataError(f"{meta_path}: bad checkpoint metadata (iteration = {iteration} is negative)")
     return measures.read_particles_csv(particles), iteration, seed

@@ -21,6 +21,15 @@ from .measures import ParticleMeasure
 _SNAP = 1e-13
 
 
+def _whole(value) -> int:
+    # A dimension: 2 and 2.0 are 2; 2.7, true and 0 are refused.
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"dimension must be a whole number, got {value!r}")
+    if int(value) < 1:
+        raise ValueError("dimension must be at least 1")
+    return int(value)
+
+
 class ConvexSet:
     """A closed convex subset of R^d with an exact nearest-point map.
 
@@ -44,8 +53,8 @@ class ConvexSet:
         """Project each row of ``pts`` onto the set.
 
         Without ``out`` the result is a new array of the same shape and
-        memory layout, and ``pts`` is not modified.  With ``out`` (which may
-        be ``pts`` itself) the result is written there and returned.
+        memory layout, and ``pts`` is not modified.  With ``out=pts`` the
+        points are projected in place and ``pts`` is returned.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
@@ -56,17 +65,11 @@ class ConvexSet:
         if out is None:
             out = pts.copy(order="K")
         elif out is not pts:
-            if out.shape != pts.shape:
-                raise ValueError(f"output of shape {out.shape} does not hold points of shape {pts.shape}")
-            np.copyto(out, pts)
+            raise ValueError("out must be None or the points array itself")
         self._project_in_place(out)
         return out
 
     def _project_in_place(self, pts: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        """Whether ``x`` satisfies the defining inequalities within ``tol``."""
         raise NotImplementedError
 
     def record(self) -> dict:
@@ -108,10 +111,6 @@ class Box(ConvexSet):
     def _project_in_place(self, pts):
         np.clip(pts, self.lo, self.hi, out=pts)
 
-    def contains(self, x, tol=1e-12):
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
 
 @dataclass(frozen=True, eq=False)
 class NonnegativeOrthant(ConvexSet):
@@ -121,8 +120,7 @@ class NonnegativeOrthant(ConvexSet):
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be at least 1")
+        object.__setattr__(self, "d", _whole(self.d))
 
     @property
     def dim(self) -> int:
@@ -130,9 +128,6 @@ class NonnegativeOrthant(ConvexSet):
 
     def _project_in_place(self, pts):
         np.maximum(pts, 0.0, out=pts)
-
-    def contains(self, x, tol=1e-12):
-        return bool(np.all(np.asarray(x, dtype=float) >= -tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +140,7 @@ class Halfspace(ConvexSet):
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        b = float(self.b)
         norm = math.hypot(*a) if a.ndim == 1 else math.nan
         # Projecting divides by |a|: refuse a squared norm that underflows
         # below the normal floats, or overflows (so does a nonfinite entry).
@@ -152,7 +148,7 @@ class Halfspace(ConvexSet):
             raise ValueError("halfspace normal must be finite with a squared norm that is a normal float")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "_a_norm", norm)
         object.__setattr__(self, "_unit", a / norm)
 
@@ -160,30 +156,20 @@ class Halfspace(ConvexSet):
     def dim(self) -> int:
         return self.a.size
 
-    def _gap(self, pts):
+    def _project_in_place(self, pts):
         # a.x - b and its magnitude scale, accumulated coordinate by
-        # coordinate in one pass; elementwise, so a point's gap is the same
-        # whether it is tested alone (contains) or in a batch (projection).
+        # coordinate: elementwise, so a point gets the same bits in any batch.
         t = np.full(pts.shape[0], -self.b)
         s = np.full(pts.shape[0], abs(self.b))
         for j in range(self.dim):
             c = pts[:, j] * self.a[j]
             t = t + c
             s = s + np.abs(c)
-        return t, s
-
-    def _project_in_place(self, pts):
-        t, s = self._gap(pts)
         mask = t > _SNAP * s
         if mask.any():
             # Along the unit normal: t / |a|^2 overflows for a short normal.
             shift = t[mask] / self._a_norm
             pts[mask] = pts[mask] - shift[:, None] * self._unit[None, :]
-
-    def contains(self, x, tol=1e-12):
-        x = np.asarray(x, dtype=float)
-        t, s = self._gap(x[None, :])
-        return bool(t[0] <= tol * max(1.0, s[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,33 +184,27 @@ class Ball(ConvexSet):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.ndim != 1 or not np.all(np.isfinite(c)):
             raise ValueError("ball center must be a finite vector")
-        if not np.isfinite(self.radius) or self.radius < 0:
+        radius = float(self.radius)
+        if not np.isfinite(radius) or radius < 0:
             raise ValueError("ball radius must be nonnegative")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def dim(self) -> int:
         return self.center.size
 
-    def _dist(self, pts):
+    def _project_in_place(self, pts):
         r2 = np.zeros(pts.shape[0])
         for j in range(self.dim):
             diff = pts[:, j] - self.center[j]
             r2 = r2 + diff * diff
-        return np.sqrt(r2)
-
-    def _project_in_place(self, pts):
-        dist = self._dist(pts)
+        dist = np.sqrt(r2)
         mask = dist > self.radius * (1.0 + _SNAP)
         if mask.any():
             scale = self.radius / dist[mask]
             pts[mask] = self.center[None, :] + scale[:, None] * (pts[mask] - self.center[None, :])
-
-    def contains(self, x, tol=1e-12):
-        x = np.asarray(x, dtype=float)
-        return bool(self._dist(x[None, :])[0] <= self.radius + tol * max(1.0, self.radius))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +215,7 @@ class FullSpace(ConvexSet):
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be at least 1")
+        object.__setattr__(self, "d", _whole(self.d))
 
     @property
     def dim(self) -> int:
@@ -244,9 +223,6 @@ class FullSpace(ConvexSet):
 
     def _project_in_place(self, pts):
         pass
-
-    def contains(self, x, tol=1e-12):
-        return True
 
 
 def project_measure(s: ConvexSet, m: ParticleMeasure) -> ParticleMeasure:
@@ -259,11 +235,7 @@ def project_measure(s: ConvexSet, m: ParticleMeasure) -> ParticleMeasure:
     return ParticleMeasure(s.project_points(m.points))
 
 
-def _whole(value) -> int:
-    # A dimension as read from a record: 2 and 2.0 are 2; 2.7 and true are refused.
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ValueError(f"dimension must be a whole number, got {value!r}")
-    return int(value)
+_KINDS = {cls.kind: cls for cls in (Box, NonnegativeOrthant, Halfspace, Ball, FullSpace)}
 
 
 def convex_set_from_config(record: dict) -> ConvexSet:
@@ -275,19 +247,12 @@ def convex_set_from_config(record: dict) -> ConvexSet:
     if not isinstance(record, dict) or "kind" not in record:
         raise ConfigError("constraint must be a record with a 'kind' field")
     kind = record["kind"]
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown constraint kind '{kind}'")
     try:
-        if kind == "box":
-            return Box(np.asarray(record["lo"], float), np.asarray(record["hi"], float))
-        if kind == "nonneg_orthant":
-            return NonnegativeOrthant(_whole(record["d"]))
-        if kind == "halfspace":
-            return Halfspace(np.asarray(record["a"], float), float(record["b"]))
-        if kind == "ball":
-            return Ball(np.asarray(record["center"], float), float(record["radius"]))
-        if kind == "all":
-            return FullSpace(_whole(record["d"]))
+        return cls(*(record[f.name] for f in fields(cls)))
     except KeyError as exc:
         raise ConfigError(f"constraint kind '{kind}' is missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid constraint parameters: {exc}") from None
-    raise ConfigError(f"unknown constraint kind '{kind}'")

@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: the brute-force
 transport cost enumerates every permutation, the matrix square root
 comes from scipy rather than the package's eigendecomposition, the
 plant is stepped one Euler transition at a time, the belief's damping
-band is evaluated one time point at a time, and maintenance times are
-found by grid scans and bisection instead of in closed form.
+band is evaluated one time point at a time, maintenance times are
+found by grid scans and bisection instead of in closed form, and set
+membership is read off each kind's defining inequality.
 """
 
 import itertools
@@ -40,6 +41,23 @@ def bures_scipy(s1, s2):
     inner = scipy.linalg.sqrtm(r @ np.asarray(s2, dtype=float) @ r)
     val = np.trace(s1) + np.trace(s2) - 2.0 * np.trace(inner)
     return math.sqrt(max(float(np.real(val)), 0.0))
+
+
+def inside(s, x, tol=1e-12):
+    """Whether the point ``x`` lies in the convex set ``s`` within ``tol``,
+    by the kind's defining inequality in ``np.dot`` / ``np.linalg.norm``."""
+    x = np.asarray(x, dtype=float)
+    if s.kind == "box":
+        return bool(np.all(x >= s.lo - tol) and np.all(x <= s.hi + tol))
+    if s.kind == "nonneg_orthant":
+        return bool(np.all(x >= -tol))
+    if s.kind == "halfspace":
+        scale = np.dot(np.abs(s.a), np.abs(x)) + abs(s.b)
+        return bool(np.dot(s.a, x) - s.b <= tol * max(1.0, scale))
+    if s.kind == "ball":
+        return bool(np.linalg.norm(x - s.center) <= s.radius + tol * max(1.0, s.radius))
+    assert s.kind == "all", s.kind
+    return True
 
 
 def simulate_loop(p, x0, seed):

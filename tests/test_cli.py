@@ -169,14 +169,16 @@ class TestFlow:
 
     def test_divergence_exits_4_with_one_line(self, tmp_path):
         write_noise_free_observations(tmp_path / "observations.csv", days=8)
+        out = tmp_path / "new"
         proc = run_cli_process(
-            "-m", "wgflow.cli", "flow", "--paper-preset", "--out", str(tmp_path),
+            "-m", "wgflow.cli", "flow", "--paper-preset", "--out", str(out),
+            "--observations", str(tmp_path / "observations.csv"),
             "--n_particles", "64", "--force", "--tau", "1e200",
         )
         assert proc.returncode == 4
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical error:"), proc.stderr
-        assert not (tmp_path / "particles.csv").exists()
+        assert not out.exists()
 
     def test_trace_row_divergence_names_the_iteration(self, tmp_path):
         # The first step already overflows the squared distances of the
@@ -217,6 +219,7 @@ class TestFlow:
             ("tau", ("--tau", "0.015")),
             ("n", ("--n_particles", "65")),
             ("constraint", ("--constraint", '{"kind": "all", "d": 2}')),
+            ("seed", ("--seed", "9")),
         ],
     )
     def test_resume_of_another_run_exits_3(self, tmp_path, capsys, field, override):
@@ -251,6 +254,37 @@ class TestFlow:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "does not record 'tau'" in lines[0], lines
 
+    @pytest.mark.parametrize(
+        "iteration, code, message",
+        [
+            (None, 2, "checkpoint not found"),
+            ("99", 3, "checkpoint iteration 99 exceeds available observations"),
+            ("six", 3, "bad checkpoint metadata"),
+            ("-3", 3, "bad checkpoint metadata"),
+        ],
+        ids=["missing", "beyond-the-observations", "not-an-integer", "negative"],
+    )
+    def test_resume_refused_with_one_line_and_nothing_written(self, tmp_path, capsys, iteration, code, message):
+        write_noise_free_observations(tmp_path / "observations.csv", days=12)
+        common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
+        first = tmp_path / "first"
+        assert run_cli(
+            "flow", *common, "--out", str(first), "--max_iters", "6", "--checkpoint_every", "6",
+        ) == 0
+        if iteration is None:
+            base = first / "absent"
+        else:
+            base = first / "checkpoint"
+            meta = first / "checkpoint.meta.txt"
+            meta.write_text(re.sub(r"(?m)^iteration = .*$", f"iteration = {iteration}", meta.read_text()))
+        capsys.readouterr()
+        resumed = tmp_path / "resumed"
+        assert run_cli("flow", *common, "--out", str(resumed), "--resume", str(base)) == code
+        lines = capsys.readouterr().err.splitlines()
+        prefix = {2: "config error:", 3: "data error:"}[code]
+        assert len(lines) == 1 and lines[0].startswith(prefix) and message in lines[0], lines
+        assert not resumed.exists()
+
     def test_missing_observations_exits_2(self, tmp_path):
         assert run_cli("flow", "--paper-preset", "--out", str(tmp_path / "z")) == 2
         assert not (tmp_path / "z").exists()
@@ -277,6 +311,18 @@ class TestPredict:
         assert float(first["t"]) == 0.0
         assert float(first["p10"]) == float(first["mean"]) == float(first["p90"]) == pytest.approx(1.25)
         assert float(first["zeta_true"]) == pytest.approx(1.25)
+
+    @pytest.mark.parametrize(
+        "p_lo, p_hi, header",
+        [("0.25", "0.75", "t,p25,mean,p75,zeta_true"), ("0.125", "0.9", "t,p12.5,mean,p90,zeta_true")],
+    )
+    def test_band_columns_are_named_by_their_levels(self, tmp_path, p_lo, p_hi, header):
+        measures.write_particles_csv(
+            measures.ParticleMeasure(np.tile(LAM, (8, 1))), tmp_path / "particles.csv"
+        )
+        argv = ("--out", str(tmp_path), "--p_lo", p_lo, "--p_hi", p_hi)
+        assert run_cli("predict", "--paper-preset", *argv) == 0
+        assert (tmp_path / "prediction.csv").read_text().splitlines()[0] == header
 
     def test_ls_column_present_with_observations(self, tmp_path):
         write_noise_free_observations(tmp_path / "observations.csv", days=4)
