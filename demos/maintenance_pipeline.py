@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 import wgflow as wg
-from wgflow import pdm
+from wgflow import files, pdm
 from wgflow.measures import spawn_seed
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "demo_out")
@@ -62,14 +62,14 @@ def dump_responses():
         traces.append(states[::100, 0])
         print(f"  day {t:>4.0f}: damping ratio {zeta:.2f}, "
               f"position range [{states[:, 0].min():.2f}, {states[:, 0].max():.2f}]")
-    with open(os.path.join(OUT_DIR, "responses.csv"), "w") as fh:
-        fh.write("time_s," + ",".join(f"day{d:.0f}" for d in days) + "\n")
-        for i, row in enumerate(zip(*traces)):
-            fh.write(",".join([repr(i * 0.1)] + [repr(float(v)) for v in row]) + "\n")
+    files.write_table(
+        os.path.join(OUT_DIR, "responses.csv"),
+        ["time_s"] + [f"day{d:.0f}" for d in days],
+        ([i * 0.1, *row] for i, row in enumerate(zip(*traces))),
+    )
 
 
 def main():
-    os.makedirs(OUT_DIR, exist_ok=True)
     true_t = pdm.true_maintenance_time(MODEL)
     print(f"true maintenance time: {true_t.days:.2f} days "
           f"(damping ratio hits {MODEL.zeta_min})")
@@ -94,8 +94,7 @@ def main():
     for k, diff in enumerate(diffs):
         cfg = wg.FlowConfig(tau=0.01, max_iters=1, seed=SEED,
                             constraint=wg.NonnegativeOrthant(2),
-                            perturb_std=0.02, diag_every=1,
-                            diag_subsample=min(N_PARTICLES, 256))
+                            perturb_std=0.02, diag_every=1)
         belief, _ = wg.run(belief, objective, [diff], cfg, start_iteration=k)
         day = obs[k + 1].t
         ours = pdm.suggested_maintenance_time(belief, MODEL, "percentile", 0.1)
@@ -110,17 +109,19 @@ def main():
 
     t_grid = np.arange(0.0, 60.5, 0.5)
     band = pdm.predict_damping_band(belief, MODEL, t_grid, 0.1, 0.9)
-    with open(os.path.join(OUT_DIR, "prediction.csv"), "w") as fh:
-        fh.write("t,p10,mean,p90,zeta_true\n")
-        for t, lo, mid, hi in band:
-            zt = pdm.damping_ratio(pdm.degrade(MODEL, float(t)))
-            fh.write(f"{float(t)!r},{float(lo)!r},{float(mid)!r},{float(hi)!r},{zt!r}\n")
+    files.write_table(
+        os.path.join(OUT_DIR, "prediction.csv"),
+        ["t", "p10", "mean", "p90", "zeta_true"],
+        ([*row, pdm.damping_ratio(pdm.degrade(MODEL, float(row[0])))] for row in band),
+    )
 
     ours = pdm.suggested_maintenance_time(belief, MODEL, "percentile", 0.1)
     _, ls_time = pdm.ls_baseline(obs, MODEL.a0, MODEL.b0, MODEL.zeta_min)
-    with open(os.path.join(OUT_DIR, "tstar.csv"), "w") as fh:
-        fh.write("day,ours,ls,true\n")
-        fh.write(f"{obs[-1].t!r},{ours.days!r},{ls_time.days!r},{true_t.days!r}\n")
+    files.write_table(
+        os.path.join(OUT_DIR, "tstar.csv"),
+        ["day", "ours", "ls", "true"],
+        [[obs[-1].t, ours.days, ls_time.days, true_t.days]],
+    )
 
     print(f"suggested maintenance at day {ours.days:.2f} "
           f"(true {true_t.days:.2f}, ls baseline {ls_time.days:.2f})")

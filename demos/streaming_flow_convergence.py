@@ -47,7 +47,6 @@ def main():
         seed=1,
         constraint=wg.NonnegativeOrthant(2),
         diag_every=25,
-        diag_subsample=N_PARTICLES,
     )
     final, trace = wg.run(m0, obj, stream, cfg)
 

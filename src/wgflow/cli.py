@@ -254,20 +254,13 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
         constraint=constraint,
         perturb_std=cfg.get_float("perturb_std"),
         diag_every=cfg.get_int("diag_every"),
-        diag_subsample=min(cfg.get_int("diag_subsample"), m0.n),
+        diag_subsample=cfg.get_int("diag_subsample"),
         allow_unsafe_tau=force,
         on_invalid=cfg.get_str("on_invalid"),
         workers=cfg.get_int("workers"),
         checkpoint_every=checkpoint_every,
         checkpoint_path=os.path.join(out_dir, "checkpoint") if checkpoint_every else None,
     )
-
-    report = flow.validate_tau(obj.W, obj.rho, obj.sigma_w2, run_cfg.tau)
-    if not report.tau_valid and not force:
-        raise UnsafeStepError(
-            f"step size {run_cfg.tau} is not inside (0, {report.tau_max:.6g}); "
-            "rerun with --force to override"
-        )
 
     final, trace = flow.run(m0, obj, diffs[start_iteration:], run_cfg, start_iteration)
     particles_path = os.path.join(out_dir, "particles.csv")
@@ -277,8 +270,8 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
 
     print(
         f"ran {trace.iterations_run} iterations (tau={run_cfg.tau}, "
-        f"alpha={report.alpha:.6g}, rate={report.per_step_rate:.6g}, "
-        f"ball radius={report.ball_radius:.6g})"
+        f"alpha={trace.report.alpha:.6g}, rate={trace.report.per_step_rate:.6g}, "
+        f"ball radius={trace.report.ball_radius:.6g})"
     )
     print(f"wrote {particles_path} and {trace_path}")
     return 0
@@ -402,14 +395,15 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     sub_r = measures.ParticleMeasure(ref.points[idx_r])
 
     w2, _ = transport.w2_exact(sub_m, sub_r)
-    mean_diff = measures.mean(m) - measures.mean(ref)
-    mean_gap = float(np.linalg.norm(mean_diff))
-    bures_gap = transport.bures_distance(measures.covariance(m), measures.covariance(ref))
-    gelbrich = transport.moment_bound(mean_diff, bures_gap)
-    lipschitz_gap = flow.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)), 1.0)
-
-    metrics = [(f.name, float(getattr(report, f.name))) for f in dataclasses.fields(report)]
-    metrics += [
+    # Coordinates near the float limit overflow the moments; refuse, don't write nan.
+    with np.errstate(all="ignore"):
+        mean_diff = measures.mean(m) - measures.mean(ref)
+        mean_gap = float(np.linalg.norm(mean_diff))
+        covs = measures.covariance(m), measures.covariance(ref)
+        bures_gap = transport.bures_distance(*covs) if np.isfinite(covs).all() else np.nan
+        gelbrich = transport.moment_bound(mean_diff, bures_gap)
+        lipschitz_gap = flow.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)))
+    measured = [
         ("w2_subsampled", w2),
         ("subsample", float(k)),
         ("gelbrich_lower_bound", gelbrich),
@@ -417,12 +411,16 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
         ("bures_gap", bures_gap),
         ("lipschitz_norm_gap", lipschitz_gap),
     ]
+    for name, value in measured:
+        if not np.isfinite(value):
+            raise NumericalError(f"{name} is not finite: the clouds' coordinates are too large")
+    metrics = [(f.name, float(getattr(report, f.name))) for f in dataclasses.fields(report)]
 
     diag_path = os.path.join(out_dir, "diagnostics.csv")
-    files.write_table(diag_path, ["metric", "value"], metrics)
+    files.write_table(diag_path, ["metric", "value"], metrics + measured)
 
     print(f"step-size report: tau={report.tau} valid={report.tau_valid} "
-          f"(tau_max={report.tau_max:.6g}, cap={report.simple_cap:.6g})")
+          f"(tau_max={report.tau_max:.6g})")
     print(f"  alpha={report.alpha:.6g} C={report.C:.6g} eta={report.eta:.6g} "
           f"sigma2={report.sigma2:.6g} ball_radius={report.ball_radius:.6g} "
           f"rate={report.per_step_rate:.6g}")

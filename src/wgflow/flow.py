@@ -46,8 +46,6 @@ class StepBoundReport:
         The step size under scrutiny.
     tau_max : float
         Largest admissible step, ``min(1/alpha, 2/C)`` (open interval).
-    simple_cap : float
-        The equivalent simplified cap ``1 / (2 max(sigma_max(W)^2, rho))``.
     ball_radius : float
         Asymptotic expected distance bound, ``sigma_w * sqrt(eta * tau)``.
     per_step_rate : float
@@ -62,7 +60,6 @@ class StepBoundReport:
     eta: float
     tau: float
     tau_max: float
-    simple_cap: float
     ball_radius: float
     per_step_rate: float
     tau_valid: bool
@@ -75,8 +72,7 @@ def validate_tau(W, rho: float, sigma_w2: float, tau: float) -> StepBoundReport:
     if not tau > 0:
         raise ValueError("tau must be positive")
     alpha = obj.sigma_min ** 2
-    top = max(obj.sigma_max ** 2, obj.rho)
-    c = 4.0 * top
+    c = 4.0 * max(obj.sigma_max ** 2, obj.rho)
     eta = c / alpha
     tau_max = min(1.0 / alpha, 2.0 / c)
     return StepBoundReport(
@@ -86,7 +82,6 @@ def validate_tau(W, rho: float, sigma_w2: float, tau: float) -> StepBoundReport:
         eta=eta,
         tau=float(tau),
         tau_max=tau_max,
-        simple_cap=1.0 / (2.0 * top),
         ball_radius=math.sqrt(obj.sigma_w2) * math.sqrt(eta * tau),
         per_step_rate=1.0 - alpha * tau,
         tau_valid=bool(tau < tau_max),
@@ -139,8 +134,9 @@ class TraceRow:
 
 @dataclass
 class FlowTrace:
-    """Diagnostics rows (increasing ``k``) plus how many steps really ran."""
+    """Diagnostics rows (increasing ``k``), the steps really run and the run's step-size report."""
 
+    report: StepBoundReport
     rows: list[TraceRow] = field(default_factory=list)
     iterations_run: int = 0
 
@@ -149,10 +145,11 @@ class FlowTrace:
 class FlowConfig:
     """Run parameters for the descent loop.
 
-    ``diag_every`` controls the trace stride; ``diag_subsample`` bounds the
-    cloud size used for exact transport diagnostics.  ``workers`` is
-    accepted and validated but has no effect: every worker count runs the
-    same single pass, so results are identical by construction.
+    ``diag_every`` controls the trace stride; ``diag_subsample`` caps the
+    cloud size used for exact transport diagnostics (a cap of at least the
+    particle count measures the whole cloud).  ``workers`` is accepted and
+    validated but has no effect: every worker count runs the same single
+    pass, so results are identical by construction.
     ``on_invalid`` chooses between aborting on a bad observation (default)
     and skipping it with a log message.
     """
@@ -253,18 +250,14 @@ def run(
         raise ValueError(
             f"constraint dimension {cfg.constraint.dim} does not match measure dimension {m0.d}"
         )
-    if cfg.diag_subsample > m0.n:
-        raise ValueError(
-            f"diag_subsample {cfg.diag_subsample} exceeds particle count {m0.n}"
-        )
     if start_iteration < 0:
         raise ValueError("start_iteration must be nonnegative")
 
     report = validate_tau(obj.W, obj.rho, obj.sigma_w2, cfg.tau)
     if not report.tau_valid and not cfg.allow_unsafe_tau:
         raise UnsafeStepError(
-            f"step size {cfg.tau} is not inside (0, {report.tau_max}); "
-            "pass allow_unsafe_tau=True to run anyway"
+            f"step size {cfg.tau} is not inside (0, {report.tau_max:.6g}); "
+            "rerun with --force (allow_unsafe_tau=True) to override"
         )
 
     # Diagnostics subsample: one seeded index set, fixed across iterations.
@@ -277,7 +270,7 @@ def run(
         ref_size = cfg.diag_subsample if sub_idx is not None else m0.n
         ref_measure = ParticleMeasure(np.tile(obj.theta_star, (ref_size, 1)))
 
-    trace = FlowTrace()
+    trace = FlowTrace(report)
 
     def record(k, mean, grad_norm):
         objective = w2 = None
@@ -375,15 +368,12 @@ def run(
     return ParticleMeasure(x), trace
 
 
-def lipschitz_norm_gap(m: ParticleMeasure, ref: ParticleMeasure, phi, L: float) -> float:
+def lipschitz_norm_gap(m: ParticleMeasure, ref: ParticleMeasure, phi) -> float:
     """Absolute gap between the empirical L2 norms of ``phi`` under two clouds.
 
     For an ``L``-Lipschitz ``phi`` the gap is bounded by ``L`` times the
-    Wasserstein distance between the clouds; ``L`` is declared by the
-    caller and only validated here.
+    Wasserstein distance between the clouds.
     """
-    if not L > 0:
-        raise ValueError("L must be positive")
     a = math.sqrt(float(np.mean([float(phi(x)) ** 2 for x in m.points])))
     b = math.sqrt(float(np.mean([float(phi(x)) ** 2 for x in ref.points])))
     return abs(a - b)

@@ -121,8 +121,10 @@ def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:
         raise ValueError("lo and hi must be vectors of equal length")
     if n < 1:
         raise ValueError("need at least one particle")
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("box bounds must be finite")
+    # A non-finite bound also gives a non-finite width.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(hi - lo).all():
+            raise ValueError("box bounds and their widths hi - lo must be finite")
     if np.any(lo > hi):
         j = int(np.flatnonzero(lo > hi)[0])
         raise ValueError(f"invalid box: lo > hi in coordinate {j}")

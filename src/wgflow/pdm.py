@@ -342,6 +342,7 @@ def observation_residuals(obs: Sequence[Observation], d: DegradationModel) -> np
     return np.stack([o.y_hat - degrade(d, o.t) for o in obs])
 
 
+@np.errstate(all="ignore")
 def predict_damping_band(
     m: ParticleMeasure,
     d: DegradationModel,
@@ -357,7 +358,8 @@ def predict_damping_band(
     Grid rows are evaluated in blocks of about ``_BAND_BLOCK`` values (at
     least one row each).
 
-    Returns a ``(len(t_grid), 4)`` array.
+    Returns a ``(len(t_grid), 4)`` array; a row that overflows raises
+    :class:`NumericalError` naming its ``t``.
     """
     if m.d != 2:
         raise ValueError("belief particles must be 2-d decay rates")
@@ -378,6 +380,9 @@ def predict_damping_band(
         z.sort(axis=1)
         block[:, 1] = z[:, lo]
         block[:, 3] = z[:, hi]
+    bad = t_grid[~np.isfinite(rows).all(axis=1)]
+    if bad.size:
+        raise NumericalError(f"damping band at t = {bad[0]} is not finite: the belief's rates overflow")
     return rows
 
 
@@ -395,7 +400,8 @@ def suggested_maintenance_time(
         The ``level``-quantile of the particle damping ratios stays above
         the floor (small levels are conservative).
     ``"mean"``
-        The damping ratio at the mean decay rate stays above the floor.
+        The damping ratio at the mean decay rate stays above the floor (a
+        mean that overflows raises :class:`NumericalError`).
     ``"chance"``
         At least a ``1 - level`` fraction of particles stays above the floor.
 
@@ -414,7 +420,11 @@ def suggested_maintenance_time(
     if rule != "mean" and not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     if rule == "mean":
-        return _crossing(float(_first_exits(d.a0, d.b0, d.zeta_min, *m.points.mean(axis=0))))
+        with np.errstate(over="ignore"):
+            rates = m.points.mean(axis=0)
+        if not np.isfinite(rates).all():
+            raise NumericalError("the belief's mean rate overflows")
+        return _crossing(float(_first_exits(d.a0, d.b0, d.zeta_min, *rates)))
     # For "chance": the most exits j after which (n - j) / n >= 1 - level.
     k = (nearest_rank_index(m.n, level) if rule == "percentile"
          else np.flatnonzero((m.n - np.arange(m.n)) / m.n >= 1.0 - level)[-1])

@@ -190,7 +190,7 @@ def test_criterion_3_asymptotic_ball_and_moment_criteria(noisy_ensemble):
             moment_vals.append(
                 math.hypot(float(np.linalg.norm(gap)), bures_distance(covariance(cloud), zero_cov))
             )
-            lip_vals.append(lipschitz_norm_gap(cloud, ref, phi, 1.0))
+            lip_vals.append(lipschitz_norm_gap(cloud, ref, phi))
         w2_means.append(np.mean(w2_vals))
         moment_means.append(np.mean(moment_vals))
         lip_means.append(np.mean(lip_vals))

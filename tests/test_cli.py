@@ -121,14 +121,17 @@ class TestFlow:
         init = measures.init_uniform_box([0, 0], [8 / 60, 8 / 60], 32, seed=0)
         assert np.array_equal(final.points, init.points)
 
-    def test_unsafe_tau_refused_then_forced(self, tmp_path):
+    def test_unsafe_tau_refused_then_forced(self, tmp_path, capsys):
         write_noise_free_observations(tmp_path / "observations.csv", days=4)
         args = [
             "flow", "--paper-preset", "--out", str(tmp_path),
             "--n_particles", "16", "--tau", "0.05",
         ]
         assert run_cli(*args) == 5
-        assert not (tmp_path / "particles.csv").exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("unsafe step size:"), lines
+        assert "--force" in lines[0] and "0.02" in lines[0]
+        assert sorted(os.listdir(tmp_path)) == ["observations.csv"]
         assert run_cli(*args, "--force") == 0
         assert (tmp_path / "particles.csv").exists()
 
@@ -396,6 +399,18 @@ class TestDiagnose:
         assert metrics["lipschitz_norm_gap"] == 0.0
         assert metrics["gelbrich_lower_bound"] == pytest.approx(0.0, abs=1e-8)
 
+    def test_rows_are_the_report_then_the_measurements(self, tmp_path):
+        m = measures.init_uniform_box([0, 0], [0.2, 0.3], 16, seed=2)
+        measures.write_particles_csv(m, tmp_path / "particles.csv")
+        measures.write_particles_csv(m, tmp_path / "reference.csv")
+        assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 0
+        names = [r["metric"] for r in csv.DictReader(open(tmp_path / "diagnostics.csv"))]
+        assert names == [
+            "alpha", "C", "sigma2", "eta", "tau", "tau_max", "ball_radius", "per_step_rate",
+            "tau_valid", "w2_subsampled", "subsample", "gelbrich_lower_bound", "mean_gap",
+            "bures_gap", "lipschitz_norm_gap",
+        ]
+
     def test_ball_radius_hand_value(self, tmp_path):
         m = measures.init_uniform_box([0, 0], [0.2, 0.3], 16, seed=2)
         measures.write_particles_csv(m, tmp_path / "particles.csv")
@@ -476,6 +491,7 @@ _INPUTS = {
         ("predict", ("--day", "-3")),
         ("predict", ("--zeta_min", "-0.1")),
         ("predict", ("--a0", "1e200")),
+        ("flow", ("--init_lo", "-1.5e308,0", "--init_hi", "1.5e308,1")),
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
@@ -494,6 +510,29 @@ def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, cloud, quantity",
+    [
+        ("predict", [[1.7e308, 1.7e308]] * 2, "damping band at t = 1.5"),
+        ("predict", [[-1e307, -1e307]], "damping band at t = 0.5"),
+        ("diagnose", [[1.7e308, 1.7e308]] * 2, "gelbrich_lower_bound"),
+        ("diagnose", [[-1e307, -1e307]], "lipschitz_norm_gap"),
+    ],
+)
+def test_overflowing_belief_exits_4_with_one_line(tmp_path, capsys, command, cloud, quantity):
+    # The clouds are finite, but their moments, norms or drifted damping
+    # ratios overflow; nothing may be written as nan or inf.
+    path = tmp_path / "particles.csv"
+    measures.write_particles_csv(measures.ParticleMeasure(np.array(cloud)), path)
+    out = tmp_path / "out"
+    args = ["--particles", str(path), "--reference", str(path), "--out", str(out)]
+    assert run_cli(command, "--paper-preset", *args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical error:"), lines
+    assert quantity in lines[0] and "is not finite" in lines[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

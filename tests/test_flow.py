@@ -60,7 +60,6 @@ class TestValidateTau:
         assert report.alpha == pytest.approx(25.0)
         assert report.C == pytest.approx(100.0)
         assert report.tau_max == pytest.approx(0.02)
-        assert report.simple_cap == pytest.approx(0.02)
         assert report.tau_valid
 
     def test_singular_matrix_rejected(self):
@@ -244,7 +243,7 @@ class TestRun:
     def test_unsafe_tau_refused_then_allowed(self):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
         cfg = flow_config(tau=0.05, max_iters=1, diag_subsample=16)
-        with pytest.raises(UnsafeStepError):
+        with pytest.raises(UnsafeStepError, match=r"--force \(allow_unsafe_tau=True\)"):
             run(m0, preset_objective(), noise_free_stream(1), cfg)
         cfg_ok = flow_config(tau=0.05, max_iters=1, diag_subsample=16, allow_unsafe_tau=True)
         run(m0, preset_objective(), noise_free_stream(1), cfg_ok)
@@ -256,11 +255,37 @@ class TestRun:
         _, trace = run(m0, obj, noise_free_stream(5), cfg)
         assert all(r.objective is None and r.w2_ref is None for r in trace.rows)
 
-    def test_subsample_larger_than_cloud_rejected(self):
+    def test_subsample_above_the_cloud_is_the_whole_cloud(self):
+        # diag_subsample is a cap: above the particle count the run measures
+        # the whole cloud, exactly as with the count itself.
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
-        cfg = flow_config(diag_subsample=17)
-        with pytest.raises(ValueError, match="diag_subsample"):
-            run(m0, preset_objective(), noise_free_stream(1), cfg)
+        runs = [
+            run(m0, preset_objective(sigma_w2=0.1), noise_free_stream(6),
+                flow_config(max_iters=6, diag_every=2, diag_subsample=sub, perturb_std=0.01))
+            for sub in (16, 17)
+        ]
+        (fa, ta), (fb, tb) = runs
+        assert np.array_equal(fa.points, fb.points)
+        assert [r.k for r in ta.rows] == [r.k for r in tb.rows]
+        for a, b in zip(ta.rows, tb.rows):
+            assert (a.objective, a.w2_ref, a.grad_norm) == (b.objective, b.w2_ref, b.grad_norm)
+            assert np.array_equal(a.mean, b.mean)
+
+    def test_deployment_mode_runs_with_the_default_subsample(self):
+        # No W2 is measured without a theta*, so the default cap of 256
+        # has nothing to bound for a 16-particle cloud.
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
+        obj = StreamingLSObjective(W, 0.1, None, 0.0)
+        cfg = FlowConfig(tau=0.01, max_iters=3, seed=0, constraint=NonnegativeOrthant(2))
+        final, trace = run(m0, obj, noise_free_stream(3), cfg)
+        assert cfg.diag_subsample > m0.n
+        assert trace.iterations_run == 3 and final.n == 16
+
+    def test_trace_carries_the_report_it_was_judged_by(self):
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
+        obj = preset_objective(sigma_w2=0.1)
+        _, trace = run(m0, obj, noise_free_stream(2), flow_config(max_iters=2, diag_subsample=16))
+        assert trace.report == validate_tau(obj.W, obj.rho, obj.sigma_w2, 0.01)
 
     def test_checkpoint_interval_without_a_path_refused(self):
         # run would otherwise take every step and write no checkpoint.
@@ -608,12 +633,12 @@ class TestCheckpointResume:
 class TestLipschitzGap:
     def test_identical_measures(self):
         m = init_uniform_box([0, 0], [1, 1], 20, seed=0)
-        assert lipschitz_norm_gap(m, m, lambda x: float(np.linalg.norm(x)), 1.0) == 0.0
+        assert lipschitz_norm_gap(m, m, lambda x: float(np.linalg.norm(x))) == 0.0
 
     def test_constant_function(self):
         a = init_uniform_box([0, 0], [1, 1], 20, seed=0)
         b = init_uniform_box([3, 3], [4, 4], 20, seed=1)
-        assert lipschitz_norm_gap(a, b, lambda x: 2.5, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert lipschitz_norm_gap(a, b, lambda x: 2.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_bounded_by_w2(self):
         rng = np.random.default_rng(19)
@@ -621,13 +646,8 @@ class TestLipschitzGap:
         for _ in range(10):
             a = ParticleMeasure(rng.normal(size=(24, 2)))
             b = ParticleMeasure(rng.normal(size=(24, 2)) + rng.normal(size=2))
-            gap = lipschitz_norm_gap(a, b, phi, 1.0)
+            gap = lipschitz_norm_gap(a, b, phi)
             assert gap <= w2_exact(a, b)[0] + 1e-8
-
-    def test_rejects_nonpositive_l(self):
-        m = init_uniform_box([0], [1], 4, seed=0)
-        with pytest.raises(ValueError):
-            lipschitz_norm_gap(m, m, lambda x: 0.0, 0.0)
 
 
 class TestTraceCsv:

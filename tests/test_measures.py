@@ -109,6 +109,14 @@ class TestInitUniformBox:
         with pytest.raises(ValueError, match="coordinate 1"):
             init_uniform_box([0, 1], [1, 0], 3, seed=0)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [([-1.5e308, 0], [1.5e308, 1]), ([0, -1e308], [1, 1e308]), ([0, 0], [np.inf, 1])]
+    )
+    def test_box_whose_width_is_not_finite_refused(self, lo, hi):
+        # The subtraction that finds the overflow must not warn about it.
+        with pytest.raises(ValueError, match="hi - lo must be finite"):
+            init_uniform_box(lo, hi, 3, seed=0)
+
 
 class TestParticleCsv:
     def test_round_trip_bytes(self, tmp_path):

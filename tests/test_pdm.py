@@ -388,6 +388,14 @@ class TestPredictDampingBand:
         band = predict_damping_band(m, case_study_model(), [1e6])
         assert np.all(np.isfinite(band))
 
+    def test_overflowing_row_refused_naming_its_t(self):
+        # At t = 0.5 the drifted ratio is still finite; at t = 1.5 the
+        # rates times t overflow.
+        m = ParticleMeasure(np.full((2, 2), 1.7e308))
+        assert np.isfinite(predict_damping_band(m, case_study_model(), [0.0, 0.5])).all()
+        with pytest.raises(NumericalError, match=r"damping band at t = 1\.5 is not finite"):
+            predict_damping_band(m, case_study_model(), [0.0, 0.5, 1.5, 2.0])
+
     # One row per block, several rows per block, and the default size.
     @pytest.mark.parametrize("block", [1, 7, pdm._BAND_BLOCK])
     def test_matches_per_row_oracle(self, monkeypatch, block):
@@ -404,6 +412,11 @@ class TestPredictDampingBand:
 
 
 class TestSuggestedMaintenanceTime:
+    def test_mean_rate_that_overflows_refused(self):
+        m = ParticleMeasure(np.full((2, 2), 1.7e308))
+        with pytest.raises(NumericalError, match="mean rate overflows"):
+            suggested_maintenance_time(m, case_study_model(), "mean")
+
     def test_dirac_matches_true_time_for_all_rules(self):
         model = case_study_model()
         m = ParticleMeasure(LAM[None, :])
