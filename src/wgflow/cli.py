@@ -386,6 +386,12 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     report = flow.validate_tau(
         w, cfg.get_float("rho"), cfg.get_float("sigma_w2"), cfg.get_float("tau")
     )
+    metrics = [(f.name, float(getattr(report, f.name))) for f in dataclasses.fields(report)]
+    for name, value in metrics:
+        if not np.isfinite(value):
+            raise NumericalError(
+                f"step-size report {name} is not finite: T, rho, sigma_w2 or tau is too large"
+            )
 
     k = min(cfg.get_int("diag_subsample"), m.n, ref.n)
     seed = cfg.get_int("seed")
@@ -414,7 +420,6 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     for name, value in measured:
         if not np.isfinite(value):
             raise NumericalError(f"{name} is not finite: the clouds' coordinates are too large")
-    metrics = [(f.name, float(getattr(report, f.name))) for f in dataclasses.fields(report)]
 
     diag_path = os.path.join(out_dir, "diagnostics.csv")
     files.write_table(diag_path, ["metric", "value"], metrics + measured)

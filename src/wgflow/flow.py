@@ -26,6 +26,8 @@ from .sets import ConvexSet
 
 _PERTURB_STREAM = 21
 _DIAG_STREAM = 22
+# The generator behind every draw (measures.substream), as a sidecar names it.
+_RNG = "SFC64 substreams keyed by (seed, purpose, iteration)"
 
 
 @dataclass(frozen=True)
@@ -196,10 +198,7 @@ def _affine(x: np.ndarray, a: np.ndarray, c: np.ndarray, noise, out: np.ndarray)
     np.matmul(x, a, out=out)
     out += c
     if noise is not None:
-        # Column by column: a subtract across the two layouts at once is
-        # several times slower.
-        for j in range(out.shape[1]):
-            out[:, j] -= noise[:, j]
+        out -= noise
     return out
 
 
@@ -296,15 +295,15 @@ def run(
     sidecar = (
         checkpoint_fields(m0.n, d, tau, cfg.constraint) if cfg.checkpoint_every else None
     )
-    # Three (N, d) buffers.  The iterate x and the work buffer moved are
-    # column-major: the per-step column mean and the broadcast of c_k then
-    # run over contiguous columns.  The noise is drawn row-major, which
-    # fills it in particle order.  A step builds its cloud in moved,
-    # projects it in place and swaps the two, so the previous iterate
-    # stays in moved until the next step overwrites it.
+    # Three column-major (N, d) buffers: the iterate x, the work buffer
+    # moved and the noise, drawn into its transpose coordinate by
+    # coordinate, so every per-step pass runs over contiguous columns.  A
+    # step builds its cloud in moved, projects it in place and swaps the
+    # two, so the previous iterate stays in moved until the next step
+    # overwrites it.
     x = np.array(m0.points, order="F")
     moved = np.empty_like(x)
-    noise = np.empty((m0.n, d)) if noise_scale > 0 else None
+    noise = np.empty((d, m0.n)).T if noise_scale > 0 else None
     mean = x.mean(axis=0)
     c = grad_norm = None  # of the last step taken
 
@@ -331,19 +330,15 @@ def run(
 
         c = tau_wt @ y + tau_rho * mean
         if noise is not None:
-            measures.substream(cfg.seed, _PERTURB_STREAM, k).standard_normal(out=noise)
+            measures.substream(cfg.seed, _PERTURB_STREAM, k).standard_normal(out=noise.T)
             noise *= noise_scale
         _affine(x, a, c, noise, moved)
         k += 1
         record_due = (k - start_iteration) % cfg.diag_every == 0
         checkpoint_due = cfg.checkpoint_every and (k - start_iteration) % cfg.checkpoint_every == 0
-        # Taken before the projection overwrites moved.  The spent noise,
-        # seen column-major, holds the field in place of a new array and
-        # sums it in the same order.
-        grad_norm = None
-        if record_due:
-            spent = None if noise is None else noise.reshape(d, -1).T
-            grad_norm = _grad_norm(x, moved, tau, spent)
+        # Taken before the projection overwrites moved; the spent noise
+        # holds the field in place of a new array.
+        grad_norm = _grad_norm(x, moved, tau, noise) if record_due else None
         cfg.constraint.project_points(moved, out=moved)
         x, moved = moved, x
         mean = x.mean(axis=0)
@@ -363,7 +358,7 @@ def run(
             pre = _affine(moved, a, c, noise, np.empty_like(moved))
             grad_norm = _grad_norm(moved, pre, tau, pre)
         record(k, mean, grad_norm)
-    moved = noise = spent = pre = None  # freed before the final copy
+    moved = noise = pre = None  # freed before the final copy
     trace.iterations_run = k - start_iteration
     return ParticleMeasure(x), trace
 
@@ -425,8 +420,7 @@ def write_checkpoint(
     """
     particles = path_base + ".particles.csv"
     measures.write_particles_csv(m, particles)
-    rng = "substreams keyed by (seed, purpose, iteration)"
-    meta = {"iteration": iteration, "seed": seed, "rng": rng, **(run_fields or {})}
+    meta = {"iteration": iteration, "seed": seed, "rng": _RNG, **(run_fields or {})}
     meta["sha256"] = _sha256(particles)
     files.write_settings(path_base + ".meta.txt", meta)
 
@@ -436,14 +430,15 @@ def read_checkpoint(path_base: str, expect: Optional[dict] = None) -> tuple[Part
 
     A particle file whose sha256 differs from the sidecar's, or a sidecar
     without one, raises :class:`DataError` before anything is parsed, as
-    does a sidecar that lacks a field of ``expect`` or holds another value.
+    does a sidecar that lacks ``rng`` or a field of ``expect`` or holds
+    another value.
     """
     particles = path_base + ".particles.csv"
     meta_path = path_base + ".meta.txt"
     meta = files.read_settings(meta_path, DataError)
     if meta.get("sha256") != _sha256(particles):
         raise DataError(f"{particles} does not match the sha256 in {meta_path}: damaged checkpoint")
-    for key, value in (expect or {}).items():
+    for key, value in {"rng": _RNG, **(expect or {})}.items():
         if key not in meta:
             raise DataError(f"{meta_path}: checkpoint does not record '{key}', so it cannot be resumed")
         if meta[key] != value:

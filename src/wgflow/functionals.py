@@ -95,7 +95,10 @@ class StreamingLSObjective:
             if ts.shape != (w.shape[0],) or not np.all(np.isfinite(ts)):
                 raise ValueError(f"theta_star must be a finite vector of length {w.shape[0]}")
             ts.setflags(write=False)
-        h = w.T @ w + float(self.rho) * np.eye(w.shape[0])
+        with np.errstate(over="ignore"):
+            h = w.T @ w + float(self.rho) * np.eye(w.shape[0])
+            if not (np.isfinite(h).all() and np.isfinite(sv[0] * sv[0])):
+                raise NumericalError("W^T W + rho I overflows: the process matrix is too large")
         w.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "W", w)
@@ -161,7 +164,9 @@ def perturbed_gradient(base, noise_std: float, rng: np.random.Generator) -> np.n
         raise ValueError("noise_std must be nonnegative")
     if noise_std == 0:
         return np.array(b)
-    return b + rng.normal(0.0, noise_std, size=b.shape)
+    # Drawn coordinate by coordinate, as the flow fills its column-major
+    # noise buffer.
+    return b + rng.normal(0.0, noise_std, size=b.shape[::-1]).T
 
 
 def evaluate_objective(obj: StreamingLSObjective, m: ParticleMeasure) -> float:

@@ -21,16 +21,16 @@ _BOX_STREAM = 11
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic random generator for ``(seed, *key)``.
+    """Deterministic SFC64 generator for ``(seed, *key)``.
 
-    Streams with distinct keys are statistically independent and do not
-    depend on the order in which they are created, so callers may consume
-    them in any schedule (including concurrently) with reproducible
-    results.
+    The key is the ``SeedSequence`` spawn key, so streams with distinct
+    keys are statistically independent and do not depend on the order in
+    which they are created: callers may consume them in any schedule
+    (including concurrently) with reproducible results.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def spawn_seed(seed: int, *key: int) -> int:

@@ -95,6 +95,8 @@ def _check_psd(s: np.ndarray, name: str) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if not np.isfinite(s).all():
+        raise NumericalError(f"{name} is not finite")
     scale = float(np.abs(s).max()) if s.size else 0.0
     if not np.allclose(s, s.T, atol=_PSD_TOL * max(1.0, scale), rtol=0.0):
         raise NumericalError(f"{name} is not symmetric")
@@ -141,10 +143,17 @@ def gelbrich_lower_bound(m: ParticleMeasure, n: ParticleMeasure) -> float:
 
     ``sqrt(||mean(m) - mean(n)||^2 + d_B(cov(m), cov(n))^2)`` never exceeds
     the exact distance; it is tight for Dirac measures (and Gaussians).
+    Moments that overflow raise :class:`NumericalError`.
     """
     if m.d != n.d:
         raise ValueError(f"dimension mismatch: {m.d} vs {n.d}")
-    return moment_bound(mean(m) - mean(n), bures_distance(covariance(m), covariance(n)))
+    # An overflowing covariance is refused by bures_distance as not finite;
+    # NumPy's warnings about it would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = moment_bound(mean(m) - mean(n), bures_distance(covariance(m), covariance(n)))
+    if not math.isfinite(bound):
+        raise NumericalError("the Gelbrich bound overflows: the clouds' coordinates are too large")
+    return bound
 
 
 def moment_bound(mean_diff: np.ndarray, bures_gap: float) -> float:

@@ -257,6 +257,25 @@ class TestFlow:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "does not record 'tau'" in lines[0], lines
 
+    def test_resume_from_a_checkpoint_of_another_generator_exits_3(self, tmp_path, capsys):
+        write_noise_free_observations(tmp_path / "observations.csv", days=12)
+        common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
+        first = tmp_path / "first"
+        assert run_cli(
+            "flow", *common, "--out", str(first), "--max_iters", "6", "--checkpoint_every", "6",
+        ) == 0
+        # The sidecar line of a build that drew from PCG64 substreams.
+        meta = first / "checkpoint.meta.txt"
+        meta.write_text(re.sub(
+            r"(?m)^rng = .*$", "rng = substreams keyed by (seed, purpose, iteration)", meta.read_text()
+        ))
+        capsys.readouterr()
+        resumed = tmp_path / "resumed"
+        assert run_cli("flow", *common, "--out", str(resumed), "--resume", str(first / "checkpoint")) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error:") and "checkpoint rng = " in lines[0], lines
+        assert not resumed.exists()
+
     @pytest.mark.parametrize(
         "iteration, code, message",
         [
@@ -449,6 +468,21 @@ class TestDiagnose:
         )
         assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 0
         assert calls == {"covariance": 2, "bures_distance": 1}
+
+    @pytest.mark.parametrize("overrides", [("--tau", "1e308"), ("--tau", "1e308", "--sigma_w2", "0.01")])
+    def test_overflowing_step_report_exits_4_with_one_line(self, tmp_path, capsys, overrides):
+        # The ball radius is nan (0 * inf) or inf; nothing may be written.
+        path = tmp_path / "particles.csv"
+        measures.write_particles_csv(measures.init_uniform_box([0, 0], [0.2, 0.3], 16, seed=2), path)
+        out = tmp_path / "out"
+        args = ["--particles", str(path), "--reference", str(path), "--out", str(out), *overrides]
+        assert run_cli("diagnose", "--paper-preset", *args) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            "numerical error: step-size report ball_radius is not finite: "
+            "T, rho, sigma_w2 or tau is too large"
+        ]
+        assert not out.exists()
 
     def test_dimension_mismatch_exits_3(self, tmp_path):
         measures.write_particles_csv(

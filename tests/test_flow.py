@@ -476,6 +476,35 @@ class TestRunMemory:
         assert (peak - base) / m0.points.nbytes <= limit
 
 
+class TestPerturbationNoise:
+    """From a Dirac at theta* on the whole space with ``y = W theta*`` the
+    field is 0, so one step's ``(theta* - x_1) / tau`` is the perturbation."""
+
+    N = 20000
+    STD = 0.05
+
+    def noise(self, k):
+        obj = StreamingLSObjective(W_SKEW, 0.1, None, 0.0)
+        cfg = flow_config(max_iters=1, constraint=FullSpace(2), perturb_std=self.STD)
+        final, _ = run(dirac_cloud(THETA, self.N), obj, [W_SKEW @ THETA], cfg, start_iteration=k)
+        return (THETA - final.points) / cfg.tau
+
+    def test_each_coordinate_has_mean_zero_and_the_declared_variance(self):
+        eps = self.noise(0)
+        var = self.STD**2
+        for j in range(2):
+            assert abs(eps[:, j].mean()) <= 4 * self.STD / math.sqrt(self.N)
+            assert abs(eps[:, j].var() - var) <= 4 * var * math.sqrt(2 / self.N)
+
+    def test_coordinates_are_uncorrelated(self):
+        eps = self.noise(0)
+        assert abs(np.corrcoef(eps.T)[0, 1]) <= 4 / math.sqrt(self.N)
+
+    def test_each_step_draws_its_own_noise(self):
+        assert not np.array_equal(self.noise(3), self.noise(4))
+        assert np.array_equal(self.noise(3), self.noise(3))
+
+
 class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 32, seed=11)
@@ -516,7 +545,7 @@ class TestCheckpointResume:
         assert (tmp_path / "ck.meta.txt").read_text().splitlines() == [
             "iteration = 5",
             "seed = 2",
-            "rng = substreams keyed by (seed, purpose, iteration)",
+            "rng = SFC64 substreams keyed by (seed, purpose, iteration)",
             f"sha256 = {digest}",
         ]
 
@@ -557,6 +586,14 @@ class TestCheckpointResume:
         write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2)
         with pytest.raises(DataError, match="does not record 'n'"):
             read_checkpoint(base, checkpoint_fields(8, 2, 0.01, NonnegativeOrthant(2)))
+
+    def test_sidecar_of_another_generator_refused(self, tmp_path):
+        base = str(tmp_path / "ck")
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2)
+        path = tmp_path / "ck.meta.txt"
+        path.write_text(path.read_text().replace("rng = SFC64 ", "rng = "))
+        with pytest.raises(DataError, match="checkpoint rng = substreams keyed by .* does not match"):
+            read_checkpoint(base)
 
     @pytest.mark.parametrize("damage", ["edited particle", "missing digest"])
     def test_damaged_checkpoint_refused(self, tmp_path, damage):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,17 @@ class TestObjectiveValidation:
     def test_negative_noise_moment_rejected(self):
         with pytest.raises(ValueError, match="sigma_w2"):
             StreamingLSObjective(np.eye(2), 0.1, sigma_w2=-1.0)
+
+    # The second W has a finite W^T W whose largest eigenvalue overflows.
+    @pytest.mark.parametrize(
+        "w", [[[-1e200, 0.0], [0.0, 1e200]], [[9.487e153, 9.487e153], [0.0, 1e150]]],
+        ids=["hessian", "sigma_max squared"],
+    )
+    def test_overflowing_hessian_rejected_without_warnings(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows"):
+                StreamingLSObjective(np.array(w), 0.1)
 
     def test_singular_values_cached(self):
         obj = StreamingLSObjective(np.diag([-5.0, 5.0]), 0.1)

@@ -163,6 +163,9 @@ class TestStreams:
         b = measures.substream(5, 2).normal(size=4)
         assert not np.array_equal(a, b)
 
+    def test_substreams_are_sfc64(self):
+        assert type(measures.substream(0).bit_generator).__name__ == "SFC64"
+
     def test_spawn_seed_deterministic(self):
         assert measures.spawn_seed(7, 1, 2) == measures.spawn_seed(7, 1, 2)
         assert measures.spawn_seed(7, 1, 2) != measures.spawn_seed(7, 2, 1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,12 @@ class TestBures:
         with pytest.raises(NumericalError, match="symmetric"):
             bures_distance(s, np.eye(2))
 
+    def test_rejects_non_finite_before_symmetry(self):
+        with pytest.raises(NumericalError, match="^S1 is not finite$"):
+            bures_distance(np.full((2, 2), np.nan), np.eye(2))
+        with pytest.raises(NumericalError, match="^S2 is not finite$"):
+            bures_distance(np.eye(2), np.diag([1.0, np.inf]))
+
     def test_tolerates_tiny_negative_eigenvalues(self):
         s = np.diag([1.0, -1e-12])
         assert bures_distance(s, s) == pytest.approx(0.0, abs=1e-6)
@@ -189,3 +196,16 @@ class TestGelbrich:
             b = cloud(rng.normal(size=(64, 2)) * rng.uniform(0.5, 2.0))
             assert gelbrich_lower_bound(a, b) <= w2_exact(a, b)[0] + 1e-8
 
+    def test_overflowing_covariance_is_numerical_error_without_warnings(self):
+        m = cloud([[1e200, 0.0], [-1e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^S1 is not finite$"):
+                gelbrich_lower_bound(m, m)
+
+    def test_overflowing_mean_gap_is_numerical_error_without_warnings(self):
+        m, n = cloud([[1e300, 0.0]] * 2), cloud([[-1e300, 0.0]] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Gelbrich bound overflows"):
+                gelbrich_lower_bound(m, n)
