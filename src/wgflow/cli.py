@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -84,6 +85,13 @@ CONFIG_KEYS = frozenset(DEFAULTS) | frozenset(CASE_STUDY_PRESET) | {
 }
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 def _json_object(raw: str) -> dict:
     record = json.loads(raw)
     if not isinstance(record, dict):
@@ -117,6 +125,9 @@ class Config:
 
     def get_float(self, key: str) -> float:
         return self._get(key, float, "a number")
+
+    def get_finite(self, key: str) -> float:
+        return self._get(key, _finite_float, "a finite number")
 
     def get_int(self, key: str) -> int:
         return self._get(key, int, "an integer")
@@ -299,9 +310,9 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     have_truth = cfg.has("lambda1") and cfg.has("lambda2")
     model = _degradation_model(cfg, require_truth=False)
 
-    t_start = cfg.get_float("t_start")
-    t_stop = cfg.get_float("t_stop")
-    t_step = cfg.get_float("t_step")
+    t_start = cfg.get_finite("t_start")
+    t_stop = cfg.get_finite("t_stop")
+    t_step = cfg.get_finite("t_step")
     if not (t_step > 0 and t_stop >= t_start):
         raise ConfigError("need t_step > 0 and t_stop >= t_start")
     span = (t_stop - t_start) / t_step
@@ -326,6 +337,15 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
         )
 
     band = pdm.predict_damping_band(belief, model, t_grid, p_lo, p_hi)
+    zeta_true = [None] * count
+    if have_truth:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                zeta_true = pdm._zeta_at(model.a0, model.b0, *model.lam, t_grid)
+        except FloatingPointError:
+            raise NumericalError(
+                "true damping ratio overflows on the grid: lambda1 or lambda2 is too large"
+            ) from None
 
     by_rule = {
         "percentile": pdm.suggested_maintenance_time(belief, model, "percentile", rule_level),
@@ -345,7 +365,6 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
         raise ConfigError(f"day must be finite and nonnegative, got {day}")
 
     prediction_path = os.path.join(out_dir, "prediction.csv")
-    zeta_true = pdm._zeta_at(model.a0, model.b0, *model.lam, t_grid) if have_truth else [None] * count
     files.write_table(
         prediction_path,
         ["t", f"p{100 * p_lo:g}", "mean", f"p{100 * p_hi:g}", "zeta_true"],

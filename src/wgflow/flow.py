@@ -281,6 +281,10 @@ def run(
                 w2, _ = transport.w2_exact(cloud, ref_measure)
             except NumericalError as exc:
                 raise NumericalError(f"flow diverged at iteration {k}: {exc}") from None
+        # A finite cloud far enough out overflows its squared norms.
+        for name, value in (("objective", objective), ("grad_norm", grad_norm)):
+            if value is not None and not math.isfinite(value):
+                raise NumericalError(f"flow diverged at iteration {k}: {name} is not finite")
         trace.rows.append(
             TraceRow(k=k, objective=objective, w2_ref=w2, mean=mean, grad_norm=grad_norm)
         )

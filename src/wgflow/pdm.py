@@ -74,8 +74,9 @@ class PlantParams:
         for name in ("a", "b", "dt", "horizon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0 <= self.eps_half_width < math.inf:
-            raise ValueError("eps_half_width must be finite and nonnegative")
+        # The noise is drawn from [-eps, eps], whose width 2 eps must be finite.
+        if not 0 <= 2.0 * self.eps_half_width < math.inf:
+            raise ValueError("eps_half_width must be nonnegative and at most half the float limit")
         if not np.isfinite(self.r):
             raise ValueError("r must be finite")
         if not self.horizon / self.dt <= _MAX_TRANSITIONS:

@@ -7,6 +7,15 @@ matrix.  The assignment is solved exactly (no entropic smoothing); a hard
 particle cap keeps the cubic solve affordable, and callers are expected to
 subsample diagnostic clouds beyond it.
 
+The cost matrix and the assignment come from scipy's compiled kernels
+(``scipy.spatial._distance_pybind.cdist_sqeuclidean``, which
+``cdist(..., "sqeuclidean")`` calls, and ``scipy.optimize._lsap``, which
+``linear_sum_assignment`` is).  They are loaded from their files on first
+use without running ``scipy.optimize``'s or ``scipy.spatial``'s package
+imports, which cost a cold process more than the rest of this package and
+the solve together.  A scipy that lays them out otherwise gets the public
+functions, with the same results.
+
 The module also provides the Bures distance between covariance matrices
 and the moment-based (Gelbrich) lower bound on the Wasserstein distance,
 both used by convergence diagnostics.
@@ -14,7 +23,12 @@ both used by convergence diagnostics.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -48,7 +62,7 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]
     Raises
     ------
     NumericalError
-        If a squared distance is not finite.
+        If a squared distance, or their mean, is not finite.
     """
     if m.n != n.n:
         raise ValueError(
@@ -62,18 +76,58 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]
             f"cloud size {m.n} exceeds the exact-solver cap {MAX_EXACT_PARTICLES}; "
             "subsample the clouds (e.g. 256 particles) before measuring"
         )
-    # Imported here: scipy costs more than the rest of the package to import,
-    # and only the exact solve needs it.
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
-
-    cost_matrix = cdist(m.points, n.points, "sqeuclidean")
-    if not math.isfinite(cost_matrix.max()):
+    sqeuclidean, linear_sum_assignment = _kernels()
+    cost_matrix = sqeuclidean(m.points, n.points)
+    cost = math.inf
+    if math.isfinite(cost_matrix.max()):
+        rows, cols = linear_sum_assignment(cost_matrix)
+        # Finite costs can still overflow their sum; that is refused below.
+        with np.errstate(over="ignore"):
+            cost = float(cost_matrix[rows, cols].mean())
+    if not math.isfinite(cost):
         raise NumericalError(
             "squared distances between the clouds overflow; their coordinates are too large"
         )
-    rows, cols = linear_sum_assignment(cost_matrix)
-    return math.sqrt(float(cost_matrix[rows, cols].mean())), cols
+    return math.sqrt(cost), cols
+
+
+@functools.cache
+def _kernels():
+    # (cost, assignment): the squared-distance matrix of two (N, d) float64
+    # arrays and scipy's linear_sum_assignment.
+    try:
+        cost = _scipy_extension("spatial", "_distance_pybind").cdist_sqeuclidean
+        assignment = _scipy_extension("optimize", "_lsap").linear_sum_assignment
+    except (ImportError, AttributeError):
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+
+        return functools.partial(cdist, metric="sqeuclidean"), linear_sum_assignment
+    return cost, assignment
+
+
+def _scipy_extension(package: str, name: str):
+    # The compiled module scipy.<package>.<name>, executed from its file
+    # without importing scipy or scipy.<package> (a Python module of that
+    # name would import them through its relative imports, so it is not
+    # loaded).  A single-phase extension enters itself in sys.modules as
+    # it loads; that entry is taken out again unless scipy had made it.
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed")
+    full = f"scipy.{package}.{name}"
+    dirs = [os.path.join(p, package) for p in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(full, dirs)
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        raise ImportError(f"no compiled {full}")
+    entered = full not in sys.modules
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if entered:
+            sys.modules.pop(full, None)
+    return module
 
 
 def w2_1d(m: ParticleMeasure, n: ParticleMeasure) -> float:

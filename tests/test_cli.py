@@ -1,13 +1,19 @@
 import ast
+import contextlib
 import csv
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wgflow
 from wgflow import cli, measures, pdm, transport
@@ -383,6 +389,31 @@ class TestPredict:
         assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
         assert not (tmp_path / "prediction.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("t_start", "nan"), ("t_stop", "inf"), ("t_step", "inf")])
+    def test_nonfinite_grid_key_exits_2_naming_it(self, tmp_path, capsys, key, value):
+        path = tmp_path / "particles.csv"
+        measures.write_particles_csv(measures.ParticleMeasure(np.tile(LAM, (8, 1))), path)
+        out = tmp_path / "out"
+        args = ["--particles", str(path), "--out", str(out), f"--{key}", value]
+        assert run_cli("predict", "--paper-preset", *args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"config error: config key '{key}' must be a finite number, got '{value}'"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["lambda1", "lambda2"])
+    def test_overflowing_true_ratio_exits_4_with_one_line(self, tmp_path, capsys, key):
+        # The drift lambda t overflows from t = 2 on the default grid, where
+        # the true damping ratio would be written as -inf or rounded to 0.
+        path = tmp_path / "particles.csv"
+        measures.write_particles_csv(measures.ParticleMeasure(np.tile(LAM, (8, 1))), path)
+        out = tmp_path / "out"
+        args = ["--particles", str(path), "--out", str(out), f"--{key}", "1e308"]
+        assert run_cli("predict", "--paper-preset", *args) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("numerical error: true damping ratio overflows"), lines
+        assert not out.exists()
+
     def test_empty_particle_file_exits_3(self, tmp_path):
         (tmp_path / "particles.csv").write_text("x1,x2\n")
         assert run_cli("predict", "--paper-preset", "--out", str(tmp_path)) == 3
@@ -580,6 +611,7 @@ def test_overflowing_belief_exits_4_with_one_line(tmp_path, capsys, command, clo
         ("flow", ("--rho", "inf")),
         ("simulate", ("--eps_half_width", "nan")),
         ("simulate", ("--eps_half_width", "inf")),
+        ("simulate", ("--eps_half_width", "1e308")),  # finite, but the noise width 2 eps is not
     ],
 )
 def test_nonfinite_value_exits_2_with_one_line(tmp_path, capsys, command, overrides):
@@ -590,6 +622,91 @@ def test_nonfinite_value_exits_2_with_one_line(tmp_path, capsys, command, overri
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), lines
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Each command's input flags, over files that the paper preset accepts."""
+    inputs = tmp_path_factory.mktemp("in")
+    write_noise_free_observations(inputs / "observations.csv", days=10)
+    particles = str(inputs / "particles.csv")
+    measures.write_particles_csv(measures.init_uniform_box([0, 0], [0.2, 0.2], 64, seed=0), particles)
+    return {
+        "simulate": ["--horizon", "2"],  # the preset's 10 days, each 50 times shorter
+        "flow": ["--observations", str(inputs / "observations.csv")],
+        "predict": ["--particles", particles],
+        "diagnose": ["--particles", particles, "--reference", particles],
+    }
+
+
+_EXTREMES = ("0", "-0", "1e308", "-1e308", "inf", "-inf", "nan", "5e-324")
+# A number, or a vector of one to three of them (two fit a 2-d key).
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(_EXTREMES),
+    st.lists(st.sampled_from(_EXTREMES), min_size=1, max_size=3).map(",".join),
+)
+# The same extremes as JSON numbers, in a record of each constraint kind.
+_JSON_NUMBER = st.sampled_from(
+    ("0", "-0.0", "1e308", "-1e308", "Infinity", "-Infinity", "NaN", "5e-324")
+)
+_JSON_VECTOR = st.lists(_JSON_NUMBER, min_size=1, max_size=3).map(lambda v: "[" + ",".join(v) + "]")
+_FUZZ_RECORDS = st.one_of(
+    st.builds('{{"kind": "box", "lo": {}, "hi": {}}}'.format, _JSON_VECTOR, _JSON_VECTOR),
+    st.builds('{{"kind": "halfspace", "a": {}, "b": {}}}'.format, _JSON_VECTOR, _JSON_NUMBER),
+    st.builds('{{"kind": "ball", "center": {}, "radius": {}}}'.format, _JSON_VECTOR, _JSON_NUMBER),
+    st.builds(
+        '{{"kind": "{}", "d": {}}}'.format,
+        st.sampled_from(("nonneg_orthant", "all")), st.sampled_from(("0", "1", "2", "3", "2.0")),
+    ),
+)
+_FUZZ_SETTINGS = st.sampled_from(sorted(cli.CONFIG_KEYS)).flatmap(
+    lambda key: st.tuples(st.just(key), _FUZZ_RECORDS if key == "constraint" else _FUZZ_VALUES)
+)
+
+
+def _numbers(text):
+    for token in re.findall(r"[^\s,=:\[\]{}\"]+", text):
+        try:
+            yield float(token)
+        except ValueError:
+            pass
+
+
+# The shared profile draws the same examples on every run (derandomized).
+@settings(max_examples=200)
+@given(
+    command=st.sampled_from(sorted(_INPUTS)),
+    overrides=st.lists(_FUZZ_SETTINGS, min_size=1, max_size=3, unique_by=lambda kv: kv[0]),
+)
+@example(command="simulate", overrides=[("eps_half_width", "1e308")])
+@example(command="predict", overrides=[("lambda1", "1e308")])
+@example(command="predict", overrides=[("lambda2", "1e308")])
+@example(command="predict", overrides=[("t_step", "inf")])
+@example(command="flow", overrides=[("init_hi", "1e154,1e-300")])
+def test_extreme_values_exit_cleanly(fuzz_inputs, command, overrides):
+    # Any command with up to three keys set to extreme values either
+    # succeeds and writes no nan (inf only as tstar.csv's "never"), or
+    # exits with a documented code and one line, writing nothing.  No
+    # warning may escape.
+    flags = [arg for key, value in overrides for arg in (f"--{key}", value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = [command, "--paper-preset", "--out", out, *fuzz_inputs[command], *flags]
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code in (0, 2, 3, 4, 5)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert not os.path.exists(out) or not os.listdir(out)
+            return
+        for name in os.listdir(out):
+            with open(os.path.join(out, name)) as fh:
+                values = list(_numbers(fh.read()))
+            assert not any(math.isnan(v) for v in values), name
+            assert name == "tstar.csv" or all(math.isfinite(v) for v in values), name
 
 
 def test_day_over_the_transition_cap_exits_2_before_simulating(tmp_path, capsys, monkeypatch):

@@ -323,6 +323,22 @@ class TestRun:
         with pytest.raises(NumericalError, match="diverged at iteration 1: squared distances"):
             run(m0, preset_objective(), noise_free_stream(10), cfg)
 
+    @pytest.mark.parametrize(
+        "theta, hi, message",
+        [
+            (THETA, 1e153, "diverged at iteration 0: objective is not finite"),
+            (None, 1e156, "diverged at iteration 1: grad_norm is not finite"),
+        ],
+    )
+    def test_trace_row_of_a_finite_far_cloud_is_refused(self, theta, hi, message):
+        # The cloud and its mean are finite, and so are its squared
+        # distances to theta*; the objective's squares, scaled by |W|^2 =
+        # 25, or the squared steps of the gradient norm overflow.
+        m0 = init_uniform_box([0, 0], [hi, hi], 16, seed=1)
+        cfg = flow_config(max_iters=3, diag_every=1, diag_subsample=16)
+        with pytest.raises(NumericalError, match=message):
+            run(m0, StreamingLSObjective(W, 0.1, theta, 0.0), noise_free_stream(3), cfg)
+
 
 # A process matrix that is not symmetric, so a transposed W^T shows.
 W_SKEW = np.array([[-5.0, 1.0], [0.5, 4.0]])

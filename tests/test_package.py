@@ -7,8 +7,6 @@ import shutil
 import subprocess
 import sys
 
-import numpy as np
-
 import wgflow
 from wgflow import measures
 
@@ -16,10 +14,10 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported on first use only: it costs more to import than the
-    # rest of the package, and simulate, predict and a deployment-mode flow
-    # never need it (w2_exact, which a simulation-mode flow and diagnose
-    # call, imports it).
+    # scipy's packages cost more to import than the rest of this one, and
+    # no stage needs them: w2_exact, which a simulation-mode flow and
+    # diagnose call, loads the two compiled kernels it needs from their
+    # files (see the next test).
     code = "import sys, wgflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -32,17 +30,19 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_simulate_and_predict_load_no_scipy(tmp_path):
-    # Two of the four cold pipeline stages; scipy would about triple the
-    # cost of either if it crept in.  Both run in one process, and the
-    # modules loaded by the end are checked.
-    rates = np.tile([2.0 / 60.0, 5.0 / 60.0], (8, 1))
-    measures.write_particles_csv(measures.ParticleMeasure(rates), tmp_path / "particles.csv")
+def test_four_stages_load_no_scipy(tmp_path):
+    # The cold pipeline: a simulation-mode flow (a W2 trace row at each of
+    # its 10 iterates) and diagnose both solve exact transport problems,
+    # and scipy's packages would about triple the cost of either.  All
+    # four stages run in one process, and the modules loaded by the end
+    # are checked.
     code = (
         "import sys\n"
         "from wgflow.cli import main\n"
-        "for command in ('simulate', 'predict'):\n"
-        "    assert main([command, '--paper-preset', '--out', sys.argv[1]]) == 0, command\n"
+        "out = sys.argv[1]\n"
+        "for argv in (['simulate'], ['flow'], ['predict'],\n"
+        "             ['diagnose', '--reference', out + '/particles.csv']):\n"
+        "    assert main([*argv, '--paper-preset', '--out', out]) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(
@@ -54,7 +54,9 @@ def test_simulate_and_predict_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "tstar.csv").is_file()
+    trace = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(trace) == 11 and all(row.split(",")[2] for row in trace[1:])
+    assert (tmp_path / "tstar.csv").is_file() and (tmp_path / "diagnostics.csv").is_file()
 
 
 def test_all_lists_exactly_the_public_imports():

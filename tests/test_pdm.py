@@ -68,6 +68,12 @@ class TestPlantParams:
         with pytest.raises(ValueError):
             PlantParams(a=-1.0, b=1.0, r=1.0, dt=0.001, horizon=1.0, eps_half_width=0.0)
 
+    def test_noise_width_must_be_finite(self):
+        # The noise is drawn from [-eps, eps], whose width overflows here.
+        PlantParams(a=2.5, b=1.0, r=1.0, dt=1e-3, horizon=1.0, eps_half_width=8e307)
+        with pytest.raises(ValueError, match="eps_half_width"):
+            PlantParams(a=2.5, b=1.0, r=1.0, dt=1e-3, horizon=1.0, eps_half_width=1e308)
+
     def test_transition_cap(self):
         cap = pdm._MAX_TRANSITIONS
         PlantParams(a=2.5, b=1.0, r=1.0, dt=1e-3, horizon=cap * 1e-3, eps_half_width=0.0)

@@ -1,10 +1,18 @@
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
+import wgflow
 from _oracles import bures_scipy, w2_brute_force
+from wgflow import transport
 from wgflow.errors import NumericalError
 from wgflow.measures import ParticleMeasure
 from wgflow.transport import (
@@ -98,6 +106,97 @@ class TestW2Exact:
         big = ParticleMeasure(np.zeros((MAX_EXACT_PARTICLES + 1, 1)))
         with pytest.raises(ValueError, match="[Ss]ubsample"):
             w2_exact(big, big)
+
+    def test_overflowing_mean_cost_is_numerical_error_without_warnings(self):
+        # Every squared distance (9e306) is finite; their sum over 256 pairs is not.
+        a = np.full((256, 1), 1.5e153)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow"):
+                w2_exact(cloud(a), cloud(-a))
+
+
+def kernel_cases():
+    """Pairs of clouds: C- and F-ordered, d = 1, 2, 3, n from 1 to 256, a
+    Dirac reference (every cost row tied) and duplicated points."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for d in (1, 2, 3):
+        for n in (*range(1, 10), 16, 31, 64, 100, 255, 256):
+            a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            cases += [
+                (a, b),
+                (np.asfortranarray(a), np.asfortranarray(b)),
+                (a, np.tile(rng.normal(size=d), (n, 1))),
+                (a[rng.integers(0, -(-n // 2), size=n)], b[rng.integers(0, -(-n // 3), size=n)]),
+            ]
+    return cases
+
+
+def public_w2(a, b):
+    """The exact distance and matching through scipy's public functions."""
+    cost = cdist(a, b, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return math.sqrt(float(cost[rows, cols].mean())), cols
+
+
+class TestExactKernels:
+    def test_package_free_kernels_match_the_public_functions_bit_for_bit(self, tmp_path):
+        # In a fresh process no scipy package is imported, so w2_exact runs
+        # on the compiled modules it loads from their files; here, scipy's
+        # public functions are imported (by this module).
+        cases = kernel_cases()
+        np.savez(tmp_path / "cases.npz", *[x for pair in cases for x in pair])
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from wgflow.measures import ParticleMeasure\n"
+            "from wgflow.transport import w2_exact\n"
+            "clouds = np.load(sys.argv[1])\n"
+            "out = {}\n"
+            "for i in range(len(clouds.files) // 2):\n"
+            "    a, b = clouds[f'arr_{2 * i}'], clouds[f'arr_{2 * i + 1}']\n"
+            "    out[f'dist{i}'], out[f'perm{i}'] = w2_exact(ParticleMeasure(a), ParticleMeasure(b))\n"
+            "np.savez(sys.argv[2], **out)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "cases.npz"), str(tmp_path / "out.npz")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        got = np.load(tmp_path / "out.npz")
+        for i, (a, b) in enumerate(cases):
+            dist, perm = public_w2(a, b)
+            assert float(got[f"dist{i}"]) == dist, i
+            assert np.array_equal(got[f"perm{i}"], perm), i
+
+    def test_public_fallback_gives_the_same_bits(self, monkeypatch):
+        # A scipy whose compiled modules the loader cannot find (another
+        # layout) falls back to the public functions.
+        transport._kernels.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    importlib.machinery.PathFinder,
+                    "find_spec",
+                    classmethod(lambda cls, *args, **kwargs: None),
+                )
+                cost, assignment = transport._kernels()
+            assert assignment is linear_sum_assignment
+            assert cost.func is cdist
+            for a, b in kernel_cases():
+                dist, perm = public_w2(a, b)
+                got_dist, got_perm = w2_exact(cloud(a), cloud(b))
+                assert got_dist == dist
+                assert np.array_equal(got_perm, perm)
+        finally:
+            transport._kernels.cache_clear()
 
 
 class TestW21d:
