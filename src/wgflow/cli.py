@@ -189,8 +189,10 @@ def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
     seed = cfg.get_int("seed")
     if days < 1:
         raise ConfigError("days must be at least 1")
-    if x0.shape != (2,):
-        raise ConfigError("x0 must have two components (position, velocity)")
+    if x0.shape != (2,) or not np.isfinite(x0).all():
+        raise ConfigError("x0 must have two finite components (position, velocity)")
+    # These keys are the same on every day, so a fault in one is no day's.
+    pdm.check_plant_settings(r, dt, horizon, eps)
 
     # Every day is simulated before anything is written, so a refused day
     # (its plant, trajectory or estimate) leaves no output, and the message

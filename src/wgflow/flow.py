@@ -11,7 +11,6 @@ safe step, asymptotic ball radius) so runs can be judged against them.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -326,6 +325,8 @@ def run(
         if not ok:
             if cfg.on_invalid == "abort":
                 raise DataError(f"invalid observation at iteration {k}: {y!r}")
+            import logging  # at module level it would slow the CLI's import
+
             logging.getLogger(__name__).warning(
                 "skipping invalid observation at iteration %d", k
             )

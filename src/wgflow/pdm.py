@@ -71,19 +71,10 @@ class PlantParams:
     eps_half_width: float
 
     def __post_init__(self):
-        for name in ("a", "b", "dt", "horizon"):
+        for name in ("a", "b"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        # The noise is drawn from [-eps, eps], whose width 2 eps must be finite.
-        if not 0 <= 2.0 * self.eps_half_width < math.inf:
-            raise ValueError("eps_half_width must be nonnegative and at most half the float limit")
-        if not np.isfinite(self.r):
-            raise ValueError("r must be finite")
-        if not self.horizon / self.dt <= _MAX_TRANSITIONS:
-            raise ValueError(
-                f"horizon {self.horizon} in steps of dt={self.dt} exceeds "
-                f"{_MAX_TRANSITIONS} transitions; raise dt"
-            )
+        check_plant_settings(self.r, self.dt, self.horizon, self.eps_half_width)
         radius = max(abs(ev) for ev in np.linalg.eigvals(self.transition_matrix()))
         if radius >= 1.0:
             raise NumericalError(
@@ -93,6 +84,25 @@ class PlantParams:
 
     def transition_matrix(self) -> np.ndarray:
         return np.array([[1.0, self.dt], [-self.dt * self.b, 1.0 - self.dt * self.a]])
+
+
+def check_plant_settings(r: float, dt: float, horizon: float, eps_half_width: float) -> None:
+    """Check the :class:`PlantParams` fields that do not depend on ``(a, b)``.
+
+    Raises ``ValueError`` naming the first field out of range.
+    """
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    # The noise is drawn from [-eps, eps], whose width 2 eps must be finite.
+    if not 0 <= 2.0 * eps_half_width < math.inf:
+        raise ValueError("eps_half_width must be nonnegative and at most half the float limit")
+    if not math.isfinite(r):
+        raise ValueError("r must be finite")
+    if not horizon / dt <= _MAX_TRANSITIONS:
+        raise ValueError(
+            f"horizon {horizon} in steps of dt={dt} exceeds {_MAX_TRANSITIONS} transitions; raise dt"
+        )
 
 
 def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,29 +142,43 @@ def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.n
     powers[0] = np.eye(2)
     for i in range(_BLOCK):
         powers[i + 1] = m @ powers[i]
-    forced = np.zeros((nb, _BLOCK, 2))
+    # The states padded to whole blocks: row 0 is x0, and the deviations of
+    # block j fill row j of dev, first its forced response, then plus the
+    # response to its start.
+    padded = np.empty((nb * _BLOCK + 1, 2))
+    dev = padded[1:].reshape(nb, 2 * _BLOCK)
     if p.eps_half_width > 0:
-        eps = np.zeros(nb * _BLOCK)
-        eps[:n] = substream(seed, _TRAJ_STREAM).uniform(-p.eps_half_width, p.eps_half_width, n)
-        impulse = powers[:_BLOCK, :, 1] * (p.dt * p.b)  # M^i g
-        lag = np.arange(_BLOCK)[None, :] - np.arange(_BLOCK)[:, None]  # q - l
-        toeplitz = np.where((lag >= 0)[..., None], impulse[np.maximum(lag, 0)], 0.0)
-        forced = (eps.reshape(nb, _BLOCK) @ toeplitz.reshape(_BLOCK, 2 * _BLOCK)).reshape(forced.shape)
+        # uniform(-w, w) returns -w + 2w u for the doubles u that random
+        # draws, so scaling them in place gives the same bits.
+        eps = np.empty(nb * _BLOCK)
+        substream(seed, _TRAJ_STREAM).random(out=eps[:n])
+        eps[:n] *= 2.0 * p.eps_half_width
+        eps[:n] -= p.eps_half_width
+        eps[n:] = 0.0
+        impulse = (powers[:_BLOCK, :, 1] * (p.dt * p.b)).ravel()  # M^i g, i < B
+        # Row l holds M^{q-l} g at columns 2q, 2q + 1 for every q >= l.
+        toeplitz = np.zeros((_BLOCK, 2 * _BLOCK))
+        for row in range(_BLOCK):
+            toeplitz[row, 2 * row:] = impulse[:2 * (_BLOCK - row)]
+        np.matmul(eps.reshape(nb, _BLOCK), toeplitz, out=dev)
+    else:
+        dev[...] = 0.0
 
     (c11, c12), (c21, c22) = powers[_BLOCK].tolist()
-    starts = np.empty((nb, 2))
+    starts = []
     e1 = float(x0[0]) - p.r
     e2 = float(x0[1])
-    for j, (f1, f2) in enumerate(forced[:, -1].tolist()):
-        starts[j] = e1, e2
+    for f1, f2 in dev[:, -2:].tolist():
+        starts.append((e1, e2))
         e1, e2 = c11 * e1 + c12 * e2 + f1, c21 * e1 + c22 * e2 + f2
+    starts = np.array(starts, dtype=float).reshape(nb, 2)
     # Row b of the block propagator holds M^{q+1}[a, b] at column 2q + a.
     propagator = powers[1:].transpose(2, 0, 1).reshape(2, 2 * _BLOCK)
-    dev = (starts @ propagator).reshape(forced.shape) + forced
+    dev += starts @ propagator
 
-    states = np.empty((n + 1, 2))
+    states = padded[:n + 1]
     states[0] = x0
-    states[1:] = dev.reshape(-1, 2)[:n] + (p.r, 0.0)
+    states[1:, 0] += p.r
     return states, np.full(n + 1, p.r)
 
 
@@ -163,10 +187,15 @@ def ls_estimate(traj: tuple[np.ndarray, np.ndarray], dt: float) -> np.ndarray:
 
     Only the velocity transitions carry information (the position row of
     the discretization is an exact identity), so the fit regresses the
-    discrete accelerations on ``[-velocity, reference - position]``.
+    discrete accelerations on ``[-velocity, reference - position]``.  It
+    solves the 2 x 2 normal equations, built from dot products over the
+    ``n`` transitions.
 
-    Returns the estimate ``(a_hat, b_hat)``; raises when the regressor is
-    rank deficient (no excitation).
+    Returns the estimate ``(a_hat, b_hat)``, which is not finite when the
+    trajectory overflows.  Raises when the regressor is rank deficient (no
+    excitation): when the smallest eigenvalue of its Gram matrix is at most
+    ``n * eps`` times the largest, the order of the rounding error of the
+    ``n``-term sums, so that it cannot be told from zero.
     """
     states, refs = traj
     states = np.asarray(states, dtype=float)
@@ -177,15 +206,21 @@ def ls_estimate(traj: tuple[np.ndarray, np.ndarray], dt: float) -> np.ndarray:
         raise ValueError("need at least two transitions to fit two parameters")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    targets = np.diff(states[:, 1]) / dt
-    regressors = np.column_stack([-states[:-1, 1], refs[:-1] - states[:-1, 0]])
-    sol, _, rank, _ = np.linalg.lstsq(regressors, targets, rcond=None)
-    if rank < 2:
+    n = states.shape[0] - 1
+    v = states[:-1, 1]
+    e = refs[:-1] - states[:-1, 0]
+    dv = np.diff(states[:, 1])
+    ve = v @ e
+    gram = np.array([[v @ v, -ve], [-ve, e @ e]])
+    if not np.isfinite(gram).all():
+        return np.full(2, np.nan)
+    lo, hi = np.linalg.eigvalsh(gram)
+    if not lo > n * np.finfo(float).eps * hi:
         raise NumericalError(
             "rank-deficient regressor: the trajectory does not excite both "
             "parameters; use a longer or richer trajectory"
         )
-    return sol
+    return np.linalg.solve(gram, np.array([-(v @ dv), e @ dv]) / dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,8 +394,9 @@ def predict_damping_band(
     Grid rows are evaluated in blocks of about ``_BAND_BLOCK`` values (at
     least one row each).
 
-    Returns a ``(len(t_grid), 4)`` array; a row that overflows raises
-    :class:`NumericalError` naming its ``t``.
+    Returns a ``(len(t_grid), 4)`` array; a row that overflows, or whose
+    drifted stiffness overflows for some particle (its ratio would read 0),
+    raises :class:`NumericalError` naming its ``t``.
     """
     if m.d != 2:
         raise ValueError("belief particles must be 2-d decay rates")
@@ -381,7 +417,9 @@ def predict_damping_band(
         z.sort(axis=1)
         block[:, 1] = z[:, lo]
         block[:, 3] = z[:, hi]
-    bad = t_grid[~np.isfinite(rows).all(axis=1)]
+    # Rounding is monotone, so the largest stiffness rate overflows first.
+    stiff = d.b0 + m.points[:, 1].max() * t_grid
+    bad = t_grid[~(np.isfinite(rows).all(axis=1) & np.isfinite(stiff))]
     if bad.size:
         raise NumericalError(f"damping band at t = {bad[0]} is not finite: the belief's rates overflow")
     return rows

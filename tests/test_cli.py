@@ -90,6 +90,23 @@ class TestSimulate:
         assert lines == ["config error: day 15 (t = 75.0): a must be positive"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("eps_half_width", "1e308", "eps_half_width must be nonnegative and at most half the float limit"),
+            ("eps_half_width", "nan", "eps_half_width must be nonnegative and at most half the float limit"),
+            ("r", "nan", "r must be finite"),
+            ("dt", "inf", "dt must be positive and finite"),
+            ("horizon", "-1", "horizon must be positive and finite"),
+            ("x0", "nan,0", "x0 must have two finite components (position, velocity)"),
+        ],
+    )
+    def test_fault_of_a_day_independent_key_names_no_day(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--paper-preset", "--out", str(out), f"--{key}", value) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
     def test_overflowing_day_is_named_in_one_line(self, tmp_path):
         # A huge but finite x0 overflows day 0's fit.  NumPy's warning
         # about it must not reach stderr, which a fresh process shows.
@@ -412,6 +429,18 @@ class TestPredict:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith("numerical error: true damping ratio overflows"), lines
+        assert not out.exists()
+
+    def test_overflowing_particle_stiffness_exits_4_with_one_line(self, tmp_path, capsys):
+        # The particle's stiffness b0 + 1e308 t overflows from t = 2 on the
+        # default grid, where its damping ratio would be written as 0.
+        path = tmp_path / "particles.csv"
+        measures.write_particles_csv(measures.ParticleMeasure(np.array([[0.03, 1e308]])), path)
+        out = tmp_path / "out"
+        assert run_cli("predict", "--paper-preset", "--particles", str(path), "--out", str(out)) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical error: damping band at t = 2.0 is not finite: the belief's rates overflow"
+        ]
         assert not out.exists()
 
     def test_empty_particle_file_exits_3(self, tmp_path):

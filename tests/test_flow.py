@@ -240,6 +240,16 @@ class TestRun:
         final, trace = run(m0, preset_objective(), stream, cfg)
         assert trace.iterations_run == 3  # the bad index is consumed without a step
 
+    def test_skipped_observation_is_logged_once_naming_its_iteration(self, caplog):
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
+        stream = [W @ THETA, np.array([np.nan, 0.0]), W @ THETA]
+        cfg = flow_config(max_iters=10, diag_subsample=16, on_invalid="skip")
+        with caplog.at_level("WARNING", logger="wgflow.flow"):
+            run(m0, preset_objective(), stream, cfg)
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("wgflow.flow", "WARNING", "skipping invalid observation at iteration 1")
+        ]
+
     def test_unsafe_tau_refused_then_allowed(self):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
         cfg = flow_config(tau=0.05, max_iters=1, diag_subsample=16)

@@ -30,6 +30,21 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_logging():
+    # Only flow.run's skip path logs, and it imports logging there: at
+    # module level the import would cost every cold stage several ms.
+    code = "import sys, wgflow.cli; print('logging' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_four_stages_load_no_scipy(tmp_path):
     # The cold pipeline: a simulation-mode flow (a W2 trace row at each of
     # its 10 iterates) and diagnose both solve exact transport problems,

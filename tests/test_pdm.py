@@ -7,11 +7,15 @@ from _oracles import (
     _SCAN_CAP,
     damping_band_rows,
     ls_baseline_scalar,
+    ls_estimate_lstsq,
     rule_holds,
+    simulate_blocks_with_temporaries,
     simulate_loop,
     suggested_maintenance_time_bisect,
     true_maintenance_time_bisect,
 )
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wgflow import pdm
@@ -136,6 +140,48 @@ class TestLsEstimate:
         with pytest.raises(NumericalError, match="rank"):
             ls_estimate((states, refs), 0.001)
 
+    # Columns -v = s (1, 1, 0, 0) and r - x = (0, 0, 1, 1) are orthogonal,
+    # so the Gram matrix is exactly diag(2 s^2, 2): its eigenvalue ratio
+    # 1 / s^2 lies a factor 4 on either side of the threshold n eps = 2^-50.
+    @pytest.mark.parametrize("scale, refused", [(2.0**24, False), (2.0**26, True)])
+    def test_near_degenerate_regressor_on_each_side_of_the_threshold(self, scale, refused):
+        states = np.array([[1.0, -scale], [1.0, -scale], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        traj = (states, np.ones(5))
+        if refused:
+            with pytest.raises(NumericalError, match="rank"):
+                ls_estimate(traj, 0.001)
+        else:
+            # The targets dv / dt are (0, s, 0, 1) / dt, so the exact fit is
+            # (1 / 2 dt, 1 / 2 dt).
+            assert ls_estimate(traj, 0.001) == pytest.approx([500.0, 500.0], rel=1e-12)
+
+    def test_overflowing_trajectory_gives_a_nonfinite_estimate(self):
+        states = np.array([[0.0, 1e308], [0.0, -1e308], [1e308, 0.0], [0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(ls_estimate((states, np.ones(4)), 0.001)).any()
+
+    # The normal equations square the regressor's condition number; the
+    # two fits agree to the rounding of the n-term sums (n eps), amplified
+    # by the Gram matrix's condition number.
+    @given(
+        a=st.floats(0.3, 3.0),
+        b=st.floats(0.3, 6.0),
+        dt=st.sampled_from([0.001, 0.002, 0.005]),
+        n=st.integers(2, 20_000),
+        width=st.sampled_from([0.0, 1e-6, 0.03, 3.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_lstsq(self, a, b, dt, n, width, seed):
+        try:
+            p = PlantParams(a, b, 1.0, dt, n * dt, width)
+        except NumericalError:
+            assume(False)
+        traj = simulate_trajectory(p, np.array([-2.5, 0.0]), seed)
+        est, ref = ls_estimate(traj, dt), ls_estimate_lstsq(traj, dt)
+        v, e = traj[0][:-1, 1], traj[1][:-1] - traj[0][:-1, 0]
+        lo, hi = np.linalg.eigvalsh([[v @ v, -(v @ e)], [-(v @ e), e @ e]])
+        assert np.max(np.abs(est - ref)) <= n * EPS * (hi / lo) * np.max(np.abs(ref))
+
     def test_needs_two_transitions(self):
         states = np.zeros((2, 2))
         with pytest.raises(ValueError, match="transitions"):
@@ -185,6 +231,19 @@ class TestSimulateAgainstLoop:
         assert np.array_equal(refs, ref_refs)
         assert np.array_equal(states[0], x0)
         assert np.max(np.abs(states - ref_states)) <= sim_tol(n, ref_states)
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 100_000])
+    @pytest.mark.parametrize("width", [0.0, 3.0])
+    @pytest.mark.parametrize("plant", sorted(SIM_PLANTS))
+    def test_matches_the_earlier_block_form_bit_for_bit(self, plant, width, n):
+        a, b, dt = SIM_PLANTS[plant]
+        p = PlantParams(a, b, 1.0, dt, n * dt, width)
+        for x0 in ([-2.5, 0.0], [1.0, 0.0], [0.1, 0.3]):
+            states, refs = simulate_trajectory(p, x0, seed=7)
+            ref_states, ref_refs = simulate_blocks_with_temporaries(p, x0, seed=7)
+            assert states.shape == ref_states.shape
+            assert states.tobytes() == ref_states.tobytes()
+            assert np.array_equal(refs, ref_refs)
 
     @pytest.mark.parametrize("n", [1, BLOCK + 1])
     def test_first_state_is_x0_bit_for_bit(self, n):
@@ -401,6 +460,15 @@ class TestPredictDampingBand:
         assert np.isfinite(predict_damping_band(m, case_study_model(), [0.0, 0.5])).all()
         with pytest.raises(NumericalError, match=r"damping band at t = 1\.5 is not finite"):
             predict_damping_band(m, case_study_model(), [0.0, 0.5, 1.5, 2.0])
+
+    def test_overflowing_stiffness_refused_naming_its_t(self):
+        # b0 + 1e308 t overflows from t = 2 on, where the particle's ratio
+        # would read 0 instead of about 8.8e-155.
+        m = ParticleMeasure(np.array([[0.03, 1e308], [0.03, 0.05]]))
+        band = predict_damping_band(m, case_study_model(), [0.0, 0.5, 1.5])
+        assert np.all(band[1:, 1] > 0)
+        with pytest.raises(NumericalError, match=r"damping band at t = 2\.0 is not finite"):
+            predict_damping_band(m, case_study_model(), [0.0, 0.5, 1.5, 2.0, 2.5])
 
     # One row per block, several rows per block, and the default size.
     @pytest.mark.parametrize("block", [1, 7, pdm._BAND_BLOCK])
