@@ -7,7 +7,9 @@ squares, difference consecutive estimates into a zero-mean linear model
 for the decay rates, and advance a 1000-particle belief by one projected
 stochastic gradient step.  The belief then yields a damping-ratio band
 and a conservative suggested maintenance time, compared against a
-classical static least-squares fit.
+classical static least-squares fit.  Last, the same pipeline runs on 20
+seeds, and each rule's safe share, mean lead and worst overshoot are
+printed: the numbers of the README's results table.
 
 Writes prediction.csv / tstar.csv / observations.csv under demo_out/.
 
@@ -29,9 +31,11 @@ MODEL = pdm.DegradationModel(a0=2.5, b0=1.0, lam=TRUE_RATES, zeta_min=0.4, T=5.0
 SEED = 0
 N_PARTICLES = 1000
 N_DAYS = 10  # observations at t = 0, 5, ..., 45
+SAFETY_SEEDS = range(20)
 
 
-def collect_observations():
+def collect_observations(seed):
+    """One least-squares estimate of (a, b) per recorded day."""
     obs = []
     for j in range(N_DAYS):
         t = j * MODEL.T
@@ -39,13 +43,49 @@ def collect_observations():
         plant = pdm.PlantParams(a=float(a), b=float(b), r=1.0, dt=0.001,
                                 horizon=100.0, eps_half_width=3.0)
         traj = pdm.simulate_trajectory(plant, np.array([-2.5, 0.0]),
-                                       seed=spawn_seed(SEED, 41, j))
-        y_hat = pdm.ls_estimate(traj, plant.dt)
-        obs.append(pdm.Observation(t, y_hat))
-        zeta = pdm.damping_ratio(pdm.degrade(MODEL, t))
-        print(f"  day {t:>4.0f}: estimated (a, b) = ({y_hat[0]:.3f}, {y_hat[1]:.3f}), "
-              f"true damping ratio {zeta:.3f}")
+                                       seed=spawn_seed(seed, 41, j))
+        obs.append(pdm.Observation(t, pdm.ls_estimate(traj, plant.dt)))
     return obs
+
+
+def advance_belief(seed, obs):
+    """The belief after each differenced observation, one step per day."""
+    diffs = pdm.difference_stream(obs)
+    objective = wg.StreamingLSObjective(pdm.process_matrix(MODEL.T), rho=0.1,
+                                        theta_star=None, sigma_w2=0.0)
+    belief = wg.init_uniform_box([0.0, 0.0], [8.0 / 60.0] * 2, N_PARTICLES, seed)
+    beliefs = []
+    for k, diff in enumerate(diffs):
+        cfg = wg.FlowConfig(tau=0.01, max_iters=1, seed=seed,
+                            constraint=wg.NonnegativeOrthant(2),
+                            perturb_std=0.02, diag_every=1)
+        belief, _ = wg.run(belief, objective, [diff], cfg, start_iteration=k)
+        beliefs.append(belief)
+    return beliefs
+
+
+def print_safety(true_t):
+    # A suggested time is safe when it is at most the true time (plus
+    # 1e-3 days); the belief is judged from its third observation on.
+    rules = {"percentile(0.1)": "percentile", "chance(0.1)": "chance", "mean": "mean"}
+    leads = {name: [] for name in [*rules, "LS baseline"]}
+    for seed in SAFETY_SEEDS:
+        obs = collect_observations(seed)
+        for k, belief in enumerate(advance_belief(seed, obs)):
+            if obs[k + 1].t < 2 * MODEL.T:
+                continue
+            for name, rule in rules.items():
+                suggested = pdm.suggested_maintenance_time(belief, MODEL, rule, 0.1)
+                leads[name].append(true_t - suggested.days)
+            _, ls_time = pdm.ls_baseline(obs[: k + 2], MODEL.a0, MODEL.b0, MODEL.zeta_min)
+            leads["LS baseline"].append(true_t - ls_time.days)
+    pairs = len(leads["mean"])
+    print(f"  {'rule':<16} {'safe':>6} {'mean lead':>10} {'worst overshoot':>16}"
+          f"   ({len(SAFETY_SEEDS)} seeds, {pairs} seed-day pairs)")
+    for name, values in leads.items():
+        lead = np.array(values)
+        print(f"  {name:<16} {np.mean(lead >= -1e-3):>6.1%} {lead.mean():>8.2f} d "
+              f"{-lead.min():>+14.2f} d")
 
 
 def dump_responses():
@@ -80,28 +120,25 @@ def main():
     print()
 
     print("collecting daily trajectory estimates")
-    obs = collect_observations()
+    obs = collect_observations(SEED)
+    for o in obs:
+        zeta = pdm.damping_ratio(pdm.degrade(MODEL, o.t))
+        print(f"  day {o.t:>4.0f}: estimated (a, b) = ({o.y_hat[0]:.3f}, {o.y_hat[1]:.3f}), "
+              f"true damping ratio {zeta:.3f}")
     pdm.write_observations_csv(obs, os.path.join(OUT_DIR, "observations.csv"))
     print()
 
-    diffs = pdm.difference_stream(obs)
-    objective = wg.StreamingLSObjective(pdm.process_matrix(MODEL.T), rho=0.1,
-                                        theta_star=None, sigma_w2=0.0)
-    belief = wg.init_uniform_box([0.0, 0.0], [8.0 / 60.0] * 2, N_PARTICLES, SEED)
-
     print("advancing the belief, one differenced observation per day")
     print(f"  {'day':>4} {'suggested (10% rule)':>21} {'mean rule':>10} {'ls fit':>8}")
-    for k, diff in enumerate(diffs):
-        cfg = wg.FlowConfig(tau=0.01, max_iters=1, seed=SEED,
-                            constraint=wg.NonnegativeOrthant(2),
-                            perturb_std=0.02, diag_every=1)
-        belief, _ = wg.run(belief, objective, [diff], cfg, start_iteration=k)
+    beliefs = advance_belief(SEED, obs)
+    for k, belief in enumerate(beliefs):
         day = obs[k + 1].t
         ours = pdm.suggested_maintenance_time(belief, MODEL, "percentile", 0.1)
         mean_rule = pdm.suggested_maintenance_time(belief, MODEL, "mean")
         _, ls_time = pdm.ls_baseline(obs[: k + 2], MODEL.a0, MODEL.b0, MODEL.zeta_min)
         print(f"  {day:>4.0f} {ours.days:>21.2f} {mean_rule.days:>10.2f} "
               f"{ls_time.days:>8.2f}")
+    belief = beliefs[-1]
 
     print()
     print(f"belief mean after the final day: {wg.mean(belief).round(4)} "
@@ -125,6 +162,10 @@ def main():
 
     print(f"suggested maintenance at day {ours.days:.2f} "
           f"(true {true_t.days:.2f}, ls baseline {ls_time.days:.2f})")
+    print()
+
+    print("the belief's rules against least squares, lead = true time - suggested")
+    print_safety(true_t.days)
     print(f"wrote {OUT_DIR}/observations.csv, responses.csv, prediction.csv, tstar.csv")
 
 

@@ -6,49 +6,52 @@ projected stochastic descent in Wasserstein geometry.  It ships exact
 transport diagnostics (assignment-based Wasserstein-2, Bures distance,
 moment lower bounds), convergence bound reporting, and a complete
 desk-scale predictive-maintenance pipeline built on those pieces.
+
+Each public name is imported from its module on first access, so a cold
+process pays only for the modules it uses: ``import wgflow`` loads none of
+them, and ``wgflow simulate`` never loads the flow, its sets or transport.
 """
 
-from .errors import ConfigError, DataError, EngineError, NumericalError, UnsafeStepError
-from .flow import (
-    FlowConfig,
-    FlowTrace,
-    StepBoundReport,
-    convergence_bound,
-    lipschitz_norm_gap,
-    run,
-    step,
-    validate_tau,
-)
-from .functionals import (
-    StreamingLSObjective,
-    evaluate_objective,
-    exact_gradient,
-    perturbed_gradient,
-    stochastic_gradient,
-)
-from .measures import (
-    ParticleMeasure,
-    covariance,
-    init_uniform_box,
-    mean,
-)
-from .sets import (
-    Ball,
-    Box,
-    ConvexSet,
-    FullSpace,
-    Halfspace,
-    NonnegativeOrthant,
-    project_measure,
-)
-from .transport import (
-    bures_distance,
-    gelbrich_lower_bound,
-    w2_1d,
-    w2_exact,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: The module that defines each public name.
+_SOURCES = {
+    "ConfigError": "errors",
+    "DataError": "errors",
+    "EngineError": "errors",
+    "NumericalError": "errors",
+    "UnsafeStepError": "errors",
+    "FlowConfig": "flow",
+    "FlowTrace": "flow",
+    "StepBoundReport": "flow",
+    "convergence_bound": "flow",
+    "lipschitz_norm_gap": "flow",
+    "run": "flow",
+    "step": "flow",
+    "validate_tau": "flow",
+    "StreamingLSObjective": "functionals",
+    "evaluate_objective": "functionals",
+    "exact_gradient": "functionals",
+    "perturbed_gradient": "functionals",
+    "stochastic_gradient": "functionals",
+    "ParticleMeasure": "measures",
+    "covariance": "measures",
+    "init_uniform_box": "measures",
+    "mean": "measures",
+    "Ball": "sets",
+    "Box": "sets",
+    "ConvexSet": "sets",
+    "FullSpace": "sets",
+    "Halfspace": "sets",
+    "NonnegativeOrthant": "sets",
+    "project_measure": "sets",
+    "bures_distance": "transport",
+    "gelbrich_lower_bound": "transport",
+    "w2_1d": "transport",
+    "w2_exact": "transport",
+}
 
 __all__ = [
     "Ball",
@@ -85,3 +88,15 @@ __all__ = [
     "w2_1d",
     "w2_exact",
 ]
+
+
+def __getattr__(name):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

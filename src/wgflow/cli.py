@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -25,7 +26,9 @@ import sys
 
 import numpy as np
 
-from . import files, flow, functionals, measures, pdm, sets, transport
+# flow, functionals, sets and transport are imported by the commands that
+# run them, so a cold `simulate` or `predict` never loads them.
+from . import files, measures, pdm
 from .errors import ConfigError, DataError, NumericalError, UnsafeStepError
 
 _SIM_DAY_STREAM = 41
@@ -225,6 +228,8 @@ def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
 
 
 def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
+    from . import flow, functionals, sets
+
     obs_path = _input_path(cfg, "observations", out_dir, "observations.csv")
     observations = pdm.read_observations_csv(obs_path)
     diffs = pdm.difference_stream(observations)
@@ -396,6 +401,8 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
 
 
 def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
+    from . import flow, transport
+
     particles_path = _input_path(cfg, "particles", out_dir, "particles.csv")
     reference_path = _input_path(cfg, "reference", out_dir, "reference.csv")
     m = measures.read_particles_csv(particles_path)
@@ -509,6 +516,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # The import-time heap lives until exit, so the collector's sweeps,
+    # the last one at exit included, need not walk it again.
+    gc.freeze()
     sys.exit(main())
 
 

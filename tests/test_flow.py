@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import inside
 from wgflow.errors import DataError, NumericalError, UnsafeStepError
 from wgflow.files import float_rows, read_table
 from wgflow.flow import (
@@ -529,6 +530,65 @@ class TestPerturbationNoise:
     def test_each_step_draws_its_own_noise(self):
         assert not np.array_equal(self.noise(3), self.noise(4))
         assert np.array_equal(self.noise(3), self.noise(3))
+
+
+class TestProjectionThatBinds:
+    """Criterion 2's configuration with theta* on the face x1 = 0 of the
+    orthant and perturbed particles.  At criterion 2's theta*, 0.033 inside
+    the orthant, the projection never moves a particle; here about 40 % of
+    the cloud ends on the face."""
+
+    THETA = np.array([0.0, 5.0 / 60.0])
+    SEEDS = 50
+    ITERS = 400
+    EVERY = 10
+    SIGMA_W2 = 0.005
+
+    @pytest.fixture(scope="class")
+    def clouds(self):
+        # Each seed runs in stretches of EVERY steps, each resumed from the
+        # last (bit for bit the uninterrupted run), so every cloud a trace
+        # row would record is seen: (seed, checkpoint, N, d).
+        m0 = init_uniform_box([0.0, 0.0], [8.0 / 60.0] * 2, 256, seed=12345)
+        obj = StreamingLSObjective(W, 0.1, None, self.SIGMA_W2)
+        per_coord = math.sqrt(self.SIGMA_W2 / 2.0)
+        clouds = []
+        for s in range(self.SEEDS):
+            rng = substream(777, s)
+            stream = [W @ self.THETA + rng.normal(0.0, per_coord, 2) for _ in range(self.ITERS)]
+            cloud = m0
+            seed_clouds = [m0.points]
+            for k in range(0, self.ITERS, self.EVERY):
+                cfg = FlowConfig(
+                    tau=0.01, max_iters=self.EVERY, seed=s, constraint=NonnegativeOrthant(2),
+                    perturb_std=0.02, diag_every=self.EVERY,
+                )
+                cloud, _ = run(cloud, obj, stream[k:k + self.EVERY], cfg, start_iteration=k)
+                seed_clouds.append(cloud.points)
+            clouds.append(seed_clouds)
+        return np.array(clouds)
+
+    def test_every_recorded_cloud_is_inside_the_orthant(self, clouds):
+        # The orthant's inequality is coordinatewise, so one call checks a cloud.
+        orthant = NonnegativeOrthant(2)
+        assert all(inside(orthant, cloud) for cloud in clouds.reshape(-1, *clouds.shape[2:]))
+
+    def test_the_projection_moves_particles(self, clouds):
+        # Pooled over the seeds: 12 % to 46 % of particles on the face at
+        # each checkpoint after k = 0, 43 % at k = 400.
+        on_face = np.mean(clouds[:, :, :, 0] == 0.0, axis=(0, 2))
+        assert on_face[0] == 0.0
+        assert on_face[1:].min() >= 0.1 and on_face[-1] >= 0.3
+
+    def test_seed_mean_stays_under_the_bound(self, clouds):
+        # W2 to the Dirac at theta* is sqrt(mean |x - theta*|^2), exactly.
+        w2_sq = np.mean(np.sum((clouds - self.THETA) ** 2, axis=3), axis=2)
+        report = validate_tau(W, 0.1, self.SIGMA_W2, 0.01)
+        w2_0 = math.sqrt(w2_sq[0, 0])
+        se = w2_sq.std(axis=0, ddof=1) / math.sqrt(self.SEEDS)
+        for j, k in enumerate(range(0, self.ITERS + 1, self.EVERY)):
+            bound = convergence_bound(report, w2_0, k)
+            assert w2_sq[:, j].mean() <= bound + 3.0 * se[j] + 1e-12, f"bound violated at k={k}"
 
 
 class TestCheckpointResume:

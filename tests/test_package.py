@@ -7,6 +7,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 import wgflow
 from wgflow import measures
 
@@ -75,17 +77,74 @@ def test_four_stages_load_no_scipy(tmp_path):
 
 
 def test_all_lists_exactly_the_public_imports():
+    # The package imports its public names lazily, through one table.
     for name in wgflow.__all__:
         assert hasattr(wgflow, name), name
-    with open(wgflow.__file__) as fh:
-        tree = ast.parse(fh.read())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert {name for name in imported if not name.startswith("_")} == set(wgflow.__all__)
+    assert set(wgflow._SOURCES) == set(wgflow.__all__)
+
+
+def _python(code, *args):
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_simulate_and_predict_load_only_their_modules(tmp_path):
+    # Neither stage runs the flow, so a cold process of either should not
+    # pay to import it, its sets or transport.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from wgflow import measures\n"
+        "from wgflow.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['simulate', '--paper-preset', '--out', out]) == 0\n"
+        "belief = measures.init_uniform_box(np.zeros(2), np.full(2, 8 / 60), 100, 0)\n"
+        "measures.write_particles_csv(belief, out + '/particles.csv')\n"
+        "assert main(['predict', '--paper-preset', '--out', out]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wgflow.')))\n"
+    )
+    proc = _python(code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    assert loaded == "['wgflow.cli', 'wgflow.errors', 'wgflow.files', 'wgflow.measures', 'wgflow.pdm']"
+    assert (tmp_path / "tstar.csv").is_file()
+
+
+def test_package_import_loads_no_numpy():
+    # Each public name is imported from its module on first use.
+    code = "import sys, wgflow; print('numpy' in sys.modules, [m for m in sys.modules if 'wgflow' in m])"
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False ['wgflow']"
+
+
+def test_star_import_binds_each_name_to_its_module_object():
+    namespace = {}
+    exec("from wgflow import *", namespace)
+    for name in wgflow.__all__:
+        module = importlib.import_module(f"wgflow.{wgflow._SOURCES[name]}")
+        assert namespace[name] is vars(module)[name], name
+        assert namespace[name].__module__ == module.__name__, name
+
+
+def test_unknown_attribute_raises_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        wgflow.no_such_name
+    from wgflow import flow
+
+    assert flow is sys.modules["wgflow.flow"]
+
+
+def test_entry_point_freezes_the_import_time_heap():
+    code = "import gc, wgflow.cli as c; c.main = lambda: print(gc.get_freeze_count()) or 0; c.entry()"
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
 
 
 def _tracer_table(name):
