@@ -25,17 +25,17 @@ _SOURCES = {
     "UnsafeStepError": "errors",
     "FlowConfig": "flow",
     "FlowTrace": "flow",
-    "StepBoundReport": "flow",
-    "convergence_bound": "flow",
     "lipschitz_norm_gap": "flow",
     "run": "flow",
     "step": "flow",
-    "validate_tau": "flow",
+    "StepBoundReport": "functionals",
     "StreamingLSObjective": "functionals",
+    "convergence_bound": "functionals",
     "evaluate_objective": "functionals",
     "exact_gradient": "functionals",
     "perturbed_gradient": "functionals",
     "stochastic_gradient": "functionals",
+    "validate_tau": "functionals",
     "ParticleMeasure": "measures",
     "covariance": "measures",
     "init_uniform_box": "measures",

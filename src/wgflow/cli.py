@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import json
 import math
 import os
 import sys
@@ -96,6 +95,8 @@ def _finite_float(raw: str) -> float:
 
 
 def _json_object(raw: str) -> dict:
+    import json  # only the flow's constraint is JSON; at module level every stage would load it
+
     record = json.loads(raw)
     if not isinstance(record, dict):
         raise ValueError("not an object")
@@ -348,7 +349,7 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     if have_truth:
         try:
             with np.errstate(over="raise", invalid="raise"):
-                zeta_true = pdm._zeta_at(model.a0, model.b0, *model.lam, t_grid)
+                zeta_true = pdm._zeta_at(model.a0, model.b0, *model.lam, t_grid).tolist()
         except FloatingPointError:
             raise NumericalError(
                 "true damping ratio overflows on the grid: lambda1 or lambda2 is too large"
@@ -372,7 +373,7 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
         raise ConfigError(f"day must be finite and nonnegative, got {day}")
 
     prediction_path = os.path.join(out_dir, "prediction.csv")
-    files.write_table(
+    files.write_rows(
         prediction_path,
         ["t", f"p{100 * p_lo:g}", "mean", f"p{100 * p_hi:g}", "zeta_true"],
         ([*row, z] for row, z in zip(band.tolist(), zeta_true)),
@@ -400,8 +401,16 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     return 0
 
 
+def _rms_norm(points: np.ndarray) -> float:
+    """Root mean square of the particles' Euclidean norms, bit for bit
+    ``flow.lipschitz_norm_gap``'s value for ``phi = |x|``: a row's
+    ``vecdot`` is its ``x.dot(x)``, and ``float_power`` squares by the C
+    library's ``pow``, as Python's ``float ** 2`` does."""
+    return math.sqrt(float(np.mean(np.float_power(np.sqrt(np.vecdot(points, points)), 2))))
+
+
 def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
-    from . import flow, transport
+    from . import functionals, transport
 
     particles_path = _input_path(cfg, "particles", out_dir, "particles.csv")
     reference_path = _input_path(cfg, "reference", out_dir, "reference.csv")
@@ -411,7 +420,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
         raise DataError(f"dimension mismatch: particles d={m.d}, reference d={ref.d}")
 
     w = pdm.process_matrix(cfg.get_float("T"))
-    report = flow.validate_tau(
+    report = functionals.validate_tau(
         w, cfg.get_float("rho"), cfg.get_float("sigma_w2"), cfg.get_float("tau")
     )
     metrics = [(f.name, float(getattr(report, f.name))) for f in dataclasses.fields(report)]
@@ -436,7 +445,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
         covs = measures.covariance(m), measures.covariance(ref)
         bures_gap = transport.bures_distance(*covs) if np.isfinite(covs).all() else np.nan
         gelbrich = transport.moment_bound(mean_diff, bures_gap)
-        lipschitz_gap = flow.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)))
+        lipschitz_gap = abs(_rms_norm(m.points) - _rms_norm(ref.points))
     measured = [
         ("w2_subsampled", w2),
         ("subsample", float(k)),

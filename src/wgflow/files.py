@@ -40,10 +40,19 @@ def _field(v) -> str:
 
 def write_table(path, header, rows) -> None:
     """Write a CSV table: the header row, then one row per item of ``rows``."""
+    write_rows(path, header, ([_field(v) for v in row] for row in rows))
+
+
+def write_rows(path, header, rows) -> None:
+    """:func:`write_table` for rows whose fields are ``None``, strings,
+    ``int`` (``bool`` included) or ``float`` (``np.float64`` included), such
+    as ``ndarray.tolist`` gives: the ``csv`` writer writes each of them as
+    :func:`write_table` does (a float as its ``repr``), so no field is
+    converted in Python."""
     with _replacing(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([_field(v) for v in row] for row in rows)
+        w.writerows(rows)
 
 
 def read_table(path, what: str, header_ok) -> list[list[str]]:

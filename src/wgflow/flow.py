@@ -3,9 +3,10 @@
 One iteration consumes one observation: freeze the belief mean, evaluate
 the stochastic gradient field on every particle, optionally perturb it
 with zero-mean noise, take an explicit Euler step of size ``tau``, and
-project every particle back onto the constraint set.  The module also
-derives the constants governing convergence (contraction rate, largest
-safe step, asymptotic ball radius) so runs can be judged against them.
+project every particle back onto the constraint set.  The constants
+governing convergence (contraction rate, largest safe step, asymptotic
+ball radius), by which a run is judged, are derived beside the objective
+in :mod:`wgflow.functionals` and re-exported here.
 """
 
 from __future__ import annotations
@@ -13,95 +14,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
 from . import files, functionals, measures, transport
 from .errors import DataError, NumericalError, UnsafeStepError
 from .functionals import StreamingLSObjective
+# Defined beside the objective, so diagnose need not import this module.
+from .functionals import StepBoundReport, convergence_bound, validate_tau  # noqa: F401
 from .measures import ParticleMeasure
-from .sets import ConvexSet
+
+if TYPE_CHECKING:  # for annotations only, so importing the flow loads no sets
+    from .sets import ConvexSet
 
 _PERTURB_STREAM = 21
 _DIAG_STREAM = 22
 # The generator behind every draw (measures.substream), as a sidecar names it.
 _RNG = "SFC64 substreams keyed by (seed, purpose, iteration)"
-
-
-@dataclass(frozen=True)
-class StepBoundReport:
-    """Derived constants of the estimation objective and a step size verdict.
-
-    Attributes
-    ----------
-    alpha : float
-        Strong convexity modulus, ``sigma_min(W)^2``.
-    C : float
-        Gradient second-moment growth constant, ``4 max(sigma_max(W)^2, rho)``.
-    sigma2 : float
-        Gradient noise floor, ``C * sigma_w2``.
-    eta : float
-        Condition-like ratio ``C / alpha``.
-    tau : float
-        The step size under scrutiny.
-    tau_max : float
-        Largest admissible step, ``min(1/alpha, 2/C)`` (open interval).
-    ball_radius : float
-        Asymptotic expected distance bound, ``sigma_w * sqrt(eta * tau)``.
-    per_step_rate : float
-        Squared-distance contraction factor per step, ``1 - alpha * tau``.
-    tau_valid : bool
-        Whether ``tau`` lies strictly inside ``(0, tau_max)``.
-    """
-
-    alpha: float
-    C: float
-    sigma2: float
-    eta: float
-    tau: float
-    tau_max: float
-    ball_radius: float
-    per_step_rate: float
-    tau_valid: bool
-
-
-def validate_tau(W, rho: float, sigma_w2: float, tau: float) -> StepBoundReport:
-    """Derive the convergence constants and check a step size against them;
-    ``W``, ``rho`` and ``sigma_w2`` are checked by :class:`StreamingLSObjective`."""
-    obj = StreamingLSObjective(W, rho, None, sigma_w2)
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    alpha = obj.sigma_min ** 2
-    c = 4.0 * max(obj.sigma_max ** 2, obj.rho)
-    eta = c / alpha
-    tau_max = min(1.0 / alpha, 2.0 / c)
-    return StepBoundReport(
-        alpha=alpha,
-        C=c,
-        sigma2=c * obj.sigma_w2,
-        eta=eta,
-        tau=float(tau),
-        tau_max=tau_max,
-        ball_radius=math.sqrt(obj.sigma_w2) * math.sqrt(eta * tau),
-        per_step_rate=1.0 - alpha * tau,
-        tau_valid=bool(tau < tau_max),
-    )
-
-
-def convergence_bound(report: StepBoundReport, w2_0: float, k: int) -> float:
-    """Theoretical bound on the expected squared distance after ``k`` steps.
-
-    ``(1 - tau*alpha)^k (w2_0^2 - tau*sigma2/alpha) + tau*sigma2/alpha``;
-    at ``k = 0`` this is exactly ``w2_0^2`` and for large ``k`` it tends
-    monotonically to the limit term.
-    """
-    if w2_0 < 0:
-        raise ValueError("w2_0 must be nonnegative")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    limit = report.tau * report.sigma2 / report.alpha
-    return (1.0 - report.tau * report.alpha) ** k * (w2_0 ** 2 - limit) + limit
 
 
 def step(m: ParticleMeasure, field_values, tau: float, s: ConvexSet) -> ParticleMeasure:

@@ -22,10 +22,13 @@ from .measures import ParticleMeasure, nearest_rank_index, substream
 
 _TRAJ_STREAM = 31
 
-# Steps per block of the plant simulation: the forced response of a block
-# is one row of a (blocks, B) x (B, 2B) product, and a Python loop carries
-# only the block starts.
-_BLOCK = 128
+# The plant simulation in two levels of blocks: the states of a block of
+# _BLOCK steps are one row of a (blocks, B + 2) x (B + 2, 2B) product of its
+# noise and its start, the starts of a group of _GROUP blocks one row of a
+# (groups, 2G) x (2G, 2G) product, and a Python loop carries only the group
+# starts.
+_BLOCK = 32
+_GROUP = 64
 
 # Particle values per block of grid rows in the damping band: 512 KB, so
 # a block's temporaries stay in cache.
@@ -105,13 +108,47 @@ def check_plant_settings(r: float, dt: float, horizon: float, eps_half_width: fl
         )
 
 
+def _powers(m: np.ndarray, count: int) -> np.ndarray:
+    """``m^0 .. m^(count-1)`` for a 2 x 2 ``m``, by doubling: ``m^k .. m^(2k-1)``
+    is one batched product of ``m^0 .. m^(k-1)`` with ``m^k``."""
+    out = np.empty((count, 2, 2))
+    out[0] = np.eye(2)
+    k, mk = 1, m
+    while k < count:
+        np.matmul(out[:min(k, count - k)], mk, out=out[k:2 * k])
+        mk = mk @ mk
+        k *= 2
+    return out
+
+
+def _toeplitz(powers: np.ndarray) -> np.ndarray:
+    """Response of ``e_{q+1} = M e_q + u_q`` (``e_0 = 0``) to its inputs, for
+    row vectors: ``T[l, a, q, b] = M^{q-l}[b, a]`` for ``q >= l`` and 0 for
+    ``q < l``, so ``e_{q+1}[b]`` is the sum of ``u_l[a] T[l, a, q, b]``.
+    ``powers`` holds ``M^0 .. M^(B-1)``; ``T`` is a ``(B, 2, B, 2)`` view."""
+    b = powers.shape[0]
+    lagged = np.zeros((2 * b - 1, 2, 2))  # row b - 1 + k is (M^k)^T, k >= 0
+    lagged[b - 1:] = powers.transpose(0, 2, 1)
+    # windows[s, a, b, q] = lagged[s + q, a, b]; row l starts at s = b - 1 - l.
+    windows = np.lib.stride_tricks.sliding_window_view(lagged, b, axis=0)
+    return windows[::-1].transpose(0, 1, 3, 2)
+
+
+def _propagator(powers: np.ndarray) -> np.ndarray:
+    """Row ``b`` holds ``M^{q+1}[a, b]`` at column ``2q + a``, from ``powers =
+    M^0 .. M^B``: ``start @ propagator`` is a block's response to its start."""
+    return powers[1:].transpose(2, 0, 1).reshape(2, -1)
+
+
 def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the Euler-discretized plant under uniform reference noise.
 
     The recurrence ``x_{k+1} = M x_k + g (r + eps_k)`` is linear, so it is
-    evaluated exactly in blocks of steps rather than one step at a time:
-    a matrix product gives every block's response to its noise, and only
-    the block starts are carried from one block to the next.  The states
+    evaluated exactly in two levels of blocks (a two-level scan) rather
+    than one step at a time.  The block starts follow a recurrence of the
+    same form, which matrix products solve a group of blocks at a time, so
+    a Python loop carries only the group starts; one more product then
+    gives every block's states from its noise and its start.  The states
     agree with a step-by-step loop to rounding.
 
     Parameters
@@ -126,60 +163,67 @@ def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.n
     -------
     (states, refs)
         ``states`` has shape ``(n+1, 2)`` with ``n = floor(horizon / dt)``
-        transitions; ``refs`` is the constant reference, one entry per state.
+        transitions; ``refs`` is the constant reference, one entry per state,
+        as a read-only view that holds no memory of its own.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,) or not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be a finite state vector (position, velocity)")
     n = int(p.horizon / p.dt + 1e-9)
     nb = -(-n // _BLOCK)
+    ng = -(-nb // _GROUP)
     # Deviations e = x - (r, 0) from the equilibrium follow
     # e_{k+1} = M e_k + g eps_k: the step maps (r, 0) to itself exactly.
-    # Within a block of B steps, e_{jB+q+1} = M^{q+1} e_{jB} + F[j, q] with
-    # the forced response F[j, q] = sum_{l <= q} M^{q-l} g eps_{jB+l}.
-    m = p.transition_matrix()
-    powers = np.empty((_BLOCK + 1, 2, 2))  # M^0 .. M^B
-    powers[0] = np.eye(2)
-    for i in range(_BLOCK):
-        powers[i + 1] = m @ powers[i]
-    # The states padded to whole blocks: row 0 is x0, and the deviations of
-    # block j fill row j of dev, first its forced response, then plus the
-    # response to its start.
+    # Within a block of B steps, e_{jB+q+1} = M^{q+1} s_j + F[j, q] with the
+    # start s_j = e_{jB} and the forced response
+    # F[j, q] = sum_{l <= q} M^{q-l} g eps_{jB+l}.  So row j of inputs
+    # holds the noise of block j, then its start, and one product with
+    # response, the noise's Toeplitz factor (g = (0, dt b) drives the
+    # velocity alone) over the start's propagator, gives every block.
+    powers = _powers(p.transition_matrix(), _BLOCK + 1)  # M^0 .. M^B
+    response = np.empty((_BLOCK + 2, 2 * _BLOCK))
+    response[:_BLOCK] = _toeplitz(powers[:_BLOCK])[:, 1].reshape(_BLOCK, 2 * _BLOCK)
+    response[:_BLOCK] *= p.dt * p.b
+    response[_BLOCK:] = _propagator(powers)
+    inputs = np.zeros((nb, _BLOCK + 2))
+    # The states padded to whole blocks: row 0 is x0, and row j of dev the
+    # deviations of block j.  The noise is drawn into the same memory first.
     padded = np.empty((nb * _BLOCK + 1, 2))
     dev = padded[1:].reshape(nb, 2 * _BLOCK)
     if p.eps_half_width > 0:
         # uniform(-w, w) returns -w + 2w u for the doubles u that random
         # draws, so scaling them in place gives the same bits.
-        eps = np.empty(nb * _BLOCK)
+        eps = padded.reshape(-1)[:nb * _BLOCK]
         substream(seed, _TRAJ_STREAM).random(out=eps[:n])
         eps[:n] *= 2.0 * p.eps_half_width
         eps[:n] -= p.eps_half_width
         eps[n:] = 0.0
-        impulse = (powers[:_BLOCK, :, 1] * (p.dt * p.b)).ravel()  # M^i g, i < B
-        # Row l holds M^{q-l} g at columns 2q, 2q + 1 for every q >= l.
-        toeplitz = np.zeros((_BLOCK, 2 * _BLOCK))
-        for row in range(_BLOCK):
-            toeplitz[row, 2 * row:] = impulse[:2 * (_BLOCK - row)]
-        np.matmul(eps.reshape(nb, _BLOCK), toeplitz, out=dev)
-    else:
-        dev[...] = 0.0
+        inputs[:, :_BLOCK] = eps.reshape(nb, _BLOCK)
 
-    (c11, c12), (c21, c22) = powers[_BLOCK].tolist()
-    starts = []
-    e1 = float(x0[0]) - p.r
-    e2 = float(x0[1])
-    for f1, f2 in dev[:, -2:].tolist():
-        starts.append((e1, e2))
+    # The starts follow s_{j+1} = P s_j + F[j, B-1] with P = M^B: the same
+    # recurrence one level up, with a 2-d input, blocked G blocks to a group.
+    # ends[i, 2q:2q+2] is s_{iG+q+1}, first its forced part, then plus the
+    # response to the group start.
+    group_powers = _powers(powers[-1], _GROUP + 1)  # P^0 .. P^G
+    forced_ends = np.zeros((ng * _GROUP, 2))
+    np.matmul(inputs[:, :_BLOCK], response[:_BLOCK, -2:], out=forced_ends[:nb])
+    group_toeplitz = _toeplitz(group_powers[:_GROUP]).reshape(2 * _GROUP, 2 * _GROUP)
+    ends = forced_ends.reshape(ng, 2 * _GROUP) @ group_toeplitz
+    (c11, c12), (c21, c22) = group_powers[-1].tolist()
+    group_starts = []
+    e1, e2 = start = float(x0[0]) - p.r, float(x0[1])
+    for f1, f2 in ends[:, -2:].tolist():
+        group_starts.append((e1, e2))
         e1, e2 = c11 * e1 + c12 * e2 + f1, c21 * e1 + c22 * e2 + f2
-    starts = np.array(starts, dtype=float).reshape(nb, 2)
-    # Row b of the block propagator holds M^{q+1}[a, b] at column 2q + a.
-    propagator = powers[1:].transpose(2, 0, 1).reshape(2, 2 * _BLOCK)
-    dev += starts @ propagator
+    ends += np.array(group_starts).reshape(ng, 2) @ _propagator(group_powers)
+    inputs[:1, _BLOCK:] = start
+    inputs[1:, _BLOCK:] = ends.reshape(-1, 2)[:nb - 1]
+    np.matmul(inputs, response, out=dev)
 
     states = padded[:n + 1]
     states[0] = x0
     states[1:, 0] += p.r
-    return states, np.full(n + 1, p.r)
+    return states, np.broadcast_to(p.r, (n + 1,))
 
 
 def ls_estimate(traj: tuple[np.ndarray, np.ndarray], dt: float) -> np.ndarray:

@@ -3,15 +3,15 @@
 These deliberately avoid the library's own code paths: the brute-force
 transport cost enumerates every permutation, the matrix square root
 comes from scipy rather than the package's eigendecomposition, the
-plant is stepped one Euler transition at a time, the coefficient fit is
-LAPACK's least-squares solver, the belief's damping band is evaluated
-one time point at a time, maintenance times are found by grid scans and
-bisection instead of in closed form, and set membership is read off each
-kind's defining inequality.  One exception is kept on purpose: the
-earlier form of the block simulation, which the current one must match
-bit for bit.
+plant is stepped one Euler transition at a time, the linear flow's
+distance to its target follows its mean and covariance in closed form,
+the coefficient fit is LAPACK's least-squares solver, the belief's
+damping band is evaluated one time point at a time, maintenance times
+are found by grid scans and bisection instead of in closed form, and set
+membership is read off each kind's defining inequality.  One exception
+is kept on purpose: the earlier, one-level form of the block simulation,
+which the current one must match to rounding.
 """
-
 import itertools
 import math
 
@@ -20,10 +20,13 @@ import scipy.linalg
 
 from wgflow.errors import NumericalError
 from wgflow.measures import substream
-from wgflow.pdm import _B_FLOOR, _BLOCK, _TRAJ_STREAM, CrossingTime
+from wgflow.pdm import _B_FLOOR, _TRAJ_STREAM, CrossingTime
 
 #: Largest time (days) the LS oracle scans for its last safe point.
 _SCAN_CAP = 2000.0
+
+#: Steps per block of the earlier one-level block simulation.
+_BLOCK = 128
 
 
 def w2_brute_force(xs, ys):
@@ -64,6 +67,33 @@ def inside(s, x, tol=1e-12):
     return True
 
 
+def linear_flow_w2(points, w, theta_star, rho, tau, stream):
+    """W2 to the Dirac at ``theta_star`` of the unprojected, unperturbed flow
+    after each of its steps (``k = 0, 1, ...``), in closed form.
+
+    Each step maps a particle to ``x A + tau (W^T y_k + rho mean)`` with
+    ``A = I - tau H``, ``H = W^T W + rho I``.  So the mean error follows
+    ``e' = (I - tau W^T W) e + tau W^T w_k`` with ``w_k = y_k - W theta*``,
+    the spread ``S' = A S A^T``, and ``W2^2 = |e|^2 + tr S`` exactly: no
+    particle is stepped.
+    """
+    points = np.asarray(points, dtype=float)
+    w = np.asarray(w, dtype=float)
+    d = w.shape[0]
+    gram = w.T @ w
+    mean_map = np.eye(d) - tau * gram
+    spread_map = np.eye(d) - tau * (gram + rho * np.eye(d))
+    e = points.mean(axis=0) - theta_star
+    centered = points - points.mean(axis=0)
+    spread = centered.T @ centered / points.shape[0]
+    out = [math.sqrt(e @ e + np.trace(spread))]
+    for y in stream:
+        e = mean_map @ e + tau * (w.T @ (np.asarray(y, dtype=float) - w @ theta_star))
+        spread = spread_map @ spread @ spread_map.T
+        out.append(math.sqrt(e @ e + np.trace(spread)))
+    return np.array(out)
+
+
 def simulate_loop(p, x0, seed):
     """The plant trajectory as an explicit loop of Euler transitions.
 
@@ -95,10 +125,10 @@ def simulate_loop(p, x0, seed):
 
 
 def simulate_blocks_with_temporaries(p, x0, seed):
-    """``pdm.simulate_trajectory`` in its earlier form: the noise drawn by
-    ``uniform`` and the states assembled from three ``(n, 2)`` temporaries.
-
-    The arithmetic is the same, so the states must be the same bits.
+    """``pdm.simulate_trajectory`` in an earlier form: one level of
+    128-step blocks, a Python loop over every block start, the noise drawn
+    by ``uniform`` and the states assembled from three ``(n, 2)``
+    temporaries.
     """
     x0 = np.asarray(x0, dtype=float)
     n = int(p.horizon / p.dt + 1e-9)

