@@ -53,41 +53,7 @@ _SOURCES = {
     "w2_exact": "transport",
 }
 
-__all__ = [
-    "Ball",
-    "Box",
-    "ConfigError",
-    "ConvexSet",
-    "DataError",
-    "EngineError",
-    "FlowConfig",
-    "FlowTrace",
-    "FullSpace",
-    "Halfspace",
-    "NonnegativeOrthant",
-    "NumericalError",
-    "ParticleMeasure",
-    "StepBoundReport",
-    "StreamingLSObjective",
-    "UnsafeStepError",
-    "bures_distance",
-    "convergence_bound",
-    "covariance",
-    "evaluate_objective",
-    "exact_gradient",
-    "gelbrich_lower_bound",
-    "init_uniform_box",
-    "lipschitz_norm_gap",
-    "mean",
-    "perturbed_gradient",
-    "project_measure",
-    "run",
-    "step",
-    "stochastic_gradient",
-    "validate_tau",
-    "w2_1d",
-    "w2_exact",
-]
+__all__ = sorted(_SOURCES)
 
 
 def __getattr__(name):

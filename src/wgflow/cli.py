@@ -373,7 +373,7 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
         raise ConfigError(f"day must be finite and nonnegative, got {day}")
 
     prediction_path = os.path.join(out_dir, "prediction.csv")
-    files.write_rows(
+    files.write_table(
         prediction_path,
         ["t", f"p{100 * p_lo:g}", "mean", f"p{100 * p_hi:g}", "zeta_true"],
         ([*row, z] for row, z in zip(band.tolist(), zeta_true)),
@@ -412,6 +412,9 @@ def _rms_norm(points: np.ndarray) -> float:
 def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     from . import functionals, transport
 
+    cap = cfg.get_int("diag_subsample")
+    if cap < 1:
+        raise ConfigError("diag_subsample must be at least 1")
     particles_path = _input_path(cfg, "particles", out_dir, "particles.csv")
     reference_path = _input_path(cfg, "reference", out_dir, "reference.csv")
     m = measures.read_particles_csv(particles_path)
@@ -430,7 +433,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
                 f"step-size report {name} is not finite: T, rho, sigma_w2 or tau is too large"
             )
 
-    k = min(cfg.get_int("diag_subsample"), m.n, ref.n)
+    k = min(cap, m.n, ref.n)
     seed = cfg.get_int("seed")
     idx_m = np.sort(measures.substream(seed, _DIAG_SUB_STREAM).choice(m.n, size=k, replace=False))
     idx_r = np.sort(measures.substream(seed, _DIAG_SUB_STREAM).choice(ref.n, size=k, replace=False))

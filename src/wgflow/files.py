@@ -1,18 +1,22 @@
 """On-disk conventions: CSV tables with a header row and ``key = value`` files.
 
-A table field is ``""`` for ``None``, the value itself for a string or an
-``int``, and ``repr(float(v))`` (the shortest round-trip string) for any
-other number.  Every file is written whole: into a temporary file in the
-target's directory (made first if it is missing) that then replaces the
-target by one rename, so a command that fails before it writes leaves no
-directory behind.  There is no ``fsync``, so this guards against a failed
-or killed writer, not a power cut.
+A table field is ``None``, a string, an ``int`` (``bool`` included) or a
+``float`` (``np.float64`` included), such as ``ndarray.tolist`` gives; the
+``csv`` writer writes it unconverted, ``""`` for ``None`` and a float as its
+``repr`` (the shortest round-trip string).  Every file is written whole:
+into a temporary file in the target's directory (made first if it is
+missing) that then replaces the target by one rename, so a command that
+fails before it writes leaves no directory behind.  There is no
+``fsync``, so this guards against a failed or killed writer, not a power
+cut.
 """
 
 import contextlib
 import csv
 import math
 import os
+
+import numpy as np
 
 from .errors import DataError
 
@@ -32,34 +36,21 @@ def _replacing(path):
         raise
 
 
-def _field(v) -> str:
-    if v is None:
-        return ""
-    return str(v) if isinstance(v, (str, int)) else repr(float(v))
-
-
 def write_table(path, header, rows) -> None:
     """Write a CSV table: the header row, then one row per item of ``rows``."""
-    write_rows(path, header, ([_field(v) for v in row] for row in rows))
-
-
-def write_rows(path, header, rows) -> None:
-    """:func:`write_table` for rows whose fields are ``None``, strings,
-    ``int`` (``bool`` included) or ``float`` (``np.float64`` included), such
-    as ``ndarray.tolist`` gives: the ``csv`` writer writes each of them as
-    :func:`write_table` does (a float as its ``repr``), so no field is
-    converted in Python."""
     with _replacing(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
 
 
-def read_table(path, what: str, header_ok) -> list[list[str]]:
-    """Read the rows of a CSV table, as strings, below its header.
+def read_table(path, what: str, header_ok) -> np.ndarray:
+    """Read the rows of a numeric CSV table below its header, as an
+    ``(rows, columns)`` float array; an empty field reads as NaN.
 
     An unreadable or empty file, a header that ``header_ok`` rejects, no
-    rows, or a row unlike the header in width raises :class:`DataError`.
+    rows, a row unlike the header in width, or a field that is not a
+    number (named with its row) raises :class:`DataError`.
     """
     try:
         with open(path, newline="") as fh:
@@ -76,19 +67,16 @@ def read_table(path, what: str, header_ok) -> list[list[str]]:
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-    return rows
-
-
-def float_rows(path, rows) -> list[list[float]]:
-    """Parse table rows as floats, an empty field as NaN; a field that is
-    not a number raises :class:`DataError` naming the row."""
-    out = []
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:  # an empty field, or not a number: parsed by row
+        pass
     for i, row in enumerate(rows):
         try:
-            out.append([float(v) if v else math.nan for v in row])
+            rows[i] = [float(v) if v else math.nan for v in row]
         except ValueError as exc:
             raise DataError(f"{path}: row {i}: {exc}") from None
-    return out
+    return np.array(rows)
 
 
 def write_settings(path, settings: dict) -> None:

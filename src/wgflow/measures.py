@@ -136,18 +136,14 @@ def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:
 def write_particles_csv(m: ParticleMeasure, path) -> None:
     """Write a particle checkpoint: header ``x1,...,xd``, one row per
     particle in particle order, full round-trip precision."""
-    files.write_rows(path, [f"x{j + 1}" for j in range(m.d)], m.points.tolist())
+    files.write_table(path, [f"x{j + 1}" for j in range(m.d)], m.points.tolist())
 
 
 def read_particles_csv(path) -> ParticleMeasure:
     """Read a particle checkpoint written by :func:`write_particles_csv`."""
-    rows = files.read_table(
+    points = files.read_table(
         path, "particle file", lambda h: h == [f"x{j + 1}" for j in range(len(h))]
     )
-    try:
-        points = np.array(rows, dtype=float)
-    except ValueError:  # an empty field or not a number: named by row
-        points = files.float_rows(path, rows)
     try:
         return ParticleMeasure(points)
     except ValueError as exc:

@@ -553,9 +553,9 @@ def write_observations_csv(obs: Sequence[Observation], path) -> None:
 
 def read_observations_csv(path) -> list[Observation]:
     """Read observations written by :func:`write_observations_csv`."""
-    rows = files.read_table(path, "observation file", lambda h: h == _OBS_HEADER)
+    table = files.read_table(path, "observation file", lambda h: h == _OBS_HEADER)
     out = []
-    for i, (t, a, b) in enumerate(files.float_rows(path, rows)):
+    for i, (t, a, b) in enumerate(table.tolist()):
         try:
             out.append(Observation(t, np.array([a, b])))
         except ValueError as exc:

@@ -8,9 +8,7 @@ distance to its target follows its mean and covariance in closed form,
 the coefficient fit is LAPACK's least-squares solver, the belief's
 damping band is evaluated one time point at a time, maintenance times
 are found by grid scans and bisection instead of in closed form, and set
-membership is read off each kind's defining inequality.  One exception
-is kept on purpose: the earlier, one-level form of the block simulation,
-which the current one must match to rounding.
+membership is read off each kind's defining inequality.
 """
 import itertools
 import math
@@ -24,9 +22,6 @@ from wgflow.pdm import _B_FLOOR, _TRAJ_STREAM, CrossingTime
 
 #: Largest time (days) the LS oracle scans for its last safe point.
 _SCAN_CAP = 2000.0
-
-#: Steps per block of the earlier one-level block simulation.
-_BLOCK = 128
 
 
 def w2_brute_force(xs, ys):
@@ -122,43 +117,6 @@ def simulate_loop(p, x0, seed):
     zs[n] = z
     vs[n] = v
     return np.column_stack([zs, vs]), np.full(n + 1, r)
-
-
-def simulate_blocks_with_temporaries(p, x0, seed):
-    """``pdm.simulate_trajectory`` in an earlier form: one level of
-    128-step blocks, a Python loop over every block start, the noise drawn
-    by ``uniform`` and the states assembled from three ``(n, 2)``
-    temporaries.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = int(p.horizon / p.dt + 1e-9)
-    nb = -(-n // _BLOCK)
-    m = p.transition_matrix()
-    powers = np.empty((_BLOCK + 1, 2, 2))
-    powers[0] = np.eye(2)
-    for i in range(_BLOCK):
-        powers[i + 1] = m @ powers[i]
-    forced = np.zeros((nb, _BLOCK, 2))
-    if p.eps_half_width > 0:
-        eps = np.zeros(nb * _BLOCK)
-        eps[:n] = substream(seed, _TRAJ_STREAM).uniform(-p.eps_half_width, p.eps_half_width, n)
-        impulse = powers[:_BLOCK, :, 1] * (p.dt * p.b)
-        lag = np.arange(_BLOCK)[None, :] - np.arange(_BLOCK)[:, None]
-        toeplitz = np.where((lag >= 0)[..., None], impulse[np.maximum(lag, 0)], 0.0)
-        forced = (eps.reshape(nb, _BLOCK) @ toeplitz.reshape(_BLOCK, 2 * _BLOCK)).reshape(forced.shape)
-    (c11, c12), (c21, c22) = powers[_BLOCK].tolist()
-    starts = np.empty((nb, 2))
-    e1 = float(x0[0]) - p.r
-    e2 = float(x0[1])
-    for j, (f1, f2) in enumerate(forced[:, -1].tolist()):
-        starts[j] = e1, e2
-        e1, e2 = c11 * e1 + c12 * e2 + f1, c21 * e1 + c22 * e2 + f2
-    propagator = powers[1:].transpose(2, 0, 1).reshape(2, 2 * _BLOCK)
-    dev = (starts @ propagator).reshape(forced.shape) + forced
-    states = np.empty((n + 1, 2))
-    states[0] = x0
-    states[1:] = dev.reshape(-1, 2)[:n] + (p.r, 0.0)
-    return states, np.full(n + 1, p.r)
 
 
 def ls_estimate_lstsq(traj, dt):

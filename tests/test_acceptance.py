@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import w2_brute_force
+from _oracles import inside, w2_brute_force
 from wgflow import cli
 from wgflow.flow import FlowConfig, convergence_bound, lipschitz_norm_gap, run, validate_tau
 from wgflow.functionals import StreamingLSObjective, evaluate_objective, exact_gradient, stochastic_gradient
@@ -453,6 +453,31 @@ def test_criterion_8_end_to_end_safety():
     assert elapsed < 600.0
     report_line(8, f"{frac:.2%} safe pairs (n={total}), final mean rel. err "
                    f"({rel[0]:.3f}, {rel[1]:.3f}), {elapsed:.1f}s")
+
+
+def test_end_to_end_safety_where_the_projection_binds():
+    # Criterion 8's pipeline with lambda1 = 0: theta* lies on the orthant's
+    # face x1 = 0, so the projection moves particles.  Over seeds 0-399 the
+    # percentile rule was safe on 3198 of 3200 pairs (at least 159 of 160
+    # in each block of 20 seeds), no particle left the orthant, and each
+    # block's final clouds had 8.4-36 % of particles on the face (8.6 %
+    # for the seeds below).
+    model = DegradationModel(2.5, 1.0, (0.0, 5.0 / 60.0), 0.4, 5.0)
+    true_t = true_maintenance_time(model).days
+    safe = total = 0
+    on_face = []
+    for seed in range(20):
+        beliefs = _pipeline_one_seed(seed, model)
+        for day_t, belief in beliefs:
+            assert inside(ORTHANT, belief.points), f"seed {seed}: a particle left the orthant"
+            if day_t < 2 * model.T:  # two-observation burn-in
+                continue
+            ours = suggested_maintenance_time(belief, model, "percentile", 0.1)
+            total += 1
+            safe += ours.days <= true_t + 1e-3
+        on_face.append(np.mean(beliefs[-1][1].points[:, 0] == 0.0))
+    assert safe / total >= 0.95, f"only {safe / total:.2%} of (seed, day) pairs were safe"
+    assert np.mean(on_face) >= 0.05, f"only {np.mean(on_face):.2%} of final particles on x1 = 0"
 
 
 # ---------------------------------------------------------------------------

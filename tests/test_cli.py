@@ -601,6 +601,7 @@ _INPUTS = {
         ("predict", ("--chance_alpha", "0")),
         ("flow", ("--constraint", '{"kind":"box","lo":[0],"hi":[1]}')),
         ("diagnose", ("--diag_subsample", "0")),
+        ("diagnose", ("--diag_subsample", "-1")),
         ("diagnose", ("--T", "0")),
         ("simulate", ("--horizon", "0.0015")),
         ("flow", ("--constraint", '{"kind":"nonneg_orthant","d":2.7}')),
@@ -631,6 +632,8 @@ def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
+    if overrides[0] == "--diag_subsample":
+        assert "diag_subsample must be at least 1" in lines[0]
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from _oracles import inside, linear_flow_w2
 from wgflow.errors import DataError, NumericalError, UnsafeStepError
-from wgflow.files import float_rows, read_table
+from wgflow.files import read_table
 from wgflow.flow import (
     FlowConfig,
     checkpoint_fields,
@@ -803,7 +803,7 @@ class TestTraceCsv:
         _, trace = run(m0, preset_objective(sigma_w2=0.1), noise_free_stream(12), cfg)
         path = tmp_path / "t.csv"
         write_trace_csv(trace, path, 2)
-        got = float_rows(path, read_table(path, "trace file", lambda header: True))
+        got = read_table(path, "trace file", lambda header: True)
         # An absent quantity is an empty field, which reads back as NaN;
         # every number reads back to the same float.
         want = [[r.k, r.objective, r.w2_ref, *r.mean, r.grad_norm] for r in trace.rows]

@@ -9,7 +9,6 @@ from _oracles import (
     ls_baseline_scalar,
     ls_estimate_lstsq,
     rule_holds,
-    simulate_blocks_with_temporaries,
     simulate_loop,
     suggested_maintenance_time_bisect,
     true_maintenance_time_bisect,
@@ -225,13 +224,14 @@ SIM_LENGTHS = [
 
 
 class TestSimulateAgainstLoop:
+    @pytest.mark.parametrize("x0", [[-2.5, 0.0], [1.0, 0.0], [0.1, 0.3]])
     @pytest.mark.parametrize("n", SIM_LENGTHS)
     @pytest.mark.parametrize("width", [0.0, 3.0])
     @pytest.mark.parametrize("plant", sorted(SIM_PLANTS))
-    def test_matches_loop(self, plant, width, n):
+    def test_matches_loop(self, plant, width, n, x0):
         a, b, dt = SIM_PLANTS[plant]
         p = PlantParams(a, b, 1.0, dt, n * dt, width)
-        x0 = np.array([-2.5, 0.0])
+        x0 = np.array(x0)
         states, refs = simulate_trajectory(p, x0, seed=7)
         ref_states, ref_refs = simulate_loop(p, x0, seed=7)
         assert states.shape == ref_states.shape == (n + 1, 2)
@@ -257,21 +257,6 @@ class TestSimulateAgainstLoop:
         assert states.shape == ref_states.shape == (n + 1, 2)
         assert states[0].tobytes() == np.array(x0, dtype=float).tobytes()
         assert np.max(np.abs(states - ref_states)) <= sim_tol(n, ref_states)
-
-    @pytest.mark.parametrize("n", SIM_LENGTHS)
-    @pytest.mark.parametrize("width", [0.0, 3.0])
-    @pytest.mark.parametrize("plant", sorted(SIM_PLANTS))
-    def test_matches_the_earlier_block_form_to_rounding(self, plant, width, n):
-        # The one-level form of 128-step blocks rounds differently, by as
-        # little as the loop allows either form.
-        a, b, dt = SIM_PLANTS[plant]
-        p = PlantParams(a, b, 1.0, dt, n * dt, width)
-        for x0 in ([-2.5, 0.0], [1.0, 0.0], [0.1, 0.3]):
-            states, refs = simulate_trajectory(p, x0, seed=7)
-            ref_states, ref_refs = simulate_blocks_with_temporaries(p, x0, seed=7)
-            assert states.shape == ref_states.shape
-            assert np.max(np.abs(states - ref_states)) <= sim_tol(n, ref_states)
-            assert np.array_equal(refs, ref_refs)
 
     @pytest.mark.parametrize("n", [1, BLOCK + 1, BLOCK * GROUP + 1])
     def test_first_state_is_x0_bit_for_bit(self, n):
