@@ -78,9 +78,10 @@ class FlowConfig:
 
     ``diag_every`` controls the trace stride; ``diag_subsample`` caps the
     cloud size used for exact transport diagnostics (a cap of at least the
-    particle count measures the whole cloud).  ``workers`` is accepted and
-    validated but has no effect: every worker count runs the same single
-    pass, so results are identical by construction.
+    particle count measures the whole cloud; :func:`run` refuses one that
+    would measure more than the exact solver's cap).  ``workers`` is
+    accepted and validated but has no effect: every worker count runs the
+    same single pass, so results are identical by construction.
     ``on_invalid`` chooses between aborting on a bad observation (default)
     and skipping it with a log message.
     """
@@ -192,10 +193,15 @@ def run(
     sub_idx = None
     ref_measure = None
     if obj.theta_star is not None:
-        if cfg.diag_subsample < m0.n:
+        ref_size = min(cfg.diag_subsample, m0.n)
+        if ref_size > transport.MAX_EXACT_PARTICLES:
+            raise ValueError(
+                f"diag_subsample {cfg.diag_subsample} would measure {ref_size} particles, above "
+                f"the exact-solver cap {transport.MAX_EXACT_PARTICLES}; lower diag_subsample"
+            )
+        if ref_size < m0.n:
             rng = measures.substream(cfg.seed, _DIAG_STREAM)
-            sub_idx = np.sort(rng.choice(m0.n, size=cfg.diag_subsample, replace=False))
-        ref_size = cfg.diag_subsample if sub_idx is not None else m0.n
+            sub_idx = np.sort(rng.choice(m0.n, size=ref_size, replace=False))
         ref_measure = ParticleMeasure(np.tile(obj.theta_star, (ref_size, 1)))
 
     trace = FlowTrace(report)

@@ -22,13 +22,10 @@ from .measures import ParticleMeasure, nearest_rank_index, substream
 
 _TRAJ_STREAM = 31
 
-# The plant simulation in two levels of blocks: the states of a block of
-# _BLOCK steps are one row of a (blocks, B + 2) x (B + 2, 2B) product of its
-# noise and its start, the starts of a group of _GROUP blocks one row of a
-# (groups, 2G) x (2G, 2G) product, and a Python loop carries only the group
-# starts.
+# Steps per block of the plant simulation's scan: the states of a block
+# are one row of a (blocks, 2 + B) x (2 + B, 2B) product of its start and
+# its noise, and the block starts are scanned again in blocks of as many.
 _BLOCK = 32
-_GROUP = 64
 
 # Particle values per block of grid rows in the damping band: 512 KB, so
 # a block's temporaries stay in cache.
@@ -121,35 +118,44 @@ def _powers(m: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _toeplitz(powers: np.ndarray) -> np.ndarray:
-    """Response of ``e_{q+1} = M e_q + u_q`` (``e_0 = 0``) to its inputs, for
-    row vectors: ``T[l, a, q, b] = M^{q-l}[b, a]`` for ``q >= l`` and 0 for
-    ``q < l``, so ``e_{q+1}[b]`` is the sum of ``u_l[a] T[l, a, q, b]``.
-    ``powers`` holds ``M^0 .. M^(B-1)``; ``T`` is a ``(B, 2, B, 2)`` view."""
-    b = powers.shape[0]
-    lagged = np.zeros((2 * b - 1, 2, 2))  # row b - 1 + k is (M^k)^T, k >= 0
+def _scan(m: np.ndarray, g, u: np.ndarray, start, out: np.ndarray) -> None:
+    """Write the states ``e_1 .. e_{blocks B}`` of ``e_{k+1} = M e_k + g^T u_k``,
+    ``e_0 = start``, into ``out``, one block of B states to a row, for inputs
+    ``u`` zero-padded to ``(blocks, B c)`` (which may be ``out``'s memory)
+    and ``g`` of shape ``(c, 2)``.
+
+    In block ``j``, ``e_{jB+q+1} = M^{q+1} s_j + sum_{l <= q} M^{q-l} g^T
+    u_{jB+l}`` with the start ``s_j = e_{jB}``: its start and its inputs in
+    one row, times one ``(2 + B c, 2B)`` response.  The starts follow the
+    same recurrence with ``M^B`` and the forced block ends as 2-d inputs
+    (``g = I``), solved again until one block is left."""
+    b = _BLOCK
+    powers = _powers(m, b + 1)  # M^0 .. M^B
+    lagged = np.zeros((2 * b, 2, 2))  # row b - 1 + k is (M^k)^T
     lagged[b - 1:] = powers.transpose(0, 2, 1)
-    # windows[s, a, b, q] = lagged[s + q, a, b]; row l starts at s = b - 1 - l.
-    windows = np.lib.stride_tricks.sliding_window_view(lagged, b, axis=0)
-    return windows[::-1].transpose(0, 1, 3, 2)
-
-
-def _propagator(powers: np.ndarray) -> np.ndarray:
-    """Row ``b`` holds ``M^{q+1}[a, b]`` at column ``2q + a``, from ``powers =
-    M^0 .. M^B``: ``start @ propagator`` is a block's response to its start."""
-    return powers[1:].transpose(2, 0, 1).reshape(2, -1)
+    # window[r, a, 2q + i] = M^{q+1-r}[i, a], zero where q + 1 < r: row 0
+    # responds to the start, row l + 1 to input l.
+    window = np.lib.stride_tricks.sliding_window_view(lagged, b, axis=0)[::-1]
+    window = window.transpose(0, 1, 3, 2).reshape(b + 1, 2, 2 * b)
+    response = np.concatenate([window[0], np.matmul(g, window[1:]).reshape(-1, 2 * b)])
+    blocks = len(u)
+    rows = np.empty((blocks, 2 + u.shape[1]))
+    rows[:, 2:] = u
+    rows[:1, :2] = start  # no rows at all at a zero horizon
+    if blocks > 1:
+        ends = np.zeros((-(-(blocks - 1) // b), 2 * b))
+        np.matmul(rows[:-1, 2:], response[2:, -2:], out=ends.reshape(-1, 2)[:blocks - 1])
+        _scan(powers[-1], np.eye(2), ends, start, ends)
+        rows[1:, :2] = ends.reshape(-1, 2)[:blocks - 1]
+    np.matmul(rows, response, out=out)
 
 
 def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the Euler-discretized plant under uniform reference noise.
 
-    The recurrence ``x_{k+1} = M x_k + g (r + eps_k)`` is linear, so it is
-    evaluated exactly in two levels of blocks (a two-level scan) rather
-    than one step at a time.  The block starts follow a recurrence of the
-    same form, which matrix products solve a group of blocks at a time, so
-    a Python loop carries only the group starts; one more product then
-    gives every block's states from its noise and its start.  The states
-    agree with a step-by-step loop to rounding.
+    The recurrence ``x_{k+1} = M x_k + g (r + eps_k)`` is linear, so a
+    blocked scan (:func:`_scan`) evaluates it exactly rather than one step
+    at a time; the states agree with a step-by-step loop to rounding.
 
     Parameters
     ----------
@@ -171,54 +177,24 @@ def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.n
         raise ValueError("x0 must be a finite state vector (position, velocity)")
     n = int(p.horizon / p.dt + 1e-9)
     nb = -(-n // _BLOCK)
-    ng = -(-nb // _GROUP)
-    # Deviations e = x - (r, 0) from the equilibrium follow
-    # e_{k+1} = M e_k + g eps_k: the step maps (r, 0) to itself exactly.
-    # Within a block of B steps, e_{jB+q+1} = M^{q+1} s_j + F[j, q] with the
-    # start s_j = e_{jB} and the forced response
-    # F[j, q] = sum_{l <= q} M^{q-l} g eps_{jB+l}.  So row j of inputs
-    # holds the noise of block j, then its start, and one product with
-    # response, the noise's Toeplitz factor (g = (0, dt b) drives the
-    # velocity alone) over the start's propagator, gives every block.
-    powers = _powers(p.transition_matrix(), _BLOCK + 1)  # M^0 .. M^B
-    response = np.empty((_BLOCK + 2, 2 * _BLOCK))
-    response[:_BLOCK] = _toeplitz(powers[:_BLOCK])[:, 1].reshape(_BLOCK, 2 * _BLOCK)
-    response[:_BLOCK] *= p.dt * p.b
-    response[_BLOCK:] = _propagator(powers)
-    inputs = np.zeros((nb, _BLOCK + 2))
-    # The states padded to whole blocks: row 0 is x0, and row j of dev the
-    # deviations of block j.  The noise is drawn into the same memory first.
+    # The states padded to whole blocks: row 0 is x0, and rows 1.. hold the
+    # deviations.  The noise is drawn into the same memory first.
     padded = np.empty((nb * _BLOCK + 1, 2))
-    dev = padded[1:].reshape(nb, 2 * _BLOCK)
+    eps = padded.reshape(-1)[:nb * _BLOCK]
     if p.eps_half_width > 0:
         # uniform(-w, w) returns -w + 2w u for the doubles u that random
         # draws, so scaling them in place gives the same bits.
-        eps = padded.reshape(-1)[:nb * _BLOCK]
         substream(seed, _TRAJ_STREAM).random(out=eps[:n])
         eps[:n] *= 2.0 * p.eps_half_width
         eps[:n] -= p.eps_half_width
-        eps[n:] = 0.0
-        inputs[:, :_BLOCK] = eps.reshape(nb, _BLOCK)
-
-    # The starts follow s_{j+1} = P s_j + F[j, B-1] with P = M^B: the same
-    # recurrence one level up, with a 2-d input, blocked G blocks to a group.
-    # ends[i, 2q:2q+2] is s_{iG+q+1}, first its forced part, then plus the
-    # response to the group start.
-    group_powers = _powers(powers[-1], _GROUP + 1)  # P^0 .. P^G
-    forced_ends = np.zeros((ng * _GROUP, 2))
-    np.matmul(inputs[:, :_BLOCK], response[:_BLOCK, -2:], out=forced_ends[:nb])
-    group_toeplitz = _toeplitz(group_powers[:_GROUP]).reshape(2 * _GROUP, 2 * _GROUP)
-    ends = forced_ends.reshape(ng, 2 * _GROUP) @ group_toeplitz
-    (c11, c12), (c21, c22) = group_powers[-1].tolist()
-    group_starts = []
-    e1, e2 = start = float(x0[0]) - p.r, float(x0[1])
-    for f1, f2 in ends[:, -2:].tolist():
-        group_starts.append((e1, e2))
-        e1, e2 = c11 * e1 + c12 * e2 + f1, c21 * e1 + c22 * e2 + f2
-    ends += np.array(group_starts).reshape(ng, 2) @ _propagator(group_powers)
-    inputs[:1, _BLOCK:] = start
-    inputs[1:, _BLOCK:] = ends.reshape(-1, 2)[:nb - 1]
-    np.matmul(inputs, response, out=dev)
+    else:
+        eps[:n] = 0.0
+    eps[n:] = 0.0
+    # Deviations e = x - (r, 0) from the equilibrium follow
+    # e_{k+1} = M e_k + g eps_k with g = (0, dt b): the step maps (r, 0) to
+    # itself exactly, and the noise drives the velocity alone.
+    dev = padded[1:].reshape(nb, 2 * _BLOCK)
+    _scan(p.transition_matrix(), [[0.0, p.dt * p.b]], eps.reshape(nb, _BLOCK), x0 - (p.r, 0.0), dev)
 
     states = padded[:n + 1]
     states[0] = x0

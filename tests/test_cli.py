@@ -473,10 +473,11 @@ class TestDiagnose:
             for r in csv.DictReader(open(tmp_path / "diagnostics.csv"))
         )
         assert metrics["w2_subsampled"] == 0.0
-        assert metrics["mean_gap"] == 0.0
-        assert metrics["bures_gap"] == pytest.approx(0.0, abs=1e-8)
+        assert metrics["gelbrich_lower_bound_subsampled"] == pytest.approx(0.0, abs=1e-8)
+        assert metrics["mean_gap_full"] == 0.0
+        assert metrics["bures_gap_full"] == pytest.approx(0.0, abs=1e-8)
         assert metrics["lipschitz_norm_gap"] == 0.0
-        assert metrics["gelbrich_lower_bound"] == pytest.approx(0.0, abs=1e-8)
+        assert metrics["gelbrich_lower_bound_full"] == pytest.approx(0.0, abs=1e-8)
 
     def test_rows_are_the_report_then_the_measurements(self, tmp_path):
         m = measures.init_uniform_box([0, 0], [0.2, 0.3], 16, seed=2)
@@ -486,8 +487,8 @@ class TestDiagnose:
         names = [r["metric"] for r in csv.DictReader(open(tmp_path / "diagnostics.csv"))]
         assert names == [
             "alpha", "C", "sigma2", "eta", "tau", "tau_max", "ball_radius", "per_step_rate",
-            "tau_valid", "w2_subsampled", "subsample", "gelbrich_lower_bound", "mean_gap",
-            "bures_gap", "lipschitz_norm_gap",
+            "tau_valid", "w2_subsampled", "subsample", "gelbrich_lower_bound_subsampled",
+            "gelbrich_lower_bound_full", "mean_gap_full", "bures_gap_full", "lipschitz_norm_gap",
         ]
 
     def test_ball_radius_hand_value(self, tmp_path):
@@ -504,11 +505,12 @@ class TestDiagnose:
         )
         # sigma_w * sqrt(eta * tau) with eta = 100/25, tau = 0.01
         assert metrics["ball_radius"] == pytest.approx(math.sqrt(0.005) * math.sqrt(0.04), rel=1e-12)
-        assert metrics["gelbrich_lower_bound"] <= metrics["w2_subsampled"] + 1e-8
+        assert metrics["gelbrich_lower_bound_subsampled"] <= metrics["w2_subsampled"] + 1e-8
 
     def test_each_moment_gap_computed_once(self, tmp_path, monkeypatch):
-        # The Gelbrich bound is built from the reported mean and Bures gaps,
-        # so each cloud's covariance and their Bures distance are computed once.
+        # Each Gelbrich bound is built from its pair's mean and Bures gaps, so
+        # for the subsamples and for the full clouds each cloud's covariance
+        # and the pair's Bures distance are computed once.
         calls = {"covariance": 0, "bures_distance": 0}
 
         def counted(name, fn):
@@ -526,8 +528,50 @@ class TestDiagnose:
         measures.write_particles_csv(
             measures.init_uniform_box([0, 0], [0.1, 0.4], 32, seed=3), tmp_path / "reference.csv"
         )
-        assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 0
-        assert calls == {"covariance": 2, "bures_distance": 1}
+        assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path), "--diag_subsample", "16") == 0
+        assert calls == {"covariance": 4, "bures_distance": 2}
+
+    @given(
+        n=st.integers(1, 40),
+        n_ref=st.integers(1, 40),
+        cap=st.integers(1, 48),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_subsample_bound_never_exceeds_the_subsample_w2(self, n, n_ref, cap, seed, scale):
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, size in (("particles.csv", n), ("reference.csv", n_ref)):
+                cloud = measures.ParticleMeasure(scale * rng.standard_normal((size, 2)))
+                measures.write_particles_csv(cloud, os.path.join(tmp, name))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("diagnose", "--paper-preset", "--out", tmp, "--diag_subsample", str(cap))
+            assert code == 0
+            with open(os.path.join(tmp, "diagnostics.csv")) as f:
+                metrics = {r["metric"]: float(r["value"]) for r in csv.DictReader(f)}
+        w2 = metrics["w2_subsampled"]
+        assert metrics["gelbrich_lower_bound_subsampled"] <= w2 + 1e-12 * max(1.0, scale)
+
+    def test_no_printed_bound_exceeds_the_w2_printed_beside_it(self, tmp_path, capsys):
+        # Seeds 0 and 7 of the preset: the full clouds' bound, 0.00314,
+        # lies above the 256-particle subsamples' W2, 0.00310.
+        for seed in ("0", "7"):
+            out = str(tmp_path / seed)
+            assert run_cli("simulate", "--paper-preset", "--seed", seed, "--out", out) == 0
+            assert run_cli("flow", "--paper-preset", "--seed", seed, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli(
+            "diagnose", "--paper-preset", "--out", str(tmp_path),
+            "--particles", str(tmp_path / "0" / "particles.csv"),
+            "--reference", str(tmp_path / "7" / "particles.csv"),
+        ) == 0
+        printed = capsys.readouterr().out
+        full = float(re.search(r"full clouds .*gelbrich bound=(\S+)", printed)[1])
+        claims = [line for line in printed.splitlines() if "never exceeds" in line]
+        assert len(claims) == 1
+        w2 = float(re.search(r"W2=([^,\s]+)", claims[0])[1])
+        bound = float(re.search(r"bound=(\S+)", claims[0])[1])
+        assert bound <= w2 < full
 
     @pytest.mark.parametrize("overrides", [("--tau", "1e308"), ("--tau", "1e308", "--sigma_w2", "0.01")])
     def test_overflowing_step_report_exits_4_with_one_line(self, tmp_path, capsys, overrides):
@@ -615,6 +659,8 @@ _INPUTS = {
         ("predict", ("--zeta_min", "-0.1")),
         ("predict", ("--a0", "1e200")),
         ("flow", ("--init_lo", "-1.5e308,0", "--init_hi", "1.5e308,1")),
+        ("flow", ("--n_particles", "5000", "--diag_subsample", "5000")),
+        ("diagnose", ("--particles", "big.csv", "--reference", "big.csv", "--diag_subsample", "5000")),
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
@@ -624,16 +670,23 @@ def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
     measures.write_particles_csv(
         measures.ParticleMeasure(np.tile(LAM, (8, 1))), inputs / "particles.csv"
     )
+    # Relative paths in the overrides name files under in/.
+    measures.write_particles_csv(
+        measures.init_uniform_box([0, 0], [0.1, 0.1], 5000, seed=0), inputs / "big.csv"
+    )
     args = [arg for k, name in _INPUTS[command].items() for arg in (f"--{k}", str(inputs / name))]
     out = tmp_path / "out"
     proc = run_cli_process(
-        "-m", "wgflow.cli", command, "--paper-preset", "--out", str(out), *args, *overrides
+        "-m", "wgflow.cli", command, "--paper-preset", "--out", str(out), *args, *overrides,
+        cwd=inputs,
     )
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
     if overrides[0] == "--diag_subsample":
         assert "diag_subsample must be at least 1" in lines[0]
+    if "5000" in overrides:
+        assert "diag_subsample 5000" in lines[0] and f"cap {transport.MAX_EXACT_PARTICLES}" in lines[0]
     assert not out.exists() or not any(out.iterdir())
 
 

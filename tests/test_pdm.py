@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from wgflow import pdm
 from wgflow.errors import DataError, NumericalError
 from wgflow.measures import ParticleMeasure
 from wgflow.pdm import _BLOCK as BLOCK
-from wgflow.pdm import _GROUP as GROUP
 from wgflow.pdm import (
     DegradationModel,
     Observation,
@@ -217,9 +217,11 @@ SIM_PLANTS = {
 }
 
 
-# Lengths on each side of a block and of a group of blocks, and a day.
-SIM_LENGTHS = [
-    1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK * GROUP - 1, BLOCK * GROUP, BLOCK * GROUP + 1, 100_000,
+# Lengths on each side of B^k steps, where the scan of the block starts
+# takes one more level, and of 2 B^2, where its second level has two
+# blocks; and a day, whose scan has four levels.
+SIM_LENGTHS = [1, 2, 100_000] + [
+    k * BLOCK**e + i for k, e in ((1, 1), (1, 2), (2, 2), (1, 3)) for i in (-1, 0, 1)
 ]
 
 
@@ -243,7 +245,7 @@ class TestSimulateAgainstLoop:
         a=st.floats(0.05, 5.0),
         b=st.floats(0.05, 5.0),
         dt=st.floats(1e-4, 0.05),
-        n=st.integers(1, 3 * BLOCK * GROUP),
+        n=st.integers(1, 3 * BLOCK**2),
         x0=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
         width=st.sampled_from([0.0, 0.3, 3.0]),
     )
@@ -258,7 +260,7 @@ class TestSimulateAgainstLoop:
         assert states[0].tobytes() == np.array(x0, dtype=float).tobytes()
         assert np.max(np.abs(states - ref_states)) <= sim_tol(n, ref_states)
 
-    @pytest.mark.parametrize("n", [1, BLOCK + 1, BLOCK * GROUP + 1])
+    @pytest.mark.parametrize("n", [1, BLOCK + 1, 2 * BLOCK**2 + 1, BLOCK**3 + 1])
     def test_first_state_is_x0_bit_for_bit(self, n):
         # (0.1 - r) + r rounds to 0.09999999999999998, so states[0] must
         # be x0 itself rather than the equilibrium plus its deviation.
@@ -266,6 +268,19 @@ class TestSimulateAgainstLoop:
         x0 = np.array([0.1, 0.3])
         states, _ = simulate_trajectory(p, x0, seed=1)
         assert np.array_equal(states[0], x0)
+
+    def test_memory_of_a_day_is_its_states_and_one_input_array(self):
+        # Beside the states, a 1e5-step day holds one (blocks, B + 2) array
+        # of block starts and noise; a temporary of the states' size fails.
+        p = PlantParams(2.5, 1.0, 1.0, 0.001, 100.0, 3.0)
+        tracemalloc.start()
+        try:
+            states, _ = simulate_trajectory(p, np.zeros(2), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        inputs = -(-100_000 // BLOCK) * (BLOCK + 2) * 8
+        assert peak <= states.nbytes + inputs + 0.5e6
 
     def test_horizon_shorter_than_a_step_gives_x0_alone(self):
         p = PlantParams(2.5, 1.0, 1.0, 0.001, 0.0005, 3.0)
