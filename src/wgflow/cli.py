@@ -409,18 +409,6 @@ def _rms_norm(points: np.ndarray) -> float:
     return math.sqrt(float(np.mean(np.float_power(np.sqrt(np.vecdot(points, points)), 2))))
 
 
-def _moment_gaps(m: measures.ParticleMeasure, ref: measures.ParticleMeasure):
-    """Mean gap, covariances' Bures gap and Gelbrich bound of two clouds; nan
-    where coordinates near the float limit overflow the moments."""
-    from . import transport
-
-    with np.errstate(all="ignore"):
-        mean_diff = measures.mean(m) - measures.mean(ref)
-        covs = measures.covariance(m), measures.covariance(ref)
-        bures_gap = transport.bures_distance(*covs) if np.isfinite(covs).all() else np.nan
-        return float(np.linalg.norm(mean_diff)), bures_gap, transport.moment_bound(mean_diff, bures_gap)
-
-
 def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     from . import functionals, transport
 
@@ -446,21 +434,22 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
             )
 
     k = min(cap, m.n, ref.n)
-    if k > transport.MAX_EXACT_PARTICLES:
-        raise ConfigError(
-            f"diag_subsample {cap} would measure {k} particles, above the exact-solver cap "
-            f"{transport.MAX_EXACT_PARTICLES}; lower diag_subsample"
-        )
+    transport.check_subsample(cap, k)
     seed = cfg.get_int("seed")
-    idx_m = np.sort(measures.substream(seed, _DIAG_SUB_STREAM).choice(m.n, size=k, replace=False))
-    idx_r = np.sort(measures.substream(seed, _DIAG_SUB_STREAM).choice(ref.n, size=k, replace=False))
-    sub_m = measures.ParticleMeasure(m.points[idx_m])
-    sub_r = measures.ParticleMeasure(ref.points[idx_r])
 
+    def subsample(c):
+        # One stream, copied per cloud; made for a whole cloud too, to refuse a seed below 0.
+        rng = measures.substream(seed, _DIAG_SUB_STREAM)
+        if c.n == k:
+            return c
+        return measures.ParticleMeasure(c.points[np.sort(rng.choice(c.n, k, replace=False))])
+
+    sub_m, sub_r = subsample(m), subsample(ref)
+    whole = k == m.n == ref.n
     w2, _ = transport.w2_exact(sub_m, sub_r)
+    mean_gap, bures_gap, gelbrich = transport.moment_gaps(m, ref)
     # The Gelbrich bound governs the W2 of the same pair: the subsamples'.
-    _, _, sub_gelbrich = _moment_gaps(sub_m, sub_r)
-    mean_gap, bures_gap, gelbrich = _moment_gaps(m, ref)
+    sub_gelbrich = gelbrich if whole else transport.moment_gaps(sub_m, sub_r)[2]
     with np.errstate(all="ignore"):
         lipschitz_gap = abs(_rms_norm(m.points) - _rms_norm(ref.points))
     measured = [
@@ -484,7 +473,8 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     print(f"  alpha={report.alpha:.6g} C={report.C:.6g} eta={report.eta:.6g} "
           f"sigma2={report.sigma2:.6g} ball_radius={report.ball_radius:.6g} "
           f"rate={report.per_step_rate:.6g}")
-    print(f"measured on {k} subsampled particles: W2={w2:.6g}, "
+    measured_on = f"the whole clouds ({k} particles)" if whole else f"{k} subsampled particles"
+    print(f"measured on {measured_on}: W2={w2:.6g}, "
           f"gelbrich lower bound={sub_gelbrich:.6g} (never exceeds that W2)")
     print(f"full clouds ({m.n} and {ref.n} particles): gelbrich bound={gelbrich:.6g} "
           f"mean gap={mean_gap:.6g} bures gap={bures_gap:.6g}")

@@ -67,10 +67,6 @@ def read_table(path, what: str, header_ok) -> np.ndarray:
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-    try:
-        return np.array(rows, dtype=float)
-    except ValueError:  # an empty field, or not a number: parsed by row
-        pass
     for i, row in enumerate(rows):
         try:
             rows[i] = [float(v) if v else math.nan for v in row]

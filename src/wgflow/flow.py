@@ -194,11 +194,7 @@ def run(
     ref_measure = None
     if obj.theta_star is not None:
         ref_size = min(cfg.diag_subsample, m0.n)
-        if ref_size > transport.MAX_EXACT_PARTICLES:
-            raise ValueError(
-                f"diag_subsample {cfg.diag_subsample} would measure {ref_size} particles, above "
-                f"the exact-solver cap {transport.MAX_EXACT_PARTICLES}; lower diag_subsample"
-            )
+        transport.check_subsample(cfg.diag_subsample, ref_size)
         if ref_size < m0.n:
             rng = measures.substream(cfg.seed, _DIAG_STREAM)
             sub_idx = np.sort(rng.choice(m0.n, size=ref_size, replace=False))

@@ -43,6 +43,15 @@ MAX_EXACT_PARTICLES = 4096
 _PSD_TOL = 1e-10
 
 
+def check_subsample(cap: int, k: int) -> None:
+    """Refuse to measure ``k`` particles, from ``diag_subsample`` ``cap``, above the cap."""
+    if k > MAX_EXACT_PARTICLES:
+        raise ValueError(
+            f"diag_subsample {cap} would measure {k} particles, above the exact-solver cap "
+            f"{MAX_EXACT_PARTICLES}; lower diag_subsample"
+        )
+
+
 def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]:
     """Exact Wasserstein-2 distance and an optimal matching.
 
@@ -192,24 +201,23 @@ def bures_distance(s1: np.ndarray, s2: np.ndarray) -> float:
     return math.sqrt(val)
 
 
-def gelbrich_lower_bound(m: ParticleMeasure, n: ParticleMeasure) -> float:
-    """Moment-based lower bound on the Wasserstein-2 distance.
-
-    ``sqrt(||mean(m) - mean(n)||^2 + d_B(cov(m), cov(n))^2)`` never exceeds
-    the exact distance; it is tight for Dirac measures (and Gaussians).
-    Moments that overflow raise :class:`NumericalError`.
-    """
+def moment_gaps(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, float, float]:
+    """Mean gap, covariances' Bures gap and the Gelbrich bound ``sqrt(mean_gap^2 +
+    bures_gap^2)``, which never exceeds W2 and is tight for Diracs (and Gaussians);
+    nan or inf, without NumPy warnings, where the moments overflow."""
     if m.d != n.d:
         raise ValueError(f"dimension mismatch: {m.d} vs {n.d}")
-    # An overflowing covariance is refused by bures_distance as not finite;
-    # NumPy's warnings about it would only repeat that.
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = moment_bound(mean(m) - mean(n), bures_distance(covariance(m), covariance(n)))
+    with np.errstate(all="ignore"):
+        mean_diff = mean(m) - mean(n)
+        covs = covariance(m), covariance(n)
+        bures_gap = bures_distance(*covs) if np.isfinite(covs).all() else math.nan
+        bound = math.sqrt(float(mean_diff @ mean_diff) + bures_gap * bures_gap)
+        return float(np.linalg.norm(mean_diff)), bures_gap, bound
+
+
+def gelbrich_lower_bound(m: ParticleMeasure, n: ParticleMeasure) -> float:
+    """The Gelbrich bound of :func:`moment_gaps`, refused if it overflows."""
+    bound = moment_gaps(m, n)[2]
     if not math.isfinite(bound):
         raise NumericalError("the Gelbrich bound overflows: the clouds' coordinates are too large")
     return bound
-
-
-def moment_bound(mean_diff: np.ndarray, bures_gap: float) -> float:
-    """The Gelbrich bound from the mean difference and the covariances' Bures gap."""
-    return math.sqrt(float(mean_diff @ mean_diff) + bures_gap * bures_gap)

@@ -507,10 +507,12 @@ class TestDiagnose:
         assert metrics["ball_radius"] == pytest.approx(math.sqrt(0.005) * math.sqrt(0.04), rel=1e-12)
         assert metrics["gelbrich_lower_bound_subsampled"] <= metrics["w2_subsampled"] + 1e-8
 
-    def test_each_moment_gap_computed_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cap, covariances, bures", [(16, 4, 2), (256, 2, 1)])
+    def test_each_moment_gap_computed_once(self, tmp_path, monkeypatch, cap, covariances, bures):
         # Each Gelbrich bound is built from its pair's mean and Bures gaps, so
         # for the subsamples and for the full clouds each cloud's covariance
-        # and the pair's Bures distance are computed once.
+        # and the pair's Bures distance are computed once.  A cap that covers
+        # both 32-particle clouds measures them whole: one pair, measured once.
         calls = {"covariance": 0, "bures_distance": 0}
 
         def counted(name, fn):
@@ -528,8 +530,8 @@ class TestDiagnose:
         measures.write_particles_csv(
             measures.init_uniform_box([0, 0], [0.1, 0.4], 32, seed=3), tmp_path / "reference.csv"
         )
-        assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path), "--diag_subsample", "16") == 0
-        assert calls == {"covariance": 4, "bures_distance": 2}
+        assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path), "--diag_subsample", str(cap)) == 0
+        assert calls == {"covariance": covariances, "bures_distance": bures}
 
     @given(
         n=st.integers(1, 40),
@@ -572,6 +574,20 @@ class TestDiagnose:
         w2 = float(re.search(r"W2=([^,\s]+)", claims[0])[1])
         bound = float(re.search(r"bound=(\S+)", claims[0])[1])
         assert bound <= w2 < full
+        # A cap above both cloud sizes measures the whole clouds, so their
+        # bound is the full clouds' one, and nothing is called subsampled.
+        assert run_cli(
+            "diagnose", "--paper-preset", "--out", str(tmp_path),
+            "--particles", str(tmp_path / "0" / "particles.csv"),
+            "--reference", str(tmp_path / "7" / "particles.csv"), "--diag_subsample", "5000",
+        ) == 0
+        printed = capsys.readouterr().out
+        assert "subsampled" not in printed
+        claims = [line for line in printed.splitlines() if "never exceeds" in line]
+        assert len(claims) == 1 and claims[0].startswith("measured on the whole clouds (1000 particles)")
+        w2 = float(re.search(r"W2=([^,\s]+)", claims[0])[1])
+        bound = float(re.search(r"bound=(\S+)", claims[0])[1])
+        assert bound == full <= w2
 
     @pytest.mark.parametrize("overrides", [("--tau", "1e308"), ("--tau", "1e308", "--sigma_w2", "0.01")])
     def test_overflowing_step_report_exits_4_with_one_line(self, tmp_path, capsys, overrides):
@@ -661,6 +677,7 @@ _INPUTS = {
         ("flow", ("--init_lo", "-1.5e308,0", "--init_hi", "1.5e308,1")),
         ("flow", ("--n_particles", "5000", "--diag_subsample", "5000")),
         ("diagnose", ("--particles", "big.csv", "--reference", "big.csv", "--diag_subsample", "5000")),
+        ("diagnose", ("--seed", "-1")),  # refused although the 8-particle clouds are measured whole
     ],
 )
 def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
@@ -14,11 +16,13 @@ import wgflow
 from _oracles import bures_scipy, w2_brute_force
 from wgflow import transport
 from wgflow.errors import NumericalError
-from wgflow.measures import ParticleMeasure
+from wgflow.measures import ParticleMeasure, covariance, mean
 from wgflow.transport import (
     MAX_EXACT_PARTICLES,
     bures_distance,
+    check_subsample,
     gelbrich_lower_bound,
+    moment_gaps,
     w2_1d,
     w2_exact,
 )
@@ -106,6 +110,14 @@ class TestW2Exact:
         big = ParticleMeasure(np.zeros((MAX_EXACT_PARTICLES + 1, 1)))
         with pytest.raises(ValueError, match="[Ss]ubsample"):
             w2_exact(big, big)
+
+    def test_subsample_above_the_cap_refused(self):
+        check_subsample(10**6, MAX_EXACT_PARTICLES)
+        with pytest.raises(ValueError, match=(
+            f"^diag_subsample 5000 would measure {MAX_EXACT_PARTICLES + 1} particles, "
+            f"above the exact-solver cap {MAX_EXACT_PARTICLES}; lower diag_subsample$"
+        )):
+            check_subsample(5000, MAX_EXACT_PARTICLES + 1)
 
     def test_overflowing_mean_cost_is_numerical_error_without_warnings(self):
         # Every squared distance (9e306) is finite; their sum over 256 pairs is not.
@@ -299,8 +311,32 @@ class TestGelbrich:
         m = cloud([[1e200, 0.0], [-1e200, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="^S1 is not finite$"):
+            with pytest.raises(NumericalError, match=(
+                "^the Gelbrich bound overflows: the clouds' coordinates are too large$"
+            )):
                 gelbrich_lower_bound(m, m)
+
+    @given(
+        sizes=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_moment_gaps_build_the_bound(self, sizes, d, seed, scale):
+        rng = np.random.default_rng(seed)
+        a, b = (cloud(scale * rng.standard_normal((n, d)) + rng.normal(size=d)) for n in sizes)
+        mean_gap, bures_gap, bound = moment_gaps(a, b)
+        assert mean_gap == float(np.linalg.norm(mean(a) - mean(b)))
+        assert bures_gap == bures_distance(covariance(a), covariance(b))
+        assert np.float64(bound).tobytes() == np.float64(gelbrich_lower_bound(a, b)).tobytes()
+        assert bound**2 == pytest.approx(mean_gap**2 + bures_gap**2, rel=1e-12, abs=1e-300)
+
+    def test_moment_gaps_overflow_to_nan_without_warnings(self):
+        m = cloud([[1e200, 0.0], [-1e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean_gap, bures_gap, bound = moment_gaps(m, m)
+        assert mean_gap == 0.0 and math.isnan(bures_gap) and math.isnan(bound)
 
     def test_overflowing_mean_gap_is_numerical_error_without_warnings(self):
         m, n = cloud([[1e300, 0.0]] * 2), cloud([[-1e300, 0.0]] * 2)
