@@ -22,7 +22,6 @@ import numpy as np
 
 import wgflow as wg
 from wgflow import files, pdm
-from wgflow.measures import spawn_seed
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "demo_out")
 
@@ -36,16 +35,8 @@ SAFETY_SEEDS = range(20)
 
 def collect_observations(seed):
     """One least-squares estimate of (a, b) per recorded day."""
-    obs = []
-    for j in range(N_DAYS):
-        t = j * MODEL.T
-        a, b = pdm.degrade(MODEL, t)
-        plant = pdm.PlantParams(a=float(a), b=float(b), r=1.0, dt=0.001,
-                                horizon=100.0, eps_half_width=3.0)
-        traj = pdm.simulate_trajectory(plant, np.array([-2.5, 0.0]),
-                                       seed=spawn_seed(seed, 41, j))
-        obs.append(pdm.Observation(t, pdm.ls_estimate(traj, plant.dt)))
-    return obs
+    return pdm.daily_observations(MODEL, N_DAYS, x0=[-2.5, 0.0], r=1.0, dt=0.001,
+                                  horizon=100.0, eps_half_width=3.0, seed=seed)
 
 
 def advance_belief(seed, obs):

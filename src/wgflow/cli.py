@@ -30,7 +30,6 @@ import numpy as np
 from . import files, measures, pdm
 from .errors import ConfigError, DataError, NumericalError, UnsafeStepError
 
-_SIM_DAY_STREAM = 41
 _DIAG_SUB_STREAM = 61
 
 #: Most time points `predict` evaluates the damping band on.
@@ -191,29 +190,7 @@ def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
     x0 = cfg.get_vec("x0")
     days = cfg.get_int("days")
     seed = cfg.get_int("seed")
-    if days < 1:
-        raise ConfigError("days must be at least 1")
-    if x0.shape != (2,) or not np.isfinite(x0).all():
-        raise ConfigError("x0 must have two finite components (position, velocity)")
-    # These keys are the same on every day, so a fault in one is no day's.
-    pdm.check_plant_settings(r, dt, horizon, eps)
-
-    # Every day is simulated before anything is written, so a refused day
-    # (its plant, trajectory or estimate) leaves no output, and the message
-    # names it.  A trajectory that overflows is refused as a non-finite
-    # estimate; NumPy's warnings about it would only repeat that.
-    observations = []
-    with np.errstate(all="ignore"):
-        for j in range(days):
-            t = j * model.T
-            try:
-                a, b = pdm.degrade(model, t).tolist()
-                plant = pdm.PlantParams(a=a, b=b, r=r, dt=dt, horizon=horizon, eps_half_width=eps)
-                day_seed = measures.spawn_seed(seed, _SIM_DAY_STREAM, j)
-                traj = pdm.simulate_trajectory(plant, x0, day_seed)
-                observations.append(pdm.Observation(t, pdm.ls_estimate(traj, dt)))
-            except (ValueError, NumericalError) as exc:
-                raise type(exc)(f"day {j} (t = {t}): {exc}") from None
+    observations = pdm.daily_observations(model, days, x0, r, dt, horizon, eps, seed)
 
     path = os.path.join(out_dir, "observations.csv")
     pdm.write_observations_csv(observations, path)

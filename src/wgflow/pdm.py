@@ -18,9 +18,10 @@ import numpy as np
 
 from . import files
 from .errors import DataError, NumericalError
-from .measures import ParticleMeasure, nearest_rank_index, substream
+from .measures import ParticleMeasure, nearest_rank_index, spawn_seed, substream
 
 _TRAJ_STREAM = 31
+_DAY_STREAM = 41
 
 # Steps per block of the plant simulation's scan: the states of a block
 # are one row of a (blocks, 2 + B) x (2 + B, 2B) product of its start and
@@ -74,7 +75,7 @@ class PlantParams:
         for name in ("a", "b"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        check_plant_settings(self.r, self.dt, self.horizon, self.eps_half_width)
+        _check_plant_settings(self.r, self.dt, self.horizon, self.eps_half_width)
         radius = max(abs(ev) for ev in np.linalg.eigvals(self.transition_matrix()))
         if radius >= 1.0:
             raise NumericalError(
@@ -86,7 +87,7 @@ class PlantParams:
         return np.array([[1.0, self.dt], [-self.dt * self.b, 1.0 - self.dt * self.a]])
 
 
-def check_plant_settings(r: float, dt: float, horizon: float, eps_half_width: float) -> None:
+def _check_plant_settings(r: float, dt: float, horizon: float, eps_half_width: float) -> None:
     """Check the :class:`PlantParams` fields that do not depend on ``(a, b)``.
 
     Raises ``ValueError`` naming the first field out of range.
@@ -305,6 +306,38 @@ def degrade(d: DegradationModel, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return np.array([d.a0 - d.lam[0] * t, d.b0 + d.lam[1] * t])
+
+
+def daily_observations(model: DegradationModel, days: int, x0, r: float, dt: float, horizon: float,
+                       eps_half_width: float, seed: int) -> list[Observation]:
+    """One least-squares estimate of ``(a, b)`` per day ``j < days``, at ``t = j T``.
+
+    Day ``j`` simulates the plant of :func:`degrade` at ``t`` from ``x0``, with
+    trajectory seed ``spawn_seed(seed, _DAY_STREAM, j)``.  The arguments that
+    are the same on every day are checked first, so a fault in one names no
+    day; a refused day re-raises its exception class with ``day j (t = ...): ``
+    in front.  An overflowing trajectory is refused as a non-finite estimate,
+    which NumPy's warnings would only repeat.
+    """
+    if days < 1:
+        raise ValueError("days must be at least 1")
+    if np.shape(x0) != (2,) or not np.isfinite(x0).all():
+        raise ValueError("x0 must have two finite components (position, velocity)")
+    _check_plant_settings(r, dt, horizon, eps_half_width)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    observations = []
+    with np.errstate(all="ignore"):
+        for j in range(days):
+            t = j * model.T
+            try:
+                a, b = degrade(model, t).tolist()
+                plant = PlantParams(a, b, r, dt, horizon, eps_half_width)
+                traj = simulate_trajectory(plant, x0, spawn_seed(seed, _DAY_STREAM, j))
+                observations.append(Observation(t, ls_estimate(traj, dt)))
+            except (ValueError, NumericalError) as exc:
+                raise type(exc)(f"day {j} (t = {t}): {exc}") from None
+    return observations
 
 
 def damping_ratio(y) -> float:

@@ -20,14 +20,13 @@ from wgflow.measures import (
     covariance,
     init_uniform_box,
     mean,
-    spawn_seed,
     substream,
     write_particles_csv,
 )
 from wgflow.pdm import (
     DegradationModel,
-    Observation,
     PlantParams,
+    daily_observations,
     damping_ratio,
     degrade,
     difference_stream,
@@ -46,6 +45,8 @@ W = np.diag([-5.0, 5.0])
 RHO = 0.1
 TAU = 0.01
 ORTHANT = NonnegativeOrthant(2)
+# Criterion 8's daily plant: start, reference, sampling period, horizon and noise.
+PLANT = dict(x0=(-2.5, 0.0), r=1.0, dt=0.001, horizon=100.0, eps_half_width=3.0)
 
 
 def dirac_cloud(x, n):
@@ -401,13 +402,7 @@ def test_criterion_7_ground_truth_reproduction():
 # Criterion 8: end-to-end safety of the maintenance suggestions.
 
 def _pipeline_one_seed(seed, model, n_particles=1000, n_days=10):
-    observations = []
-    for j in range(n_days):
-        t = j * model.T
-        y = degrade(model, t)
-        plant = PlantParams(float(y[0]), float(y[1]), 1.0, 0.001, 100.0, 3.0)
-        traj = simulate_trajectory(plant, np.array([-2.5, 0.0]), spawn_seed(seed, 41, j))
-        observations.append(Observation(t, ls_estimate(traj, 0.001)))
+    observations = daily_observations(model, n_days, seed=seed, **PLANT)
     diffs = difference_stream(observations)
     obj = StreamingLSObjective(process_matrix(model.T), RHO, None, 0.0)
     m = init_uniform_box([0.0, 0.0], [8.0 / 60.0] * 2, n_particles, seed)

@@ -99,6 +99,7 @@ class TestSimulate:
             ("dt", "inf", "dt must be positive and finite"),
             ("horizon", "-1", "horizon must be positive and finite"),
             ("x0", "nan,0", "x0 must have two finite components (position, velocity)"),
+            ("seed", "-1", "seed must be nonnegative"),
         ],
     )
     def test_fault_of_a_day_independent_key_names_no_day(self, tmp_path, capsys, key, value, message):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from wgflow import pdm
+from wgflow import cli, pdm
 from wgflow.errors import DataError, NumericalError
 from wgflow.measures import ParticleMeasure
 from wgflow.pdm import _BLOCK as BLOCK
@@ -453,6 +454,47 @@ class TestDifferenceStream:
             process_matrix(0.0)
 
 
+class TestDailyObservations:
+    def test_written_output_is_the_cli_observations_file(self, tmp_path):
+        # Criterion 8's plant is the paper preset's, so this also ties the
+        # acceptance pipeline to what `simulate --paper-preset` writes.
+        obs = pdm.daily_observations(case_study_model(), 10, seed=0, **test_acceptance.PLANT)
+        write_observations_csv(obs, tmp_path / "observations.csv")
+        out = tmp_path / "cli"
+        assert cli.main(["simulate", "--paper-preset", "--seed", "0", "--out", str(out)]) == 0
+        assert (tmp_path / "observations.csv").read_bytes() == (out / "observations.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("x0", (math.nan, 0.0), "x0 must have two finite components (position, velocity)"),
+            ("x0", (1.0, 0.0, 0.0), "x0 must have two finite components (position, velocity)"),
+            ("seed", -1, "seed must be nonnegative"),
+            ("dt", 0.0, "dt must be positive and finite"),
+            ("days", 0, "days must be at least 1"),
+        ],
+    )
+    def test_day_independent_fault_raised_before_simulating(self, monkeypatch, key, value, message):
+        calls = []
+        monkeypatch.setattr(pdm, "simulate_trajectory", lambda *args: calls.append(args))
+        kwargs = dict(test_acceptance.PLANT, days=3, seed=0)
+        kwargs[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pdm.daily_observations(case_study_model(), **kwargs)
+        assert calls == []
+
+    def test_refused_day_is_named_with_its_index_and_time(self):
+        # Day 15 (t = 75) drives the damping a0 - lambda1 t to 0.
+        plant = dict(test_acceptance.PLANT, horizon=1.0)
+        with pytest.raises(ValueError, match=r"^day 15 \(t = 75\.0\): a must be positive$"):
+            pdm.daily_observations(case_study_model(), 16, seed=0, **plant)
+        # A refused estimate keeps its class: the plant at rest at its
+        # reference excites neither coefficient.
+        rest = dict(plant, x0=(1.0, 0.0), eps_half_width=0.0)
+        with pytest.raises(NumericalError, match=r"^day 0 \(t = 0\.0\): rank-deficient regressor"):
+            pdm.daily_observations(case_study_model(), 2, seed=0, **rest)
+
+
 class TestPredictDampingBand:
     def test_dirac_collapses_to_true_curve(self):
         model = case_study_model()
@@ -661,21 +703,16 @@ class TestSuggestedMaintenanceTime:
 
 
 class TestBeliefAgainstLeastSquares:
-    def test_percentile_rule_is_safer_than_least_squares(self, monkeypatch):
+    def test_percentile_rule_is_safer_than_least_squares(self):
         # Criterion 8's pipeline (20 seeds, days 10-45, 160 pairs).  A time
         # is safe when it is at most t* + 1e-3 days.  The LS baseline fits
-        # the observations the belief has seen; the pipeline differences
-        # them once per seed, which is where they are recorded.
+        # the observations the belief has seen.
         model = DegradationModel(2.5, 1.0, test_acceptance.THETA, 0.4, 5.0)
         t_star = true_maintenance_time(model).days
-        seen = []
-        monkeypatch.setattr(
-            test_acceptance, "difference_stream", lambda obs: seen.append(obs) or difference_stream(obs)
-        )
         ours, ls = [], []
         for seed in range(20):
             beliefs = test_acceptance._pipeline_one_seed(seed, model)
-            obs = seen.pop()
+            obs = pdm.daily_observations(model, 10, seed=seed, **test_acceptance.PLANT)
             for k, (day, belief) in enumerate(beliefs):
                 if day < 2 * model.T:
                     continue
