@@ -25,7 +25,6 @@ _SOURCES = {
     "UnsafeStepError": "errors",
     "FlowConfig": "flow",
     "FlowTrace": "flow",
-    "lipschitz_norm_gap": "flow",
     "run": "flow",
     "step": "flow",
     "StepBoundReport": "functionals",
@@ -49,6 +48,7 @@ _SOURCES = {
     "project_measure": "sets",
     "bures_distance": "transport",
     "gelbrich_lower_bound": "transport",
+    "lipschitz_norm_gap": "transport",
     "w2_1d": "transport",
     "w2_exact": "transport",
 }

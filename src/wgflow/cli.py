@@ -378,14 +378,6 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     return 0
 
 
-def _rms_norm(points: np.ndarray) -> float:
-    """Root mean square of the particles' Euclidean norms, bit for bit
-    ``flow.lipschitz_norm_gap``'s value for ``phi = |x|``: a row's
-    ``vecdot`` is its ``x.dot(x)``, and ``float_power`` squares by the C
-    library's ``pow``, as Python's ``float ** 2`` does."""
-    return math.sqrt(float(np.mean(np.float_power(np.sqrt(np.vecdot(points, points)), 2))))
-
-
 def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     from . import functionals, transport
 
@@ -427,8 +419,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     mean_gap, bures_gap, gelbrich = transport.moment_gaps(m, ref)
     # The Gelbrich bound governs the W2 of the same pair: the subsamples'.
     sub_gelbrich = gelbrich if whole else transport.moment_gaps(sub_m, sub_r)[2]
-    with np.errstate(all="ignore"):
-        lipschitz_gap = abs(_rms_norm(m.points) - _rms_norm(ref.points))
+    lipschitz_gap = transport.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)))
     measured = [
         ("w2_subsampled", w2),
         ("subsample", float(k)),

@@ -16,9 +16,9 @@ imports, which cost a cold process more than the rest of this package and
 the solve together.  A scipy that lays them out otherwise gets the public
 functions, with the same results.
 
-The module also provides the Bures distance between covariance matrices
-and the moment-based (Gelbrich) lower bound on the Wasserstein distance,
-both used by convergence diagnostics.
+The module also provides the Bures distance between covariance matrices,
+the moment-based (Gelbrich) lower bound on the Wasserstein distance and the
+Lipschitz norm gap, all used by convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -221,3 +221,17 @@ def gelbrich_lower_bound(m: ParticleMeasure, n: ParticleMeasure) -> float:
     if not math.isfinite(bound):
         raise NumericalError("the Gelbrich bound overflows: the clouds' coordinates are too large")
     return bound
+
+
+def lipschitz_norm_gap(m: ParticleMeasure, ref: ParticleMeasure, phi) -> float:
+    """Absolute gap between the empirical L2 norms of ``phi`` under two clouds.
+
+    For an ``L``-Lipschitz ``phi`` the gap is bounded by ``L`` times the
+    Wasserstein distance between the clouds.  ``phi`` is called per particle;
+    an overflowing square gives inf or nan, with no exception or NumPy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # float_power squares by the C library's pow, as float ** 2 does, with no OverflowError.
+        a, b = (math.sqrt(float(np.mean(np.float_power([float(phi(x)) for x in c.points], 2))))
+                for c in (m, ref))
+    return abs(a - b)

@@ -13,7 +13,7 @@ import pytest
 
 from _oracles import inside, w2_brute_force
 from wgflow import cli
-from wgflow.flow import FlowConfig, convergence_bound, lipschitz_norm_gap, run, validate_tau
+from wgflow.flow import FlowConfig, convergence_bound, run, validate_tau
 from wgflow.functionals import StreamingLSObjective, evaluate_objective, exact_gradient, stochastic_gradient
 from wgflow.measures import (
     ParticleMeasure,
@@ -37,7 +37,7 @@ from wgflow.pdm import (
     true_maintenance_time,
 )
 from wgflow.sets import Ball, Box, Halfspace, NonnegativeOrthant, project_measure
-from wgflow.transport import bures_distance, gelbrich_lower_bound, w2_1d, w2_exact
+from wgflow.transport import bures_distance, gelbrich_lower_bound, lipschitz_norm_gap, w2_1d, w2_exact
 from wgflow import flow as flow_mod
 
 THETA = np.array([2.0 / 60.0, 5.0 / 60.0])
@@ -401,8 +401,9 @@ def test_criterion_7_ground_truth_reproduction():
 # ---------------------------------------------------------------------------
 # Criterion 8: end-to-end safety of the maintenance suggestions.
 
-def _pipeline_one_seed(seed, model, n_particles=1000, n_days=10):
-    observations = daily_observations(model, n_days, seed=seed, **PLANT)
+def _pipeline_one_seed(seed, model, n_particles=1000, n_days=10, observations=None):
+    if observations is None:
+        observations = daily_observations(model, n_days, seed=seed, **PLANT)
     diffs = difference_stream(observations)
     obj = StreamingLSObjective(process_matrix(model.T), RHO, None, 0.0)
     m = init_uniform_box([0.0, 0.0], [8.0 / 60.0] * 2, n_particles, seed)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wgflow
-from wgflow import cli, flow, measures, pdm, transport
+from wgflow import cli, measures, pdm, transport
 from wgflow.errors import EngineError
 from wgflow.pdm import DegradationModel, Observation, degrade, write_observations_csv
 
@@ -613,7 +613,7 @@ class TestDiagnose:
         measures.write_particles_csv(ref, tmp_path / "reference.csv")
         assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 0
         rows = {r["metric"]: r["value"] for r in csv.DictReader(open(tmp_path / "diagnostics.csv"))}
-        want = flow.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)))
+        want = transport.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)))
         assert rows["lipschitz_norm_gap"] == repr(want)
 
     @pytest.mark.parametrize(
@@ -630,7 +630,7 @@ class TestDiagnose:
         measures.write_particles_csv(ref, tmp_path / "reference.csv")
         assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 0
         rows = {r["metric"]: r["value"] for r in csv.DictReader(open(tmp_path / "diagnostics.csv"))}
-        want = flow.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)))
+        want = transport.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)))
         assert rows["lipschitz_norm_gap"] == repr(want)
 
     def test_dimension_mismatch_exits_3(self, tmp_path):

@@ -16,7 +16,6 @@ from wgflow.flow import (
     FlowConfig,
     checkpoint_fields,
     convergence_bound,
-    lipschitz_norm_gap,
     read_checkpoint,
     run,
     step,
@@ -774,26 +773,6 @@ class TestCheckpointResume:
                         assert a.grad_norm == b.grad_norm, k
                     else:
                         assert b.grad_norm is None, k
-
-
-class TestLipschitzGap:
-    def test_identical_measures(self):
-        m = init_uniform_box([0, 0], [1, 1], 20, seed=0)
-        assert lipschitz_norm_gap(m, m, lambda x: float(np.linalg.norm(x))) == 0.0
-
-    def test_constant_function(self):
-        a = init_uniform_box([0, 0], [1, 1], 20, seed=0)
-        b = init_uniform_box([3, 3], [4, 4], 20, seed=1)
-        assert lipschitz_norm_gap(a, b, lambda x: 2.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_bounded_by_w2(self):
-        rng = np.random.default_rng(19)
-        phi = lambda x: float(np.linalg.norm(x))
-        for _ in range(10):
-            a = ParticleMeasure(rng.normal(size=(24, 2)))
-            b = ParticleMeasure(rng.normal(size=(24, 2)) + rng.normal(size=2))
-            gap = lipschitz_norm_gap(a, b, phi)
-            assert gap <= w2_exact(a, b)[0] + 1e-8
 
 
 class TestTraceCsv:

@@ -711,8 +711,8 @@ class TestBeliefAgainstLeastSquares:
         t_star = true_maintenance_time(model).days
         ours, ls = [], []
         for seed in range(20):
-            beliefs = test_acceptance._pipeline_one_seed(seed, model)
             obs = pdm.daily_observations(model, 10, seed=seed, **test_acceptance.PLANT)
+            beliefs = test_acceptance._pipeline_one_seed(seed, model, observations=obs)
             for k, (day, belief) in enumerate(beliefs):
                 if day < 2 * model.T:
                     continue

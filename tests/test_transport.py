@@ -16,12 +16,13 @@ import wgflow
 from _oracles import bures_scipy, w2_brute_force
 from wgflow import transport
 from wgflow.errors import NumericalError
-from wgflow.measures import ParticleMeasure, covariance, mean
+from wgflow.measures import ParticleMeasure, covariance, init_uniform_box, mean
 from wgflow.transport import (
     MAX_EXACT_PARTICLES,
     bures_distance,
     check_subsample,
     gelbrich_lower_bound,
+    lipschitz_norm_gap,
     moment_gaps,
     w2_1d,
     w2_exact,
@@ -344,3 +345,32 @@ class TestGelbrich:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="Gelbrich bound overflows"):
                 gelbrich_lower_bound(m, n)
+
+
+class TestLipschitzGap:
+    def test_identical_measures(self):
+        m = init_uniform_box([0, 0], [1, 1], 20, seed=0)
+        assert lipschitz_norm_gap(m, m, lambda x: float(np.linalg.norm(x))) == 0.0
+
+    def test_constant_function(self):
+        a = init_uniform_box([0, 0], [1, 1], 20, seed=0)
+        b = init_uniform_box([3, 3], [4, 4], 20, seed=1)
+        assert lipschitz_norm_gap(a, b, lambda x: 2.5) == pytest.approx(0.0, abs=1e-15)
+
+    def test_bounded_by_w2(self):
+        rng = np.random.default_rng(19)
+        phi = lambda x: float(np.linalg.norm(x))
+        for _ in range(10):
+            a = ParticleMeasure(rng.normal(size=(24, 2)))
+            b = ParticleMeasure(rng.normal(size=(24, 2)) + rng.normal(size=2))
+            gap = lipschitz_norm_gap(a, b, phi)
+            assert gap <= w2_exact(a, b)[0] + 1e-8
+
+    def test_overflowing_square_is_inf_without_warnings(self):
+        far, near = cloud([[1e200, 0.0]]), cloud([[0.0, 0.0], [0.0, 1.0]])
+        norm = lambda x: float(np.linalg.norm(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lipschitz_norm_gap(far, near, lambda x: abs(x[0])) == math.inf
+            assert lipschitz_norm_gap(far, near, norm) == math.inf
+            assert math.isnan(lipschitz_norm_gap(far, far, norm))
