@@ -11,6 +11,7 @@ in :mod:`wgflow.functionals` and re-exported here.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -242,14 +243,8 @@ def run(
 
     k = start_iteration
     record(k, mean, None)
-    last_recorded = k
 
-    it = iter(stream)
-    for _ in range(cfg.max_iters):
-        try:
-            y = next(it)
-        except StopIteration:
-            break
+    for y in itertools.islice(stream, cfg.max_iters):
         y = np.asarray(y, dtype=float)
         ok = y.shape == (d,) and bool(np.all(np.isfinite(y)))
         if not ok:
@@ -282,11 +277,10 @@ def run(
 
         if record_due:
             record(k, mean, grad_norm)
-            last_recorded = k
         if checkpoint_due:
             write_checkpoint(cfg.checkpoint_path, ParticleMeasure(x), k, cfg.seed, sidecar)
 
-    if last_recorded != k:
+    if trace.rows[-1].k != k:
         if grad_norm is None and c is not None:
             # Rebuild the last step's cloud before projection from the
             # iterate it started at, which moved still holds.

@@ -106,19 +106,6 @@ def _check_plant_settings(r: float, dt: float, horizon: float, eps_half_width: f
         )
 
 
-def _powers(m: np.ndarray, count: int) -> np.ndarray:
-    """``m^0 .. m^(count-1)`` for a 2 x 2 ``m``, by doubling: ``m^k .. m^(2k-1)``
-    is one batched product of ``m^0 .. m^(k-1)`` with ``m^k``."""
-    out = np.empty((count, 2, 2))
-    out[0] = np.eye(2)
-    k, mk = 1, m
-    while k < count:
-        np.matmul(out[:min(k, count - k)], mk, out=out[k:2 * k])
-        mk = mk @ mk
-        k *= 2
-    return out
-
-
 def _scan(m: np.ndarray, g, u: np.ndarray, start, out: np.ndarray) -> None:
     """Write the states ``e_1 .. e_{blocks B}`` of ``e_{k+1} = M e_k + g^T u_k``,
     ``e_0 = start``, into ``out``, one block of B states to a row, for inputs
@@ -131,9 +118,10 @@ def _scan(m: np.ndarray, g, u: np.ndarray, start, out: np.ndarray) -> None:
     same recurrence with ``M^B`` and the forced block ends as 2-d inputs
     (``g = I``), solved again until one block is left."""
     b = _BLOCK
-    powers = _powers(m, b + 1)  # M^0 .. M^B
     lagged = np.zeros((2 * b, 2, 2))  # row b - 1 + k is (M^k)^T
-    lagged[b - 1:] = powers.transpose(0, 2, 1)
+    lagged[b - 1] = np.eye(2)
+    for k in range(b - 1, 2 * b - 1):
+        np.matmul(m.T, lagged[k], out=lagged[k + 1])  # (M^k M)^T
     # window[r, a, 2q + i] = M^{q+1-r}[i, a], zero where q + 1 < r: row 0
     # responds to the start, row l + 1 to input l.
     window = np.lib.stride_tricks.sliding_window_view(lagged, b, axis=0)[::-1]
@@ -146,7 +134,7 @@ def _scan(m: np.ndarray, g, u: np.ndarray, start, out: np.ndarray) -> None:
     if blocks > 1:
         ends = np.zeros((-(-(blocks - 1) // b), 2 * b))
         np.matmul(rows[:-1, 2:], response[2:, -2:], out=ends.reshape(-1, 2)[:blocks - 1])
-        _scan(powers[-1], np.eye(2), ends, start, ends)
+        _scan(lagged[-1].T, np.eye(2), ends, start, ends)
         rows[1:, :2] = ends.reshape(-1, 2)[:blocks - 1]
     np.matmul(rows, response, out=out)
 

@@ -226,6 +226,24 @@ class TestRun:
         assert trace.iterations_run == 7
         assert trace.rows[-1].k == 7
 
+    @pytest.mark.parametrize(
+        "rows, bad, max_iters, pulled",
+        [(10, None, 4, 4), (10, 1, 4, 4), (3, None, 10, 3)],
+        ids=["capped", "skip-counts", "short"],
+    )
+    def test_iterator_pulled_once_per_iteration(self, rows, bad, max_iters, pulled):
+        # One pull per iteration, a skipped observation included, and never
+        # one ahead: in deployment the next observation may not exist yet.
+        obs = [W @ THETA * (1 + i / 100) for i in range(rows)]
+        if bad is not None:
+            obs[bad] = np.array([np.nan, 0.0])
+        it = iter(obs)
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
+        cfg = flow_config(max_iters=max_iters, diag_subsample=16, on_invalid="skip")
+        _, trace = run(m0, preset_objective(), it, cfg)
+        assert trace.iterations_run == pulled
+        assert next(it, None) is (obs[pulled] if pulled < rows else None)
+
     def test_invalid_observation_aborts_by_default(self):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
         stream = [W @ THETA, np.array([np.nan, 0.0])]

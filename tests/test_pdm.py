@@ -705,22 +705,11 @@ class TestSuggestedMaintenanceTime:
 class TestBeliefAgainstLeastSquares:
     def test_percentile_rule_is_safer_than_least_squares(self):
         # Criterion 8's pipeline (20 seeds, days 10-45, 160 pairs).  A time
-        # is safe when it is at most t* + 1e-3 days.  The LS baseline fits
-        # the observations the belief has seen.
+        # is safe when it is at most t* + 1e-3 days.
         model = DegradationModel(2.5, 1.0, test_acceptance.THETA, 0.4, 5.0)
-        t_star = true_maintenance_time(model).days
-        ours, ls = [], []
-        for seed in range(20):
-            obs = pdm.daily_observations(model, 10, seed=seed, **test_acceptance.PLANT)
-            beliefs = test_acceptance._pipeline_one_seed(seed, model, observations=obs)
-            for k, (day, belief) in enumerate(beliefs):
-                if day < 2 * model.T:
-                    continue
-                ours.append(suggested_maintenance_time(belief, model, "percentile", 0.1).days)
-                ls.append(ls_baseline(obs[:k + 2], model.a0, model.b0, model.zeta_min)[1].days)
-        ours = np.array(ours) - t_star
-        ls = np.array(ls) - t_star
-        assert ours.size == ls.size == 160
+        ours, ls = test_acceptance.gaps_against_least_squares(
+            model, lambda model, seed: pdm.daily_observations(model, 10, seed=seed, **test_acceptance.PLANT)
+        )
         assert np.mean(ours <= 1e-3) >= 0.90
         assert np.mean(ls <= 1e-3) <= 0.60
         assert ls.max() > 1.0
