@@ -222,6 +222,7 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
     constraint = sets.convex_set_from_config(cfg.get_record("constraint"))
     seed = cfg.get_int("seed")
     tau = cfg.get_float("tau")
+    perturb_std = cfg.get_float("perturb_std")
     n_particles = cfg.get_int("n_particles")
 
     start_iteration = 0
@@ -229,8 +230,8 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
         base = cfg.get_str("resume")
         if not os.path.isfile(base + ".particles.csv"):
             raise ConfigError(f"checkpoint not found: {base}.particles.csv")
-        expect = {"seed": str(seed), **flow.checkpoint_fields(n_particles, obj.d, tau, constraint)}
-        m0, start_iteration, _ = flow.read_checkpoint(base, expect)
+        run_fields = flow.checkpoint_fields(n_particles, obj, tau, constraint, perturb_std)
+        m0, start_iteration, _ = flow.read_checkpoint(base, {"seed": str(seed), **run_fields})
         if start_iteration > len(diffs):
             raise DataError(
                 f"checkpoint iteration {start_iteration} exceeds available observations"
@@ -248,7 +249,7 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
         max_iters=max_iters,
         seed=seed,
         constraint=constraint,
-        perturb_std=cfg.get_float("perturb_std"),
+        perturb_std=perturb_std,
         diag_every=cfg.get_int("diag_every"),
         diag_subsample=cfg.get_int("diag_subsample"),
         allow_unsafe_tau=force,

@@ -226,9 +226,9 @@ def run(
     tau_wt = tau * obj.W.T
     tau_rho = tau * obj.rho
     noise_scale = tau * cfg.perturb_std
-    sidecar = (
-        checkpoint_fields(m0.n, d, tau, cfg.constraint) if cfg.checkpoint_every else None
-    )
+    sidecar = None
+    if cfg.checkpoint_every:
+        sidecar = checkpoint_fields(m0.n, obj, tau, cfg.constraint, cfg.perturb_std)
     # Three column-major (N, d) buffers: the iterate x, the work buffer
     # moved and the noise, drawn into its transpose coordinate by
     # coordinate, so every per-step pass runs over contiguous columns.  A
@@ -313,14 +313,19 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def checkpoint_fields(n: int, d: int, tau: float, constraint: ConvexSet) -> dict:
-    """The sidecar fields that tie a checkpoint to its run: particle count,
-    dimension, step size and constraint record, as the sidecar spells them."""
+def checkpoint_fields(
+    n: int, obj: StreamingLSObjective, tau: float, constraint: ConvexSet, perturb_std: float
+) -> dict:
+    """The sidecar fields that tie a checkpoint to its run, as the sidecar
+    spells them: every setting that moves the particles, besides the seed."""
     return {
         "n": str(n),
-        "d": str(d),
+        "d": str(obj.d),
         "tau": repr(float(tau)),
         "constraint": json.dumps(constraint.record()),
+        "perturb_std": repr(float(perturb_std)),
+        "rho": repr(obj.rho),
+        "W": json.dumps(obj.W.tolist()),
     }
 
 

@@ -77,7 +77,7 @@ class StreamingLSObjective:
     sigma_w2: float = 0.0
 
     def __post_init__(self):
-        w = np.asarray(self.W, dtype=float)
+        w = np.array(self.W, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("W must be a square matrix")
         if not np.all(np.isfinite(w)):
@@ -93,11 +93,7 @@ class StreamingLSObjective:
         if self.sigma_w2 < 0 or not np.isfinite(self.sigma_w2):
             raise ValueError("sigma_w2 must be finite and nonnegative")
         ts = self.theta_star
-        if ts is not None:
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            if ts.shape != (w.shape[0],) or not np.all(np.isfinite(ts)):
-                raise ValueError(f"theta_star must be a finite vector of length {w.shape[0]}")
-            ts.setflags(write=False)
+        ts = None if ts is None else measures.frozen_vector(ts, "theta_star", w.shape[0])
         with np.errstate(over="ignore"):
             h = w.T @ w + float(self.rho) * np.eye(w.shape[0])
             if not (np.isfinite(h).all() and np.isfinite(sv[0] * sv[0])):

@@ -41,6 +41,18 @@ def spawn_seed(seed: int, *key: int) -> int:
     return int(state[0]) * (1 << 32) + int(state[1])
 
 
+def frozen_vector(value, what: str, size: int | None = None) -> np.ndarray:
+    """A read-only float copy of ``value``, which must be a finite 1-d
+    vector (of length ``size`` when given); ``what`` names it in the
+    ``ValueError`` that refuses anything else."""
+    v = np.array(value, dtype=float, ndmin=1)
+    if v.ndim != 1 or (size is not None and v.size != size) or not np.isfinite(v).all():
+        length = "" if size is None else f" of length {size}"
+        raise ValueError(f"{what} must be a finite vector{length}")
+    v.setflags(write=False)
+    return v
+
+
 class ParticleMeasure:
     """Uniformly weighted empirical measure ``(1/N) sum_i delta_{x_i}``.
 
@@ -115,16 +127,14 @@ def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:
     Deterministic for a fixed seed; a degenerate box (``lo == hi``) yields
     identical particles.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise ValueError("lo and hi must be vectors of equal length")
     if n < 1:
         raise ValueError("need at least one particle")
-    # A non-finite bound also gives a non-finite width.
+    lo = frozen_vector(lo, "lo")
+    # Before hi's own check, so a non-finite hi is refused as a non-finite width.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(hi - lo).all():
+        if np.shape(hi) == lo.shape and not np.isfinite(np.subtract(hi, lo)).all():
             raise ValueError("box bounds and their widths hi - lo must be finite")
+    hi = frozen_vector(hi, "hi", lo.size)
     if np.any(lo > hi):
         j = int(np.flatnonzero(lo > hi)[0])
         raise ValueError(f"invalid box: lo > hi in coordinate {j}")

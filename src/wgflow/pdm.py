@@ -18,7 +18,7 @@ import numpy as np
 
 from . import files
 from .errors import DataError, NumericalError
-from .measures import ParticleMeasure, nearest_rank_index, spawn_seed, substream
+from .measures import ParticleMeasure, frozen_vector, nearest_rank_index, spawn_seed, substream
 
 _TRAJ_STREAM = 31
 _DAY_STREAM = 41
@@ -161,9 +161,7 @@ def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.n
         transitions; ``refs`` is the constant reference, one entry per state,
         as a read-only view that holds no memory of its own.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2,) or not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be a finite state vector (position, velocity)")
+    x0 = frozen_vector(x0, "x0", 2)
     n = int(p.horizon / p.dt + 1e-9)
     nb = -(-n // _BLOCK)
     # The states padded to whole blocks: row 0 is x0, and rows 1.. hold the
@@ -250,9 +248,7 @@ class DegradationModel:
     T: float
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if lam.shape != (2,) or not np.all(np.isfinite(lam)):
-            raise ValueError("lam must be a finite vector (lambda1, lambda2)")
+        lam = frozen_vector(self.lam, "lam", 2)
         if np.any(lam < 0):
             raise ValueError("decay rates must be nonnegative")
         if not self.b0 > 0:
@@ -263,7 +259,6 @@ class DegradationModel:
             raise ValueError("a0 and a0**2 must be finite and zeta_min finite and nonnegative")
         if self.a0 / (2.0 * math.sqrt(self.b0)) < self.zeta_min:
             raise ValueError("the freshly maintained system must start in the safe set")
-        lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "b0", float(self.b0))
@@ -279,12 +274,9 @@ class Observation:
     y_hat: np.ndarray
 
     def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.y_hat, dtype=float))
-        if y.shape != (2,) or not np.all(np.isfinite(y)):
-            raise ValueError("y_hat must be a finite vector (a_hat, b_hat)")
+        y = frozen_vector(self.y_hat, "y_hat", 2)
         if not np.isfinite(self.t) or self.t < 0:
             raise ValueError("t must be a nonnegative time")
-        y.setflags(write=False)
         object.__setattr__(self, "y_hat", y)
         object.__setattr__(self, "t", float(self.t))
 
@@ -309,8 +301,7 @@ def daily_observations(model: DegradationModel, days: int, x0, r: float, dt: flo
     """
     if days < 1:
         raise ValueError("days must be at least 1")
-    if np.shape(x0) != (2,) or not np.isfinite(x0).all():
-        raise ValueError("x0 must have two finite components (position, velocity)")
+    x0 = frozen_vector(x0, "x0", 2)
     _check_plant_settings(r, dt, horizon, eps_half_width)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
@@ -554,7 +545,7 @@ def read_observations_csv(path) -> list[Observation]:
     out = []
     for i, (t, a, b) in enumerate(table.tolist()):
         try:
-            out.append(Observation(t, np.array([a, b])))
+            out.append(Observation(t, (a, b)))
         except ValueError as exc:
             raise DataError(f"{path}: row {i}: {exc}") from None
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .measures import ParticleMeasure
+from .measures import ParticleMeasure, frozen_vector
 
 # Relative slack for "already inside" tests.  It absorbs the rounding of a
 # freshly projected point, making repeated projection exactly idempotent.
@@ -90,17 +90,11 @@ class Box(ConvexSet):
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ValueError("box bounds must be vectors of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("box bounds must be finite")
+        lo = frozen_vector(self.lo, "box bound lo")
+        hi = frozen_vector(self.hi, "box bound hi", lo.size)
         if np.any(lo > hi):
             j = int(np.flatnonzero(lo > hi)[0])
             raise ValueError(f"invalid box: lo > hi in coordinate {j}")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -139,14 +133,13 @@ class Halfspace(ConvexSet):
     b: float
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        a = frozen_vector(self.a, "halfspace normal a")
         b = float(self.b)
-        norm = math.hypot(*a) if a.ndim == 1 else math.nan
+        norm = math.hypot(*a)
         # Projecting divides by |a|: refuse a squared norm that underflows
-        # below the normal floats, or overflows (so does a nonfinite entry).
+        # below the normal floats, or overflows.
         if not np.finfo(float).tiny <= norm * norm < math.inf:
-            raise ValueError("halfspace normal must be finite with a squared norm that is a normal float")
-        a.setflags(write=False)
+            raise ValueError("halfspace normal must have a squared norm that is a normal float")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_a_norm", norm)
@@ -181,13 +174,10 @@ class Ball(ConvexSet):
     radius: float
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ValueError("ball center must be a finite vector")
+        c = frozen_vector(self.center, "ball center")
         radius = float(self.radius)
         if not np.isfinite(radius) or radius < 0:
             raise ValueError("ball radius must be nonnegative")
-        c.setflags(write=False)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", radius)
 

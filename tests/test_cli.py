@@ -98,7 +98,7 @@ class TestSimulate:
             ("r", "nan", "r must be finite"),
             ("dt", "inf", "dt must be positive and finite"),
             ("horizon", "-1", "horizon must be positive and finite"),
-            ("x0", "nan,0", "x0 must have two finite components (position, velocity)"),
+            ("x0", "nan,0", "x0 must be a finite vector of length 2"),
             ("seed", "-1", "seed must be nonnegative"),
         ],
     )
@@ -116,7 +116,7 @@ class TestSimulate:
         proc = run_cli_process("-m", "wgflow.cli", *args)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.splitlines() == [
-            "config error: day 0 (t = 0.0): y_hat must be a finite vector (a_hat, b_hat)"
+            "config error: day 0 (t = 0.0): y_hat must be a finite vector of length 2"
         ]
         assert not out.exists()
 
@@ -247,10 +247,15 @@ class TestFlow:
             ("n", ("--n_particles", "65")),
             ("constraint", ("--constraint", '{"kind": "all", "d": 2}')),
             ("seed", ("--seed", "9")),
+            ("perturb_std", ("--perturb_std", "0.5")),
+            ("rho", ("--rho", "3")),
+            ("W", ("--observations", "spacing_4.csv")),
         ],
     )
-    def test_resume_of_another_run_exits_3(self, tmp_path, capsys, field, override):
+    def test_resume_of_another_run_exits_3(self, tmp_path, monkeypatch, capsys, field, override):
+        monkeypatch.chdir(tmp_path)
         write_noise_free_observations(tmp_path / "observations.csv", days=12)
+        write_noise_free_observations(tmp_path / "spacing_4.csv", days=12, spacing=4.0)
         common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
         first = tmp_path / "first"
         assert run_cli(
@@ -706,6 +711,30 @@ def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
     if "5000" in overrides:
         assert "diag_subsample 5000" in lines[0] and f"cap {transport.MAX_EXACT_PARTICLES}" in lines[0]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("flow", ("--paper-preset", "--constraint", "[1]"),
+         "config key 'constraint' must be a JSON object, got '[1]'"),
+        ("simulate", ("--paper-preset", "seed", "5"), "expected an override flag, got 'seed'"),
+        ("predict", ("--paper-preset", "--t_step", "0"), "need t_step > 0 and t_stop >= t_start"),
+        ("predict", ("--paper-preset", "--t_start", "5", "--t_stop", "4"),
+         "need t_step > 0 and t_stop >= t_start"),
+        ("predict", ("--paper-preset", "--rule", "foo"), "unknown maintenance rule 'foo'"),
+        ("flow", (), "missing required config key 'init_hi'"),
+    ],
+    ids=["constraint-not-an-object", "override-without-dashes", "t_step", "t_stop", "rule", "missing-key"],
+)
+def test_refused_argument_exits_2_with_its_message(tmp_path, capsys, command, args, message):
+    write_noise_free_observations(tmp_path / "observations.csv", days=4)
+    measures.write_particles_csv(measures.ParticleMeasure(np.tile(LAM, (8, 1))), tmp_path / "particles.csv")
+    inputs = [arg for k, name in _INPUTS[command].items() for arg in (f"--{k}", str(tmp_path / name))]
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), *inputs, *args) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

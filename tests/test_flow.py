@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -631,6 +632,50 @@ class TestProjectionThatBinds:
             assert w2_sq[:, j].mean() <= bound + 3.0 * se[j] + 1e-12, f"bound violated at k={k}"
 
 
+class TestBeliefShape:
+    """While the projection does not bind, an observation enters a step only
+    through ``c_k``, which every particle shares: two observation streams
+    move the same cloud by one common translation, so its shape does not
+    depend on the data.  Measured at N = 256, K = 20: the centred clouds
+    differed by 6.9e-17 against a bound of 6.1e-15, the means by (0.024,
+    0.0059); in the negative control, by 4.6e-3 against 4.3e-16."""
+
+    K = 20
+
+    @staticmethod
+    def finals(constraint, k, lo=(0.0, 0.0)):
+        # The same m0 and seed, two different streams; deployment mode, so
+        # no trace row measures a distance.
+        m0 = init_uniform_box(lo, [8.0 / 60.0] * 2, 256, seed=12345)
+        obj = StreamingLSObjective(W, 0.1)
+        cfg = flow_config(max_iters=k, constraint=constraint, perturb_std=0.02, diag_every=k)
+        streams = [[W @ THETA + substream(55, s).normal(0.0, 0.05, 2) for _ in range(k)] for s in (0, 1)]
+        return [run(m0, obj, stream, cfg)[0].points for stream in streams]
+
+    @staticmethod
+    def centred_gap(a, b, k):
+        # Rounding differs per particle by a few ulps of its coordinates per step.
+        gap = np.abs((a - a.mean(axis=0)) - (b - b.mean(axis=0))).max()
+        return gap, 16 * k * np.finfo(float).eps * max(np.abs(a).max(), np.abs(b).max())
+
+    @pytest.mark.parametrize("constraint", [FullSpace(2), NonnegativeOrthant(2)], ids=["all", "orthant"])
+    def test_the_data_move_only_the_mean(self, constraint):
+        a, b = self.finals(constraint, self.K)
+        gap, bound = self.centred_gap(a, b, self.K)
+        assert gap <= bound
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) > 1e-3)
+        if isinstance(constraint, NonnegativeOrthant):
+            # The orthant's faces were never reached: it is the unconstrained run.
+            assert all(np.array_equal(x, y) for x, y in zip((a, b), self.finals(FullSpace(2), self.K)))
+
+    def test_a_binding_projection_changes_the_shape(self):
+        # Negative control: one orthant step from a cloud across x1 = 0,
+        # where each stream moves a different set of particles onto the face.
+        a, b = self.finals(NonnegativeOrthant(2), 1, lo=(-0.05, 0.0))
+        gap, bound = self.centred_gap(a, b, 1)
+        assert gap > 1e3 * bound
+
+
 class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 32, seed=11)
@@ -677,14 +722,17 @@ class TestCheckpointResume:
 
     def test_sidecar_records_the_run_fields(self, tmp_path):
         base = str(tmp_path / "ck")
-        fields = checkpoint_fields(8, 2, 0.01, Ball([0.05, 0.05], 0.03))
+        fields = checkpoint_fields(8, preset_objective(), 0.01, Ball([0.05, 0.05], 0.03), 0.02)
         write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2, fields)
         lines = (tmp_path / "ck.meta.txt").read_text().splitlines()
-        assert lines[3:7] == [
+        assert lines[3:10] == [
             "n = 8",
             "d = 2",
             "tau = 0.01",
             'constraint = {"kind": "ball", "center": [0.05, 0.05], "radius": 0.03}',
+            "perturb_std = 0.02",
+            "rho = 0.1",
+            "W = [[-5.0, 0.0], [0.0, 5.0]]",
         ]
         assert read_checkpoint(base, fields)[1:] == (5, 2)
 
@@ -693,25 +741,31 @@ class TestCheckpointResume:
         base = str(tmp_path / "auto")
         cfg = flow_config(max_iters=4, diag_subsample=16, checkpoint_every=4, checkpoint_path=base)
         run(m0, preset_objective(), noise_free_stream(4), cfg)
-        assert read_checkpoint(base, checkpoint_fields(16, 2, 0.01, NonnegativeOrthant(2)))[1] == 4
+        fields = checkpoint_fields(16, preset_objective(), 0.01, NonnegativeOrthant(2), cfg.perturb_std)
+        assert read_checkpoint(base, fields)[1] == 4
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n", 9), ("d", 3), ("tau", 0.015), ("constraint", FullSpace(2))],
+        [("n", 9), ("d", 3), ("tau", 0.015), ("constraint", FullSpace(2)),
+         ("perturb_std", 0.5), ("rho", 3.0), ("W", 4.0)],
     )
     def test_mismatched_run_field_refused(self, tmp_path, field, value):
+        # W is diag(-s, s, ..., s) of dimension d and spacing s, as the
+        # differenced observations of spacing s give it.
+        def fields(n=8, d=2, tau=0.01, constraint=NonnegativeOrthant(2), perturb_std=0.0, rho=0.1, W=5.0):
+            obj = StreamingLSObjective(np.diag([-W] + [W] * (d - 1)), rho)
+            return checkpoint_fields(n, obj, tau, constraint, perturb_std)
+
         base = str(tmp_path / "ck")
-        args = {"n": 8, "d": 2, "tau": 0.01, "constraint": NonnegativeOrthant(2)}
-        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2, checkpoint_fields(**args))
-        args[field] = value
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2, fields())
         with pytest.raises(DataError, match=f"checkpoint {field} = .* does not match"):
-            read_checkpoint(base, checkpoint_fields(**args))
+            read_checkpoint(base, fields(**{field: value}))
 
     def test_sidecar_without_run_fields_refused(self, tmp_path):
         base = str(tmp_path / "ck")
         write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2)
         with pytest.raises(DataError, match="does not record 'n'"):
-            read_checkpoint(base, checkpoint_fields(8, 2, 0.01, NonnegativeOrthant(2)))
+            read_checkpoint(base, checkpoint_fields(8, preset_objective(), 0.01, NonnegativeOrthant(2), 0.0))
 
     def test_sidecar_of_another_generator_refused(self, tmp_path):
         base = str(tmp_path / "ck")
@@ -768,7 +822,7 @@ class TestCheckpointResume:
         with tempfile.TemporaryDirectory() as tmp:
             full, full_trace = run(m0, obj, stream, cfg(total, os.path.join(tmp, "full")))
             head, head_trace = run(m0, obj, stream[:split], cfg(split))
-            fields = checkpoint_fields(n, 2, 0.01, NonnegativeOrthant(2))
+            fields = checkpoint_fields(n, obj, 0.01, NonnegativeOrthant(2), perturb_std)
             write_checkpoint(os.path.join(tmp, "split"), head, split, 3, fields)
             resumes = [(head, split), read_checkpoint(os.path.join(tmp, "split"), fields)[:2]]
             if os.path.exists(os.path.join(tmp, "full.meta.txt")):
@@ -824,3 +878,31 @@ class TestTraceCsv:
         write_trace_csv(trace, path, 2)
         first_row = path.read_text().splitlines()[1]
         assert first_row.endswith(",")
+
+
+_CLOUD = ParticleMeasure(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: step(_CLOUD, np.zeros((4, 2)), 0.01, FullSpace(3)),
+         "constraint dimension 3 does not match measure dimension 2"),
+        (lambda: step(_CLOUD, np.zeros((4, 2)), 0.0, FullSpace(2)), "tau must be positive"),
+        (lambda: flow_config(tau=-0.01), "tau must be positive"),
+        (lambda: flow_config(max_iters=-1), "max_iters must be nonnegative"),
+        (lambda: flow_config(seed=-1), "seed must be nonnegative"),
+        (lambda: flow_config(diag_every=0), "diag_every must be at least 1"),
+        (lambda: flow_config(workers=0), "workers must be at least 1"),
+        (lambda: flow_config(checkpoint_every=-1), "checkpoint_every must be nonnegative"),
+        (lambda: run(ParticleMeasure(np.zeros((4, 3))), preset_objective(), [], flow_config()),
+         "dimension mismatch: measure d=3, objective d=2"),
+        (lambda: run(_CLOUD, preset_objective(), [], flow_config(), start_iteration=-1),
+         "start_iteration must be nonnegative"),
+    ],
+    ids=["step-dimension", "step-tau", "tau", "max_iters", "seed", "diag_every", "workers",
+         "checkpoint_every", "run-dimension", "start_iteration"],
+)
+def test_argument_out_of_contract_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,10 +9,12 @@ from wgflow import transport
 from wgflow.errors import NumericalError
 from wgflow.functionals import (
     StreamingLSObjective,
+    convergence_bound,
     evaluate_objective,
     exact_gradient,
     perturbed_gradient,
     stochastic_gradient,
+    validate_tau,
 )
 from wgflow.measures import ParticleMeasure, mean, substream
 
@@ -276,3 +279,30 @@ class TestGradientConsistency:
             w2, _ = transport.w2_exact(m, ref)
             gap = evaluate_objective(obj, m) - evaluate_objective(obj, ParticleMeasure(obj.theta_star[None, :]))
             assert gap >= 0.5 * obj.sigma_min**2 * w2**2 - 1e-8
+
+
+_OBJ = StreamingLSObjective(np.diag([-5.0, 5.0]), 0.1, [2.0 / 60.0, 5.0 / 60.0])
+_CLOUD_3D = ParticleMeasure(np.zeros((4, 3)))
+_REPORT = validate_tau(np.eye(2), 0.1, 0.0, 0.01)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StreamingLSObjective(np.ones((2, 3)), 0.1), "W must be a square matrix"),
+        (lambda: StreamingLSObjective([[1.0, 0.0], [0.0, math.inf]], 0.1), "W must be finite"),
+        (lambda: convergence_bound(_REPORT, -1.0, 3), "w2_0 must be nonnegative"),
+        (lambda: convergence_bound(_REPORT, 1.0, -1), "k must be nonnegative"),
+        (lambda: exact_gradient(_OBJ, _CLOUD_3D), "dimension mismatch: measure d=3, objective d=2"),
+        (lambda: evaluate_objective(_OBJ, _CLOUD_3D), "dimension mismatch: measure d=3, objective d=2"),
+        (lambda: stochastic_gradient(_OBJ, np.zeros(2), np.zeros(3), np.zeros(2)),
+         "y_hat and mu_mean must be vectors of length 2"),
+        (lambda: stochastic_gradient(_OBJ, np.zeros(2), np.zeros(2), np.zeros(1)),
+         "y_hat and mu_mean must be vectors of length 2"),
+    ],
+    ids=["W-not-square", "W-not-finite", "w2_0", "k", "exact_gradient", "evaluate_objective",
+         "y_hat-length", "mu_mean-length"],
+)
+def test_argument_out_of_contract_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from wgflow.errors import DataError
 from wgflow.measures import (
     ParticleMeasure,
     covariance,
+    frozen_vector,
     init_uniform_box,
     mean,
     nearest_rank_index,
@@ -41,6 +43,33 @@ class TestConstruction:
         m = cloud((1.0, 2.0))
         with pytest.raises(ValueError):
             m.points[0, 0] = 9.0
+
+
+class TestFrozenVector:
+    def test_read_only_float_copy(self):
+        value = np.array([1, 2])
+        v = frozen_vector(value, "v", 2)
+        assert v.dtype == float and np.array_equal(v, value)
+        assert not v.flags.writeable and value.flags.writeable
+        assert not np.shares_memory(v, value)
+
+    def test_a_number_is_a_vector_of_one(self):
+        assert frozen_vector(3, "v").tolist() == [3.0]
+
+    @pytest.mark.parametrize(
+        "value, size, message",
+        [
+            ([[1.0, 2.0]], None, "v must be a finite vector"),
+            ([1.0, math.nan], None, "v must be a finite vector"),
+            (None, None, "v must be a finite vector"),
+            ([1.0, math.inf], 2, "v must be a finite vector of length 2"),
+            ([1.0, 2.0, 3.0], 2, "v must be a finite vector of length 2"),
+            ([], 1, "v must be a finite vector of length 1"),
+        ],
+    )
+    def test_refusal_names_the_value(self, value, size, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            frozen_vector(value, "v", size)
 
 
 class TestMoments:
@@ -173,3 +202,21 @@ class TestStreams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             measures.substream(-1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: measures.spawn_seed(-1), "seed must be nonnegative"),
+        (lambda: init_uniform_box([0, 0], [1, 1], 0, seed=0), "need at least one particle"),
+        (lambda: init_uniform_box([0, 0, 0], [[1, 1, 1]], 3, seed=0),
+         "hi must be a finite vector of length 3"),
+        (lambda: init_uniform_box([0], [1, 1], 3, seed=0), "hi must be a finite vector of length 1"),
+        (lambda: init_uniform_box([0, 0], [1, 1, 1], 3, seed=0), "hi must be a finite vector of length 2"),
+        (lambda: init_uniform_box([0, math.nan], [1, 1], 3, seed=0), "lo must be a finite vector"),
+    ],
+    ids=["spawn_seed", "no-particles", "hi-not-a-vector", "hi-length", "hi-longer", "lo-not-finite"],
+)
+def test_argument_out_of_contract_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

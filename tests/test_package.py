@@ -7,10 +7,14 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wgflow
 from wgflow import measures
+from wgflow.functionals import StreamingLSObjective
+from wgflow.pdm import DegradationModel, Observation
+from wgflow.sets import Ball, Box, Halfspace
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
 
@@ -226,3 +230,33 @@ def test_every_demo_runs_cleanly(tmp_path):
             timeout=120,
         )
         assert proc.returncode == 0 and proc.stderr == "", (name, proc.stderr)
+
+
+@pytest.mark.parametrize(
+    "build, kept",
+    [
+        (lambda a: StreamingLSObjective(a["W"], 0.1, a["theta_star"]), {"W": "W", "theta_star": "theta_star"}),
+        (lambda a: Box(a["lo"], a["hi"]), {"lo": "lo", "hi": "hi"}),
+        (lambda a: Halfspace(a["a"], 1.0), {"a": "a"}),
+        (lambda a: Ball(a["center"], 0.5), {"center": "center"}),
+        (lambda a: DegradationModel(2.5, 1.0, a["lam"], 0.4, 5.0), {"lam": "lam"}),
+        (lambda a: Observation(5.0, a["y_hat"]), {"y_hat": "y_hat"}),
+    ],
+    ids=["StreamingLSObjective", "Box", "Halfspace", "Ball", "DegradationModel", "Observation"],
+)
+def test_no_value_object_freezes_or_aliases_its_callers_arrays(build, kept):
+    # Each kept array is the object's own read-only copy: the caller's
+    # array stays writable, and writing to it later changes nothing kept.
+    args = {
+        "W": np.diag([-5.0, 5.0]), "theta_star": np.array([2.0, 5.0]) / 60.0,
+        "lo": np.zeros(2), "hi": np.ones(2), "a": np.array([1.0, 2.0]),
+        "center": np.array([0.5, 0.5]), "lam": np.array([2.0, 5.0]) / 60.0,
+        "y_hat": np.array([2.4, 1.1]),
+    }
+    value = build(args)
+    for arg, attr in kept.items():
+        mine, theirs = args[arg], getattr(value, attr)
+        assert mine.flags.writeable, arg
+        assert not np.shares_memory(mine, theirs), arg
+        assert not theirs.flags.writeable, attr
+        assert np.array_equal(mine, theirs), arg

@@ -467,8 +467,8 @@ class TestDailyObservations:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("x0", (math.nan, 0.0), "x0 must have two finite components (position, velocity)"),
-            ("x0", (1.0, 0.0, 0.0), "x0 must have two finite components (position, velocity)"),
+            ("x0", (math.nan, 0.0), "x0 must be a finite vector of length 2"),
+            ("x0", (1.0, 0.0, 0.0), "x0 must be a finite vector of length 2"),
             ("seed", -1, "seed must be nonnegative"),
             ("dt", 0.0, "dt must be positive and finite"),
             ("days", 0, "days must be at least 1"),
@@ -853,3 +853,33 @@ class TestObservationCsv:
         obs = [Observation(t, degrade(model, t) + 0.25) for t in (0.0, 5.0)]
         res = observation_residuals(obs, model)
         assert np.allclose(res, 0.25, rtol=1e-12)
+
+
+_BELIEF_3D = ParticleMeasure(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ls_estimate((np.zeros((5, 2)), np.zeros(4)), 0.001),
+         "trajectory must pair (n+1, 2) states with n+1 references"),
+        (lambda: ls_estimate((np.zeros((5, 2)), np.zeros(5)), 0.0), "dt must be positive"),
+        (lambda: Observation(-1.0, [2.5, 1.0]), "t must be a nonnegative time"),
+        (lambda: predict_damping_band(_BELIEF_3D, case_study_model(), [0.0]),
+         "belief particles must be 2-d decay rates"),
+        (lambda: suggested_maintenance_time(_BELIEF_3D, case_study_model()),
+         "belief particles must be 2-d decay rates"),
+        (lambda: ls_baseline([], 2.5, 1.0, 0.4), "need at least one observation"),
+    ],
+    ids=["trajectory-shape", "dt", "negative-t", "band-3d", "maintenance-3d", "no-observations"],
+)
+def test_argument_out_of_contract_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_observation_file_with_a_negative_time_names_the_row(tmp_path):
+    path = tmp_path / "observations.csv"
+    path.write_text("t,a_hat,b_hat\n0,2.5,1\n-5,2.4,1.1\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row 1: t must be a nonnegative time$"):
+        read_observations_csv(path)

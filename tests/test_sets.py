@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -314,3 +316,18 @@ class TestProjectionOptimality:
         norm = lambda v: np.linalg.norm(v, axis=1)
         scale = norm(x - px) * (norm(x) + norm(px) + norm(z) + 1.0)
         assert np.all(inner <= 1e-12 * scale), np.max(inner / scale)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Box([0.0, 0.0], [1.0]), ValueError, "box bound hi must be a finite vector of length 2"),
+        (lambda: Ball([0.0, math.nan], 1.0), ValueError, "ball center must be a finite vector"),
+        (lambda: convex_set_from_config(["box"]), ConfigError,
+         "constraint must be a record with a 'kind' field"),
+    ],
+    ids=["box-lengths", "ball-center", "record-not-a-dict"],
+)
+def test_argument_out_of_contract_is_refused_with_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 import importlib.machinery
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -374,3 +375,19 @@ class TestLipschitzGap:
             assert lipschitz_norm_gap(far, near, lambda x: abs(x[0])) == math.inf
             assert lipschitz_norm_gap(far, near, norm) == math.inf
             assert math.isnan(lipschitz_norm_gap(far, far, norm))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: w2_1d(cloud([[0.0], [1.0]]), cloud([[0.0]])),
+         "unsupported pair: particle counts differ (2 vs 1)"),
+        (lambda: bures_distance(np.eye(2)[:1], np.eye(2)), "S1 must be a square matrix"),
+        (lambda: bures_distance(np.eye(2), np.eye(3)), "dimension mismatch: (2, 2) vs (3, 3)"),
+        (lambda: moment_gaps(cloud([[0.0, 0.0]]), cloud([[0.0]])), "dimension mismatch: 2 vs 1"),
+    ],
+    ids=["w2_1d-counts", "bures-not-square", "bures-shapes", "moment_gaps-dimensions"],
+)
+def test_argument_out_of_contract_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
