@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import math
 import os
 import sys
 
@@ -86,13 +85,6 @@ CONFIG_KEYS = frozenset(DEFAULTS) | frozenset(CASE_STUDY_PRESET) | {
 }
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("not finite")
-    return value
-
-
 def _json_object(raw: str) -> dict:
     import json  # only the flow's constraint is JSON; at module level every stage would load it
 
@@ -128,9 +120,6 @@ class Config:
 
     def get_float(self, key: str) -> float:
         return self._get(key, float, "a number")
-
-    def get_finite(self, key: str) -> float:
-        return self._get(key, _finite_float, "a finite number")
 
     def get_int(self, key: str) -> int:
         return self._get(key, int, "an integer")
@@ -296,11 +285,9 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     have_truth = cfg.has("lambda1") and cfg.has("lambda2")
     model = _degradation_model(cfg, require_truth=False)
 
-    t_start = cfg.get_finite("t_start")
-    t_stop = cfg.get_finite("t_stop")
-    t_step = cfg.get_finite("t_step")
-    if not (t_step > 0 and t_stop >= t_start):
-        raise ConfigError("need t_step > 0 and t_stop >= t_start")
+    t_start = measures.finite_number(cfg.get_float("t_start"), "t_start")
+    t_stop = measures.finite_number(cfg.get_float("t_stop"), "t_stop", at_least=t_start)
+    t_step = measures.finite_number(cfg.get_float("t_step"), "t_step", above=0)
     span = (t_stop - t_start) / t_step
     if not span < _MAX_GRID_POINTS:
         raise ConfigError(
@@ -346,9 +333,9 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
         lam_hat, ls_time = pdm.ls_baseline(observations, model.a0, model.b0, model.zeta_min)
 
     true_time = pdm.true_maintenance_time(model) if have_truth else None
-    day = cfg.get_float("day") if cfg.has("day") else (observations[-1].t if observations else 0.0)
-    if not 0 <= day < np.inf:
-        raise ConfigError(f"day must be finite and nonnegative, got {day}")
+    day = observations[-1].t if observations else 0.0
+    if cfg.has("day"):
+        day = measures.finite_number(cfg.get_float("day"), "day", at_least=0)
 
     prediction_path = os.path.join(out_dir, "prediction.csv")
     files.write_table(

@@ -45,8 +45,7 @@ def step(m: ParticleMeasure, field_values, tau: float, s: ConvexSet) -> Particle
         raise ValueError(f"field values must have shape ({m.n}, {m.d}), got {fv.shape}")
     if s.dim != m.d:
         raise ValueError(f"constraint dimension {s.dim} does not match measure dimension {m.d}")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    tau = measures.finite_number(tau, "tau", above=0)
     moved = m.points - tau * fv
     return ParticleMeasure(s.project_points(moved))
 
@@ -99,14 +98,12 @@ class FlowConfig:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        self.tau = measures.finite_number(self.tau, "tau", above=0)
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not 0 <= self.perturb_std < math.inf:
-            raise ValueError("perturb_std must be finite and nonnegative")
+        self.perturb_std = measures.finite_number(self.perturb_std, "perturb_std", at_least=0)
         if self.diag_every < 1:
             raise ValueError("diag_every must be at least 1")
         if self.diag_subsample < 1:

@@ -88,22 +88,20 @@ class StreamingLSObjective:
                 f"process matrix is numerically singular (min singular value {sv[-1]:.3e}); "
                 "an invertible model is required"
             )
-        if not 0 < self.rho < np.inf:
-            raise ValueError("rho must be positive and finite")
-        if self.sigma_w2 < 0 or not np.isfinite(self.sigma_w2):
-            raise ValueError("sigma_w2 must be finite and nonnegative")
+        rho = measures.finite_number(self.rho, "rho", above=0)
+        sigma_w2 = measures.finite_number(self.sigma_w2, "sigma_w2", at_least=0)
         ts = self.theta_star
         ts = None if ts is None else measures.frozen_vector(ts, "theta_star", w.shape[0])
         with np.errstate(over="ignore"):
-            h = w.T @ w + float(self.rho) * np.eye(w.shape[0])
+            h = w.T @ w + rho * np.eye(w.shape[0])
             if not (np.isfinite(h).all() and np.isfinite(sv[0] * sv[0])):
                 raise NumericalError("W^T W + rho I overflows: the process matrix is too large")
         w.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "W", w)
-        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "theta_star", ts)
-        object.__setattr__(self, "sigma_w2", float(self.sigma_w2))
+        object.__setattr__(self, "sigma_w2", sigma_w2)
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "sigma_min", float(sv[-1]))
         object.__setattr__(self, "sigma_max", float(sv[0]))
@@ -154,8 +152,7 @@ def validate_tau(W, rho: float, sigma_w2: float, tau: float) -> StepBoundReport:
     """Derive the convergence constants and check a step size against them;
     ``W``, ``rho`` and ``sigma_w2`` are checked by :class:`StreamingLSObjective`."""
     obj = StreamingLSObjective(W, rho, None, sigma_w2)
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    tau = measures.finite_number(tau, "tau", above=0)
     alpha = obj.sigma_min ** 2
     c = 4.0 * max(obj.sigma_max ** 2, obj.rho)
     eta = c / alpha
@@ -165,7 +162,7 @@ def validate_tau(W, rho: float, sigma_w2: float, tau: float) -> StepBoundReport:
         C=c,
         sigma2=c * obj.sigma_w2,
         eta=eta,
-        tau=float(tau),
+        tau=tau,
         tau_max=tau_max,
         ball_radius=math.sqrt(obj.sigma_w2) * math.sqrt(eta * tau),
         per_step_rate=1.0 - alpha * tau,
@@ -180,8 +177,7 @@ def convergence_bound(report: StepBoundReport, w2_0: float, k: int) -> float:
     at ``k = 0`` this is exactly ``w2_0^2`` and for large ``k`` it tends
     monotonically to the limit term.
     """
-    if w2_0 < 0:
-        raise ValueError("w2_0 must be nonnegative")
+    w2_0 = measures.finite_number(w2_0, "w2_0", at_least=0)
     if k < 0:
         raise ValueError("k must be nonnegative")
     limit = report.tau * report.sigma2 / report.alpha
@@ -234,8 +230,7 @@ def perturbed_gradient(base, noise_std: float, rng: np.random.Generator) -> np.n
     moment.  ``noise_std = 0`` returns the input values unchanged.
     """
     b = np.asarray(base, dtype=float)
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
+    noise_std = measures.finite_number(noise_std, "noise_std", at_least=0)
     if noise_std == 0:
         return np.array(b)
     # Drawn coordinate by coordinate, as the flow fills its column-major

@@ -53,6 +53,19 @@ def frozen_vector(value, what: str, size: int | None = None) -> np.ndarray:
     return v
 
 
+def finite_number(value, what: str, above=None, at_least=None) -> float:
+    """``float(value)``, which must be finite and, when given, ``> above``
+    or ``>= at_least`` (one bound at most); ``what`` names it in the
+    ``ValueError`` that refuses anything else."""
+    if above is not None and at_least is not None:
+        raise TypeError("finite_number takes one bound: above or at_least")
+    v = float(value)
+    if math.isfinite(v) and (above is None or v > above) and (at_least is None or v >= at_least):
+        return v
+    bound = f" and > {above}" if above is not None else "" if at_least is None else f" and >= {at_least}"
+    raise ValueError(f"{what} must be finite{bound}")
+
+
 class ParticleMeasure:
     """Uniformly weighted empirical measure ``(1/N) sum_i delta_{x_i}``.
 

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import files
 from .errors import DataError, NumericalError
-from .measures import ParticleMeasure, frozen_vector, nearest_rank_index, spawn_seed, substream
+from .measures import (
+    ParticleMeasure, finite_number, frozen_vector, nearest_rank_index, spawn_seed, substream,
+)
 
 _TRAJ_STREAM = 31
 _DAY_STREAM = 41
@@ -73,8 +75,7 @@ class PlantParams:
 
     def __post_init__(self):
         for name in ("a", "b"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            finite_number(getattr(self, name), name, above=0)
         _check_plant_settings(self.r, self.dt, self.horizon, self.eps_half_width)
         radius = max(abs(ev) for ev in np.linalg.eigvals(self.transition_matrix()))
         if radius >= 1.0:
@@ -92,14 +93,12 @@ def _check_plant_settings(r: float, dt: float, horizon: float, eps_half_width: f
 
     Raises ``ValueError`` naming the first field out of range.
     """
-    for name, value in (("dt", dt), ("horizon", horizon)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite")
+    finite_number(dt, "dt", above=0)
+    finite_number(horizon, "horizon", above=0)
     # The noise is drawn from [-eps, eps], whose width 2 eps must be finite.
     if not 0 <= 2.0 * eps_half_width < math.inf:
         raise ValueError("eps_half_width must be nonnegative and at most half the float limit")
-    if not math.isfinite(r):
-        raise ValueError("r must be finite")
+    finite_number(r, "r")
     if not horizon / dt <= _MAX_TRANSITIONS:
         raise ValueError(
             f"horizon {horizon} in steps of dt={dt} exceeds {_MAX_TRANSITIONS} transitions; raise dt"
@@ -211,8 +210,7 @@ def ls_estimate(traj: tuple[np.ndarray, np.ndarray], dt: float) -> np.ndarray:
         raise ValueError("trajectory must pair (n+1, 2) states with n+1 references")
     if states.shape[0] < 3:
         raise ValueError("need at least two transitions to fit two parameters")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    dt = finite_number(dt, "dt", above=0)
     n = states.shape[0] - 1
     v = states[:-1, 1]
     e = refs[:-1] - states[:-1, 0]
@@ -251,19 +249,15 @@ class DegradationModel:
         lam = frozen_vector(self.lam, "lam", 2)
         if np.any(lam < 0):
             raise ValueError("decay rates must be nonnegative")
-        if not self.b0 > 0:
-            raise ValueError("b0 must be positive")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
-        if not abs(self.a0) <= math.sqrt(np.finfo(float).max) or not 0 <= self.zeta_min < math.inf:
-            raise ValueError("a0 and a0**2 must be finite and zeta_min finite and nonnegative")
+        object.__setattr__(self, "b0", finite_number(self.b0, "b0", above=0))
+        object.__setattr__(self, "T", finite_number(self.T, "T", above=0))
+        if not abs(self.a0) <= math.sqrt(np.finfo(float).max):
+            raise ValueError("a0 and a0**2 must be finite")
+        object.__setattr__(self, "zeta_min", finite_number(self.zeta_min, "zeta_min", at_least=0))
         if self.a0 / (2.0 * math.sqrt(self.b0)) < self.zeta_min:
             raise ValueError("the freshly maintained system must start in the safe set")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "a0", float(self.a0))
-        object.__setattr__(self, "b0", float(self.b0))
-        object.__setattr__(self, "zeta_min", float(self.zeta_min))
-        object.__setattr__(self, "T", float(self.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,17 +268,13 @@ class Observation:
     y_hat: np.ndarray
 
     def __post_init__(self):
-        y = frozen_vector(self.y_hat, "y_hat", 2)
-        if not np.isfinite(self.t) or self.t < 0:
-            raise ValueError("t must be a nonnegative time")
-        object.__setattr__(self, "y_hat", y)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "y_hat", frozen_vector(self.y_hat, "y_hat", 2))
+        object.__setattr__(self, "t", finite_number(self.t, "t", at_least=0))
 
 
 def degrade(d: DegradationModel, t: float) -> np.ndarray:
     """Coefficients ``(a0 - lambda1 t, b0 + lambda2 t)`` at time ``t``."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    t = finite_number(t, "t", at_least=0)
     return np.array([d.a0 - d.lam[0] * t, d.b0 + d.lam[1] * t])
 
 
@@ -372,9 +362,8 @@ def true_maintenance_time(d: DegradationModel) -> CrossingTime:
 
 def process_matrix(T: float) -> np.ndarray:
     """Model matrix ``diag(-T, T)`` induced by differencing spaced estimates."""
-    if not T > 0:
-        raise ValueError("T must be positive")
-    return np.diag([-float(T), float(T)])
+    T = finite_number(T, "T", above=0)
+    return np.diag([-T, T])
 
 
 def difference_stream(obs: Sequence[Observation]) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .measures import ParticleMeasure, frozen_vector
+from .measures import ParticleMeasure, finite_number, frozen_vector
 
 # Relative slack for "already inside" tests.  It absorbs the rounding of a
 # freshly projected point, making repeated projection exactly idempotent.
@@ -126,7 +126,7 @@ class NonnegativeOrthant(ConvexSet):
 
 @dataclass(frozen=True, eq=False)
 class Halfspace(ConvexSet):
-    """Halfspace ``{x : a . x <= b}``; ``a . a`` must be a normal float."""
+    """Halfspace ``{x : a . x <= b}``; ``a . a`` must be a normal float and ``b`` finite."""
 
     kind = "halfspace"
     a: np.ndarray
@@ -134,7 +134,7 @@ class Halfspace(ConvexSet):
 
     def __post_init__(self):
         a = frozen_vector(self.a, "halfspace normal a")
-        b = float(self.b)
+        b = finite_number(self.b, "halfspace offset b")
         norm = math.hypot(*a)
         # Projecting divides by |a|: refuse a squared norm that underflows
         # below the normal floats, or overflows.
@@ -174,12 +174,8 @@ class Ball(ConvexSet):
     radius: float
 
     def __post_init__(self):
-        c = frozen_vector(self.center, "ball center")
-        radius = float(self.radius)
-        if not np.isfinite(radius) or radius < 0:
-            raise ValueError("ball radius must be nonnegative")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "center", frozen_vector(self.center, "ball center"))
+        object.__setattr__(self, "radius", finite_number(self.radius, "ball radius", at_least=0))
 
     @property
     def dim(self) -> int:

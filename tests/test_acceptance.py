@@ -409,12 +409,10 @@ def _pipeline_one_seed(seed, model, n_particles=1000, n_days=10, observations=No
     diffs = difference_stream(observations)
     obj = StreamingLSObjective(process_matrix(model.T), RHO, None, 0.0)
     m = init_uniform_box([0.0, 0.0], [8.0 / 60.0] * 2, n_particles, seed)
-    sub = min(n_particles, 256)
     beliefs = []
     for k, diff in enumerate(diffs):
         cfg = FlowConfig(
-            tau=TAU, max_iters=1, seed=seed, constraint=ORTHANT,
-            perturb_std=0.02, diag_every=1, diag_subsample=sub,
+            tau=TAU, max_iters=1, seed=seed, constraint=ORTHANT, perturb_std=0.02, diag_every=1,
         )
         m, _ = run(m, obj, [diff], cfg, start_iteration=k)
         beliefs.append((observations[k + 1].t, m))
@@ -478,12 +476,14 @@ def test_end_to_end_safety_where_the_projection_binds():
     assert np.mean(on_face) >= 0.05, f"only {np.mean(on_face):.2%} of final particles on x1 = 0"
 
 
-def gaps_against_least_squares(model, observe):
+def gaps_against_least_squares(model, observe, t_star=None, days=8):
     """Criterion 8's pipeline on ``observe(model, seed)`` for seeds 0-19:
-    the percentile rule's times and the LS baseline's, each minus t*, on
-    the 160 (seed, day) pairs past the burn-in.  The LS baseline fits the
-    observations the belief has seen."""
-    t_star = true_maintenance_time(model).days
+    the percentile rule's times and the LS baseline's, each minus t* (the
+    model's unless given), one row per seed and one column per day past
+    the burn-in, of which there must be ``days``.  The rule and the LS
+    baseline, which fits the observations the belief has seen, both use
+    ``model``."""
+    t_star = true_maintenance_time(model).days if t_star is None else t_star
     ours, ls = [], []
     for seed in range(20):
         obs = observe(model, seed)
@@ -492,8 +492,8 @@ def gaps_against_least_squares(model, observe):
                 continue
             ours.append(suggested_maintenance_time(belief, model, "percentile", 0.1).days)
             ls.append(ls_baseline(obs[:k + 2], model.a0, model.b0, model.zeta_min)[1].days)
-    assert len(ours) == 160
-    return np.array(ours) - t_star, np.array(ls) - t_star
+    assert len(ours) == 20 * days
+    return np.reshape(ours, (20, days)) - t_star, np.reshape(ls, (20, days)) - t_star
 
 
 def _plant_noise_tripled(model, seed):
@@ -522,6 +522,58 @@ def test_end_to_end_safety_off_the_declared_plant(observe, floor):
     safe, ls_safe = np.mean(ours <= 1e-3), np.mean(ls <= 1e-3)
     assert safe >= floor, f"only {safe:.2%} of (seed, day) pairs were safe"
     assert safe > ls_safe, f"the rule was safe on {safe:.2%} of pairs, LS on {ls_safe:.2%}"
+
+
+def test_end_to_end_safety_after_a_rate_change():
+    # Both decay rates rise by half at t = 20 d (day 4) while the rule and
+    # LS keep the operator's model.  The plant after the change follows the
+    # model through the coefficients at t = 20 with the new rates
+    # (a0' = 2.8333, b0' = 0.1667); its days 4-9 replace the first run's by
+    # index, so day j keeps its trajectory seed.  Doubling the rates there
+    # would need b0' < 0, which no DegradationModel holds.  Over seeds
+    # 0-399 the rule was safe on all 3200 pairs, 2400 of them after the
+    # change, and LS on 37.0 % (46.2 % after the change).
+    model = DegradationModel(2.5, 1.0, THETA, 0.4, 5.0)
+    a, b = degrade(model, 20.0)
+    after = DegradationModel(a + 1.5 * THETA[0] * 20.0, b - 1.5 * THETA[1] * 20.0, 1.5 * THETA, 0.4, 5.0)
+    t_star = true_maintenance_time(after).days
+    assert 20.0 < t_star < true_maintenance_time(model).days
+    assert np.allclose(degrade(after, 20.0), (a, b), rtol=1e-15)
+
+    def observe(_, seed):
+        obs = daily_observations(model, 10, seed=seed, **PLANT)
+        obs[4:] = daily_observations(after, 10, seed=seed, **PLANT)[4:]
+        return obs
+
+    ours, ls = gaps_against_least_squares(model, observe, t_star)
+    safe, ls_safe = np.mean(ours <= 1e-3), np.mean(ls <= 1e-3)
+    # The floor is the least safe block of 20 seeds in 0-399: every pair.
+    assert safe == 1.0, f"only {safe:.2%} of (seed, day) pairs were safe"
+    assert safe > ls_safe, f"the rule was safe on {safe:.2%} of pairs, LS on {ls_safe:.2%}"
+
+
+# Steps k = 2..14 of criterion 8's pipeline run to the plant's last day:
+# day 15 (t = 75 d) drives a(t) to 0, which the plant refuses.  Each band's
+# floor is its least safe rate over the blocks of 20 seeds in 0-399; over
+# all 400 seeds the rule was safe on 99.88 %, 96.4 % and 87.9 % of each
+# band's pairs, LS on 47.2 %, 44.9 % and 46.2 %.  The rule's margin is the
+# prior box contracting by 1 - tau H = 0.749 per step: it falls as the box
+# shrinks, and criterion 8 stops at step 9.
+_HORIZON_FLOORS = {(2, 10): 159 / 160, (10, 12): 36 / 40, (12, 15): 46 / 60}
+
+
+def test_end_to_end_safety_to_the_plant_horizon():
+    model = DegradationModel(2.5, 1.0, THETA, 0.4, 5.0)
+    # Column j is step k = j + 2, the belief at t = 5k d.
+    ours, ls = gaps_against_least_squares(
+        model, lambda m, seed: daily_observations(m, 15, seed=seed, **PLANT), days=13
+    )
+    for (first, stop), floor in _HORIZON_FLOORS.items():
+        steps = slice(first - 2, stop - 2)
+        safe, ls_safe = np.mean(ours[:, steps] <= 1e-3), np.mean(ls[:, steps] <= 1e-3)
+        band = f"steps {first}-{stop - 1}"
+        assert safe >= floor, f"{band}: only {safe:.2%} of (seed, step) pairs were safe"
+        assert safe > ls_safe, f"{band}: the rule was safe on {safe:.2%} of pairs, LS on {ls_safe:.2%}"
 
 
 # ---------------------------------------------------------------------------

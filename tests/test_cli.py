@@ -87,7 +87,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run_cli(*fast_sim_args(out, days=16)) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert lines == ["config error: day 15 (t = 75.0): a must be positive"]
+        assert lines == ["config error: day 15 (t = 75.0): a must be finite and > 0"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -96,8 +96,8 @@ class TestSimulate:
             ("eps_half_width", "1e308", "eps_half_width must be nonnegative and at most half the float limit"),
             ("eps_half_width", "nan", "eps_half_width must be nonnegative and at most half the float limit"),
             ("r", "nan", "r must be finite"),
-            ("dt", "inf", "dt must be positive and finite"),
-            ("horizon", "-1", "horizon must be positive and finite"),
+            ("dt", "inf", "dt must be finite and > 0"),
+            ("horizon", "-1", "horizon must be finite and > 0"),
             ("x0", "nan,0", "x0 must be a finite vector of length 2"),
             ("seed", "-1", "seed must be nonnegative"),
         ],
@@ -420,7 +420,8 @@ class TestPredict:
         args = ["--particles", str(path), "--out", str(out), f"--{key}", value]
         assert run_cli("predict", "--paper-preset", *args) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert lines == [f"config error: config key '{key}' must be a finite number, got '{value}'"]
+        bound = {"t_start": "", "t_stop": " and >= 0.0", "t_step": " and > 0"}[key]
+        assert lines == [f"config error: {key} must be finite{bound}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["lambda1", "lambda2"])
@@ -719,13 +720,21 @@ def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
         ("flow", ("--paper-preset", "--constraint", "[1]"),
          "config key 'constraint' must be a JSON object, got '[1]'"),
         ("simulate", ("--paper-preset", "seed", "5"), "expected an override flag, got 'seed'"),
-        ("predict", ("--paper-preset", "--t_step", "0"), "need t_step > 0 and t_stop >= t_start"),
+        ("predict", ("--paper-preset", "--t_step", "0"), "t_step must be finite and > 0"),
         ("predict", ("--paper-preset", "--t_start", "5", "--t_stop", "4"),
-         "need t_step > 0 and t_stop >= t_start"),
+         "t_stop must be finite and >= 5.0"),
         ("predict", ("--paper-preset", "--rule", "foo"), "unknown maintenance rule 'foo'"),
         ("flow", (), "missing required config key 'init_hi'"),
+        ("flow", ("--paper-preset", "--constraint", '{"kind": "halfspace", "a": [1, 0], "b": NaN}'),
+         "invalid constraint parameters: halfspace offset b must be finite"),
+        ("flow", ("--paper-preset", "--tau", "inf"), "tau must be finite and > 0"),
+        ("simulate", ("--paper-preset", "--T", "inf"), "T must be finite and > 0"),
+        ("simulate", ("--paper-preset", "--b0", "inf", "--zeta_min", "0"), "b0 must be finite and > 0"),
+        ("diagnose", ("--paper-preset", "--T", "inf"), "T must be finite and > 0"),
+        ("predict", ("--paper-preset", "--day", "-inf"), "day must be finite and >= 0"),
     ],
-    ids=["constraint-not-an-object", "override-without-dashes", "t_step", "t_stop", "rule", "missing-key"],
+    ids=["constraint-not-an-object", "override-without-dashes", "t_step", "t_stop", "rule", "missing-key",
+         "halfspace-b-nan", "flow-tau-inf", "simulate-T-inf", "b0-inf", "diagnose-T-inf", "day"],
 )
 def test_refused_argument_exits_2_with_its_message(tmp_path, capsys, command, args, message):
     write_noise_free_observations(tmp_path / "observations.csv", days=4)

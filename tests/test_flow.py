@@ -668,6 +668,38 @@ class TestBeliefShape:
             # The orthant's faces were never reached: it is the unconstrained run.
             assert all(np.array_equal(x, y) for x, y in zip((a, b), self.finals(FullSpace(2), self.K)))
 
+    # The covariance after K unconstrained steps in closed form: every
+    # particle shares c_k, so only A = I - tau H and the noise act on the
+    # spread, and cov_K = A^K S0 A^K + tau^2 sp^2 sum_{j<K} A^{2j} with S0
+    # the initial cloud's.  The noise is sampled, so the measured covariance
+    # scatters about it: over seeds 0-199 at N = 4096 the relative Frobenius
+    # error reached 0.00051, 0.0019, 0.028 and 0.067 at K = 1, 5, 20 and 60
+    # (means 0.0002, 0.0008, 0.0093, 0.025).  Each tolerance is twice that
+    # largest error.
+    COV_TOL = {1: 0.001, 5: 0.004, 20: 0.06, 60: 0.14}
+
+    def test_the_cloud_covariance_follows_the_closed_form(self):
+        obj = StreamingLSObjective(W_SKEW, 0.1)
+        tau, sp = 0.01, 0.02
+        a = np.eye(2) - tau * obj.H
+
+        def rel_error(got, s0, k, noise_std):
+            ak = np.linalg.matrix_power(a, k)
+            spread = sum(np.linalg.matrix_power(a, 2 * j) for j in range(k))
+            want = ak @ s0 @ ak + tau**2 * noise_std**2 * spread
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+        for seed in range(5):
+            m0 = init_uniform_box([0.0, 0.0], [8.0 / 60.0] * 2, 4096, seed)
+            for k, tol in self.COV_TOL.items():
+                cfg = flow_config(max_iters=k, seed=seed, constraint=FullSpace(2), perturb_std=sp, diag_every=k)
+                got = covariance(run(m0, obj, [W_SKEW @ THETA] * k, cfg)[0])
+                assert rel_error(got, covariance(m0), k, sp) <= tol, (seed, k)
+                if k >= 20:
+                    # Negative control: twice the noise.  Before K = 20 the
+                    # noise term is below the sampling error of S0's image.
+                    assert rel_error(got, covariance(m0), k, 2 * sp) > tol, (seed, k)
+
     def test_a_binding_projection_changes_the_shape(self):
         # Negative control: one orthant step from a cloud across x1 = 0,
         # where each stream moves a different set of particles onto the face.
@@ -888,8 +920,8 @@ _CLOUD = ParticleMeasure(np.zeros((4, 2)))
     [
         (lambda: step(_CLOUD, np.zeros((4, 2)), 0.01, FullSpace(3)),
          "constraint dimension 3 does not match measure dimension 2"),
-        (lambda: step(_CLOUD, np.zeros((4, 2)), 0.0, FullSpace(2)), "tau must be positive"),
-        (lambda: flow_config(tau=-0.01), "tau must be positive"),
+        (lambda: step(_CLOUD, np.zeros((4, 2)), 0.0, FullSpace(2)), "tau must be finite and > 0"),
+        (lambda: flow_config(tau=-0.01), "tau must be finite and > 0"),
         (lambda: flow_config(max_iters=-1), "max_iters must be nonnegative"),
         (lambda: flow_config(seed=-1), "seed must be nonnegative"),
         (lambda: flow_config(diag_every=0), "diag_every must be at least 1"),

@@ -204,6 +204,20 @@ class TestStreams:
             measures.substream(-1)
 
 
+def test_finite_number_returns_a_float_inside_its_bound():
+    value = measures.finite_number(np.float32(0.5), "x", above=0)
+    assert type(value) is float and value == 0.5
+    assert measures.finite_number(0, "x", at_least=0) == 0.0
+    assert measures.finite_number(-1e308, "x") == -1e308
+    with pytest.raises(ValueError, match="^x must be finite and > 0$"):
+        measures.finite_number(0.0, "x", above=0)
+    with pytest.raises(ValueError, match=r"^x must be finite and >= -0\.5$"):
+        measures.finite_number(-1.0, "x", at_least=-0.5)
+    # Two bounds would leave the message naming one of them only.
+    with pytest.raises(TypeError, match="^finite_number takes one bound: above or at_least$"):
+        measures.finite_number(1.0, "x", above=0, at_least=2)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

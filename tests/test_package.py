@@ -7,14 +7,22 @@ import shutil
 import subprocess
 import sys
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 import wgflow
 from wgflow import measures
-from wgflow.functionals import StreamingLSObjective
-from wgflow.pdm import DegradationModel, Observation
-from wgflow.sets import Ball, Box, Halfspace
+from wgflow.flow import FlowConfig, step
+from wgflow.functionals import (
+    StreamingLSObjective, convergence_bound, perturbed_gradient, validate_tau,
+)
+from wgflow.pdm import (
+    DegradationModel, Observation, PlantParams, degrade, ls_estimate, process_matrix,
+)
+from wgflow.sets import Ball, Box, FullSpace, Halfspace
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
 
@@ -260,3 +268,60 @@ def test_no_value_object_freezes_or_aliases_its_callers_arrays(build, kept):
         assert not np.shares_memory(mine, theirs), arg
         assert not theirs.flags.writeable, attr
         assert np.array_equal(mine, theirs), arg
+
+
+_W = np.diag([-5.0, 5.0])
+_LAM = np.array([2.0, 5.0]) / 60.0
+_MODEL = DegradationModel(2.5, 1.0, _LAM, 0.4, 5.0)
+# Every float setting whose check is a plain range, as the one intake
+# (measures.finite_number) names it: each is built once with the value.
+_FLOAT_SETTINGS = {
+    "Halfspace.b": (lambda v: Halfspace([1.0, 0.0], v), "halfspace offset b must be finite"),
+    "Ball.radius": (lambda v: Ball([0.0, 0.0], v), "ball radius must be finite and >= 0"),
+    "rho": (lambda v: StreamingLSObjective(_W, v), "rho must be finite and > 0"),
+    "sigma_w2": (lambda v: StreamingLSObjective(_W, 0.1, None, v), "sigma_w2 must be finite and >= 0"),
+    "validate_tau": (lambda v: validate_tau(_W, 0.1, 0.0, v), "tau must be finite and > 0"),
+    "convergence_bound": (lambda v: convergence_bound(validate_tau(_W, 0.1, 0.0, 0.01), v, 3),
+                          "w2_0 must be finite and >= 0"),
+    "perturbed_gradient": (lambda v: perturbed_gradient(np.zeros(2), v, np.random.default_rng(0)),
+                           "noise_std must be finite and >= 0"),
+    "FlowConfig.tau": (lambda v: FlowConfig(tau=v, max_iters=1, seed=0, constraint=FullSpace(2)),
+                       "tau must be finite and > 0"),
+    "FlowConfig.perturb_std": (
+        lambda v: FlowConfig(tau=0.01, max_iters=1, seed=0, constraint=FullSpace(2), perturb_std=v),
+        "perturb_std must be finite and >= 0"),
+    "step": (lambda v: step(measures.ParticleMeasure(np.zeros((4, 2))), np.zeros((4, 2)), v, FullSpace(2)),
+             "tau must be finite and > 0"),
+    "PlantParams.a": (lambda v: PlantParams(v, 1.0, 1.0, 0.001, 1.0, 0.0), "a must be finite and > 0"),
+    "PlantParams.b": (lambda v: PlantParams(2.5, v, 1.0, 0.001, 1.0, 0.0), "b must be finite and > 0"),
+    "PlantParams.r": (lambda v: PlantParams(2.5, 1.0, v, 0.001, 1.0, 0.0), "r must be finite"),
+    "PlantParams.dt": (lambda v: PlantParams(2.5, 1.0, 1.0, v, 1.0, 0.0), "dt must be finite and > 0"),
+    "PlantParams.horizon": (lambda v: PlantParams(2.5, 1.0, 1.0, 0.001, v, 0.0),
+                            "horizon must be finite and > 0"),
+    "ls_estimate": (lambda v: ls_estimate((np.zeros((5, 2)), np.zeros(5)), v), "dt must be finite and > 0"),
+    "DegradationModel.b0": (lambda v: DegradationModel(2.5, v, _LAM, 0.0, 5.0), "b0 must be finite and > 0"),
+    "DegradationModel.T": (lambda v: DegradationModel(2.5, 1.0, _LAM, 0.4, v), "T must be finite and > 0"),
+    "DegradationModel.zeta_min": (lambda v: DegradationModel(2.5, 1.0, _LAM, v, 5.0),
+                                  "zeta_min must be finite and >= 0"),
+    "Observation.t": (lambda v: Observation(v, [2.5, 1.0]), "t must be finite and >= 0"),
+    "degrade": (lambda v: degrade(_MODEL, v), "t must be finite and >= 0"),
+    "process_matrix": (lambda v: process_matrix(v), "T must be finite and > 0"),
+}
+
+
+def _float_cases():
+    # Non-finite values, and the first value out of range where there is a
+    # range: 0 for "> 0", the largest negative float for ">= 0".
+    for site, (_, message) in _FLOAT_SETTINGS.items():
+        for value in (math.nan, math.inf, -math.inf):
+            yield pytest.param(site, value, id=f"{site}-{value}")
+        edge = {"> 0": 0.0, ">= 0": -5e-324}.get(message.rsplit(" and ")[-1])
+        if edge is not None:
+            yield pytest.param(site, edge, id=f"{site}-{edge}")
+
+
+@pytest.mark.parametrize("site, value", _float_cases())
+def test_every_float_setting_is_refused_with_the_one_message(site, value):
+    build, message = _FLOAT_SETTINGS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(value)

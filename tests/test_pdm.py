@@ -398,7 +398,7 @@ class TestDegradationModelValidation:
             DegradationModel(2.5, 1.0, np.array([-0.1, 0.1]), 0.4, 5.0)
 
     def test_negative_floor_rejected(self):
-        with pytest.raises(ValueError, match="zeta_min finite and nonnegative"):
+        with pytest.raises(ValueError, match="^zeta_min must be finite and >= 0$"):
             DegradationModel(2.5, 1.0, LAM, -0.1, 5.0)
         DegradationModel(2.5, 1.0, LAM, 0.0, 5.0)
 
@@ -470,7 +470,7 @@ class TestDailyObservations:
             ("x0", (math.nan, 0.0), "x0 must be a finite vector of length 2"),
             ("x0", (1.0, 0.0, 0.0), "x0 must be a finite vector of length 2"),
             ("seed", -1, "seed must be nonnegative"),
-            ("dt", 0.0, "dt must be positive and finite"),
+            ("dt", 0.0, "dt must be finite and > 0"),
             ("days", 0, "days must be at least 1"),
         ],
     )
@@ -486,7 +486,7 @@ class TestDailyObservations:
     def test_refused_day_is_named_with_its_index_and_time(self):
         # Day 15 (t = 75) drives the damping a0 - lambda1 t to 0.
         plant = dict(test_acceptance.PLANT, horizon=1.0)
-        with pytest.raises(ValueError, match=r"^day 15 \(t = 75\.0\): a must be positive$"):
+        with pytest.raises(ValueError, match=r"^day 15 \(t = 75\.0\): a must be finite and > 0$"):
             pdm.daily_observations(case_study_model(), 16, seed=0, **plant)
         # A refused estimate keeps its class: the plant at rest at its
         # reference excites neither coefficient.
@@ -863,8 +863,8 @@ _BELIEF_3D = ParticleMeasure(np.zeros((4, 3)))
     [
         (lambda: ls_estimate((np.zeros((5, 2)), np.zeros(4)), 0.001),
          "trajectory must pair (n+1, 2) states with n+1 references"),
-        (lambda: ls_estimate((np.zeros((5, 2)), np.zeros(5)), 0.0), "dt must be positive"),
-        (lambda: Observation(-1.0, [2.5, 1.0]), "t must be a nonnegative time"),
+        (lambda: ls_estimate((np.zeros((5, 2)), np.zeros(5)), 0.0), "dt must be finite and > 0"),
+        (lambda: Observation(-1.0, [2.5, 1.0]), "t must be finite and >= 0"),
         (lambda: predict_damping_band(_BELIEF_3D, case_study_model(), [0.0]),
          "belief particles must be 2-d decay rates"),
         (lambda: suggested_maintenance_time(_BELIEF_3D, case_study_model()),
@@ -881,5 +881,5 @@ def test_argument_out_of_contract_is_refused_with_its_message(call, message):
 def test_observation_file_with_a_negative_time_names_the_row(tmp_path):
     path = tmp_path / "observations.csv"
     path.write_text("t,a_hat,b_hat\n0,2.5,1\n-5,2.4,1.1\n")
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row 1: t must be a nonnegative time$"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row 1: t must be finite and >= 0$"):
         read_observations_csv(path)
