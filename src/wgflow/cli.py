@@ -369,9 +369,7 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
 def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     from . import functionals, transport
 
-    cap = cfg.get_int("diag_subsample")
-    if cap < 1:
-        raise ConfigError("diag_subsample must be at least 1")
+    cap = measures.whole_number(cfg.get_int("diag_subsample"), "diag_subsample", at_least=1)
     particles_path = _input_path(cfg, "particles", out_dir, "particles.csv")
     reference_path = _input_path(cfg, "reference", out_dir, "reference.csv")
     m = measures.read_particles_csv(particles_path)

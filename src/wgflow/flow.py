@@ -24,7 +24,7 @@ from .errors import DataError, NumericalError, UnsafeStepError
 from .functionals import StreamingLSObjective
 # Defined beside the objective, so diagnose need not import this module.
 from .functionals import StepBoundReport, convergence_bound, validate_tau  # noqa: F401
-from .measures import ParticleMeasure
+from .measures import ParticleMeasure, whole_number
 from .sets import ConvexSet
 
 _PERTURB_STREAM = 21
@@ -81,7 +81,9 @@ class FlowConfig:
     accepted and validated but has no effect: every worker count runs the
     same single pass, so results are identical by construction.
     ``on_invalid`` chooses between aborting on a bad observation (default)
-    and skipping it with a log message.
+    and skipping it with a log message.  Every integer field goes through
+    :func:`measures.whole_number`, so a fraction, a bool or a value below
+    its bound is refused and an integral float is kept as its ``int``.
     """
 
     tau: float
@@ -99,21 +101,15 @@ class FlowConfig:
 
     def __post_init__(self):
         self.tau = measures.finite_number(self.tau, "tau", above=0)
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        self.max_iters = whole_number(self.max_iters, "max_iters", at_least=0)
+        self.seed = whole_number(self.seed, "seed", at_least=0)
         self.perturb_std = measures.finite_number(self.perturb_std, "perturb_std", at_least=0)
-        if self.diag_every < 1:
-            raise ValueError("diag_every must be at least 1")
-        if self.diag_subsample < 1:
-            raise ValueError("diag_subsample must be at least 1")
+        self.diag_every = whole_number(self.diag_every, "diag_every", at_least=1)
+        self.diag_subsample = whole_number(self.diag_subsample, "diag_subsample", at_least=1)
         if self.on_invalid not in ("abort", "skip"):
             raise ValueError("on_invalid must be 'abort' or 'skip'")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be nonnegative")
+        self.workers = whole_number(self.workers, "workers", at_least=1)
+        self.checkpoint_every = whole_number(self.checkpoint_every, "checkpoint_every", at_least=0)
         if self.checkpoint_every and self.checkpoint_path is None:
             raise ValueError("checkpoint_every needs a checkpoint_path to write to")
 
@@ -175,8 +171,7 @@ def run(
         raise ValueError(
             f"constraint dimension {cfg.constraint.dim} does not match measure dimension {m0.d}"
         )
-    if start_iteration < 0:
-        raise ValueError("start_iteration must be nonnegative")
+    start_iteration = whole_number(start_iteration, "start_iteration", at_least=0)
 
     report = validate_tau(obj.W, obj.rho, obj.sigma_w2, cfg.tau)
     if not report.tau_valid and not cfg.allow_unsafe_tau:

@@ -178,8 +178,7 @@ def convergence_bound(report: StepBoundReport, w2_0: float, k: int) -> float:
     monotonically to the limit term.
     """
     w2_0 = measures.finite_number(w2_0, "w2_0", at_least=0)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = measures.whole_number(k, "k", at_least=0)
     limit = report.tau * report.sigma2 / report.alpha
     return (1.0 - report.tau * report.alpha) ** k * (w2_0 ** 2 - limit) + limit
 

@@ -9,6 +9,7 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -28,15 +29,13 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     which they are created: callers may consume them in any schedule
     (including concurrently) with reproducible results.
     """
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    seed = whole_number(seed, "seed", at_least=0)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def spawn_seed(seed: int, *key: int) -> int:
     """Derive a child integer seed from ``(seed, *key)``, deterministically."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    seed = whole_number(seed, "seed", at_least=0)
     state = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint32)
     return int(state[0]) * (1 << 32) + int(state[1])
 
@@ -64,6 +63,23 @@ def finite_number(value, what: str, above=None, at_least=None) -> float:
         return v
     bound = f" and > {above}" if above is not None else "" if at_least is None else f" and >= {at_least}"
     raise ValueError(f"{what} must be finite{bound}")
+
+
+def whole_number(value, what: str, at_least=None) -> int:
+    """``value`` as an exact ``int``: a Python or NumPy integer (not a
+    bool) or a finite float with no fractional part, within a float's
+    range and, when given, ``>= at_least``; ``what`` names it in the
+    ``ValueError`` that refuses anything else."""
+    if isinstance(value, (float, np.floating)):
+        value = int(value) if float(value).is_integer() else None
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+    else:
+        value = None
+    if value is not None and abs(value) <= sys.float_info.max and (at_least is None or value >= at_least):
+        return value
+    bound = "" if at_least is None else f" >= {at_least}"
+    raise ValueError(f"{what} must be a whole number{bound}")
 
 
 class ParticleMeasure:
@@ -140,8 +156,7 @@ def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:
     Deterministic for a fixed seed; a degenerate box (``lo == hi``) yields
     identical particles.
     """
-    if n < 1:
-        raise ValueError("need at least one particle")
+    n = whole_number(n, "particle count n", at_least=1)
     lo = frozen_vector(lo, "lo")
     # Before hi's own check, so a non-finite hi is refused as a non-finite width.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -20,6 +20,7 @@ from . import files
 from .errors import DataError, NumericalError
 from .measures import (
     ParticleMeasure, finite_number, frozen_vector, nearest_rank_index, spawn_seed, substream,
+    whole_number,
 )
 
 _TRAJ_STREAM = 31
@@ -289,12 +290,10 @@ def daily_observations(model: DegradationModel, days: int, x0, r: float, dt: flo
     in front.  An overflowing trajectory is refused as a non-finite estimate,
     which NumPy's warnings would only repeat.
     """
-    if days < 1:
-        raise ValueError("days must be at least 1")
+    days = whole_number(days, "days", at_least=1)
     x0 = frozen_vector(x0, "x0", 2)
     _check_plant_settings(r, dt, horizon, eps_half_width)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    seed = whole_number(seed, "seed", at_least=0)
     observations = []
     with np.errstate(all="ignore"):
         for j in range(days):

@@ -14,20 +14,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .measures import ParticleMeasure, finite_number, frozen_vector
+from .measures import ParticleMeasure, finite_number, frozen_vector, whole_number
 
 # Relative slack for "already inside" tests.  It absorbs the rounding of a
 # freshly projected point, making repeated projection exactly idempotent.
 _SNAP = 1e-13
-
-
-def _whole(value) -> int:
-    # A dimension: 2 and 2.0 are 2; 2.7, true and 0 are refused.
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ValueError(f"dimension must be a whole number, got {value!r}")
-    if int(value) < 1:
-        raise ValueError("dimension must be at least 1")
-    return int(value)
 
 
 class ConvexSet:
@@ -114,7 +105,7 @@ class NonnegativeOrthant(ConvexSet):
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _whole(self.d))
+        object.__setattr__(self, "d", whole_number(self.d, "dimension d", at_least=1))
 
     @property
     def dim(self) -> int:
@@ -201,7 +192,7 @@ class FullSpace(ConvexSet):
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _whole(self.d))
+        object.__setattr__(self, "d", whole_number(self.d, "dimension d", at_least=1))
 
     @property
     def dim(self) -> int:

@@ -99,7 +99,7 @@ class TestSimulate:
             ("dt", "inf", "dt must be finite and > 0"),
             ("horizon", "-1", "horizon must be finite and > 0"),
             ("x0", "nan,0", "x0 must be a finite vector of length 2"),
-            ("seed", "-1", "seed must be nonnegative"),
+            ("seed", "-1", "seed must be a whole number >= 0"),
         ],
     )
     def test_fault_of_a_day_independent_key_names_no_day(self, tmp_path, capsys, key, value, message):
@@ -708,9 +708,43 @@ def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
     if overrides[0] == "--diag_subsample":
-        assert "diag_subsample must be at least 1" in lines[0]
+        assert "diag_subsample must be a whole number >= 1" in lines[0]
     if "5000" in overrides:
         assert "diag_subsample 5000" in lines[0] and f"cap {transport.MAX_EXACT_PARTICLES}" in lines[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("simulate", "days", "0", "days must be a whole number >= 1"),
+        pytest.param("simulate", "days", "1" + "0" * 400, "days must be a whole number >= 1",
+                     id="simulate-days-huge"),
+        ("simulate", "seed", "-1", "seed must be a whole number >= 0"),
+        ("flow", "n_particles", "0", "particle count n must be a whole number >= 1"),
+        ("flow", "seed", "-1", "seed must be a whole number >= 0"),
+        ("flow", "max_iters", "-1", "max_iters must be a whole number >= 0"),
+        ("flow", "diag_every", "0", "diag_every must be a whole number >= 1"),
+        ("flow", "diag_subsample", "0", "diag_subsample must be a whole number >= 1"),
+        ("flow", "workers", "0", "workers must be a whole number >= 1"),
+        ("flow", "checkpoint_every", "-1", "checkpoint_every must be a whole number >= 0"),
+        ("diagnose", "diag_subsample", "0", "diag_subsample must be a whole number >= 1"),
+        ("diagnose", "seed", "-1", "seed must be a whole number >= 0"),
+    ],
+)
+def test_integer_key_out_of_range_exits_2_naming_it(tmp_path, capsys, command, key, value, message):
+    # Config.get_int parses the text; the intake (measures.whole_number) judges the number.
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_noise_free_observations(inputs / "observations.csv", days=4)
+    measures.write_particles_csv(
+        measures.ParticleMeasure(np.tile(LAM, (8, 1))), inputs / "particles.csv"
+    )
+    args = [arg for k, name in _INPUTS[command].items() for arg in (f"--{k}", str(inputs / name))]
+    out = tmp_path / "out"
+    code = run_cli(command, "--paper-preset", "--out", str(out), *args, f"--{key}", value)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -729,6 +729,20 @@ class TestCheckpointResume:
         resumed, _ = run(loaded, obj, stream[k0:], cfg_rest, start_iteration=k0)
         assert np.array_equal(resumed.points, full.points)
 
+    @pytest.mark.parametrize("perturb_std", [0.0, 0.02])
+    def test_integral_float_start_iteration_writes_the_int_run_bytes(self, tmp_path, perturb_std):
+        # 3.0 is the int 3: the same noise keys, and k written as 3, 5, 7.
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=5)
+        cfg = flow_config(max_iters=4, diag_every=2, diag_subsample=16, perturb_std=perturb_std)
+        traces = []
+        for start in (3, 3.0):
+            _, trace = run(m0, preset_objective(), noise_free_stream(4), cfg, start_iteration=start)
+            path = tmp_path / f"trace-{start!r}.csv"
+            write_trace_csv(trace, path, 2)
+            traces.append(path.read_bytes())
+        assert traces[0] == traces[1]
+        assert [line.split(b",")[0] for line in traces[1].splitlines()[1:]] == [b"3", b"5", b"7"]
+
     def test_run_writes_checkpoints_on_stride(self, tmp_path):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=2)
         base = str(tmp_path / "auto")
@@ -922,15 +936,15 @@ _CLOUD = ParticleMeasure(np.zeros((4, 2)))
          "constraint dimension 3 does not match measure dimension 2"),
         (lambda: step(_CLOUD, np.zeros((4, 2)), 0.0, FullSpace(2)), "tau must be finite and > 0"),
         (lambda: flow_config(tau=-0.01), "tau must be finite and > 0"),
-        (lambda: flow_config(max_iters=-1), "max_iters must be nonnegative"),
-        (lambda: flow_config(seed=-1), "seed must be nonnegative"),
-        (lambda: flow_config(diag_every=0), "diag_every must be at least 1"),
-        (lambda: flow_config(workers=0), "workers must be at least 1"),
-        (lambda: flow_config(checkpoint_every=-1), "checkpoint_every must be nonnegative"),
+        (lambda: flow_config(max_iters=-1), "max_iters must be a whole number >= 0"),
+        (lambda: flow_config(seed=-1), "seed must be a whole number >= 0"),
+        (lambda: flow_config(diag_every=0), "diag_every must be a whole number >= 1"),
+        (lambda: flow_config(workers=0), "workers must be a whole number >= 1"),
+        (lambda: flow_config(checkpoint_every=-1), "checkpoint_every must be a whole number >= 0"),
         (lambda: run(ParticleMeasure(np.zeros((4, 3))), preset_objective(), [], flow_config()),
          "dimension mismatch: measure d=3, objective d=2"),
         (lambda: run(_CLOUD, preset_objective(), [], flow_config(), start_iteration=-1),
-         "start_iteration must be nonnegative"),
+         "start_iteration must be a whole number >= 0"),
     ],
     ids=["step-dimension", "step-tau", "tau", "max_iters", "seed", "diag_every", "workers",
          "checkpoint_every", "run-dimension", "start_iteration"],

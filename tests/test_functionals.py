@@ -292,7 +292,7 @@ _REPORT = validate_tau(np.eye(2), 0.1, 0.0, 0.01)
         (lambda: StreamingLSObjective(np.ones((2, 3)), 0.1), "W must be a square matrix"),
         (lambda: StreamingLSObjective([[1.0, 0.0], [0.0, math.inf]], 0.1), "W must be finite"),
         (lambda: convergence_bound(_REPORT, -1.0, 3), "w2_0 must be finite and >= 0"),
-        (lambda: convergence_bound(_REPORT, 1.0, -1), "k must be nonnegative"),
+        (lambda: convergence_bound(_REPORT, 1.0, -1), "k must be a whole number >= 0"),
         (lambda: exact_gradient(_OBJ, _CLOUD_3D), "dimension mismatch: measure d=3, objective d=2"),
         (lambda: evaluate_objective(_OBJ, _CLOUD_3D), "dimension mismatch: measure d=3, objective d=2"),
         (lambda: stochastic_gradient(_OBJ, np.zeros(2), np.zeros(3), np.zeros(2)),

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wgflow import measures
 from wgflow.errors import DataError
@@ -218,11 +220,53 @@ def test_finite_number_returns_a_float_inside_its_bound():
         measures.finite_number(1.0, "x", above=0, at_least=2)
 
 
+@pytest.mark.parametrize("value", [3, np.int64(3), 3.0, np.float32(3.0)], ids=repr)
+def test_whole_number_accepts_an_integer_or_an_integral_float_as_its_int(value):
+    got = measures.whole_number(value, "x", at_least=0)
+    assert type(got) is int and got == 3
+
+
+def test_whole_number_keeps_a_large_int_exact():
+    assert measures.whole_number(2**100 + 1, "x") == 2**100 + 1
+
+
+@pytest.mark.parametrize(
+    "value, at_least, message",
+    [
+        (2.5, None, "x must be a whole number"),
+        (True, None, "x must be a whole number"),
+        (np.True_, None, "x must be a whole number"),
+        ("3", None, "x must be a whole number"),
+        (math.nan, None, "x must be a whole number"),
+        (math.inf, None, "x must be a whole number"),
+        (-math.inf, None, "x must be a whole number"),
+        (10**400, None, "x must be a whole number"),
+        (-1, 0, "x must be a whole number >= 0"),
+        (0.0, 1, "x must be a whole number >= 1"),
+    ],
+    ids=["fraction", "bool", "numpy-bool", "str", "nan", "inf", "-inf", "huge-int", "below-0",
+         "below-1"],
+)
+def test_whole_number_refuses_anything_else_with_one_message(value, at_least, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        measures.whole_number(value, "x", at_least=at_least)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_whole_number_accepts_a_float_exactly_when_it_is_finite_and_integral(value):
+    try:
+        got = measures.whole_number(value, "x")
+    except ValueError:
+        assert not (math.isfinite(value) and value == math.floor(value))
+    else:
+        assert math.isfinite(value) and got == value and type(got) is int
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: measures.spawn_seed(-1), "seed must be nonnegative"),
-        (lambda: init_uniform_box([0, 0], [1, 1], 0, seed=0), "need at least one particle"),
+        (lambda: measures.spawn_seed(-1), "seed must be a whole number >= 0"),
+        (lambda: init_uniform_box([0, 0], [1, 1], 0, seed=0), "particle count n must be a whole number >= 1"),
         (lambda: init_uniform_box([0, 0, 0], [[1, 1, 1]], 3, seed=0),
          "hi must be a finite vector of length 3"),
         (lambda: init_uniform_box([0], [1, 1], 3, seed=0), "hi must be a finite vector of length 1"),

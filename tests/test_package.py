@@ -15,14 +15,15 @@ import pytest
 
 import wgflow
 from wgflow import measures
-from wgflow.flow import FlowConfig, step
+from wgflow.flow import FlowConfig, run, step
 from wgflow.functionals import (
     StreamingLSObjective, convergence_bound, perturbed_gradient, validate_tau,
 )
 from wgflow.pdm import (
-    DegradationModel, Observation, PlantParams, degrade, ls_estimate, process_matrix,
+    DegradationModel, Observation, PlantParams, daily_observations, degrade, ls_estimate,
+    process_matrix,
 )
-from wgflow.sets import Ball, Box, FullSpace, Halfspace
+from wgflow.sets import Ball, Box, FullSpace, Halfspace, NonnegativeOrthant
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
 
@@ -325,3 +326,65 @@ def test_every_float_setting_is_refused_with_the_one_message(site, value):
     build, message = _FLOAT_SETTINGS[site]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(value)
+
+
+def _flow_config(**kwargs):
+    return FlowConfig(
+        **{"tau": 0.01, "max_iters": 1, "seed": 0, "constraint": FullSpace(2),
+           "checkpoint_path": "unused", **kwargs}
+    )
+
+
+def _trace_ks(start_iteration):
+    cloud = measures.ParticleMeasure(np.zeros((4, 2)))
+    obj = StreamingLSObjective(_W, 0.1, _LAM)
+    _, trace = run(cloud, obj, [_W @ _LAM], _flow_config(), start_iteration)
+    return [row.k for row in trace.rows]
+
+
+def _days(**kwargs):
+    plant = dict(days=2, x0=(-2.5, 0.0), r=1.0, dt=0.01, horizon=2.0, eps_half_width=0.5, seed=0)
+    return [obs.y_hat.tolist() for obs in daily_observations(_MODEL, **{**plant, **kwargs})]
+
+
+# Every integer setting, as the one intake (measures.whole_number) names
+# it, with its lower bound: each is built once with the value, and what
+# it builds shows the value it kept.
+_WHOLE_SETTINGS = {
+    "substream": (lambda v: measures.substream(v).random(), "seed", 0),
+    "spawn_seed": (lambda v: measures.spawn_seed(v), "seed", 0),
+    "init_uniform_box": (lambda v: measures.init_uniform_box([0, 0], [1, 1], v, 0).points.tolist(),
+                         "particle count n", 1),
+    "NonnegativeOrthant.d": (lambda v: NonnegativeOrthant(v).d, "dimension d", 1),
+    "FullSpace.d": (lambda v: FullSpace(v).d, "dimension d", 1),
+    **{
+        f"FlowConfig.{name}": (lambda v, name=name: getattr(_flow_config(**{name: v}), name), name, bound)
+        for name, bound in [("max_iters", 0), ("seed", 0), ("checkpoint_every", 0),
+                            ("diag_every", 1), ("diag_subsample", 1), ("workers", 1)]
+    },
+    "run.start_iteration": (_trace_ks, "start_iteration", 0),
+    "convergence_bound": (lambda v: convergence_bound(validate_tau(_W, 0.1, 0.0, 0.01), 1.0, v), "k", 0),
+    "daily_observations.days": (lambda v: _days(days=v), "days", 1),
+    "daily_observations.seed": (lambda v: _days(seed=v), "seed", 0),
+}
+
+
+def _integer_cases():
+    for site, (_, _, bound) in _WHOLE_SETTINGS.items():
+        for value in (2.5, True, math.nan, math.inf, 10**400, bound - 1):
+            name = "huge" if value == 10**400 else repr(value)
+            yield pytest.param(site, value, id=f"{site}-{name}")
+
+
+@pytest.mark.parametrize("site, value", _integer_cases())
+def test_every_integer_setting_is_refused_with_the_one_message(site, value):
+    build, name, bound = _WHOLE_SETTINGS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a whole number >= {bound}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("site", _WHOLE_SETTINGS)
+@pytest.mark.parametrize("value", [np.int64(3), 3.0], ids=["int64", "float"])
+def test_every_integer_setting_keeps_an_integral_value_as_its_int(site, value):
+    build = _WHOLE_SETTINGS[site][0]
+    assert repr(build(value)) == repr(build(3))

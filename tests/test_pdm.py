@@ -469,9 +469,9 @@ class TestDailyObservations:
         [
             ("x0", (math.nan, 0.0), "x0 must be a finite vector of length 2"),
             ("x0", (1.0, 0.0, 0.0), "x0 must be a finite vector of length 2"),
-            ("seed", -1, "seed must be nonnegative"),
+            ("seed", -1, "seed must be a whole number >= 0"),
             ("dt", 0.0, "dt must be finite and > 0"),
-            ("days", 0, "days must be at least 1"),
+            ("days", 0, "days must be a whole number >= 1"),
         ],
     )
     def test_day_independent_fault_raised_before_simulating(self, monkeypatch, key, value, message):

@@ -199,6 +199,12 @@ class TestConfigEncoding:
             convex_set_from_config({"kind": kind, "d": d})
 
     @pytest.mark.parametrize("kind", ["nonneg_orthant", "all"])
+    def test_dimension_given_as_text_refused(self, kind):
+        message = "invalid constraint parameters: dimension d must be a whole number >= 1"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            convex_set_from_config({"kind": kind, "d": "2"})
+
+    @pytest.mark.parametrize("kind", ["nonneg_orthant", "all"])
     @pytest.mark.parametrize("d", [2, 2.0])
     def test_whole_dimension_builds(self, kind, d):
         s = convex_set_from_config({"kind": kind, "d": d})
