@@ -375,7 +375,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     m = measures.read_particles_csv(particles_path)
     ref = measures.read_particles_csv(reference_path)
     if m.d != ref.d:
-        raise DataError(f"dimension mismatch: particles d={m.d}, reference d={ref.d}")
+        raise DataError(f"{reference_path}: dimension is {ref.d}, expected {m.d} as in {particles_path}")
 
     w = pdm.process_matrix(cfg.get_float("T"))
     report = functionals.validate_tau(

@@ -24,7 +24,7 @@ from .errors import DataError, NumericalError, UnsafeStepError
 from .functionals import StreamingLSObjective
 # Defined beside the objective, so diagnose need not import this module.
 from .functionals import StepBoundReport, convergence_bound, validate_tau  # noqa: F401
-from .measures import ParticleMeasure, whole_number
+from .measures import ParticleMeasure, same_size, whole_number
 from .sets import ConvexSet
 
 _PERTURB_STREAM = 21
@@ -41,10 +41,7 @@ def step(m: ParticleMeasure, field_values, tau: float, s: ConvexSet) -> Particle
     particle lies in ``s``.
     """
     fv = np.asarray(field_values, dtype=float)
-    if fv.shape != (m.n, m.d):
-        raise ValueError(f"field values must have shape ({m.n}, {m.d}), got {fv.shape}")
-    if s.dim != m.d:
-        raise ValueError(f"constraint dimension {s.dim} does not match measure dimension {m.d}")
+    same_size(fv.shape, (m.n, m.d), "field values shape")
     tau = measures.finite_number(tau, "tau", above=0)
     moved = m.points - tau * fv
     return ParticleMeasure(s.project_points(moved))
@@ -165,12 +162,8 @@ def run(
     actual count.  A cloud that turns non-finite raises
     :class:`NumericalError` naming the iteration.
     """
-    if m0.d != obj.d:
-        raise ValueError(f"dimension mismatch: measure d={m0.d}, objective d={obj.d}")
-    if cfg.constraint.dim != m0.d:
-        raise ValueError(
-            f"constraint dimension {cfg.constraint.dim} does not match measure dimension {m0.d}"
-        )
+    same_size(m0.d, obj.d, "measure dimension")
+    same_size(cfg.constraint.dim, m0.d, "constraint dimension")
     start_iteration = whole_number(start_iteration, "start_iteration", at_least=0)
 
     report = validate_tau(obj.W, obj.rho, obj.sigma_w2, cfg.tau)

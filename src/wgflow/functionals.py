@@ -193,8 +193,7 @@ def exact_gradient(obj: StreamingLSObjective, m: ParticleMeasure) -> Callable[[n
     """
     if obj.theta_star is None:
         raise ValueError("true parameter unknown: exact gradient unavailable in deployment mode")
-    if m.d != obj.d:
-        raise ValueError(f"dimension mismatch: measure d={m.d}, objective d={obj.d}")
+    measures.same_size(m.d, obj.d, "measure dimension")
     y_star = obj.W @ obj.theta_star
     mu_mean = measures.mean(m)
     return lambda theta: stochastic_gradient(obj, theta, y_star, mu_mean)
@@ -210,12 +209,11 @@ def stochastic_gradient(obj: StreamingLSObjective, theta, y_hat, mu_mean) -> np.
     th = np.asarray(theta, dtype=float)
     single = th.ndim == 1
     pts = th[None, :] if single else th
-    if pts.ndim != 2 or pts.shape[1] != obj.d:
-        raise ValueError(f"theta must have dimension {obj.d}")
+    measures.same_size(pts.shape[1:], (obj.d,), "shape of each point of theta")
     y = np.asarray(y_hat, dtype=float)
     mm = np.asarray(mu_mean, dtype=float)
-    if y.shape != (obj.d,) or mm.shape != (obj.d,):
-        raise ValueError(f"y_hat and mu_mean must be vectors of length {obj.d}")
+    measures.same_size(y.shape, (obj.d,), "y_hat shape")
+    measures.same_size(mm.shape, (obj.d,), "mu_mean shape")
     if not np.all(np.isfinite(y)):
         raise ValueError("y_hat must be finite")
     out = _rows_times(obj.H, pts) - (obj.W.T @ y + obj.rho * mm)
@@ -247,8 +245,7 @@ def evaluate_objective(obj: StreamingLSObjective, m: ParticleMeasure) -> float:
     """
     if obj.theta_star is None:
         raise ValueError("true parameter unknown: objective unavailable in deployment mode")
-    if m.d != obj.d:
-        raise ValueError(f"dimension mismatch: measure d={m.d}, objective d={obj.d}")
+    measures.same_size(m.d, obj.d, "measure dimension")
     diff = m.points - obj.theta_star[None, :]
     quad = 0.5 * float(np.mean(np.sum((diff @ obj.W.T) ** 2, axis=1)))
     spread = 0.5 * obj.rho * float(np.trace(measures.covariance(m)))

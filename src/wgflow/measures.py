@@ -40,25 +40,35 @@ def spawn_seed(seed: int, *key: int) -> int:
     return int(state[0]) * (1 << 32) + int(state[1])
 
 
+def _real(value) -> bool:
+    # The one test of a number for the intakes below: a finite Python or
+    # NumPy float, or a Python or NumPy int (not a bool) within a float's range.
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and abs(int(value)) <= sys.float_info.max)
+
+
 def frozen_vector(value, what: str, size: int | None = None) -> np.ndarray:
-    """A read-only float copy of ``value``, which must be a finite 1-d
-    vector (of length ``size`` when given); ``what`` names it in the
-    ``ValueError`` that refuses anything else."""
-    v = np.array(value, dtype=float, ndmin=1)
-    if v.ndim != 1 or (size is not None and v.size != size) or not np.isfinite(v).all():
+    """A read-only float copy of ``value``, which must be a 1-d vector of
+    finite numbers (of length ``size`` when given), no bool or text;
+    ``what`` names it in the ``ValueError`` that refuses anything else."""
+    v = np.array(value, dtype=object, ndmin=1)
+    if v.ndim != 1 or (size is not None and v.size != size) or not all(map(_real, v)):
         length = "" if size is None else f" of length {size}"
         raise ValueError(f"{what} must be a finite vector{length}")
+    v = v.astype(float)
     v.setflags(write=False)
     return v
 
 
 def finite_number(value, what: str, above=None, at_least=None) -> float:
-    """``float(value)``, which must be finite and, when given, ``> above``
-    or ``>= at_least`` (one bound at most); ``what`` names it in the
-    ``ValueError`` that refuses anything else."""
+    """``float(value)``, which must be a finite number, not a bool or text,
+    and, when given, ``> above`` or ``>= at_least`` (one bound at most);
+    ``what`` names it in the ``ValueError`` that refuses anything else."""
     if above is not None and at_least is not None:
         raise TypeError("finite_number takes one bound: above or at_least")
-    v = float(value)
+    v = float(value) if _real(value) else math.nan
     if math.isfinite(v) and (above is None or v > above) and (at_least is None or v >= at_least):
         return v
     bound = f" and > {above}" if above is not None else "" if at_least is None else f" and >= {at_least}"
@@ -70,16 +80,18 @@ def whole_number(value, what: str, at_least=None) -> int:
     bool) or a finite float with no fractional part, within a float's
     range and, when given, ``>= at_least``; ``what`` names it in the
     ``ValueError`` that refuses anything else."""
-    if isinstance(value, (float, np.floating)):
-        value = int(value) if float(value).is_integer() else None
-    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        value = int(value)
-    else:
-        value = None
-    if value is not None and abs(value) <= sys.float_info.max and (at_least is None or value >= at_least):
+    value = int(value) if _real(value) and float(value).is_integer() else None
+    if value is not None and (at_least is None or value >= at_least):
         return value
     bound = "" if at_least is None else f" >= {at_least}"
     raise ValueError(f"{what} must be a whole number{bound}")
+
+
+def same_size(got, want, what: str) -> None:
+    """Refuse ``got != want``, two sizes or two shape tuples that must
+    agree, with one ``ValueError``: ``<what> is <got>, expected <want>``."""
+    if got != want:
+        raise ValueError(f"{what} is {got}, expected {want}")
 
 
 class ParticleMeasure:

@@ -19,8 +19,8 @@ import numpy as np
 from . import files
 from .errors import DataError, NumericalError
 from .measures import (
-    ParticleMeasure, finite_number, frozen_vector, nearest_rank_index, spawn_seed, substream,
-    whole_number,
+    ParticleMeasure, finite_number, frozen_vector, nearest_rank_index, same_size, spawn_seed,
+    substream, whole_number,
 )
 
 _TRAJ_STREAM = 31
@@ -418,13 +418,12 @@ def predict_damping_band(
     drifted stiffness overflows for some particle (its ratio would read 0),
     raises :class:`NumericalError` naming its ``t``.
     """
-    if m.d != 2:
-        raise ValueError("belief particles must be 2-d decay rates")
+    same_size(m.d, 2, "belief dimension")
     if not (0.0 <= p_lo <= p_hi <= 1.0):
         raise ValueError("quantile levels must satisfy 0 <= p_lo <= p_hi <= 1")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid < 0):
-        raise ValueError("t_grid must be nonnegative")
+    if not (np.isfinite(t_grid) & (t_grid >= 0)).all():
+        raise ValueError("t_grid must be finite and >= 0")
     lo, hi = nearest_rank_index(m.n, p_lo), nearest_rank_index(m.n, p_hi)
     rows = np.empty((t_grid.size, 4))
     rows[:, 0] = t_grid
@@ -472,8 +471,7 @@ def suggested_maintenance_time(
     negative rate may return, but its first exit still counts, so the time
     is never later than the criterion's first failure.
     """
-    if m.d != 2:
-        raise ValueError("belief particles must be 2-d decay rates")
+    same_size(m.d, 2, "belief dimension")
     if rule not in ("percentile", "mean", "chance"):
         raise ValueError(f"unknown rule '{rule}'")
     if rule != "mean" and not (0.0 < level < 1.0):
@@ -505,6 +503,9 @@ def ls_baseline(
     """
     if len(obs) < 1:
         raise ValueError("need at least one observation")
+    a0 = finite_number(a0, "a0")
+    b0 = finite_number(b0, "b0", above=0)
+    zeta_min = finite_number(zeta_min, "zeta_min", at_least=0)
     times = np.array([o.t for o in obs], dtype=float)
     denom = float(np.sum(times * times))
     if denom == 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .measures import ParticleMeasure, finite_number, frozen_vector, whole_number
+from .measures import ParticleMeasure, finite_number, frozen_vector, same_size, whole_number
 
 # Relative slack for "already inside" tests.  It absorbs the rounding of a
 # freshly projected point, making repeated projection exactly idempotent.
@@ -48,11 +48,7 @@ class ConvexSet:
         points are projected in place and ``pts`` is returned.
         """
         pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(
-                f"points of dimension {pts.shape[-1] if pts.ndim else '?'} "
-                f"do not match set dimension {self.dim}"
-            )
+        same_size(pts.shape[1:], (self.dim,), "shape of each point")
         if out is None:
             out = pts.copy(order="K")
         elif out is not pts:
@@ -231,5 +227,5 @@ def convex_set_from_config(record: dict) -> ConvexSet:
         return cls(*(record[f.name] for f in fields(cls)))
     except KeyError as exc:
         raise ConfigError(f"constraint kind '{kind}' is missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid constraint parameters: {exc}") from None

@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from .errors import NumericalError
-from .measures import ParticleMeasure, covariance, mean
+from .measures import ParticleMeasure, covariance, mean, same_size
 
 #: Hard cap on particle count for the exact assignment solve.
 MAX_EXACT_PARTICLES = 4096
@@ -73,13 +73,8 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]
     NumericalError
         If a squared distance, or their mean, is not finite.
     """
-    if m.n != n.n:
-        raise ValueError(
-            f"unsupported pair: particle counts differ ({m.n} vs {n.n}); "
-            "exact transport needs equal-size clouds"
-        )
-    if m.d != n.d:
-        raise ValueError(f"dimension mismatch: {m.d} vs {n.d}")
+    same_size(n.n, m.n, "particle count of the second cloud (exact transport needs equal-size clouds)")
+    same_size(n.d, m.d, "dimension of the second cloud")
     if m.n > MAX_EXACT_PARTICLES:
         raise ValueError(
             f"cloud size {m.n} exceeds the exact-solver cap {MAX_EXACT_PARTICLES}; "
@@ -145,10 +140,8 @@ def w2_1d(m: ParticleMeasure, n: ParticleMeasure) -> float:
     The monotone matching of sorted samples is optimal in 1-d, which makes
     this both a fast path and an independent check of the assignment solver.
     """
-    if m.d != 1 or n.d != 1:
-        raise ValueError("sorted coupling applies to 1-d measures only")
-    if m.n != n.n:
-        raise ValueError(f"unsupported pair: particle counts differ ({m.n} vs {n.n})")
+    same_size((m.d, n.d), (1, 1), "pair of dimensions (the sorted coupling is 1-d only)")
+    same_size(n.n, m.n, "particle count of the second cloud")
     a = np.sort(m.points[:, 0])
     b = np.sort(n.points[:, 0])
     return math.sqrt(float(np.mean((a - b) ** 2)))
@@ -187,8 +180,7 @@ def bures_distance(s1: np.ndarray, s2: np.ndarray) -> float:
     """
     s1 = _check_psd(s1, "S1")
     s2 = _check_psd(s2, "S2")
-    if s1.shape != s2.shape:
-        raise ValueError(f"dimension mismatch: {s1.shape} vs {s2.shape}")
+    same_size(s2.shape, s1.shape, "S2 shape")
     r = _psd_sqrt(s1)
     inner = r @ s2 @ r
     cross = _psd_sqrt((inner + inner.T) / 2.0)
@@ -205,8 +197,7 @@ def moment_gaps(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, float, f
     """Mean gap, covariances' Bures gap and the Gelbrich bound ``sqrt(mean_gap^2 +
     bures_gap^2)``, which never exceeds W2 and is tight for Diracs (and Gaussians);
     nan or inf, without NumPy warnings, where the moments overflow."""
-    if m.d != n.d:
-        raise ValueError(f"dimension mismatch: {m.d} vs {n.d}")
+    same_size(n.d, m.d, "dimension of the second cloud")
     with np.errstate(all="ignore"):
         mean_diff = mean(m) - mean(n)
         covs = covariance(m), covariance(n)
@@ -224,12 +215,13 @@ def gelbrich_lower_bound(m: ParticleMeasure, n: ParticleMeasure) -> float:
 
 
 def lipschitz_norm_gap(m: ParticleMeasure, ref: ParticleMeasure, phi) -> float:
-    """Absolute gap between the empirical L2 norms of ``phi`` under two clouds.
+    """Absolute gap between the empirical L2 norms of ``phi`` under two clouds of one dimension.
 
     For an ``L``-Lipschitz ``phi`` the gap is bounded by ``L`` times the
     Wasserstein distance between the clouds.  ``phi`` is called per particle;
     an overflowing square gives inf or nan, with no exception or NumPy warning.
     """
+    same_size(ref.d, m.d, "dimension of the reference cloud")
     with np.errstate(over="ignore", invalid="ignore"):
         # float_power squares by the C library's pow, as float ** 2 does, with no OverflowError.
         a, b = (math.sqrt(float(np.mean(np.float_power([float(phi(x)) for x in c.points], 2))))

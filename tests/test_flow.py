@@ -933,7 +933,7 @@ _CLOUD = ParticleMeasure(np.zeros((4, 2)))
     "call, message",
     [
         (lambda: step(_CLOUD, np.zeros((4, 2)), 0.01, FullSpace(3)),
-         "constraint dimension 3 does not match measure dimension 2"),
+         "shape of each point is (2,), expected (3,)"),
         (lambda: step(_CLOUD, np.zeros((4, 2)), 0.0, FullSpace(2)), "tau must be finite and > 0"),
         (lambda: flow_config(tau=-0.01), "tau must be finite and > 0"),
         (lambda: flow_config(max_iters=-1), "max_iters must be a whole number >= 0"),
@@ -942,7 +942,7 @@ _CLOUD = ParticleMeasure(np.zeros((4, 2)))
         (lambda: flow_config(workers=0), "workers must be a whole number >= 1"),
         (lambda: flow_config(checkpoint_every=-1), "checkpoint_every must be a whole number >= 0"),
         (lambda: run(ParticleMeasure(np.zeros((4, 3))), preset_objective(), [], flow_config()),
-         "dimension mismatch: measure d=3, objective d=2"),
+         "measure dimension is 3, expected 2"),
         (lambda: run(_CLOUD, preset_objective(), [], flow_config(), start_iteration=-1),
          "start_iteration must be a whole number >= 0"),
     ],

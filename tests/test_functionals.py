@@ -293,12 +293,12 @@ _REPORT = validate_tau(np.eye(2), 0.1, 0.0, 0.01)
         (lambda: StreamingLSObjective([[1.0, 0.0], [0.0, math.inf]], 0.1), "W must be finite"),
         (lambda: convergence_bound(_REPORT, -1.0, 3), "w2_0 must be finite and >= 0"),
         (lambda: convergence_bound(_REPORT, 1.0, -1), "k must be a whole number >= 0"),
-        (lambda: exact_gradient(_OBJ, _CLOUD_3D), "dimension mismatch: measure d=3, objective d=2"),
-        (lambda: evaluate_objective(_OBJ, _CLOUD_3D), "dimension mismatch: measure d=3, objective d=2"),
+        (lambda: exact_gradient(_OBJ, _CLOUD_3D), "measure dimension is 3, expected 2"),
+        (lambda: evaluate_objective(_OBJ, _CLOUD_3D), "measure dimension is 3, expected 2"),
         (lambda: stochastic_gradient(_OBJ, np.zeros(2), np.zeros(3), np.zeros(2)),
-         "y_hat and mu_mean must be vectors of length 2"),
+         "y_hat shape is (3,), expected (2,)"),
         (lambda: stochastic_gradient(_OBJ, np.zeros(2), np.zeros(2), np.zeros(1)),
-         "y_hat and mu_mean must be vectors of length 2"),
+         "mu_mean shape is (1,), expected (2,)"),
     ],
     ids=["W-not-square", "W-not-finite", "w2_0", "k", "exact_gradient", "evaluate_objective",
          "y_hat-length", "mu_mean-length"],

@@ -67,6 +67,10 @@ class TestFrozenVector:
             ([1.0, math.inf], 2, "v must be a finite vector of length 2"),
             ([1.0, 2.0, 3.0], 2, "v must be a finite vector of length 2"),
             ([], 1, "v must be a finite vector of length 1"),
+            (["0", "0"], 2, "v must be a finite vector of length 2"),
+            ([True, False], 2, "v must be a finite vector of length 2"),
+            ([np.True_, 0.5], 2, "v must be a finite vector of length 2"),
+            ([10**400, 0], 2, "v must be a finite vector of length 2"),
         ],
     )
     def test_refusal_names_the_value(self, value, size, message):

@@ -17,13 +17,15 @@ import wgflow
 from wgflow import measures
 from wgflow.flow import FlowConfig, run, step
 from wgflow.functionals import (
-    StreamingLSObjective, convergence_bound, perturbed_gradient, validate_tau,
+    StreamingLSObjective, convergence_bound, evaluate_objective, exact_gradient, perturbed_gradient,
+    stochastic_gradient, validate_tau,
 )
 from wgflow.pdm import (
     DegradationModel, Observation, PlantParams, daily_observations, degrade, ls_estimate,
-    process_matrix,
+    predict_damping_band, process_matrix, suggested_maintenance_time,
 )
 from wgflow.sets import Ball, Box, FullSpace, Halfspace, NonnegativeOrthant
+from wgflow.transport import bures_distance, lipschitz_norm_gap, moment_gaps, w2_1d, w2_exact
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
 
@@ -311,11 +313,14 @@ _FLOAT_SETTINGS = {
 
 
 def _float_cases():
-    # Non-finite values, and the first value out of range where there is a
+    # Non-finite values, values that are not numbers or lie beyond a
+    # float's range, and the first value out of range where there is a
     # range: 0 for "> 0", the largest negative float for ">= 0".
+    refused = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "True": True,
+               "np.True_": np.True_, "'0.5'": "0.5", "huge": 10**400}
     for site, (_, message) in _FLOAT_SETTINGS.items():
-        for value in (math.nan, math.inf, -math.inf):
-            yield pytest.param(site, value, id=f"{site}-{value}")
+        for name, value in refused.items():
+            yield pytest.param(site, value, id=f"{site}-{name}")
         edge = {"> 0": 0.0, ">= 0": -5e-324}.get(message.rsplit(" and ")[-1])
         if edge is not None:
             yield pytest.param(site, edge, id=f"{site}-{edge}")
@@ -388,3 +393,60 @@ def test_every_integer_setting_is_refused_with_the_one_message(site, value):
 def test_every_integer_setting_keeps_an_integral_value_as_its_int(site, value):
     build = _WHOLE_SETTINGS[site][0]
     assert repr(build(value)) == repr(build(3))
+
+
+def _cloud(n, d):
+    return measures.ParticleMeasure(np.arange(n * d, dtype=float).reshape(n, d) / (n * d))
+
+
+# Every pairing of sizes that must agree, as the one refusal
+# (measures.same_size) names it: each site gets one mismatched partner,
+# and the message is "<what> is <got>, expected <want>".
+_SAME_SIZE_SITES = {
+    "step.field_values": (lambda: step(_cloud(4, 2), np.zeros((3, 2)), 0.01, FullSpace(2)),
+                          "field values shape", (3, 2), (4, 2)),
+    "step.constraint": (lambda: step(_cloud(4, 2), np.zeros((4, 2)), 0.01, FullSpace(3)),
+                        "shape of each point", (2,), (3,)),
+    "run.objective": (lambda: run(_cloud(4, 3), StreamingLSObjective(_W, 0.1), [], _flow_config()),
+                      "measure dimension", 3, 2),
+    "run.constraint": (
+        lambda: run(_cloud(4, 2), StreamingLSObjective(_W, 0.1), [], _flow_config(constraint=FullSpace(3))),
+        "constraint dimension", 3, 2),
+    "exact_gradient": (lambda: exact_gradient(StreamingLSObjective(_W, 0.1, _LAM), _cloud(4, 3)),
+                       "measure dimension", 3, 2),
+    "evaluate_objective": (lambda: evaluate_objective(StreamingLSObjective(_W, 0.1, _LAM), _cloud(4, 3)),
+                           "measure dimension", 3, 2),
+    "stochastic_gradient.theta": (
+        lambda: stochastic_gradient(StreamingLSObjective(_W, 0.1), np.zeros((4, 3)), np.zeros(2), np.zeros(2)),
+        "shape of each point of theta", (3,), (2,)),
+    "stochastic_gradient.y_hat": (
+        lambda: stochastic_gradient(StreamingLSObjective(_W, 0.1), np.zeros(2), np.zeros(3), np.zeros(2)),
+        "y_hat shape", (3,), (2,)),
+    "stochastic_gradient.mu_mean": (
+        lambda: stochastic_gradient(StreamingLSObjective(_W, 0.1), np.zeros(2), np.zeros(2), np.zeros((1, 2))),
+        "mu_mean shape", (1, 2), (2,)),
+    "project_points": (lambda: FullSpace(2).project_points(np.zeros((4, 3))), "shape of each point", (3,), (2,)),
+    "project_points.1d": (lambda: Ball([0.0, 0.0], 1.0).project_points(np.zeros(2)),
+                          "shape of each point", (), (2,)),
+    "project_points.0d": (lambda: Box([0.0], [1.0]).project_points(0.5), "shape of each point", (), (1,)),
+    "w2_exact.counts": (lambda: w2_exact(_cloud(4, 2), _cloud(3, 2)),
+                        "particle count of the second cloud (exact transport needs equal-size clouds)", 3, 4),
+    "w2_exact.dimensions": (lambda: w2_exact(_cloud(4, 2), _cloud(4, 1)), "dimension of the second cloud", 1, 2),
+    "w2_1d.dimensions": (lambda: w2_1d(_cloud(4, 1), _cloud(4, 2)),
+                         "pair of dimensions (the sorted coupling is 1-d only)", (1, 2), (1, 1)),
+    "w2_1d.counts": (lambda: w2_1d(_cloud(4, 1), _cloud(5, 1)), "particle count of the second cloud", 5, 4),
+    "moment_gaps": (lambda: moment_gaps(_cloud(4, 2), _cloud(4, 3)), "dimension of the second cloud", 3, 2),
+    "bures_distance": (lambda: bures_distance(np.eye(2), np.eye(3)), "S2 shape", (3, 3), (2, 2)),
+    "lipschitz_norm_gap": (lambda: lipschitz_norm_gap(_cloud(4, 2), _cloud(4, 3), lambda x: float(x[0])),
+                           "dimension of the reference cloud", 3, 2),
+    "predict_damping_band": (lambda: predict_damping_band(_cloud(4, 3), _MODEL, [0.0]), "belief dimension", 3, 2),
+    "suggested_maintenance_time": (lambda: suggested_maintenance_time(_cloud(4, 1), _MODEL),
+                                   "belief dimension", 1, 2),
+}
+
+
+@pytest.mark.parametrize("site", _SAME_SIZE_SITES)
+def test_every_size_pairing_is_refused_with_the_one_message(site):
+    call, what, got, want = _SAME_SIZE_SITES[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} is {got}, expected {want}')}$"):
+        call()

@@ -856,6 +856,8 @@ class TestObservationCsv:
 
 
 _BELIEF_3D = ParticleMeasure(np.zeros((4, 3)))
+_BELIEF_2D = ParticleMeasure(np.full((4, 2), 0.05))
+_ONE_DAY = [Observation(5.0, [2.4, 1.1])]
 
 
 @pytest.mark.parametrize(
@@ -866,12 +868,22 @@ _BELIEF_3D = ParticleMeasure(np.zeros((4, 3)))
         (lambda: ls_estimate((np.zeros((5, 2)), np.zeros(5)), 0.0), "dt must be finite and > 0"),
         (lambda: Observation(-1.0, [2.5, 1.0]), "t must be finite and >= 0"),
         (lambda: predict_damping_band(_BELIEF_3D, case_study_model(), [0.0]),
-         "belief particles must be 2-d decay rates"),
+         "belief dimension is 3, expected 2"),
         (lambda: suggested_maintenance_time(_BELIEF_3D, case_study_model()),
-         "belief particles must be 2-d decay rates"),
+         "belief dimension is 3, expected 2"),
         (lambda: ls_baseline([], 2.5, 1.0, 0.4), "need at least one observation"),
+        (lambda: predict_damping_band(_BELIEF_2D, case_study_model(), [0.0, math.nan]),
+         "t_grid must be finite and >= 0"),
+        (lambda: predict_damping_band(_BELIEF_2D, case_study_model(), [math.inf]),
+         "t_grid must be finite and >= 0"),
+        (lambda: predict_damping_band(_BELIEF_2D, case_study_model(), [-1.0]),
+         "t_grid must be finite and >= 0"),
+        (lambda: ls_baseline(_ONE_DAY, math.inf, 1.0, 0.4), "a0 must be finite"),
+        (lambda: ls_baseline(_ONE_DAY, 2.5, 0.0, 0.4), "b0 must be finite and > 0"),
+        (lambda: ls_baseline(_ONE_DAY, 2.5, 1.0, math.nan), "zeta_min must be finite and >= 0"),
     ],
-    ids=["trajectory-shape", "dt", "negative-t", "band-3d", "maintenance-3d", "no-observations"],
+    ids=["trajectory-shape", "dt", "negative-t", "band-3d", "maintenance-3d", "no-observations",
+         "band-t-nan", "band-t-inf", "band-t-negative", "ls-a0", "ls-b0", "ls-zeta_min"],
 )
 def test_argument_out_of_contract_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

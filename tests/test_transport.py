@@ -381,10 +381,10 @@ class TestLipschitzGap:
     "call, message",
     [
         (lambda: w2_1d(cloud([[0.0], [1.0]]), cloud([[0.0]])),
-         "unsupported pair: particle counts differ (2 vs 1)"),
+         "particle count of the second cloud is 1, expected 2"),
         (lambda: bures_distance(np.eye(2)[:1], np.eye(2)), "S1 must be a square matrix"),
-        (lambda: bures_distance(np.eye(2), np.eye(3)), "dimension mismatch: (2, 2) vs (3, 3)"),
-        (lambda: moment_gaps(cloud([[0.0, 0.0]]), cloud([[0.0]])), "dimension mismatch: 2 vs 1"),
+        (lambda: bures_distance(np.eye(2), np.eye(3)), "S2 shape is (3, 3), expected (2, 2)"),
+        (lambda: moment_gaps(cloud([[0.0, 0.0]]), cloud([[0.0]])), "dimension of the second cloud is 1, expected 2"),
     ],
     ids=["w2_1d-counts", "bures-not-square", "bures-shapes", "moment_gaps-dimensions"],
 )
