@@ -383,10 +383,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     )
     metrics = [(f.name, float(getattr(report, f.name))) for f in dataclasses.fields(report)]
     for name, value in metrics:
-        if not np.isfinite(value):
-            raise NumericalError(
-                f"step-size report {name} is not finite: T, rho, sigma_w2 or tau is too large"
-            )
+        measures.finite_result(value, f"step-size report {name}", "T, rho, sigma_w2 or tau is too large")
 
     k = min(cap, m.n, ref.n)
     transport.check_subsample(cap, k)
@@ -416,8 +413,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
         ("lipschitz_norm_gap", lipschitz_gap),
     ]
     for name, value in measured:
-        if not np.isfinite(value):
-            raise NumericalError(f"{name} is not finite: the clouds' coordinates are too large")
+        measures.finite_result(value, name, "the clouds' coordinates are too large")
 
     diag_path = os.path.join(out_dir, "diagnostics.csv")
     files.write_table(diag_path, ["metric", "value"], metrics + measured)

@@ -129,12 +129,6 @@ def _grad_norm(prev: np.ndarray, moved: np.ndarray, tau: float, out=None) -> flo
     return math.sqrt(float(g.sum()) / g.shape[0]) / tau
 
 
-def _divergence(x: np.ndarray, k: int) -> NumericalError:
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    what = f"particle {int(bad[0])} is not finite" if bad.size else "the particle mean overflowed"
-    return NumericalError(f"flow diverged at iteration {k}: {what}")
-
-
 # Overflow inside a step shows up as a non-finite mean, which run reports
 # as divergence; NumPy's warnings about it would only repeat that.
 @np.errstate(over="ignore", invalid="ignore")
@@ -159,8 +153,8 @@ def run(
     the uninterrupted one bit for bit.  Diagnostics rows are recorded at
     ``k = 0``, every ``diag_every`` iterations and at the final iterate.
     If the stream runs out early the trace's ``iterations_run`` reports the
-    actual count.  A cloud that turns non-finite raises
-    :class:`NumericalError` naming the iteration.
+    actual count.  A particle mean or trace-row value that is not finite
+    raises :class:`NumericalError` naming the iteration.
     """
     same_size(m0.d, obj.d, "measure dimension")
     same_size(cfg.constraint.dim, m0.d, "constraint dimension")
@@ -192,14 +186,11 @@ def run(
             m = ParticleMeasure(x)
             objective = functionals.evaluate_objective(obj, m)
             cloud = m if sub_idx is None else ParticleMeasure(x[sub_idx])
-            try:
-                w2, _ = transport.w2_exact(cloud, ref_measure)
-            except NumericalError as exc:
-                raise NumericalError(f"flow diverged at iteration {k}: {exc}") from None
+            w2, _ = transport.w2_exact(cloud, ref_measure)
         # A finite cloud far enough out overflows its squared norms.
         for name, value in (("objective", objective), ("grad_norm", grad_norm)):
-            if value is not None and not math.isfinite(value):
-                raise NumericalError(f"flow diverged at iteration {k}: {name} is not finite")
+            if value is not None:
+                measures.finite_result(value, name)
         trace.rows.append(
             TraceRow(k=k, objective=objective, w2_ref=w2, mean=mean, grad_norm=grad_norm)
         )
@@ -223,55 +214,56 @@ def run(
     x = np.array(m0.points, order="F")
     moved = np.empty_like(x)
     noise = np.empty((d, m0.n)).T if noise_scale > 0 else None
-    mean = x.mean(axis=0)
     c = grad_norm = None  # of the last step taken
-
     k = start_iteration
-    record(k, mean, None)
+    # Every refusal while stepping or recording names the iteration here, once.
+    try:
+        mean = measures.finite_result(x.mean(axis=0), "the particle mean")
+        record(k, mean, None)
 
-    for y in itertools.islice(stream, cfg.max_iters):
-        y = np.asarray(y, dtype=float)
-        ok = y.shape == (d,) and bool(np.all(np.isfinite(y)))
-        if not ok:
-            if cfg.on_invalid == "abort":
-                raise DataError(f"invalid observation at iteration {k}: {y!r}")
-            import logging  # only this path logs; no flow stage loads logging otherwise (~5 ms)
+        for y in itertools.islice(stream, cfg.max_iters):
+            y = np.asarray(y, dtype=float)
+            ok = y.shape == (d,) and bool(np.all(np.isfinite(y)))
+            if not ok:
+                if cfg.on_invalid == "abort":
+                    raise DataError(f"invalid observation at iteration {k}: {y!r}")
+                import logging  # only this path logs; no flow stage loads logging otherwise (~5 ms)
 
-            logging.getLogger(__name__).warning(
-                "skipping invalid observation at iteration %d", k
-            )
+                logging.getLogger(__name__).warning(
+                    "skipping invalid observation at iteration %d", k
+                )
+                k += 1
+                continue
+
+            c = tau_wt @ y + tau_rho * mean
+            if noise is not None:
+                measures.substream(cfg.seed, _PERTURB_STREAM, k).standard_normal(out=noise.T)
+                noise *= noise_scale
+            _affine(x, a, c, noise, moved)
             k += 1
-            continue
+            record_due = (k - start_iteration) % cfg.diag_every == 0
+            checkpoint_due = cfg.checkpoint_every and (k - start_iteration) % cfg.checkpoint_every == 0
+            # Taken before the projection overwrites moved; the spent noise
+            # holds the field in place of a new array.
+            grad_norm = _grad_norm(x, moved, tau, noise) if record_due else None
+            cfg.constraint.project_points(moved, out=moved)
+            x, moved = moved, x
+            mean = measures.finite_result(x.mean(axis=0), "the particle mean")
 
-        c = tau_wt @ y + tau_rho * mean
-        if noise is not None:
-            measures.substream(cfg.seed, _PERTURB_STREAM, k).standard_normal(out=noise.T)
-            noise *= noise_scale
-        _affine(x, a, c, noise, moved)
-        k += 1
-        record_due = (k - start_iteration) % cfg.diag_every == 0
-        checkpoint_due = cfg.checkpoint_every and (k - start_iteration) % cfg.checkpoint_every == 0
-        # Taken before the projection overwrites moved; the spent noise
-        # holds the field in place of a new array.
-        grad_norm = _grad_norm(x, moved, tau, noise) if record_due else None
-        cfg.constraint.project_points(moved, out=moved)
-        x, moved = moved, x
-        mean = x.mean(axis=0)
-        if not np.isfinite(mean).all():
-            raise _divergence(x, k)
+            if record_due:
+                record(k, mean, grad_norm)
+            if checkpoint_due:
+                write_checkpoint(cfg.checkpoint_path, ParticleMeasure(x), k, cfg.seed, sidecar)
 
-        if record_due:
+        if trace.rows[-1].k != k:
+            if grad_norm is None and c is not None:
+                # Rebuild the last step's cloud before projection from the
+                # iterate it started at, which moved still holds.
+                pre = _affine(moved, a, c, noise, np.empty_like(moved))
+                grad_norm = _grad_norm(moved, pre, tau, pre)
             record(k, mean, grad_norm)
-        if checkpoint_due:
-            write_checkpoint(cfg.checkpoint_path, ParticleMeasure(x), k, cfg.seed, sidecar)
-
-    if trace.rows[-1].k != k:
-        if grad_norm is None and c is not None:
-            # Rebuild the last step's cloud before projection from the
-            # iterate it started at, which moved still holds.
-            pre = _affine(moved, a, c, noise, np.empty_like(moved))
-            grad_norm = _grad_norm(moved, pre, tau, pre)
-        record(k, mean, grad_norm)
+    except NumericalError as exc:
+        raise NumericalError(f"flow diverged at iteration {k}: {exc}") from None
     moved = noise = pre = None  # freed before the final copy
     trace.iterations_run = k - start_iteration
     return ParticleMeasure(x), trace

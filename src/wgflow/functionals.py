@@ -92,10 +92,10 @@ class StreamingLSObjective:
         sigma_w2 = measures.finite_number(self.sigma_w2, "sigma_w2", at_least=0)
         ts = self.theta_star
         ts = None if ts is None else measures.frozen_vector(ts, "theta_star", w.shape[0])
+        too_large = "the process matrix is too large"
         with np.errstate(over="ignore"):
-            h = w.T @ w + rho * np.eye(w.shape[0])
-            if not (np.isfinite(h).all() and np.isfinite(sv[0] * sv[0])):
-                raise NumericalError("W^T W + rho I overflows: the process matrix is too large")
+            h = measures.finite_result(w.T @ w + rho * np.eye(w.shape[0]), "W^T W + rho I", too_large)
+            measures.finite_result(sv[0] * sv[0], "sigma_max(W)^2", too_large)
         w.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "W", w)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import files
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 # Spawn-key tag for the uniform-box sampler, keeping its draws disjoint
 # from every other stream derived from the same seed.
@@ -92,6 +92,15 @@ def same_size(got, want, what: str) -> None:
     agree, with one ``ValueError``: ``<what> is <got>, expected <want>``."""
     if got != want:
         raise ValueError(f"{what} is {got}, expected {want}")
+
+
+def finite_result(value, what: str, cause: str | None = None):
+    """``value``, a computed float or array, when every entry is finite;
+    otherwise one ``NumericalError``: ``<what> is not finite``, followed by
+    ``: <cause>`` when given."""
+    if np.isfinite(value).all():
+        return value
+    raise NumericalError(f"{what} is not finite" + ("" if cause is None else f": {cause}"))
 
 
 class ParticleMeasure:

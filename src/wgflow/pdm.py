@@ -19,8 +19,8 @@ import numpy as np
 from . import files
 from .errors import DataError, NumericalError
 from .measures import (
-    ParticleMeasure, finite_number, frozen_vector, nearest_rank_index, same_size, spawn_seed,
-    substream, whole_number,
+    ParticleMeasure, finite_number, finite_result, frozen_vector, nearest_rank_index, same_size,
+    spawn_seed, substream, whole_number,
 )
 
 _TRAJ_STREAM = 31
@@ -97,7 +97,7 @@ def _check_plant_settings(r: float, dt: float, horizon: float, eps_half_width: f
     finite_number(dt, "dt", above=0)
     finite_number(horizon, "horizon", above=0)
     # The noise is drawn from [-eps, eps], whose width 2 eps must be finite.
-    if not 0 <= 2.0 * eps_half_width < math.inf:
+    if not 2.0 * finite_number(eps_half_width, "eps_half_width", at_least=0) < math.inf:
         raise ValueError("eps_half_width must be nonnegative and at most half the float limit")
     finite_number(r, "r")
     if not horizon / dt <= _MAX_TRANSITIONS:
@@ -252,13 +252,14 @@ class DegradationModel:
             raise ValueError("decay rates must be nonnegative")
         object.__setattr__(self, "b0", finite_number(self.b0, "b0", above=0))
         object.__setattr__(self, "T", finite_number(self.T, "T", above=0))
-        if not abs(self.a0) <= math.sqrt(np.finfo(float).max):
+        a0 = finite_number(self.a0, "a0")
+        if not abs(a0) <= math.sqrt(np.finfo(float).max):
             raise ValueError("a0 and a0**2 must be finite")
         object.__setattr__(self, "zeta_min", finite_number(self.zeta_min, "zeta_min", at_least=0))
-        if self.a0 / (2.0 * math.sqrt(self.b0)) < self.zeta_min:
+        if a0 / (2.0 * math.sqrt(self.b0)) < self.zeta_min:
             raise ValueError("the freshly maintained system must start in the safe set")
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "a0", float(self.a0))
+        object.__setattr__(self, "a0", a0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,6 +420,7 @@ def predict_damping_band(
     raises :class:`NumericalError` naming its ``t``.
     """
     same_size(m.d, 2, "belief dimension")
+    p_lo, p_hi = finite_number(p_lo, "p_lo"), finite_number(p_hi, "p_hi")
     if not (0.0 <= p_lo <= p_hi <= 1.0):
         raise ValueError("quantile levels must satisfy 0 <= p_lo <= p_hi <= 1")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -474,13 +476,11 @@ def suggested_maintenance_time(
     same_size(m.d, 2, "belief dimension")
     if rule not in ("percentile", "mean", "chance"):
         raise ValueError(f"unknown rule '{rule}'")
-    if rule != "mean" and not (0.0 < level < 1.0):
+    if rule != "mean" and not (0.0 < finite_number(level, "level") < 1.0):
         raise ValueError("level must lie in (0, 1)")
     if rule == "mean":
         with np.errstate(over="ignore"):
-            rates = m.points.mean(axis=0)
-        if not np.isfinite(rates).all():
-            raise NumericalError("the belief's mean rate overflows")
+            rates = finite_result(m.points.mean(axis=0), "the belief's mean rate")
         return _crossing(float(_first_exits(d.a0, d.b0, d.zeta_min, *rates)))
     # For "chance": the most exits j after which (n - j) / n >= 1 - level.
     k = (nearest_rank_index(m.n, level) if rule == "percentile"

@@ -227,5 +227,5 @@ def convex_set_from_config(record: dict) -> ConvexSet:
         return cls(*(record[f.name] for f in fields(cls)))
     except KeyError as exc:
         raise ConfigError(f"constraint kind '{kind}' is missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid constraint parameters: {exc}") from None

@@ -33,11 +33,13 @@ import sys
 import numpy as np
 
 from .errors import NumericalError
-from .measures import ParticleMeasure, covariance, mean, same_size
+from .measures import ParticleMeasure, covariance, finite_result, mean, same_size
 
 #: Hard cap on particle count for the exact assignment solve.
 MAX_EXACT_PARTICLES = 4096
 
+# The cause named when a quantity of two clouds is not finite.
+_TOO_LARGE = "the clouds' coordinates are too large"
 # Eigenvalues are clamped at zero when taking matrix square roots; inputs
 # are rejected only when they are indefinite beyond this tolerance.
 _PSD_TOL = 1e-10
@@ -71,7 +73,7 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]
     Raises
     ------
     NumericalError
-        If a squared distance, or their mean, is not finite.
+        If a squared distance, or the matching's mean, is not finite.
     """
     same_size(n.n, m.n, "particle count of the second cloud (exact transport needs equal-size clouds)")
     same_size(n.d, m.d, "dimension of the second cloud")
@@ -81,17 +83,13 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]
             "subsample the clouds (e.g. 256 particles) before measuring"
         )
     sqeuclidean, linear_sum_assignment = _kernels()
-    cost_matrix = sqeuclidean(m.points, n.points)
-    cost = math.inf
-    if math.isfinite(cost_matrix.max()):
-        rows, cols = linear_sum_assignment(cost_matrix)
-        # Finite costs can still overflow their sum; that is refused below.
-        with np.errstate(over="ignore"):
-            cost = float(cost_matrix[rows, cols].mean())
-    if not math.isfinite(cost):
-        raise NumericalError(
-            "squared distances between the clouds overflow; their coordinates are too large"
-        )
+    cost_matrix = finite_result(
+        sqeuclidean(m.points, n.points), "a squared distance between two particles", _TOO_LARGE
+    )
+    rows, cols = linear_sum_assignment(cost_matrix)
+    with np.errstate(over="ignore"):  # finite costs can still overflow their sum
+        cost = float(cost_matrix[rows, cols].mean())
+    finite_result(cost, "the matching's mean squared distance", _TOO_LARGE)
     return math.sqrt(cost), cols
 
 
@@ -151,8 +149,7 @@ def _check_psd(s: np.ndarray, name: str) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
-    if not np.isfinite(s).all():
-        raise NumericalError(f"{name} is not finite")
+    finite_result(s, name)
     scale = float(np.abs(s).max()) if s.size else 0.0
     if not np.allclose(s, s.T, atol=_PSD_TOL * max(1.0, scale), rtol=0.0):
         raise NumericalError(f"{name} is not symmetric")
@@ -207,11 +204,8 @@ def moment_gaps(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, float, f
 
 
 def gelbrich_lower_bound(m: ParticleMeasure, n: ParticleMeasure) -> float:
-    """The Gelbrich bound of :func:`moment_gaps`, refused if it overflows."""
-    bound = moment_gaps(m, n)[2]
-    if not math.isfinite(bound):
-        raise NumericalError("the Gelbrich bound overflows: the clouds' coordinates are too large")
-    return bound
+    """The Gelbrich bound of :func:`moment_gaps`, refused if it is not finite."""
+    return finite_result(moment_gaps(m, n)[2], "the Gelbrich bound", _TOO_LARGE)
 
 
 def lipschitz_norm_gap(m: ParticleMeasure, ref: ParticleMeasure, phi) -> float:

@@ -94,7 +94,7 @@ class TestSimulate:
         "key, value, message",
         [
             ("eps_half_width", "1e308", "eps_half_width must be nonnegative and at most half the float limit"),
-            ("eps_half_width", "nan", "eps_half_width must be nonnegative and at most half the float limit"),
+            ("eps_half_width", "nan", "eps_half_width must be finite and >= 0"),
             ("r", "nan", "r must be finite"),
             ("dt", "inf", "dt must be finite and > 0"),
             ("horizon", "-1", "horizon must be finite and > 0"),
@@ -205,6 +205,21 @@ class TestFlow:
         assert proc.returncode == 4
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical error:"), proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_iters", ["0", "2"])
+    def test_overflowing_initial_mean_exits_4_naming_iteration_0(self, tmp_path, capsys, max_iters):
+        # Deployment mode (no preset, so no theta*): only the mean check
+        # stands between this belief and a trace row of inf.
+        write_noise_free_observations(tmp_path / "observations.csv", days=4)
+        out = tmp_path / "out"
+        assert run_cli(
+            "flow", "--out", str(out), "--observations", str(tmp_path / "observations.csv"),
+            "--init_lo", "1e308,1e308", "--init_hi", "1.7e308,1.7e308", "--max_iters", max_iters,
+        ) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical error: flow diverged at iteration 0: the particle mean is not finite"
+        ]
         assert not out.exists()
 
     def test_trace_row_divergence_names_the_iteration(self, tmp_path):

@@ -349,8 +349,19 @@ class TestRun:
         cfg = flow_config(
             tau=1e200, max_iters=10, diag_every=1, diag_subsample=16, allow_unsafe_tau=True
         )
-        with pytest.raises(NumericalError, match="diverged at iteration 1: squared distances"):
+        with pytest.raises(NumericalError, match=(
+            "^flow diverged at iteration 1: a squared distance between two particles is not finite"
+        )):
             run(m0, preset_objective(), noise_free_stream(10), cfg)
+
+    @pytest.mark.parametrize("max_iters", [0, 2])
+    def test_overflowing_initial_mean_is_refused_at_iteration_0(self, max_iters):
+        # Deployment mode, so the k = 0 trace row has no objective or W2:
+        # every particle is finite, but their mean overflows before any step.
+        m0 = init_uniform_box([1e308, 1e308], [1.7e308, 1.7e308], 16, seed=1)
+        cfg = flow_config(max_iters=max_iters, diag_subsample=16)
+        with pytest.raises(NumericalError, match="^flow diverged at iteration 0: the particle mean is not finite$"):
+            run(m0, StreamingLSObjective(W, 0.1, None, 0.0), noise_free_stream(max_iters), cfg)
 
     @pytest.mark.parametrize(
         "theta, hi, message",

@@ -6,6 +6,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import math
 import re
@@ -14,7 +16,8 @@ import numpy as np
 import pytest
 
 import wgflow
-from wgflow import measures
+from wgflow import cli, measures
+from wgflow.errors import NumericalError
 from wgflow.flow import FlowConfig, run, step
 from wgflow.functionals import (
     StreamingLSObjective, convergence_bound, evaluate_objective, exact_gradient, perturbed_gradient,
@@ -25,7 +28,9 @@ from wgflow.pdm import (
     predict_damping_band, process_matrix, suggested_maintenance_time,
 )
 from wgflow.sets import Ball, Box, FullSpace, Halfspace, NonnegativeOrthant
-from wgflow.transport import bures_distance, lipschitz_norm_gap, moment_gaps, w2_1d, w2_exact
+from wgflow.transport import (
+    bures_distance, gelbrich_lower_bound, lipschitz_norm_gap, moment_gaps, w2_1d, w2_exact,
+)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
 
@@ -276,6 +281,7 @@ def test_no_value_object_freezes_or_aliases_its_callers_arrays(build, kept):
 _W = np.diag([-5.0, 5.0])
 _LAM = np.array([2.0, 5.0]) / 60.0
 _MODEL = DegradationModel(2.5, 1.0, _LAM, 0.4, 5.0)
+_BELIEF = measures.ParticleMeasure(np.full((4, 2), 0.05))
 # Every float setting whose check is a plain range, as the one intake
 # (measures.finite_number) names it: each is built once with the value.
 _FLOAT_SETTINGS = {
@@ -301,7 +307,10 @@ _FLOAT_SETTINGS = {
     "PlantParams.dt": (lambda v: PlantParams(2.5, 1.0, 1.0, v, 1.0, 0.0), "dt must be finite and > 0"),
     "PlantParams.horizon": (lambda v: PlantParams(2.5, 1.0, 1.0, 0.001, v, 0.0),
                             "horizon must be finite and > 0"),
+    "PlantParams.eps_half_width": (lambda v: PlantParams(2.5, 1.0, 1.0, 0.001, 1.0, v),
+                                   "eps_half_width must be finite and >= 0"),
     "ls_estimate": (lambda v: ls_estimate((np.zeros((5, 2)), np.zeros(5)), v), "dt must be finite and > 0"),
+    "DegradationModel.a0": (lambda v: DegradationModel(v, 1.0, _LAM, 0.0, 5.0), "a0 must be finite"),
     "DegradationModel.b0": (lambda v: DegradationModel(2.5, v, _LAM, 0.0, 5.0), "b0 must be finite and > 0"),
     "DegradationModel.T": (lambda v: DegradationModel(2.5, 1.0, _LAM, 0.4, v), "T must be finite and > 0"),
     "DegradationModel.zeta_min": (lambda v: DegradationModel(2.5, 1.0, _LAM, v, 5.0),
@@ -309,6 +318,12 @@ _FLOAT_SETTINGS = {
     "Observation.t": (lambda v: Observation(v, [2.5, 1.0]), "t must be finite and >= 0"),
     "degrade": (lambda v: degrade(_MODEL, v), "t must be finite and >= 0"),
     "process_matrix": (lambda v: process_matrix(v), "T must be finite and > 0"),
+    "predict_damping_band.p_lo": (lambda v: predict_damping_band(_BELIEF, _MODEL, [0.0], v, 0.9),
+                                  "p_lo must be finite"),
+    "predict_damping_band.p_hi": (lambda v: predict_damping_band(_BELIEF, _MODEL, [0.0], 0.1, v),
+                                  "p_hi must be finite"),
+    "suggested_maintenance_time.level": (
+        lambda v: suggested_maintenance_time(_BELIEF, _MODEL, "percentile", v), "level must be finite"),
 }
 
 
@@ -450,3 +465,62 @@ def test_every_size_pairing_is_refused_with_the_one_message(site):
     call, what, got, want = _SAME_SIZE_SITES[site]
     with pytest.raises(ValueError, match=f"^{re.escape(f'{what} is {got}, expected {want}')}$"):
         call()
+
+
+def _diagnose(cloud, **overrides):
+    # The diagnose stage on one cloud against itself, under the paper preset.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "particles.csv")
+        measures.write_particles_csv(measures.ParticleMeasure(np.array(cloud)), path)
+        values = {**cli.DEFAULTS, **cli.CASE_STUDY_PRESET, "particles": path, "reference": path, **overrides}
+        cli.cmd_diagnose(cli.Config(values), os.path.join(tmp, "out"), False)
+
+
+def _far(value, n=2, d=2):
+    return measures.ParticleMeasure(np.full((n, d), value))
+
+
+_TOO_LARGE = "the clouds' coordinates are too large"
+# Every computed value refused when it is not finite, as the one refusal
+# (measures.finite_result) names it: each site gets one input that
+# overflows, and the message is "<what> is not finite[: <cause>]".
+_NOT_FINITE_SITES = {
+    "run.mean": (lambda: run(_far(1.7e308), StreamingLSObjective(_W, 0.1), [], _flow_config()),
+                 "flow diverged at iteration 0: the particle mean is not finite"),
+    "run.objective": (lambda: run(_far(5e153), StreamingLSObjective(_W, 0.1, _LAM), [], _flow_config()),
+                      "flow diverged at iteration 0: objective is not finite"),
+    "run.w2_exact": (
+        lambda: run(_far(1e200), StreamingLSObjective(_W, 0.1, _LAM), [], _flow_config()),
+        f"flow diverged at iteration 0: a squared distance between two particles is not finite: {_TOO_LARGE}"),
+    "run.grad_norm": (
+        lambda: run(measures.init_uniform_box([0, 0], [1e156, 1e156], 16, seed=1), StreamingLSObjective(_W, 0.1),
+                    [_W @ _LAM] * 3, _flow_config(max_iters=3, diag_every=1)),
+        "flow diverged at iteration 1: grad_norm is not finite"),
+    "StreamingLSObjective.H": (lambda: StreamingLSObjective(np.diag([-1e200, 1e200]), 0.1),
+                               "W^T W + rho I is not finite: the process matrix is too large"),
+    "StreamingLSObjective.sigma_max": (
+        lambda: StreamingLSObjective(np.array([[9.487e153, 9.487e153], [0.0, 1e150]]), 0.1),
+        "sigma_max(W)^2 is not finite: the process matrix is too large"),
+    "w2_exact.cost": (lambda: w2_exact(_far(1e200), _far(-1e200)),
+                      f"a squared distance between two particles is not finite: {_TOO_LARGE}"),
+    "w2_exact.mean": (lambda: w2_exact(_far(1.5e153, 256, 1), _far(-1.5e153, 256, 1)),
+                      f"the matching's mean squared distance is not finite: {_TOO_LARGE}"),
+    "bures_distance": (lambda: bures_distance(np.full((2, 2), np.inf), np.eye(2)), "S1 is not finite"),
+    "gelbrich_lower_bound": (lambda: gelbrich_lower_bound(_far(1e300), _far(-1e300)),
+                             f"the Gelbrich bound is not finite: {_TOO_LARGE}"),
+    "suggested_maintenance_time": (lambda: suggested_maintenance_time(_far(1.7e308), _MODEL, "mean"),
+                                   "the belief's mean rate is not finite"),
+    "diagnose.report": (lambda: _diagnose([[0.05, 0.05]], tau="1e308"),
+                        "step-size report ball_radius is not finite: T, rho, sigma_w2 or tau is too large"),
+    "diagnose.measured": (lambda: _diagnose([[1.7e308, 1.7e308]] * 2),
+                          f"gelbrich_lower_bound_subsampled is not finite: {_TOO_LARGE}"),
+}
+
+
+@pytest.mark.parametrize("site", _NOT_FINITE_SITES)
+def test_every_value_that_is_not_finite_is_refused_with_the_one_message(site):
+    call, message = _NOT_FINITE_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,6 +1,9 @@
+import dataclasses
+import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _oracles import inside
-from wgflow import transport
+from wgflow import sets, transport
 from wgflow.errors import ConfigError
 from wgflow.measures import ParticleMeasure
 from wgflow.sets import (
@@ -209,6 +212,28 @@ class TestConfigEncoding:
     def test_whole_dimension_builds(self, kind, d):
         s = convex_set_from_config({"kind": kind, "d": d})
         assert s.dim == 2 and type(s.d) is int
+
+
+# JSON-like field values: bools, null, text, objects, nested and ragged
+# lists, an integer beyond a float's range, nan and both infinities,
+# beside numbers and vectors that some field takes.
+_JSON_FIELDS = [
+    True, False, None, "text", "2", {}, {"d": 2}, [], [[]], [[1, 2], [3, 4]], [[1], [2, 3]], [1, [2]],
+    10**400, math.nan, math.inf, -math.inf, 0, 1, 2, 2.0, -1, 0.5,
+    [0, 0], [1, 1], [0.5, 2.0], [True, 1], ["1", 2], [None, 0], [math.nan, 0], [math.inf, 0], [10**400, 0],
+]
+
+
+@pytest.mark.parametrize("kind", sorted(sets._KINDS))
+def test_json_field_values_build_or_raise_config_error_alone(kind):
+    names = [f.name for f in dataclasses.fields(sets._KINDS[kind])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in itertools.product(_JSON_FIELDS, repeat=len(names)):
+            try:
+                convex_set_from_config({"kind": kind, **dict(zip(names, values))})
+            except ConfigError:
+                pass
 
 
 def _kind_ids():

@@ -105,7 +105,9 @@ class TestW2Exact:
             w2_exact(cloud([[0.0]]), cloud([[0.0, 1.0]]))
 
     def test_overflowing_cost_is_numerical_error(self):
-        with pytest.raises(NumericalError, match="overflow"):
+        with pytest.raises(NumericalError, match=(
+            "^a squared distance between two particles is not finite: the clouds' coordinates are too large$"
+        )):
             w2_exact(cloud([[1e200, 0.0], [0.0, 0.0]]), cloud([[-1e200, 0.0], [0.0, 1.0]]))
 
     def test_size_cap_mentions_subsampling(self):
@@ -126,7 +128,9 @@ class TestW2Exact:
         a = np.full((256, 1), 1.5e153)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="overflow"):
+            with pytest.raises(NumericalError, match=(
+                "^the matching's mean squared distance is not finite: the clouds' coordinates are too large$"
+            )):
                 w2_exact(cloud(a), cloud(-a))
 
 
@@ -314,7 +318,7 @@ class TestGelbrich:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=(
-                "^the Gelbrich bound overflows: the clouds' coordinates are too large$"
+                "^the Gelbrich bound is not finite: the clouds' coordinates are too large$"
             )):
                 gelbrich_lower_bound(m, m)
 
@@ -344,7 +348,7 @@ class TestGelbrich:
         m, n = cloud([[1e300, 0.0]] * 2), cloud([[-1e300, 0.0]] * 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="Gelbrich bound overflows"):
+            with pytest.raises(NumericalError, match="^the Gelbrich bound is not finite"):
                 gelbrich_lower_bound(m, n)
 
 
