@@ -31,8 +31,10 @@ def _replacing(path):
         with open(fd, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = os.fspath(path)  # a failed write names no file
         raise
 
 

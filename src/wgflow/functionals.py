@@ -240,14 +240,18 @@ def evaluate_objective(obj: StreamingLSObjective, m: ParticleMeasure) -> float:
 
     Equals ``1/2 E_mu ||W(theta - theta*)||^2 + 1/2 sigma_w2 +
     rho/2 * tr(cov(mu))``; the noise cross term vanishes because the noise
-    is zero-mean, so the value is always at least ``sigma_w2 / 2`` and that
-    floor is attained exactly at the Dirac belief on ``theta*``.
+    is zero-mean.  It is computed from the belief's mean ``m`` and centred
+    second moment ``G = cov(mu)`` alone, as ``1/2 tr(H G) + 1/2 ||W(m -
+    theta*)||^2 + 1/2 sigma_w2`` with ``tr(H G) = tr(W G W^T) + rho tr G``:
+    one pass over the particles, then d x d arithmetic.  Every term is a
+    non-negative form, so the value is at least ``sigma_w2 / 2``, attained
+    exactly at the Dirac belief on ``theta*``.
     """
     if obj.theta_star is None:
         raise ValueError("true parameter unknown: objective unavailable in deployment mode")
     measures.same_size(m.d, obj.d, "measure dimension")
-    diff = m.points - obj.theta_star[None, :]
-    quad = 0.5 * float(np.mean(np.sum((diff @ obj.W.T) ** 2, axis=1)))
-    spread = 0.5 * obj.rho * float(np.trace(measures.covariance(m)))
-    return quad + 0.5 * obj.sigma_w2 + spread
-
+    mu = m.points.mean(axis=0)
+    # Scaled before the product, so that G's sums overflow only where G does.
+    c = (m.points - mu) / math.sqrt(m.n)
+    e = obj.W @ (mu - obj.theta_star)
+    return 0.5 * (float(np.vdot(obj.H, c.T @ c)) + float(e @ e) + obj.sigma_w2)

@@ -97,8 +97,9 @@ def same_size(got, want, what: str) -> None:
 def finite_result(value, what: str, cause: str | None = None):
     """``value``, a computed float or array, when every entry is finite;
     otherwise one ``NumericalError``: ``<what> is not finite``, followed by
-    ``: <cause>`` when given."""
-    if np.isfinite(value).all():
+    ``: <cause>`` when given.  A ``float`` (``np.float64`` included) is
+    tested by ``math.isfinite``, without the array path's overhead."""
+    if math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all():
         return value
     raise NumericalError(f"{what} is not finite" + ("" if cause is None else f": {cause}"))
 

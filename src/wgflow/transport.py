@@ -83,9 +83,10 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]
             "subsample the clouds (e.g. 256 particles) before measuring"
         )
     sqeuclidean, linear_sum_assignment = _kernels()
-    cost_matrix = finite_result(
-        sqeuclidean(m.points, n.points), "a squared distance between two particles", _TOO_LARGE
-    )
+    cost_matrix = sqeuclidean(m.points, n.points)
+    # Squared distances of finite points are >= 0 or inf, so the largest is
+    # finite exactly when every one is, and costs one pass without a mask.
+    finite_result(float(cost_matrix.max()), "a squared distance between two particles", _TOO_LARGE)
     rows, cols = linear_sum_assignment(cost_matrix)
     with np.errstate(over="ignore"):  # finite costs can still overflow their sum
         cost = float(cost_matrix[rows, cols].mean())

@@ -89,6 +89,24 @@ def linear_flow_w2(points, w, theta_star, rho, tau, stream):
     return np.array(out)
 
 
+def objective_direct(obj, points):
+    """The streaming least-squares objective by its defining formula: half
+    the particles' mean squared model error ``|W(x - theta*)|^2``, plus half
+    ``rho`` times the summed coordinate variance (``np.var``), plus half
+    ``sigma_w2``; no moment of the cloud is formed first.
+
+    The cloud and ``theta*`` are scaled by a power of two, which is exact,
+    and the sum is scaled back, so a far cloud whose squares overflow is
+    still measured.
+    """
+    x = np.asarray(points, dtype=float)
+    scale = 2.0 ** -math.frexp(max(np.abs(x).max(), np.abs(obj.theta_star).max()))[1]
+    diff = x * scale - obj.theta_star * scale
+    quad = np.mean(np.sum((diff @ obj.W.T) ** 2, axis=1))
+    spread = obj.rho * np.var(x * scale, axis=0).sum()
+    return float(0.5 * (quad + spread) / scale**2 + 0.5 * obj.sigma_w2)
+
+
 def simulate_loop(p, x0, seed):
     """The plant trajectory as an explicit loop of Euler transitions.
 

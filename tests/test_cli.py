@@ -1,10 +1,12 @@
 import ast
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -1046,6 +1048,24 @@ class TestConfigHandling:
         assert run_cli(*fast_sim_args(out_a), "--seed", "9") == 0
         assert run_cli(*fast_sim_args(out_b), "--seed", "10") == 0
         assert (out_a / "observations.csv").read_bytes() != (out_b / "observations.csv").read_bytes()
+
+
+def test_write_over_the_file_size_limit_exits_2_naming_the_file(tmp_path):
+    # The child alone gets a 1 KiB file-size limit, so writing particles.csv
+    # fails with EFBIG, an OSError that names no file of its own.
+    obs = tmp_path / "observations.csv"
+    write_noise_free_observations(obs, 3)
+    out = tmp_path / "out"
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+
+    proc = run_cli_process("-m", "wgflow.cli", "flow", "--paper-preset", "--out", str(out),
+                           "--observations", str(obs), preexec_fn=limit_file_size)
+    target = str(out / "particles.csv")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"config error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {target!r}\n"
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "predict"])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import inside, linear_flow_w2
+from _oracles import inside, linear_flow_w2, objective_direct
 from wgflow.errors import DataError, NumericalError, UnsafeStepError
 from wgflow.files import read_table
 from wgflow.flow import (
@@ -364,20 +364,29 @@ class TestRun:
             run(m0, StreamingLSObjective(W, 0.1, None, 0.0), noise_free_stream(max_iters), cfg)
 
     @pytest.mark.parametrize(
-        "theta, hi, message",
+        "theta, hi, n, message",
         [
-            (THETA, 1e153, "diverged at iteration 0: objective is not finite"),
-            (None, 1e156, "diverged at iteration 1: grad_norm is not finite"),
+            (THETA, 5e153, 4, "diverged at iteration 0: objective is not finite"),
+            (None, 1e156, 16, "diverged at iteration 1: grad_norm is not finite"),
         ],
     )
-    def test_trace_row_of_a_finite_far_cloud_is_refused(self, theta, hi, message):
+    def test_trace_row_of_a_finite_far_cloud_is_refused(self, theta, hi, n, message):
         # The cloud and its mean are finite, and so are its squared
-        # distances to theta*; the objective's squares, scaled by |W|^2 =
-        # 25, or the squared steps of the gradient norm overflow.
-        m0 = init_uniform_box([0, 0], [hi, hi], 16, seed=1)
+        # distances to theta* and (at n = 4 particles) their sum; the
+        # objective itself, about 12.5 times their mean (|W|^2 = 25), or
+        # the squared steps of the gradient norm overflow.
+        m0 = init_uniform_box([0, 0], [hi, hi], n, seed=1)
         cfg = flow_config(max_iters=3, diag_every=1, diag_subsample=16)
         with pytest.raises(NumericalError, match=message):
             run(m0, StreamingLSObjective(W, 0.1, theta, 0.0), noise_free_stream(3), cfg)
+
+    def test_trace_row_of_a_far_cloud_with_a_finite_objective_records_it(self):
+        # About 1e307: representable, though the sum of the 16 particles'
+        # squared model errors is not.
+        m0 = init_uniform_box([0, 0], [1e153, 1e153], 16, seed=1)
+        obj = StreamingLSObjective(W, 0.1, THETA, 0.0)
+        _, trace = run(m0, obj, [], flow_config(max_iters=0, diag_subsample=16))
+        assert trace.rows[0].objective == pytest.approx(objective_direct(obj, m0.points), rel=1e-12)
 
 
 # A process matrix that is not symmetric, so a transposed W^T shows.

@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import objective_direct
 from wgflow import transport
 from wgflow.errors import NumericalError
 from wgflow.functionals import (
@@ -243,6 +246,44 @@ class TestEvaluateObjective:
         obj = StreamingLSObjective(np.eye(2), 0.1)
         with pytest.raises(ValueError, match="deployment"):
             evaluate_objective(obj, dirac(np.zeros(2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-100, 100), st.integers(1, 12), st.booleans())
+    def test_moment_form_matches_the_direct_formula(self, seed, exponent, n, collapsed):
+        # The cloud, theta* and the noise moment drawn at one scale, the
+        # cloud optionally collapsed onto one point.  Both forms add up
+        # non-negative terms of size up to (sigma_max^2 + rho) scale^2, so
+        # they agree to 1e-12 of that size; a cloud near theta* relative
+        # to |theta*| cancels the form's terms, and only there is the
+        # absolute part of the tolerance the larger.
+        rng = np.random.default_rng(seed)
+        scale = 10.0**exponent
+        base = random_objective(rng)
+        obj = StreamingLSObjective(base.W, base.rho, scale * rng.uniform(-1, 1, base.d),
+                                   scale**2 * rng.choice([0.0, rng.uniform()]))
+        points = scale * rng.uniform(-1, 1, (n, obj.d))
+        if collapsed:
+            points[:] = points[0]
+        size = (obj.sigma_max**2 + obj.rho) * scale**2
+        got = evaluate_objective(obj, cloud(points))
+        assert got == pytest.approx(objective_direct(obj, points), rel=1e-12, abs=1e-12 * size)
+        assert got >= 0.5 * obj.sigma_w2
+
+    def test_far_cloud_whose_squares_overflow_their_sum_is_measured(self):
+        # Each centred square is 1.6e307, so the 16 of a coordinate sum past
+        # the float range; their mean, and the objective, do not.
+        obj = StreamingLSObjective(np.diag([0.5, 0.5]), 0.1, np.array([2.0, 5.0]) / 60.0)
+        points = np.array([[4e153, 4e153], [-4e153, -4e153]] * 8)
+        assert evaluate_objective(obj, cloud(points)) == pytest.approx(objective_direct(obj, points), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-100, 100))
+    def test_dirac_on_theta_star_is_exactly_the_noise_floor(self, seed, exponent):
+        rng = np.random.default_rng(seed)
+        base = random_objective(rng)
+        theta = 10.0**exponent * rng.uniform(-1, 1, base.d)
+        obj = StreamingLSObjective(base.W, base.rho, theta, base.sigma_w2)
+        assert evaluate_objective(obj, dirac(theta)) == 0.5 * obj.sigma_w2
 
 
 class TestGradientConsistency:

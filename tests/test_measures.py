@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wgflow import measures
-from wgflow.errors import DataError
+from wgflow.errors import DataError, NumericalError
 from wgflow.measures import (
     ParticleMeasure,
     covariance,
@@ -282,3 +282,22 @@ def test_whole_number_accepts_a_float_exactly_when_it_is_finite_and_integral(val
 def test_argument_out_of_contract_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.inf, -math.inf, math.nan, np.float64(math.inf), np.float64(math.nan),
+     np.array([0.5, math.inf]), np.array(math.nan)],
+    ids=["inf", "-inf", "nan", "float64-inf", "float64-nan", "array", "0-d-array"],
+)
+def test_finite_result_refuses_a_float_or_an_array_with_one_message(value):
+    # A float takes math.isfinite, an array np.isfinite: the same message.
+    with pytest.raises(NumericalError, match=r"^the sum is not finite: too large$"):
+        measures.finite_result(value, "the sum", "too large")
+    with pytest.raises(NumericalError, match=r"^the sum is not finite$"):
+        measures.finite_result(value, "the sum")
+
+
+@pytest.mark.parametrize("value", [0.0, -1.7e308, 5e-324, np.float64(2.5), np.array([0.5, -1e308])])
+def test_finite_result_returns_a_finite_value_itself(value):
+    assert measures.finite_result(value, "the sum") is value

@@ -1,6 +1,7 @@
 """Guards on the package surface: what it exports and what it imports."""
 
 import ast
+import glob
 import importlib
 import os
 import shutil
@@ -25,7 +26,7 @@ from wgflow.functionals import (
 )
 from wgflow.pdm import (
     DegradationModel, Observation, PlantParams, daily_observations, degrade, ls_estimate,
-    predict_damping_band, process_matrix, suggested_maintenance_time,
+    predict_damping_band, process_matrix, simulate_trajectory, suggested_maintenance_time,
 )
 from wgflow.sets import Ball, Box, FullSpace, Halfspace, NonnegativeOrthant
 from wgflow.transport import (
@@ -524,3 +525,112 @@ def test_every_value_that_is_not_finite_is_refused_with_the_one_message(site):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
             call()
+
+
+# Every vector a value object or a function keeps, as the one intake
+# (measures.frozen_vector) names it: each is built once with one vector
+# that is not finite, holds a bool or text, or has the wrong length.
+_VECTOR_SETTINGS = {
+    "StreamingLSObjective.theta_star": (lambda v: StreamingLSObjective(_W, 0.1, v), [0.0, math.nan],
+                                        "theta_star must be a finite vector of length 2"),
+    "init_uniform_box.lo": (lambda v: measures.init_uniform_box(v, [1.0, 1.0], 4, 0), [0.0, math.inf],
+                            "lo must be a finite vector"),
+    # Of another length than lo, so the width check does not see it first.
+    "init_uniform_box.hi": (lambda v: measures.init_uniform_box([0.0, 0.0], v, 4, 0), [1.0, 1.0, 1.0],
+                            "hi must be a finite vector of length 2"),
+    "Box.lo": (lambda v: Box(v, [1.0, 1.0]), [math.nan, 0.0], "box bound lo must be a finite vector"),
+    "Box.hi": (lambda v: Box([0.0, 0.0], v), [1.0], "box bound hi must be a finite vector of length 2"),
+    "Halfspace.a": (lambda v: Halfspace(v, 1.0), [math.inf, 0.0], "halfspace normal a must be a finite vector"),
+    "Ball.center": (lambda v: Ball(v, 1.0), [0.0, "0"], "ball center must be a finite vector"),
+    "DegradationModel.lam": (lambda v: DegradationModel(2.5, 1.0, v, 0.4, 5.0), [True, 0.1],
+                             "lam must be a finite vector of length 2"),
+    "Observation.y_hat": (lambda v: Observation(5.0, v), [2.5], "y_hat must be a finite vector of length 2"),
+    "simulate_trajectory.x0": (lambda v: simulate_trajectory(PlantParams(2.5, 1.0, 1.0, 0.01, 1.0, 0.0), v, 0),
+                               [-2.5, math.nan], "x0 must be a finite vector of length 2"),
+    "daily_observations.x0": (lambda v: _days(x0=v), [-2.5], "x0 must be a finite vector of length 2"),
+}
+
+
+@pytest.mark.parametrize("site", _VECTOR_SETTINGS)
+def test_every_vector_setting_is_refused_with_the_one_message(site):
+    build, value, message = _VECTOR_SETTINGS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(value)
+
+
+# Every float that the CLI reads from its own keys, as text, rather than
+# through a library object: each refused value exits 2 with one line.
+_CLI_FLOAT_KEYS = {
+    "t_start": (["--t_start", "nan"], "t_start must be finite"),
+    "t_stop": (["--t_start", "5", "--t_stop", "4"], "t_stop must be finite and >= 5.0"),
+    "t_step": (["--t_step", "0"], "t_step must be finite and > 0"),
+    "day": (["--day", "-1"], "day must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("key", _CLI_FLOAT_KEYS)
+def test_every_float_the_cli_reads_is_refused_with_the_one_message(key, tmp_path, capsys):
+    args, message = _CLI_FLOAT_KEYS[key]
+    path = str(tmp_path / "particles.csv")
+    measures.write_particles_csv(_BELIEF, path)
+    assert cli.main(["predict", "--paper-preset", "--particles", path, "--out", str(tmp_path / "out"), *args]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# Each intake helper, the position of its ``what`` argument and the words
+# that follow ``what`` in its refusal.
+_INTAKES = {
+    "finite_number": (1, " must be finite"),
+    "whole_number": (1, " must be a whole number"),
+    "frozen_vector": (1, " must be a finite vector"),
+    "same_size": (2, " is "),
+    "finite_result": (1, " is not finite"),
+}
+# The intake calls whose ``what`` is computed, as (file, ast.unparse of
+# it): each names an item of a list its function walks, so no literal
+# can be matched against the tables.
+_COMPUTED_WHAT = {
+    ("cli.py", "f'step-size report {name}'"),
+    ("cli.py", "name"),
+    ("flow.py", "name"),
+    ("pdm.py", "name"),
+    ("transport.py", "name"),
+}
+
+
+def _intake_calls():
+    # (file, line, helper, what node) of every intake call in the package.
+    for path in sorted(glob.glob(os.path.join(SRC, "wgflow", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                helper = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if helper in _INTAKES:
+                    i = _INTAKES[helper][0]
+                    what = node.args[i] if len(node.args) > i else {k.arg: k.value for k in node.keywords}["what"]
+                    yield os.path.basename(path), node.lineno, helper, what
+
+
+def test_every_intake_site_has_a_refusal_case():
+    # The literal what of each call heads (at the start or after ": ") the
+    # expected message of a case in one of the refusal tables above; so a
+    # new intake site with no case fails here.
+    messages = [
+        *(message for _, message in _FLOAT_SETTINGS.values()),
+        *(message for _, message in _CLI_FLOAT_KEYS.values()),
+        *(f"{name} must be a whole number >= {bound}" for _, name, bound in _WHOLE_SETTINGS.values()),
+        *(message for _, _, message in _VECTOR_SETTINGS.values()),
+        *(f"{what} is {got}, expected {want}" for _, what, got, want in _SAME_SIZE_SITES.values()),
+        *(message for _, message in _NOT_FINITE_SITES.values()),
+    ]
+    untested, computed = [], set()
+    for file, line, helper, what in _intake_calls():
+        if not isinstance(what, ast.Constant):
+            computed.add((file, ast.unparse(what)))
+            continue
+        head = re.compile(f"(^|: ){re.escape(what.value + _INTAKES[helper][1])}")
+        if not any(head.search(message) for message in messages):
+            untested.append(f"{file}:{line} {helper}({what.value!r})")
+    assert untested == []
+    assert computed == _COMPUTED_WHAT

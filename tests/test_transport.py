@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
@@ -32,6 +32,29 @@ from wgflow.transport import (
 
 def cloud(rows):
     return ParticleMeasure(np.asarray(rows, dtype=float))
+
+
+# Coordinates whose squared differences may or may not overflow.
+_FAR_COORDS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-1.7e308, 1.7e308),
+    st.sampled_from([0.0, 9e153, -9e153, 1.3e154, -1.3e154, 1e200, 1.7e308, -1.7e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_cost_check_refuses_exactly_the_matrices_with_an_entry_that_is_not_finite(n, d, data):
+    # w2_exact tests only the largest squared distance; the full mask over
+    # scipy's public cdist is the reference.
+    v = np.array(data.draw(st.lists(_FAR_COORDS, min_size=2 * n * d, max_size=2 * n * d))).reshape(2, n, d)
+    expected = not np.isfinite(cdist(v[0], v[1], "sqeuclidean")).all()
+    try:
+        w2_exact(cloud(v[0]), cloud(v[1]))
+        refused = False
+    except NumericalError as exc:
+        refused = str(exc).startswith("a squared distance between two particles is not finite")
+    assert refused == expected
 
 
 class TestW2Exact:
