@@ -171,6 +171,7 @@ def _input_path(cfg: Config, key: str, out_dir: str, default_name: str) -> str:
 # -- commands ---------------------------------------------------------------
 
 def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
+    """simulate daily plant trajectories and write observations.csv"""
     model = _degradation_model(cfg, require_truth=True)
     dt = cfg.get_float("dt")
     horizon = cfg.get_float("horizon")
@@ -195,6 +196,7 @@ def cmd_simulate(cfg: Config, out_dir: str, force: bool) -> int:
 
 
 def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
+    """run the belief flow on an observation file"""
     from . import flow, functionals, sets
 
     obs_path = _input_path(cfg, "observations", out_dir, "observations.csv")
@@ -216,11 +218,8 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
 
     start_iteration = 0
     if cfg.has("resume"):
-        base = cfg.get_str("resume")
-        if not os.path.isfile(base + ".particles.csv"):
-            raise ConfigError(f"checkpoint not found: {base}.particles.csv")
-        run_fields = flow.checkpoint_fields(n_particles, obj, tau, constraint, perturb_std)
-        m0, start_iteration, _ = flow.read_checkpoint(base, {"seed": str(seed), **run_fields})
+        fields = flow.checkpoint_fields(n_particles, obj, tau, constraint, perturb_std)
+        m0, start_iteration, _ = flow.read_checkpoint(cfg.get_str("resume"), {"seed": str(seed), **fields})
         if start_iteration > len(diffs):
             raise DataError(
                 f"checkpoint iteration {start_iteration} exceeds available observations"
@@ -251,6 +250,7 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
     final, trace = flow.run(m0, obj, diffs[start_iteration:], run_cfg, start_iteration)
     particles_path = os.path.join(out_dir, "particles.csv")
     trace_path = os.path.join(out_dir, "trace.csv")
+    files.remove(particles_path, trace_path)
     measures.write_particles_csv(final, particles_path)
     flow.write_trace_csv(trace, trace_path, final.d)
 
@@ -279,6 +279,7 @@ def _degradation_model(cfg: Config, require_truth: bool) -> pdm.DegradationModel
 
 
 def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
+    """turn a particle belief into damping bands and maintenance times"""
     particles_path = _input_path(cfg, "particles", out_dir, "particles.csv")
     belief = measures.read_particles_csv(particles_path)
 
@@ -300,7 +301,7 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     p_hi = cfg.get_float("p_hi")
     rule = cfg.get_str("rule")
     rule_level = cfg.get_float("rule_level")
-    if rule not in ("percentile", "mean", "chance"):
+    if rule not in pdm.RULES:
         raise ConfigError(f"unknown maintenance rule '{rule}'")
 
     observations = None
@@ -312,20 +313,15 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     band = pdm.predict_damping_band(belief, model, t_grid, p_lo, p_hi)
     zeta_true = [None] * count
     if have_truth:
+        truth = measures.ParticleMeasure([model.lam])  # the belief of one particle at the true rates
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                zeta_true = pdm._zeta_at(model.a0, model.b0, *model.lam, t_grid).tolist()
-        except FloatingPointError:
+            zeta_true = pdm.predict_damping_band(truth, model, t_grid)[:, 2].tolist()
+        except NumericalError:
             raise NumericalError(
                 "true damping ratio overflows on the grid: lambda1 or lambda2 is too large"
             ) from None
 
-    by_rule = {
-        "percentile": pdm.suggested_maintenance_time(belief, model, "percentile", rule_level),
-        "mean": pdm.suggested_maintenance_time(belief, model, "mean"),
-        "chance": pdm.suggested_maintenance_time(belief, model, "chance", rule_level),
-    }
-    ours = by_rule[rule]
+    by_rule = {name: pdm.suggested_maintenance_time(belief, model, name, rule_level) for name in pdm.RULES}
 
     ls_time = None
     lam_hat = None
@@ -338,23 +334,21 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
         day = measures.finite_number(cfg.get_float("day"), "day", at_least=0)
 
     prediction_path = os.path.join(out_dir, "prediction.csv")
+    tstar_path = os.path.join(out_dir, "tstar.csv")
+    files.remove(prediction_path, tstar_path)
     files.write_table(
         prediction_path,
         ["t", f"p{100 * p_lo:g}", "mean", f"p{100 * p_hi:g}", "zeta_true"],
         ([*row, z] for row, z in zip(band.tolist(), zeta_true)),
     )
-    tstar_path = os.path.join(out_dir, "tstar.csv")
     baselines = [None if c is None else c.days for c in (ls_time, true_time)]
-    files.write_table(tstar_path, ["day", "ours", "ls", "true"], [[day, ours.days, *baselines]])
+    files.write_table(tstar_path, ["day", "ours", "ls", "true"], [[day, by_rule[rule].days, *baselines]])
 
     print(f"wrote {prediction_path} and {tstar_path}")
-    print(
-        "suggested maintenance (days): "
-        f"percentile({rule_level})={by_rule['percentile'].days:.3f} "
-        f"[{by_rule['percentile'].status}], "
-        f"mean={by_rule['mean'].days:.3f} [{by_rule['mean'].status}], "
-        f"chance({rule_level})={by_rule['chance'].days:.3f} [{by_rule['chance'].status}]"
-    )
+    print("suggested maintenance (days): " + ", ".join(
+        f"{name}{'' if name == 'mean' else f'({rule_level})'}={time.days:.3f} [{time.status}]"
+        for name, time in by_rule.items()
+    ))
     if lam_hat is not None:
         flag = " (negative component!)" if np.any(lam_hat < 0) else ""
         print(
@@ -367,6 +361,7 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
 
 
 def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
+    """report convergence constants and measured distances"""
     from . import functionals, transport
 
     cap = measures.whole_number(cfg.get_int("diag_subsample"), "diag_subsample", at_least=1)
@@ -387,13 +382,12 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
 
     k = min(cap, m.n, ref.n)
     transport.check_subsample(cap, k)
-    seed = cfg.get_int("seed")
+    seed = measures.whole_number(cfg.get_int("seed"), "seed", at_least=0)
 
     def subsample(c):
-        # One stream, copied per cloud; made for a whole cloud too, to refuse a seed below 0.
-        rng = measures.substream(seed, _DIAG_SUB_STREAM)
         if c.n == k:
             return c
+        rng = measures.substream(seed, _DIAG_SUB_STREAM)  # one stream, copied per cloud
         return measures.ParticleMeasure(c.points[np.sort(rng.choice(c.n, k, replace=False))])
 
     sub_m, sub_r = subsample(m), subsample(ref)
@@ -447,13 +441,8 @@ def main(argv=None) -> int:
         description="Particle belief flows over streaming data, desk-scale maintenance pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "simulate daily plant trajectories and write observations.csv"),
-        ("flow", "run the belief flow on an observation file"),
-        ("predict", "turn a particle belief into damping bands and maintenance times"),
-        ("diagnose", "report convergence constants and measured distances"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--paper-preset", action="store_true",

@@ -4,11 +4,14 @@ A table field is ``None``, a string, an ``int`` (``bool`` included) or a
 ``float`` (``np.float64`` included), such as ``ndarray.tolist`` gives; the
 ``csv`` writer writes it unconverted, ``""`` for ``None`` and a float as its
 ``repr`` (the shortest round-trip string).  Every file is written whole:
-into a temporary file in the target's directory (made first if it is
-missing) that then replaces the target by one rename, so a command that
-fails before it writes leaves no directory behind.  There is no
-``fsync``, so this guards against a failed or killed writer, not a power
-cut.
+into a temporary file in the target's directory that then replaces the
+target by one rename.  A write makes the directory if it is missing and,
+when it fails, removes each directory it made, so a command that fails
+before its first file is written leaves no directory behind.  A command
+with several outputs first removes them all (:func:`remove`), so a failure
+while writing leaves each output new or absent, never one of an earlier
+run.  There is no ``fsync``, so this guards against a failed or killed
+writer, not a power cut.
 """
 
 import contextlib
@@ -23,19 +26,47 @@ from .errors import DataError
 
 @contextlib.contextmanager
 def _replacing(path):
-    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
-    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
-    # Created as open(path, "w") creates a file, so the umask applies.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    path = os.fspath(path)
+    made = []  # the directories this write makes, deepest first
+    parent = os.path.dirname(path)
+    while parent and not os.path.lexists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     try:
-        with open(fd, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+        # Created as open(path, "w") creates a file, so the umask applies.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", newline="") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except BaseException as exc:
-        os.unlink(tmp)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         if isinstance(exc, OSError) and exc.filename is None:
-            exc.filename = os.fspath(path)  # a failed write names no file
+            exc.filename = path  # a failed write names no file
         raise
+
+
+def remove(*paths) -> None:
+    """Remove each of ``paths`` that exists: a command calls this on all
+    its outputs before it writes the first, so they form one generation."""
+    for path in paths:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+
+
+def sha256(path) -> str:
+    """The hex sha256 digest of the file at ``path``."""
+    import hashlib  # here, so a stage that hashes nothing loads no _hashlib (3-8 ms)
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write_table(path, header, rows) -> None:

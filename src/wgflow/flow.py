@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
 from . import files, functionals, measures, transport
-from .errors import DataError, NumericalError, UnsafeStepError
+from .errors import ConfigError, DataError, NumericalError, UnsafeStepError
 from .functionals import StreamingLSObjective
 # Defined beside the objective, so diagnose need not import this module.
 from .functionals import StepBoundReport, convergence_bound, validate_tau  # noqa: F401
@@ -283,13 +284,6 @@ def write_trace_csv(trace: FlowTrace, path, d: int) -> None:
     )
 
 
-def _sha256(path) -> str:
-    import hashlib  # here, so importing the flow without a checkpoint loads no _hashlib (3-8 ms)
-
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def checkpoint_fields(
     n: int, obj: StreamingLSObjective, tau: float, constraint: ConvexSet, perturb_std: float
 ) -> dict:
@@ -321,22 +315,24 @@ def write_checkpoint(
     particles = path_base + ".particles.csv"
     measures.write_particles_csv(m, particles)
     meta = {"iteration": iteration, "seed": seed, "rng": _RNG, **(run_fields or {})}
-    meta["sha256"] = _sha256(particles)
+    meta["sha256"] = files.sha256(particles)
     files.write_settings(path_base + ".meta.txt", meta)
 
 
 def read_checkpoint(path_base: str, expect: Optional[dict] = None) -> tuple[ParticleMeasure, int, int]:
     """Read a snapshot written by :func:`write_checkpoint`.
 
-    A particle file whose sha256 differs from the sidecar's, or a sidecar
-    without one, raises :class:`DataError` before anything is parsed, as
-    does a sidecar that lacks ``rng`` or a field of ``expect`` or holds
-    another value.
+    A missing particle file raises :class:`ConfigError`; one whose sha256
+    differs from the sidecar's, or a sidecar without one, raises
+    :class:`DataError` before anything is parsed, as does a sidecar that
+    lacks ``rng`` or a field of ``expect`` or holds another value.
     """
     particles = path_base + ".particles.csv"
+    if not os.path.isfile(particles):
+        raise ConfigError(f"checkpoint not found: {particles}")
     meta_path = path_base + ".meta.txt"
     meta = files.read_settings(meta_path, DataError)
-    if meta.get("sha256") != _sha256(particles):
+    if meta.get("sha256") != files.sha256(particles):
         raise DataError(f"{particles} does not match the sha256 in {meta_path}: damaged checkpoint")
     for key, value in {"rng": _RNG, **(expect or {})}.items():
         if key not in meta:

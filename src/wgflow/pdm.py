@@ -43,6 +43,9 @@ _B_FLOOR = 1e-12
 #: arrays hold about 80 bytes per transition.
 _MAX_TRANSITIONS = 10**7
 
+#: The maintenance rules of :func:`suggested_maintenance_time`.
+RULES = ("percentile", "mean", "chance")
+
 
 class CrossingTime(NamedTuple):
     """A maintenance-time answer: days plus how the threshold was (not) met.
@@ -474,7 +477,7 @@ def suggested_maintenance_time(
     is never later than the criterion's first failure.
     """
     same_size(m.d, 2, "belief dimension")
-    if rule not in ("percentile", "mean", "chance"):
+    if rule not in RULES:
         raise ValueError(f"unknown rule '{rule}'")
     if rule != "mean" and not (0.0 < finite_number(level, "level") < 1.0):
         raise ValueError("level must lie in (0, 1)")

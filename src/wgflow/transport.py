@@ -73,7 +73,8 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]
     Raises
     ------
     NumericalError
-        If a squared distance, or the matching's mean, is not finite.
+        If a squared distance is not finite.  Their mean never exceeds the
+        largest, so it is computed without overflowing their sum.
     """
     same_size(n.n, m.n, "particle count of the second cloud (exact transport needs equal-size clouds)")
     same_size(n.d, m.d, "dimension of the second cloud")
@@ -86,11 +87,17 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]
     cost_matrix = sqeuclidean(m.points, n.points)
     # Squared distances of finite points are >= 0 or inf, so the largest is
     # finite exactly when every one is, and costs one pass without a mask.
-    finite_result(float(cost_matrix.max()), "a squared distance between two particles", _TOO_LARGE)
+    largest = finite_result(
+        float(cost_matrix.max()), "a squared distance between two particles", _TOO_LARGE
+    )
     rows, cols = linear_sum_assignment(cost_matrix)
+    matched = cost_matrix[rows, cols]
     with np.errstate(over="ignore"):  # finite costs can still overflow their sum
-        cost = float(cost_matrix[rows, cols].mean())
-    finite_result(cost, "the matching's mean squared distance", _TOO_LARGE)
+        cost = float(matched.mean())
+        if cost == math.inf:
+            # Their mean never exceeds the largest: sum them divided by N,
+            # which can round past it and, next to the float maximum, overflow.
+            cost = min(float((matched / m.n).sum()), largest)
     return math.sqrt(cost), cols
 
 

@@ -1050,22 +1050,68 @@ class TestConfigHandling:
         assert (out_a / "observations.csv").read_bytes() != (out_b / "observations.csv").read_bytes()
 
 
+def _limit_file_size(size):
+    # For preexec_fn: the child alone may write no file past size bytes.
+    return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (size, size))
+
+
+def _too_large(path):
+    return f"config error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(path)!r}\n"
+
+
 def test_write_over_the_file_size_limit_exits_2_naming_the_file(tmp_path):
     # The child alone gets a 1 KiB file-size limit, so writing particles.csv
     # fails with EFBIG, an OSError that names no file of its own.
     obs = tmp_path / "observations.csv"
     write_noise_free_observations(obs, 3)
     out = tmp_path / "out"
-
-    def limit_file_size():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
-
     proc = run_cli_process("-m", "wgflow.cli", "flow", "--paper-preset", "--out", str(out),
-                           "--observations", str(obs), preexec_fn=limit_file_size)
-    target = str(out / "particles.csv")
+                           "--observations", str(obs), preexec_fn=_limit_file_size(1024))
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"config error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {target!r}\n"
+    assert proc.stderr == _too_large(out / "particles.csv")
+    assert not out.exists()
+
+
+def test_flow_rerun_whose_second_write_fails_leaves_no_earlier_output(tmp_path):
+    # The rerun's particles.csv (10 particles) fits under 700 bytes and its
+    # trace.csv (11 rows) does not; the earlier run's trace must not stay
+    # beside the new particles.
+    obs = tmp_path / "observations.csv"
+    write_noise_free_observations(obs, 11)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    common = ["flow", "--paper-preset", "--observations", str(obs)]
+    assert run_cli(*common, "--out", str(out)) == 0
+    rerun = [*common, "--seed", "1", "--n_particles", "10", "--diag_every", "1"]
+    assert run_cli(*rerun, "--out", str(fresh)) == 0
+    assert (fresh / "particles.csv").stat().st_size < 700 < (fresh / "trace.csv").stat().st_size
+
+    proc = run_cli_process("-m", "wgflow.cli", *rerun, "--out", str(out), preexec_fn=_limit_file_size(700))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == _too_large(out / "trace.csv")
+    assert sorted(os.listdir(out)) == ["particles.csv"]
+    assert (out / "particles.csv").read_bytes() == (fresh / "particles.csv").read_bytes()
+
+
+def test_predict_rerun_whose_first_write_fails_leaves_neither_output(tmp_path):
+    particles = tmp_path / "particles.csv"
+    measures.write_particles_csv(measures.ParticleMeasure(np.tile(LAM, (8, 1))), particles)
+    out = tmp_path / "out"
+    args = ["-m", "wgflow.cli", "predict", "--paper-preset", "--particles", str(particles), "--out", str(out)]
+    assert run_cli_process(*args).returncode == 0
+    assert sorted(os.listdir(out)) == ["prediction.csv", "tstar.csv"]
+
+    proc = run_cli_process(*args, preexec_fn=_limit_file_size(1024))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == _too_large(out / "prediction.csv")
     assert os.listdir(out) == []
+
+
+def test_help_lists_each_command_with_its_docstring(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for name, command in cli._COMMANDS.items():
+        assert f"{name} {command.__doc__}" in out
 
 
 @pytest.mark.parametrize("command", ["simulate", "predict"])

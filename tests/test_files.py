@@ -30,6 +30,23 @@ class TestWriteTable:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["t.csv"]
 
+    def test_failed_write_removes_only_the_directories_it_made(self, tmp_path):
+        def rows():
+            raise RuntimeError("source failed")
+            yield
+
+        (tmp_path / "kept").mkdir()
+        for target in (tmp_path / "made" / "deeper" / "t.csv", tmp_path / "kept" / "made" / "t.csv"):
+            with pytest.raises(RuntimeError, match="source failed"):
+                files.write_table(target, ["a"], rows())
+        assert os.listdir(tmp_path) == ["kept"]
+        assert os.listdir(tmp_path / "kept") == []
+
+    def test_remove_takes_present_and_absent_files(self, tmp_path):
+        files.write_table(tmp_path / "a.csv", ["a"], [[1]])
+        files.remove(tmp_path / "a.csv", tmp_path / "b.csv")
+        assert os.listdir(tmp_path) == []
+
     def test_fields_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         values = [None, 7, 0.1, -2.5e-300, 1e16, "name"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import inside, linear_flow_w2, objective_direct
-from wgflow.errors import DataError, NumericalError, UnsafeStepError
+from wgflow.errors import ConfigError, DataError, NumericalError, UnsafeStepError
 from wgflow.files import read_table
 from wgflow.flow import (
     FlowConfig,
@@ -839,6 +839,12 @@ class TestCheckpointResume:
         path = tmp_path / "ck.meta.txt"
         path.write_text(path.read_text().replace("rng = SFC64 ", "rng = "))
         with pytest.raises(DataError, match="checkpoint rng = substreams keyed by .* does not match"):
+            read_checkpoint(base)
+
+    def test_missing_particle_file_is_a_config_error(self, tmp_path):
+        # Refused before the sidecar is read, which is missing too here.
+        base = str(tmp_path / "absent")
+        with pytest.raises(ConfigError, match=f"^checkpoint not found: {re.escape(base)}.particles.csv$"):
             read_checkpoint(base)
 
     @pytest.mark.parametrize("damage", ["edited particle", "missing digest"])

@@ -504,8 +504,6 @@ _NOT_FINITE_SITES = {
         "sigma_max(W)^2 is not finite: the process matrix is too large"),
     "w2_exact.cost": (lambda: w2_exact(_far(1e200), _far(-1e200)),
                       f"a squared distance between two particles is not finite: {_TOO_LARGE}"),
-    "w2_exact.mean": (lambda: w2_exact(_far(1.5e153, 256, 1), _far(-1.5e153, 256, 1)),
-                      f"the matching's mean squared distance is not finite: {_TOO_LARGE}"),
     "bures_distance": (lambda: bures_distance(np.full((2, 2), np.inf), np.eye(2)), "S1 is not finite"),
     "gelbrich_lower_bound": (lambda: gelbrich_lower_bound(_far(1e300), _far(-1e300)),
                              f"the Gelbrich bound is not finite: {_TOO_LARGE}"),
@@ -525,6 +523,15 @@ def test_every_value_that_is_not_finite_is_refused_with_the_one_message(site):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
             call()
+
+
+def test_w2_exact_whose_cost_sum_overflows_is_the_finite_mean():
+    # The matched costs (9e306 each) overflow their sum over 256 pairs, not
+    # their mean, which never exceeds the largest: no refusal and no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w2, _ = w2_exact(_far(1.5e153, 256, 1), _far(-1.5e153, 256, 1))
+    assert w2 == pytest.approx(3e153, rel=1e-12)
 
 
 # Every vector a value object or a function keeps, as the one intake

@@ -7,6 +7,7 @@ import pytest
 import test_acceptance
 from _oracles import (
     _SCAN_CAP,
+    _zeta,
     damping_band_rows,
     ls_baseline_scalar,
     ls_estimate_lstsq,
@@ -558,6 +559,28 @@ class TestPredictDampingBand:
             p_lo, p_hi = sorted(rng.uniform(0.0, 1.0, size=2))
             band = predict_damping_band(ParticleMeasure(pts), model, t_grid, p_lo, p_hi)
             assert np.array_equal(band, damping_band_rows(pts, 2.5, 1.0, t_grid, p_lo, p_hi))
+
+
+    # The truth is the belief of one particle at the true rates: predict's
+    # zeta_true column is this band's mean, which must be the ratio itself,
+    # refused exactly where the ratio overflows or is invalid.
+    @given(
+        lam=st.lists(st.floats(0.0, 1e308), min_size=2, max_size=2),
+        t_grid=st.lists(st.floats(0.0, 1e8), min_size=1, max_size=8),
+    )
+    def test_one_particle_band_is_the_true_ratio(self, lam, t_grid):
+        model = DegradationModel(2.5, 1.0, lam, 0.4, 5.0)
+        t = np.array(t_grid)
+        truth = ParticleMeasure([model.lam])
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                want = _zeta(model, *model.lam, t)
+        except FloatingPointError:
+            with pytest.raises(NumericalError, match="^damping band at t = .* is not finite"):
+                predict_damping_band(truth, model, t)
+        else:
+            band = predict_damping_band(truth, model, t)
+            assert band[:, 2].tobytes() == want.tobytes()
 
 
 class TestSuggestedMaintenanceTime:

@@ -146,15 +146,18 @@ class TestW2Exact:
         )):
             check_subsample(5000, MAX_EXACT_PARTICLES + 1)
 
-    def test_overflowing_mean_cost_is_numerical_error_without_warnings(self):
-        # Every squared distance (9e306) is finite; their sum over 256 pairs is not.
-        a = np.full((256, 1), 1.5e153)
+    # Every squared distance is finite; their sum over n pairs is not, but
+    # their mean is, and so is the distance.  At 256 pairs of cost 9e306
+    # the costs divided by n sum to 9e306; at 108 pairs of cost
+    # 1.7976931348623151e308, next to the float maximum, they overflow too.
+    @pytest.mark.parametrize("n, distance", [(256, 3e153), (108, 1.3407807929942594e154)])
+    def test_mean_cost_whose_sum_overflows_is_returned_without_warnings(self, n, distance):
+        a = np.full((n, 1), distance / 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match=(
-                "^the matching's mean squared distance is not finite: the clouds' coordinates are too large$"
-            )):
-                w2_exact(cloud(a), cloud(-a))
+            w2, perm = w2_exact(cloud(a), cloud(-a))
+        assert w2 == pytest.approx(distance, rel=1e-12)
+        assert sorted(perm.tolist()) == list(range(n))
 
 
 def kernel_cases():
