@@ -286,7 +286,7 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     have_truth = cfg.has("lambda1") and cfg.has("lambda2")
     model = _degradation_model(cfg, require_truth=False)
 
-    t_start = measures.finite_number(cfg.get_float("t_start"), "t_start")
+    t_start = measures.finite_number(cfg.get_float("t_start"), "t_start", at_least=0)
     t_stop = measures.finite_number(cfg.get_float("t_stop"), "t_stop", at_least=t_start)
     t_step = measures.finite_number(cfg.get_float("t_step"), "t_step", above=0)
     span = (t_stop - t_start) / t_step
@@ -383,14 +383,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     k = min(cap, m.n, ref.n)
     transport.check_subsample(cap, k)
     seed = measures.whole_number(cfg.get_int("seed"), "seed", at_least=0)
-
-    def subsample(c):
-        if c.n == k:
-            return c
-        rng = measures.substream(seed, _DIAG_SUB_STREAM)  # one stream, copied per cloud
-        return measures.ParticleMeasure(c.points[np.sort(rng.choice(c.n, k, replace=False))])
-
-    sub_m, sub_r = subsample(m), subsample(ref)
+    sub_m, sub_r = (transport.subsample(c, k, seed, _DIAG_SUB_STREAM) for c in (m, ref))
     whole = k == m.n == ref.n
     w2, _ = transport.w2_exact(sub_m, sub_r)
     mean_gap, bures_gap, gelbrich = transport.moment_gaps(m, ref)

@@ -73,9 +73,9 @@ class FlowConfig:
     """Run parameters for the descent loop.
 
     ``diag_every`` controls the trace stride; ``diag_subsample`` caps the
-    cloud size used for exact transport diagnostics (a cap of at least the
-    particle count measures the whole cloud; :func:`run` refuses one that
-    would measure more than the exact solver's cap).  ``workers`` is
+    cloud size of a row's exact W2, taken on one seeded :func:`transport.subsample`
+    (a cap of at least the particle count measures the whole cloud; :func:`run`
+    refuses one that would measure more than the exact solver's cap).  ``workers`` is
     accepted and validated but has no effect: every worker count runs the
     same single pass, so results are identical by construction.
     ``on_invalid`` chooses between aborting on a bad observation (default)
@@ -168,15 +168,11 @@ def run(
             "rerun with --force (allow_unsafe_tau=True) to override"
         )
 
-    # Diagnostics subsample: one seeded index set, fixed across iterations.
-    sub_idx = None
+    # Diagnostics subsample: the same seeded particles at every row.
     ref_measure = None
     if obj.theta_star is not None:
         ref_size = min(cfg.diag_subsample, m0.n)
         transport.check_subsample(cfg.diag_subsample, ref_size)
-        if ref_size < m0.n:
-            rng = measures.substream(cfg.seed, _DIAG_STREAM)
-            sub_idx = np.sort(rng.choice(m0.n, size=ref_size, replace=False))
         ref_measure = ParticleMeasure(np.tile(obj.theta_star, (ref_size, 1)))
 
     trace = FlowTrace(report)
@@ -186,7 +182,7 @@ def run(
         if obj.theta_star is not None:
             m = ParticleMeasure(x)
             objective = functionals.evaluate_objective(obj, m)
-            cloud = m if sub_idx is None else ParticleMeasure(x[sub_idx])
+            cloud = transport.subsample(m, ref_measure.n, cfg.seed, _DIAG_STREAM)
             w2, _ = transport.w2_exact(cloud, ref_measure)
         # A finite cloud far enough out overflows its squared norms.
         for name, value in (("objective", objective), ("grad_norm", grad_norm)):

@@ -154,10 +154,10 @@ def mean(m: ParticleMeasure) -> np.ndarray:
 
 
 def covariance(m: ParticleMeasure) -> np.ndarray:
-    """Population covariance matrix (divisor ``N``), symmetrized."""
-    centered = m.points - m.points.mean(axis=0)
-    s = centered.T @ centered / m.n
-    return (s + s.T) / 2.0
+    """Population covariance (divisor ``N``): ``c.T @ c``, exactly symmetric, of the centred
+    cloud scaled by ``1/sqrt(N)`` first, so that it overflows only where its entries do."""
+    c = (m.points - m.points.mean(axis=0)) / math.sqrt(m.n)
+    return c.T @ c
 
 
 def nearest_rank_index(n: int, p: float) -> int:

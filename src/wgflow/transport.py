@@ -32,6 +32,7 @@ import sys
 
 import numpy as np
 
+from . import measures
 from .errors import NumericalError
 from .measures import ParticleMeasure, covariance, finite_result, mean, same_size
 
@@ -52,6 +53,15 @@ def check_subsample(cap: int, k: int) -> None:
             f"diag_subsample {cap} would measure {k} particles, above the exact-solver cap "
             f"{MAX_EXACT_PARTICLES}; lower diag_subsample"
         )
+
+
+def subsample(m: ParticleMeasure, k: int, seed: int, key: int) -> ParticleMeasure:
+    """``m`` itself if it has ``k`` particles, else ``k`` of them in particle order,
+    drawn without replacement from ``measures.substream(seed, key)``."""
+    if m.n == k:
+        return m
+    idx = measures.substream(seed, key).choice(m.n, k, replace=False)
+    return ParticleMeasure(m.points[np.sort(idx)])
 
 
 def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]:

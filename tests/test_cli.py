@@ -429,7 +429,9 @@ class TestPredict:
         assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
         assert not (tmp_path / "prediction.csv").exists()
 
-    @pytest.mark.parametrize("key, value", [("t_start", "nan"), ("t_stop", "inf"), ("t_step", "inf")])
+    @pytest.mark.parametrize(
+        "key, value", [("t_start", "nan"), ("t_start", "-1"), ("t_stop", "inf"), ("t_step", "inf")]
+    )
     def test_nonfinite_grid_key_exits_2_naming_it(self, tmp_path, capsys, key, value):
         path = tmp_path / "particles.csv"
         measures.write_particles_csv(measures.ParticleMeasure(np.tile(LAM, (8, 1))), path)
@@ -437,7 +439,7 @@ class TestPredict:
         args = ["--particles", str(path), "--out", str(out), f"--{key}", value]
         assert run_cli("predict", "--paper-preset", *args) == 2
         lines = capsys.readouterr().err.splitlines()
-        bound = {"t_start": "", "t_stop": " and >= 0.0", "t_step": " and > 0"}[key]
+        bound = {"t_start": " and >= 0", "t_stop": " and >= 0.0", "t_step": " and > 0"}[key]
         assert lines == [f"config error: {key} must be finite{bound}"]
         assert not out.exists()
 

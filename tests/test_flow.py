@@ -300,6 +300,19 @@ class TestRun:
             assert (a.objective, a.w2_ref, a.grad_norm) == (b.objective, b.w2_ref, b.grad_norm)
             assert np.array_equal(a.mean, b.mean)
 
+    def test_rows_of_a_cloud_above_the_cap_measure_the_seeds_draw(self):
+        # 1000 particles above the cap of 256: the first and the last row
+        # measure the particles np.sort(substream(seed, 22).choice(1000,
+        # 256, replace=False)) picks, the same ones at every row.
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 1000, seed=1)
+        cfg = flow_config(max_iters=3, diag_subsample=256, perturb_std=0.01)
+        final, trace = run(m0, preset_objective(sigma_w2=0.1), noise_free_stream(3), cfg)
+        idx = np.sort(substream(cfg.seed, 22).choice(1000, 256, replace=False))
+        ref = dirac_cloud(THETA, 256)
+        assert [r.k for r in trace.rows] == [0, 3]
+        for row, cloud in zip(trace.rows, (m0, final)):
+            assert row.w2_ref == w2_exact(ParticleMeasure(cloud.points[idx]), ref)[0]
+
     def test_deployment_mode_runs_with_the_default_subsample(self):
         # No W2 is measured without a theta*, so the default cap of 256
         # has nothing to bound for a 16-particle cloud.

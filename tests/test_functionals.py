@@ -19,7 +19,7 @@ from wgflow.functionals import (
     stochastic_gradient,
     validate_tau,
 )
-from wgflow.measures import ParticleMeasure, mean, substream
+from wgflow.measures import ParticleMeasure, covariance, mean, substream
 
 
 def cloud(rows):
@@ -268,6 +268,17 @@ class TestEvaluateObjective:
         got = evaluate_objective(obj, cloud(points))
         assert got == pytest.approx(objective_direct(obj, points), rel=1e-12, abs=1e-12 * size)
         assert got >= 0.5 * obj.sigma_w2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_value_is_built_from_the_one_covariance(self, seed, n):
+        rng = np.random.default_rng(seed)
+        obj = random_objective(rng)
+        m = cloud(obj.theta_star + rng.normal(size=(n, obj.d)))
+        e = obj.W @ (mean(m) - obj.theta_star)
+        assert evaluate_objective(obj, m) == 0.5 * (
+            float(np.vdot(obj.H, covariance(m))) + float(e @ e) + obj.sigma_w2
+        )
 
     def test_far_cloud_whose_squares_overflow_their_sum_is_measured(self):
         # Each centred square is 1.6e307, so the 16 of a coordinate sum past

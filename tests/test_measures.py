@@ -106,6 +106,23 @@ class TestMoments:
             w = np.linalg.eigvalsh(covariance(m))
             assert w.min() >= -1e-12
 
+    @given(
+        n=st.integers(1, 64),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_covariance_is_exactly_symmetric(self, n, d, seed, scale):
+        rng = np.random.default_rng(seed)
+        c = covariance(ParticleMeasure(scale * rng.standard_normal((n, d)) + rng.normal(size=d)))
+        assert np.array_equal(c, c.T)
+
+    def test_covariance_is_finite_where_its_entries_are(self):
+        # The centred squares sum to 4e308 before the division by N, which
+        # the scaling before the product never forms.
+        got = covariance(cloud((1e154, 0.0), (-1e154, 0.0), (1e154, 1.0), (-1e154, 1.0)))
+        assert np.array_equal(got, [[1e308, 0.0], [0.0, 0.25]])
+
     def test_nearest_rank_examples(self):
         # Positions in 10 sorted values: ranks ceil(p n), at least 1.
         assert nearest_rank_index(10, 0.9) == 8

@@ -17,7 +17,7 @@ import wgflow
 from _oracles import bures_scipy, w2_brute_force
 from wgflow import transport
 from wgflow.errors import NumericalError
-from wgflow.measures import ParticleMeasure, covariance, init_uniform_box, mean
+from wgflow.measures import ParticleMeasure, covariance, init_uniform_box, mean, substream
 from wgflow.transport import (
     MAX_EXACT_PARTICLES,
     bures_distance,
@@ -145,6 +145,15 @@ class TestW2Exact:
             f"above the exact-solver cap {MAX_EXACT_PARTICLES}; lower diag_subsample$"
         )):
             check_subsample(5000, MAX_EXACT_PARTICLES + 1)
+
+    def test_subsample_of_the_whole_cloud_is_the_cloud(self):
+        m = init_uniform_box([0, 0], [1, 1], 32, seed=4)
+        assert transport.subsample(m, 32, 5, 22) is m
+
+    def test_subsample_is_the_seeds_draw_in_particle_order(self):
+        m = init_uniform_box([0, 0], [1, 1], 32, seed=4)
+        idx = np.sort(substream(5, 61).choice(32, 8, replace=False))
+        assert np.array_equal(transport.subsample(m, 8, 5, 61).points, m.points[idx])
 
     # Every squared distance is finite; their sum over n pairs is not, but
     # their mean is, and so is the distance.  At 256 pairs of cost 9e306
