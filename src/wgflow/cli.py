@@ -17,7 +17,6 @@ error, 5 refused unsafe step size.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import os
 import sys
@@ -376,7 +375,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     report = functionals.validate_tau(
         w, cfg.get_float("rho"), cfg.get_float("sigma_w2"), cfg.get_float("tau")
     )
-    metrics = [(f.name, float(getattr(report, f.name))) for f in dataclasses.fields(report)]
+    metrics = [(name, float(getattr(report, name))) for name in report._fields]
     for name, value in metrics:
         measures.finite_result(value, f"step-size report {name}", "T, rho, sigma_w2 or tau is too large")
 

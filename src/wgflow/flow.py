@@ -15,8 +15,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,8 +47,7 @@ def step(m: ParticleMeasure, field_values, tau: float, s: ConvexSet) -> Particle
     return ParticleMeasure(s.project_points(moved))
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
     """One diagnostics record of a run (in-memory form)."""
 
     k: int
@@ -59,16 +57,15 @@ class TraceRow:
     grad_norm: Optional[float]
 
 
-@dataclass
 class FlowTrace:
     """Diagnostics rows (increasing ``k``), the steps really run and the run's step-size report."""
 
-    report: StepBoundReport
-    rows: list[TraceRow] = field(default_factory=list)
-    iterations_run: int = 0
+    def __init__(self, report: StepBoundReport, rows: Optional[list] = None, iterations_run: int = 0):
+        self.report = report
+        self.rows = [] if rows is None else rows
+        self.iterations_run = iterations_run
 
 
-@dataclass
 class FlowConfig:
     """Run parameters for the descent loop.
 
@@ -84,32 +81,28 @@ class FlowConfig:
     its bound is refused and an integral float is kept as its ``int``.
     """
 
-    tau: float
-    max_iters: int
-    seed: int
-    constraint: ConvexSet
-    perturb_std: float = 0.0
-    diag_every: int = 10
-    diag_subsample: int = 256
-    allow_unsafe_tau: bool = False
-    on_invalid: str = "abort"
-    workers: int = 1
-    checkpoint_every: int = 0
-    checkpoint_path: Optional[str] = None
-
-    def __post_init__(self):
-        self.tau = measures.finite_number(self.tau, "tau", above=0)
-        self.max_iters = whole_number(self.max_iters, "max_iters", at_least=0)
-        self.seed = whole_number(self.seed, "seed", at_least=0)
-        self.perturb_std = measures.finite_number(self.perturb_std, "perturb_std", at_least=0)
-        self.diag_every = whole_number(self.diag_every, "diag_every", at_least=1)
-        self.diag_subsample = whole_number(self.diag_subsample, "diag_subsample", at_least=1)
-        if self.on_invalid not in ("abort", "skip"):
+    def __init__(
+        self, tau: float, max_iters: int, seed: int, constraint: ConvexSet, perturb_std: float = 0.0,
+        diag_every: int = 10, diag_subsample: int = 256, allow_unsafe_tau: bool = False,
+        on_invalid: str = "abort", workers: int = 1, checkpoint_every: int = 0,
+        checkpoint_path: Optional[str] = None,
+    ):
+        self.tau = measures.finite_number(tau, "tau", above=0)
+        self.max_iters = whole_number(max_iters, "max_iters", at_least=0)
+        self.seed = whole_number(seed, "seed", at_least=0)
+        self.constraint = constraint
+        self.perturb_std = measures.finite_number(perturb_std, "perturb_std", at_least=0)
+        self.diag_every = whole_number(diag_every, "diag_every", at_least=1)
+        self.diag_subsample = whole_number(diag_subsample, "diag_subsample", at_least=1)
+        self.allow_unsafe_tau = allow_unsafe_tau
+        if on_invalid not in ("abort", "skip"):
             raise ValueError("on_invalid must be 'abort' or 'skip'")
-        self.workers = whole_number(self.workers, "workers", at_least=1)
-        self.checkpoint_every = whole_number(self.checkpoint_every, "checkpoint_every", at_least=0)
-        if self.checkpoint_every and self.checkpoint_path is None:
+        self.on_invalid = on_invalid
+        self.workers = whole_number(workers, "workers", at_least=1)
+        self.checkpoint_every = whole_number(checkpoint_every, "checkpoint_every", at_least=0)
+        if self.checkpoint_every and checkpoint_path is None:
             raise ValueError("checkpoint_every needs a checkpoint_path to write to")
+        self.checkpoint_path = checkpoint_path
 
 
 def _affine(x: np.ndarray, a: np.ndarray, c: np.ndarray, noise, out: np.ndarray) -> np.ndarray:

@@ -25,14 +25,13 @@ by the step-size analysis holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import measures
 from .errors import NumericalError
-from .measures import ParticleMeasure
+from .measures import Fixed, ParticleMeasure
 
 
 def _rows_times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -50,9 +49,8 @@ def _rows_times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class StreamingLSObjective:
-    """Streaming least-squares estimation objective.
+class StreamingLSObjective(Fixed):
+    """Streaming least-squares estimation objective, a read-only value object.
 
     Parameters
     ----------
@@ -67,17 +65,15 @@ class StreamingLSObjective:
     sigma_w2 : float
         Total noise second moment ``E ||w||^2`` (summed over coordinates).
 
-    Construction also sets, read-only, the Hessian ``H = W^T W + rho I``
-    and the extreme singular values ``sigma_min`` and ``sigma_max`` of ``W``.
+    Construction keeps read-only copies of ``W`` and ``theta_star`` and also
+    sets the Hessian ``H = W^T W + rho I`` and ``W``'s extreme singular values
+    ``sigma_min`` and ``sigma_max``; no attribute is rebound after it.
     """
 
-    W: np.ndarray
-    rho: float
-    theta_star: Optional[np.ndarray] = None
-    sigma_w2: float = 0.0
+    __slots__ = ("W", "rho", "theta_star", "sigma_w2", "H", "sigma_min", "sigma_max")
 
-    def __post_init__(self):
-        w = np.array(self.W, dtype=float)
+    def __init__(self, W, rho, theta_star=None, sigma_w2=0.0):
+        w = np.array(W, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("W must be a square matrix")
         if not np.all(np.isfinite(w)):
@@ -88,31 +84,29 @@ class StreamingLSObjective:
                 f"process matrix is numerically singular (min singular value {sv[-1]:.3e}); "
                 "an invertible model is required"
             )
-        rho = measures.finite_number(self.rho, "rho", above=0)
-        sigma_w2 = measures.finite_number(self.sigma_w2, "sigma_w2", at_least=0)
-        ts = self.theta_star
-        ts = None if ts is None else measures.frozen_vector(ts, "theta_star", w.shape[0])
+        rho = measures.finite_number(rho, "rho", above=0)
+        sigma_w2 = measures.finite_number(sigma_w2, "sigma_w2", at_least=0)
+        ts = None if theta_star is None else measures.frozen_vector(theta_star, "theta_star", w.shape[0])
         too_large = "the process matrix is too large"
         with np.errstate(over="ignore"):
             h = measures.finite_result(w.T @ w + rho * np.eye(w.shape[0]), "W^T W + rho I", too_large)
             measures.finite_result(sv[0] * sv[0], "sigma_max(W)^2", too_large)
         w.setflags(write=False)
         h.setflags(write=False)
-        object.__setattr__(self, "W", w)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "theta_star", ts)
-        object.__setattr__(self, "sigma_w2", sigma_w2)
-        object.__setattr__(self, "H", h)
-        object.__setattr__(self, "sigma_min", float(sv[-1]))
-        object.__setattr__(self, "sigma_max", float(sv[0]))
+        self.W = w
+        self.rho = rho
+        self.theta_star = ts
+        self.sigma_w2 = sigma_w2
+        self.H = h
+        self.sigma_min = float(sv[-1])
+        self.sigma_max = float(sv[0])
 
     @property
     def d(self) -> int:
         return self.W.shape[0]
 
 
-@dataclass(frozen=True)
-class StepBoundReport:
+class StepBoundReport(NamedTuple):
     """Derived constants of the estimation objective and a step size verdict.
 
     Attributes

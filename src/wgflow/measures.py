@@ -104,6 +104,21 @@ def finite_result(value, what: str, cause: str | None = None):
     raise NumericalError(f"{what} is not finite" + ("" if cause is None else f": {cause}"))
 
 
+class Fixed:
+    """Base of the read-only value objects: ``__init__`` sets each attribute
+    (a slot of the subclass) once, and after that none is rebound or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field '{name}'")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+
 class ParticleMeasure:
     """Uniformly weighted empirical measure ``(1/N) sum_i delta_{x_i}``.
 

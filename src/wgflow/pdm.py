@@ -11,16 +11,15 @@ those rates into damping-ratio bands and suggested maintenance times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import files
+from . import files, measures
 from .errors import DataError, NumericalError
 from .measures import (
-    ParticleMeasure, finite_number, finite_result, frozen_vector, nearest_rank_index, same_size,
-    spawn_seed, substream, whole_number,
+    Fixed, ParticleMeasure, finite_number, finite_result, frozen_vector, nearest_rank_index, same_size,
+    spawn_seed, whole_number,
 )
 
 _TRAJ_STREAM = 31
@@ -59,8 +58,7 @@ class CrossingTime(NamedTuple):
     status: str
 
 
-@dataclass(frozen=True, eq=False)
-class PlantParams:
+class PlantParams(Fixed):
     """Parameters of one simulated trajectory of the second-order plant.
 
     ``a`` (1/s) and ``b`` (1/s^2) are the damping and stiffness
@@ -70,17 +68,18 @@ class PlantParams:
     must be stable; construction fails otherwise.
     """
 
-    a: float
-    b: float
-    r: float
-    dt: float
-    horizon: float
-    eps_half_width: float
+    __slots__ = ("a", "b", "r", "dt", "horizon", "eps_half_width")
 
-    def __post_init__(self):
-        for name in ("a", "b"):
-            finite_number(getattr(self, name), name, above=0)
-        _check_plant_settings(self.r, self.dt, self.horizon, self.eps_half_width)
+    def __init__(self, a, b, r, dt, horizon, eps_half_width):
+        for name, value in (("a", a), ("b", b)):
+            finite_number(value, name, above=0)
+        _check_plant_settings(r, dt, horizon, eps_half_width)
+        self.a = a
+        self.b = b
+        self.r = r
+        self.dt = dt
+        self.horizon = horizon
+        self.eps_half_width = eps_half_width
         radius = max(abs(ev) for ev in np.linalg.eigvals(self.transition_matrix()))
         if radius >= 1.0:
             raise NumericalError(
@@ -174,7 +173,7 @@ def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.n
     if p.eps_half_width > 0:
         # uniform(-w, w) returns -w + 2w u for the doubles u that random
         # draws, so scaling them in place gives the same bits.
-        substream(seed, _TRAJ_STREAM).random(out=eps[:n])
+        measures.substream(seed, _TRAJ_STREAM).random(out=eps[:n])
         eps[:n] *= 2.0 * p.eps_half_width
         eps[:n] -= p.eps_half_width
     else:
@@ -232,8 +231,7 @@ def ls_estimate(traj: tuple[np.ndarray, np.ndarray], dt: float) -> np.ndarray:
     return np.linalg.solve(gram, np.array([-(v @ dv), e @ dv]) / dt)
 
 
-@dataclass(frozen=True, eq=False)
-class DegradationModel:
+class DegradationModel(Fixed):
     """Ground truth of the slow parameter drift.
 
     ``(a0, b0)`` are the coefficients right after maintenance, ``lam`` the
@@ -243,38 +241,32 @@ class DegradationModel:
     as the maintenance times solve a quadratic in it.
     """
 
-    a0: float
-    b0: float
-    lam: np.ndarray
-    zeta_min: float
-    T: float
+    __slots__ = ("a0", "b0", "lam", "zeta_min", "T")
 
-    def __post_init__(self):
-        lam = frozen_vector(self.lam, "lam", 2)
+    def __init__(self, a0, b0, lam, zeta_min, T):
+        lam = frozen_vector(lam, "lam", 2)
         if np.any(lam < 0):
             raise ValueError("decay rates must be nonnegative")
-        object.__setattr__(self, "b0", finite_number(self.b0, "b0", above=0))
-        object.__setattr__(self, "T", finite_number(self.T, "T", above=0))
-        a0 = finite_number(self.a0, "a0")
+        self.b0 = finite_number(b0, "b0", above=0)
+        self.T = finite_number(T, "T", above=0)
+        a0 = finite_number(a0, "a0")
         if not abs(a0) <= math.sqrt(np.finfo(float).max):
             raise ValueError("a0 and a0**2 must be finite")
-        object.__setattr__(self, "zeta_min", finite_number(self.zeta_min, "zeta_min", at_least=0))
+        self.zeta_min = finite_number(zeta_min, "zeta_min", at_least=0)
         if a0 / (2.0 * math.sqrt(self.b0)) < self.zeta_min:
             raise ValueError("the freshly maintained system must start in the safe set")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "a0", a0)
+        self.lam = lam
+        self.a0 = a0
 
 
-@dataclass(frozen=True, eq=False)
-class Observation:
+class Observation(Fixed):
     """One day's coefficient estimate: time since maintenance plus (a, b)."""
 
-    t: float
-    y_hat: np.ndarray
+    __slots__ = ("t", "y_hat")
 
-    def __post_init__(self):
-        object.__setattr__(self, "y_hat", frozen_vector(self.y_hat, "y_hat", 2))
-        object.__setattr__(self, "t", finite_number(self.t, "t", at_least=0))
+    def __init__(self, t, y_hat):
+        self.y_hat = frozen_vector(y_hat, "y_hat", 2)
+        self.t = finite_number(t, "t", at_least=0)
 
 
 def degrade(d: DegradationModel, t: float) -> np.ndarray:

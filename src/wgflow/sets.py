@@ -1,34 +1,37 @@
 """Closed convex constraint sets with closed-form Euclidean projections.
 
 Only variants whose projection has a closed form are provided, which keeps
-the cost of projecting an ``N``-particle cloud at ``O(N d)``.  Point and
-measure projections are pure (``project_points`` can also write in place);
+the cost of projecting an ``N``-particle cloud at ``O(N d)``.  A set is a
+read-only value object (:class:`measures.Fixed`).  Point and measure
+projections are pure (``project_points`` can also write in place);
 projecting twice is a strict no-op.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .measures import ParticleMeasure, finite_number, frozen_vector, same_size, whole_number
+from .measures import Fixed, ParticleMeasure, finite_number, frozen_vector, same_size, whole_number
 
 # Relative slack for "already inside" tests.  It absorbs the rounding of a
 # freshly projected point, making repeated projection exactly idempotent.
 _SNAP = 1e-13
 
 
-class ConvexSet:
+class ConvexSet(Fixed):
     """A closed convex subset of R^d with an exact nearest-point map.
 
-    A kind defines ``_project_in_place``; ``kind`` and the dataclass fields
-    form the record :func:`convex_set_from_config` reads.
+    A kind defines ``_project_in_place`` and names its constructor's
+    parameters, in order, in ``fields``; ``kind`` and those fields form the
+    record :func:`convex_set_from_config` reads.
     """
 
+    __slots__ = ()
     kind = ""
+    fields = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -62,28 +65,26 @@ class ConvexSet:
     def record(self) -> dict:
         """The tagged record :func:`convex_set_from_config` builds this set from."""
         rec = {"kind": self.kind}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            rec[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        for name in self.fields:
+            value = getattr(self, name)
+            rec[name] = value.tolist() if isinstance(value, np.ndarray) else value
         return rec
 
 
-@dataclass(frozen=True, eq=False)
 class Box(ConvexSet):
     """Axis-aligned box ``{x : lo <= x <= hi}``."""
 
     kind = "box"
-    lo: np.ndarray
-    hi: np.ndarray
+    fields = __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo = frozen_vector(self.lo, "box bound lo")
-        hi = frozen_vector(self.hi, "box bound hi", lo.size)
+    def __init__(self, lo, hi):
+        lo = frozen_vector(lo, "box bound lo")
+        hi = frozen_vector(hi, "box bound hi", lo.size)
         if np.any(lo > hi):
             j = int(np.flatnonzero(lo > hi)[0])
             raise ValueError(f"invalid box: lo > hi in coordinate {j}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self.lo = lo
+        self.hi = hi
 
     @property
     def dim(self) -> int:
@@ -93,15 +94,14 @@ class Box(ConvexSet):
         np.clip(pts, self.lo, self.hi, out=pts)
 
 
-@dataclass(frozen=True, eq=False)
 class NonnegativeOrthant(ConvexSet):
     """The orthant ``{x : x >= 0}``."""
 
     kind = "nonneg_orthant"
-    d: int
+    fields = __slots__ = ("d",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", whole_number(self.d, "dimension d", at_least=1))
+    def __init__(self, d):
+        self.d = whole_number(d, "dimension d", at_least=1)
 
     @property
     def dim(self) -> int:
@@ -111,26 +111,25 @@ class NonnegativeOrthant(ConvexSet):
         np.maximum(pts, 0.0, out=pts)
 
 
-@dataclass(frozen=True, eq=False)
 class Halfspace(ConvexSet):
     """Halfspace ``{x : a . x <= b}``; ``a . a`` must be a normal float and ``b`` finite."""
 
     kind = "halfspace"
-    a: np.ndarray
-    b: float
+    fields = ("a", "b")
+    __slots__ = fields + ("_a_norm", "_unit")
 
-    def __post_init__(self):
-        a = frozen_vector(self.a, "halfspace normal a")
-        b = finite_number(self.b, "halfspace offset b")
+    def __init__(self, a, b):
+        a = frozen_vector(a, "halfspace normal a")
+        b = finite_number(b, "halfspace offset b")
         norm = math.hypot(*a)
         # Projecting divides by |a|: refuse a squared norm that underflows
         # below the normal floats, or overflows.
         if not np.finfo(float).tiny <= norm * norm < math.inf:
             raise ValueError("halfspace normal must have a squared norm that is a normal float")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_a_norm", norm)
-        object.__setattr__(self, "_unit", a / norm)
+        self.a = a
+        self.b = b
+        self._a_norm = norm
+        self._unit = a / norm
 
     @property
     def dim(self) -> int:
@@ -152,17 +151,15 @@ class Halfspace(ConvexSet):
             pts[mask] = pts[mask] - shift[:, None] * self._unit[None, :]
 
 
-@dataclass(frozen=True, eq=False)
 class Ball(ConvexSet):
     """Euclidean ball ``{x : ||x - center|| <= radius}``."""
 
     kind = "ball"
-    center: np.ndarray
-    radius: float
+    fields = __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", frozen_vector(self.center, "ball center"))
-        object.__setattr__(self, "radius", finite_number(self.radius, "ball radius", at_least=0))
+    def __init__(self, center, radius):
+        self.center = frozen_vector(center, "ball center")
+        self.radius = finite_number(radius, "ball radius", at_least=0)
 
     @property
     def dim(self) -> int:
@@ -180,15 +177,14 @@ class Ball(ConvexSet):
             pts[mask] = self.center[None, :] + scale[:, None] * (pts[mask] - self.center[None, :])
 
 
-@dataclass(frozen=True, eq=False)
 class FullSpace(ConvexSet):
     """All of R^d (no constraint)."""
 
     kind = "all"
-    d: int
+    fields = __slots__ = ("d",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", whole_number(self.d, "dimension d", at_least=1))
+    def __init__(self, d):
+        self.d = whole_number(d, "dimension d", at_least=1)
 
     @property
     def dim(self) -> int:
@@ -224,7 +220,7 @@ def convex_set_from_config(record: dict) -> ConvexSet:
     if cls is None:
         raise ConfigError(f"unknown constraint kind '{kind}'")
     try:
-        return cls(*(record[f.name] for f in fields(cls)))
+        return cls(*(record[name] for name in cls.fields))
     except KeyError as exc:
         raise ConfigError(f"constraint kind '{kind}' is missing field {exc}") from None
     except ValueError as exc:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import measures
 from .errors import NumericalError
-from .measures import ParticleMeasure, covariance, finite_result, mean, same_size
+from .measures import ParticleMeasure, finite_result, same_size
 
 #: Hard cap on particle count for the exact assignment solve.
 MAX_EXACT_PARTICLES = 4096
@@ -214,8 +214,8 @@ def moment_gaps(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, float, f
     nan or inf, without NumPy warnings, where the moments overflow."""
     same_size(n.d, m.d, "dimension of the second cloud")
     with np.errstate(all="ignore"):
-        mean_diff = mean(m) - mean(n)
-        covs = covariance(m), covariance(n)
+        mean_diff = measures.mean(m) - measures.mean(n)
+        covs = measures.covariance(m), measures.covariance(n)
         bures_gap = bures_distance(*covs) if np.isfinite(covs).all() else math.nan
         bound = math.sqrt(float(mean_diff @ mean_diff) + bures_gap * bures_gap)
         return float(np.linalg.norm(mean_diff)), bures_gap, bound

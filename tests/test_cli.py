@@ -547,8 +547,7 @@ class TestDiagnose:
                 return fn(*args)
             return wrapper
 
-        for module, name in ((measures, "covariance"), (transport, "covariance"),
-                             (transport, "bures_distance")):
+        for module, name in ((measures, "covariance"), (transport, "bures_distance")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         measures.write_particles_csv(
             measures.init_uniform_box([0, 0], [0.2, 0.3], 32, seed=2), tmp_path / "particles.csv"

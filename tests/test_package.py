@@ -82,14 +82,17 @@ def test_four_stages_load_no_scipy(tmp_path):
     # its 10 iterates) and diagnose both solve exact transport problems,
     # and scipy's packages would about triple the cost of either.  All
     # four stages run in one process, and the modules loaded by the end
-    # are checked.
+    # are checked.  Neither the import nor the stages load dataclasses:
+    # the value objects are plain classes.
     code = (
         "import sys\n"
         "from wgflow.cli import main\n"
+        "imported = 'dataclasses' in sys.modules\n"
         "out = sys.argv[1]\n"
         "for argv in (['simulate'], ['flow'], ['predict'],\n"
         "             ['diagnose', '--reference', out + '/particles.csv']):\n"
         "    assert main([*argv, '--paper-preset', '--out', out]) == 0, argv\n"
+        "print(imported, 'dataclasses' in sys.modules)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(
@@ -100,7 +103,7 @@ def test_four_stages_load_no_scipy(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["False False", "[]"]
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert len(trace) == 11 and all(row.split(",")[2] for row in trace[1:])
     assert (tmp_path / "tstar.csv").is_file() and (tmp_path / "diagnostics.csv").is_file()
@@ -255,6 +258,25 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         assert "project_points" in vars(getattr(sets, kind)), kind
 
 
+def test_measures_functions_are_called_through_their_module(monkeypatch):
+    # The benchmark's tracer wraps module attributes, so a call through a
+    # name imported from measures would escape it: the day's noise draw and
+    # each cloud's moments of moment_gaps go through the module.
+    calls = {"mean": 0, "covariance": 0, "substream": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(measures, name, counted(name, getattr(measures, name)))
+    simulate_trajectory(PlantParams(2.5, 1.0, 1.0, 0.01, 1.0, 0.1), [0.0, 0.0], 0)
+    moment_gaps(_cloud(8, 2), _cloud(4, 2))
+    assert calls == {"mean": 2, "covariance": 2, "substream": 1}
+
+
 def test_every_demo_runs_cleanly(tmp_path):
     # Each demo runs from a copy, so its demo_out/ lands under tmp_path.
     demos = os.path.join(os.path.dirname(SRC), "demos")
@@ -307,6 +329,45 @@ _W = np.diag([-5.0, 5.0])
 _LAM = np.array([2.0, 5.0]) / 60.0
 _MODEL = DegradationModel(2.5, 1.0, _LAM, 0.4, 5.0)
 _BELIEF = measures.ParticleMeasure(np.full((4, 2), 0.05))
+# Each read-only value object, built once, with the names of its attributes.
+_VALUE_OBJECTS = {
+    "StreamingLSObjective": (lambda: StreamingLSObjective(_W, 0.1, _LAM, 0.01),
+                             ("W", "rho", "theta_star", "sigma_w2", "H", "sigma_min", "sigma_max")),
+    "PlantParams": (lambda: PlantParams(2.5, 1.0, 1.0, 0.01, 1.0, 0.1),
+                    ("a", "b", "r", "dt", "horizon", "eps_half_width")),
+    "DegradationModel": (lambda: _MODEL, ("a0", "b0", "lam", "zeta_min", "T")),
+    "Observation": (lambda: Observation(5.0, [2.4, 1.1]), ("t", "y_hat")),
+    "Box": (lambda: Box([0.0, 0.0], [1.0, 1.0]), ("lo", "hi")),
+    "NonnegativeOrthant": (lambda: NonnegativeOrthant(2), ("d",)),
+    "Halfspace": (lambda: Halfspace([1.0, 2.0], 1.0), ("a", "b", "_a_norm", "_unit")),
+    "Ball": (lambda: Ball([0.5, 0.5], 0.5), ("center", "radius")),
+    "FullSpace": (lambda: FullSpace(2), ("d",)),
+    "StepBoundReport": (lambda: validate_tau(_W, 0.1, 0.01, 0.01),
+                        ("alpha", "C", "sigma2", "eta", "tau", "tau_max", "ball_radius", "per_step_rate",
+                         "tau_valid")),
+}
+
+
+@pytest.mark.parametrize("kind", _VALUE_OBJECTS)
+def test_value_objects_stay_read_only(kind):
+    build, names = _VALUE_OBJECTS[kind]
+    value = build()
+    for name in names:
+        kept = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, kept)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is kept, name
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "extra")
+
+
+def test_equal_step_bound_reports_compare_equal():
+    report = validate_tau(_W, 0.1, 0.01, 0.01)
+    assert report == validate_tau(_W, 0.1, 0.01, 0.01)
+    assert report != validate_tau(_W, 0.1, 0.01, 0.02)
 # Every float setting whose check is a plain range, as the one intake
 # (measures.finite_number) names it: each is built once with the value.
 _FLOAT_SETTINGS = {

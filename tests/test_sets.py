@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -226,7 +225,7 @@ _JSON_FIELDS = [
 
 @pytest.mark.parametrize("kind", sorted(sets._KINDS))
 def test_json_field_values_build_or_raise_config_error_alone(kind):
-    names = [f.name for f in dataclasses.fields(sets._KINDS[kind])]
+    names = sets._KINDS[kind].fields
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for values in itertools.product(_JSON_FIELDS, repeat=len(names)):
