@@ -209,16 +209,26 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
     sigma_w2 = cfg.get_float("sigma_w2")
     obj = functionals.StreamingLSObjective(w, rho, theta_star, sigma_w2)
 
-    constraint = sets.convex_set_from_config(cfg.get_record("constraint"))
-    seed = cfg.get_int("seed")
-    tau = cfg.get_float("tau")
-    perturb_std = cfg.get_float("perturb_std")
-    n_particles = cfg.get_int("n_particles")
+    run_cfg = flow.FlowConfig(
+        constraint=sets.convex_set_from_config(cfg.get_record("constraint")),
+        seed=cfg.get_int("seed"),
+        tau=cfg.get_float("tau"),
+        perturb_std=cfg.get_float("perturb_std"),
+        max_iters=cfg.get_int("max_iters") if cfg.has("max_iters") else len(diffs),
+        checkpoint_every=cfg.get_int("checkpoint_every"),
+        diag_every=cfg.get_int("diag_every"),
+        diag_subsample=cfg.get_int("diag_subsample"),
+        allow_unsafe_tau=force,
+        on_invalid=cfg.get_str("on_invalid"),
+        workers=cfg.get_int("workers"),
+        checkpoint_path=os.path.join(out_dir, "checkpoint"),
+    )
 
+    n_particles = cfg.get_int("n_particles")
     start_iteration = 0
     if cfg.has("resume"):
-        fields = flow.checkpoint_fields(n_particles, obj, tau, constraint, perturb_std)
-        m0, start_iteration, _ = flow.read_checkpoint(cfg.get_str("resume"), {"seed": str(seed), **fields})
+        fields = flow.checkpoint_fields(n_particles, obj, run_cfg)
+        m0, start_iteration = flow.read_checkpoint(cfg.get_str("resume"), fields)
         if start_iteration > len(diffs):
             raise DataError(
                 f"checkpoint iteration {start_iteration} exceeds available observations"
@@ -226,25 +236,7 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
     else:
         init_lo = cfg.get_vec("init_lo")
         init_hi = cfg.get_vec("init_hi")
-        m0 = measures.init_uniform_box(init_lo, init_hi, n_particles, seed)
-
-    remaining = len(diffs) - start_iteration
-    max_iters = min(cfg.get_int("max_iters"), remaining) if cfg.has("max_iters") else remaining
-    checkpoint_every = cfg.get_int("checkpoint_every")
-    run_cfg = flow.FlowConfig(
-        tau=tau,
-        max_iters=max_iters,
-        seed=seed,
-        constraint=constraint,
-        perturb_std=perturb_std,
-        diag_every=cfg.get_int("diag_every"),
-        diag_subsample=cfg.get_int("diag_subsample"),
-        allow_unsafe_tau=force,
-        on_invalid=cfg.get_str("on_invalid"),
-        workers=cfg.get_int("workers"),
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=os.path.join(out_dir, "checkpoint") if checkpoint_every else None,
-    )
+        m0 = measures.init_uniform_box(init_lo, init_hi, n_particles, run_cfg.seed)
 
     final, trace = flow.run(m0, obj, diffs[start_iteration:], run_cfg, start_iteration)
     particles_path = os.path.join(out_dir, "particles.csv")
@@ -302,6 +294,8 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     rule_level = cfg.get_float("rule_level")
     if rule not in pdm.RULES:
         raise ConfigError(f"unknown maintenance rule '{rule}'")
+    if not 0 < rule_level < 1:
+        raise ConfigError("rule_level must lie in (0, 1)")
 
     observations = None
     if cfg.has("observations") or os.path.isfile(os.path.join(out_dir, "observations.csv")):

@@ -57,13 +57,13 @@ class TraceRow(NamedTuple):
     grad_norm: Optional[float]
 
 
-class FlowTrace:
-    """Diagnostics rows (increasing ``k``), the steps really run and the run's step-size report."""
+class FlowTrace(NamedTuple):
+    """What :func:`run` returns beside the final cloud: the run's step-size
+    report, its diagnostics rows (increasing ``k``) and the steps it really ran."""
 
-    def __init__(self, report: StepBoundReport, rows: Optional[list] = None, iterations_run: int = 0):
-        self.report = report
-        self.rows = [] if rows is None else rows
-        self.iterations_run = iterations_run
+    report: StepBoundReport
+    rows: list
+    iterations_run: int
 
 
 class FlowConfig:
@@ -168,7 +168,7 @@ def run(
         transport.check_subsample(cfg.diag_subsample, ref_size)
         ref_measure = ParticleMeasure(np.tile(obj.theta_star, (ref_size, 1)))
 
-    trace = FlowTrace(report)
+    rows = []
 
     def record(k, mean, grad_norm):
         objective = w2 = None
@@ -181,9 +181,7 @@ def run(
         for name, value in (("objective", objective), ("grad_norm", grad_norm)):
             if value is not None:
                 measures.finite_result(value, name)
-        trace.rows.append(
-            TraceRow(k=k, objective=objective, w2_ref=w2, mean=mean, grad_norm=grad_norm)
-        )
+        rows.append(TraceRow(k=k, objective=objective, w2_ref=w2, mean=mean, grad_norm=grad_norm))
 
     tau = cfg.tau
     d = m0.d
@@ -192,9 +190,7 @@ def run(
     tau_wt = tau * obj.W.T
     tau_rho = tau * obj.rho
     noise_scale = tau * cfg.perturb_std
-    sidecar = None
-    if cfg.checkpoint_every:
-        sidecar = checkpoint_fields(m0.n, obj, tau, cfg.constraint, cfg.perturb_std)
+    sidecar = checkpoint_fields(m0.n, obj, cfg) if cfg.checkpoint_every else None
     # Three column-major (N, d) buffers: the iterate x, the work buffer
     # moved and the noise, drawn into its transpose coordinate by
     # coordinate, so every per-step pass runs over contiguous columns.  A
@@ -243,9 +239,9 @@ def run(
             if record_due:
                 record(k, mean, grad_norm)
             if checkpoint_due:
-                write_checkpoint(cfg.checkpoint_path, ParticleMeasure(x), k, cfg.seed, sidecar)
+                write_checkpoint(cfg.checkpoint_path, ParticleMeasure(x), k, sidecar)
 
-        if trace.rows[-1].k != k:
+        if rows[-1].k != k:
             if grad_norm is None and c is not None:
                 # Rebuild the last step's cloud before projection from the
                 # iterate it started at, which moved still holds.
@@ -255,8 +251,7 @@ def run(
     except NumericalError as exc:
         raise NumericalError(f"flow diverged at iteration {k}: {exc}") from None
     moved = noise = pre = None  # freed before the final copy
-    trace.iterations_run = k - start_iteration
-    return ParticleMeasure(x), trace
+    return ParticleMeasure(x), FlowTrace(report, rows, k - start_iteration)
 
 
 # -- trace and checkpoint files ------------------------------------------
@@ -273,48 +268,48 @@ def write_trace_csv(trace: FlowTrace, path, d: int) -> None:
     )
 
 
-def checkpoint_fields(
-    n: int, obj: StreamingLSObjective, tau: float, constraint: ConvexSet, perturb_std: float
-) -> dict:
-    """The sidecar fields that tie a checkpoint to its run, as the sidecar
-    spells them: every setting that moves the particles, besides the seed."""
+def checkpoint_fields(n: int, obj: StreamingLSObjective, cfg: FlowConfig) -> dict:
+    """Every sidecar field that ties a checkpoint to its run, in sidecar
+    order and as the sidecar spells them: the seed and the generator, which
+    with the iteration fix every remaining random draw (streams are keyed by
+    ``(seed, iteration)``), then every setting that moves the particles of an
+    ``n``-particle run of ``obj`` under ``cfg``."""
     return {
+        "seed": str(cfg.seed),
+        "rng": _RNG,
         "n": str(n),
         "d": str(obj.d),
-        "tau": repr(float(tau)),
-        "constraint": json.dumps(constraint.record()),
-        "perturb_std": repr(float(perturb_std)),
+        "tau": repr(cfg.tau),
+        "constraint": json.dumps(cfg.constraint.record()),
+        "perturb_std": repr(cfg.perturb_std),
         "rho": repr(obj.rho),
         "W": json.dumps(obj.W.tolist()),
     }
 
 
-def write_checkpoint(
-    path_base: str, m: ParticleMeasure, iteration: int, seed: int, run_fields: Optional[dict] = None
-) -> None:
+def write_checkpoint(path_base: str, m: ParticleMeasure, iteration: int, fields: dict) -> None:
     """Write a resumable snapshot: particle CSV plus a key-value sidecar.
 
-    The sidecar records the iteration counter and the seed; together they
-    fully determine every remaining random draw (streams are keyed by
-    ``(seed, iteration)``), so resuming reproduces the uninterrupted run
-    bit for bit.  ``run_fields`` (see :func:`checkpoint_fields`) follow.
-    The sidecar is written last and holds the sha256 of the particle file,
-    which :func:`read_checkpoint` checks.
+    The sidecar holds ``iteration``, then ``fields`` (see
+    :func:`checkpoint_fields`), then the sha256 of the particle file, which
+    :func:`read_checkpoint` checks; it is written last, after the particles.
     """
     particles = path_base + ".particles.csv"
     measures.write_particles_csv(m, particles)
-    meta = {"iteration": iteration, "seed": seed, "rng": _RNG, **(run_fields or {})}
+    meta = {"iteration": iteration, **fields}
     meta["sha256"] = files.sha256(particles)
     files.write_settings(path_base + ".meta.txt", meta)
 
 
-def read_checkpoint(path_base: str, expect: Optional[dict] = None) -> tuple[ParticleMeasure, int, int]:
-    """Read a snapshot written by :func:`write_checkpoint`.
+def read_checkpoint(path_base: str, expect: dict) -> tuple[ParticleMeasure, int]:
+    """Read a snapshot written by :func:`write_checkpoint`: its cloud and
+    the iteration to resume at.
 
     A missing particle file raises :class:`ConfigError`; one whose sha256
     differs from the sidecar's, or a sidecar without one, raises
     :class:`DataError` before anything is parsed, as does a sidecar that
-    lacks ``rng`` or a field of ``expect`` or holds another value.
+    lacks a field of ``expect`` (see :func:`checkpoint_fields`) or holds
+    another value, or whose iteration is not a whole number >= 0.
     """
     particles = path_base + ".particles.csv"
     if not os.path.isfile(particles):
@@ -323,7 +318,7 @@ def read_checkpoint(path_base: str, expect: Optional[dict] = None) -> tuple[Part
     meta = files.read_settings(meta_path, DataError)
     if meta.get("sha256") != files.sha256(particles):
         raise DataError(f"{particles} does not match the sha256 in {meta_path}: damaged checkpoint")
-    for key, value in {"rng": _RNG, **(expect or {})}.items():
+    for key, value in expect.items():
         if key not in meta:
             raise DataError(f"{meta_path}: checkpoint does not record '{key}', so it cannot be resumed")
         if meta[key] != value:
@@ -331,9 +326,9 @@ def read_checkpoint(path_base: str, expect: Optional[dict] = None) -> tuple[Part
                 f"{meta_path}: checkpoint {key} = {meta[key]} does not match this run's {key} = {value}"
             )
     try:
-        iteration, seed = int(meta["iteration"]), int(meta["seed"])
+        iteration = int(meta["iteration"])
     except (KeyError, ValueError) as exc:
         raise DataError(f"{meta_path}: bad checkpoint metadata ({exc})") from None
     if iteration < 0:
         raise DataError(f"{meta_path}: bad checkpoint metadata (iteration = {iteration} is negative)")
-    return measures.read_particles_csv(particles), iteration, seed
+    return measures.read_particles_csv(particles), iteration

@@ -182,6 +182,22 @@ class TestFlow:
         ) == 0
         assert (full / "particles.csv").read_bytes() == (split / "particles.csv").read_bytes()
 
+    def test_resume_with_max_iters_past_the_stream_stops_where_it_ends(self, tmp_path):
+        # 11 differences, resumed at 6: rows at k = 6 and 10, and at 11 the
+        # row rebuilt from the last step, whatever max_iters allows beyond it.
+        write_noise_free_observations(tmp_path / "observations.csv", days=12)
+        common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
+        first = tmp_path / "first"
+        assert run_cli("flow", *common, "--out", str(first), "--max_iters", "6", "--checkpoint_every", "6") == 0
+        resumed = [tmp_path / "to-the-end", tmp_path / "max-iters-50"]
+        for out, extra in zip(resumed, ([], ["--max_iters", "50"])):
+            resume = ["--resume", str(first / "checkpoint"), "--diag_every", "4", *extra]
+            assert run_cli("flow", *common, "--out", str(out), *resume) == 0
+        rows = list(csv.reader(open(resumed[0] / "trace.csv")))
+        assert [row[0] for row in rows[1:]] == ["6", "10", "11"]
+        for name in ("particles.csv", "trace.csv"):
+            assert (resumed[0] / name).read_bytes() == (resumed[1] / name).read_bytes(), name
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         write_noise_free_observations(tmp_path / "observations.csv", days=8)
         outs = []

@@ -146,6 +146,12 @@ def flow_config(**kwargs):
     return FlowConfig(**defaults)
 
 
+def seed_and_rng(seed):
+    """The sidecar fields of a checkpoint that records only its seed and generator."""
+    fields = checkpoint_fields(8, preset_objective(), flow_config(seed=seed))
+    return {key: fields[key] for key in ("seed", "rng")}
+
+
 class TestRun:
     def test_empty_stream(self):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
@@ -753,12 +759,13 @@ class TestCheckpointResume:
         cfg_first = flow_config(max_iters=12, diag_subsample=32, perturb_std=0.02, seed=11)
         mid, _ = run(m0, obj, stream[:12], cfg_first)
         base = str(tmp_path / "ck")
-        write_checkpoint(base, mid, 12, 11)
-        loaded, k0, seed = read_checkpoint(base)
-        assert k0 == 12 and seed == 11
+        fields = checkpoint_fields(32, obj, cfg_full)
+        write_checkpoint(base, mid, 12, fields)
+        loaded, k0 = read_checkpoint(base, fields)
+        assert k0 == 12
         assert np.array_equal(loaded.points, mid.points)
 
-        cfg_rest = flow_config(max_iters=8, diag_subsample=32, perturb_std=0.02, seed=seed)
+        cfg_rest = flow_config(max_iters=8, diag_subsample=32, perturb_std=0.02, seed=11)
         resumed, _ = run(loaded, obj, stream[k0:], cfg_rest, start_iteration=k0)
         assert np.array_equal(resumed.points, full.points)
 
@@ -783,14 +790,14 @@ class TestCheckpointResume:
             max_iters=9, diag_subsample=16, checkpoint_every=4, checkpoint_path=base
         )
         run(m0, preset_objective(), noise_free_stream(9), cfg)
-        m, k, seed = read_checkpoint(base)
-        assert k == 8 and seed == 3
+        m, k = read_checkpoint(base, checkpoint_fields(16, preset_objective(), flow_config(seed=3)))
+        assert k == 8
         assert m.n == 16
 
 
     def test_sidecar_records_the_particle_digest(self, tmp_path):
         base = str(tmp_path / "ck")
-        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2)
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, seed_and_rng(2))
         digest = hashlib.sha256((tmp_path / "ck.particles.csv").read_bytes()).hexdigest()
         assert (tmp_path / "ck.meta.txt").read_text().splitlines() == [
             "iteration = 5",
@@ -801,8 +808,9 @@ class TestCheckpointResume:
 
     def test_sidecar_records_the_run_fields(self, tmp_path):
         base = str(tmp_path / "ck")
-        fields = checkpoint_fields(8, preset_objective(), 0.01, Ball([0.05, 0.05], 0.03), 0.02)
-        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2, fields)
+        cfg = flow_config(seed=2, constraint=Ball([0.05, 0.05], 0.03), perturb_std=0.02)
+        fields = checkpoint_fields(8, preset_objective(), cfg)
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, fields)
         lines = (tmp_path / "ck.meta.txt").read_text().splitlines()
         assert lines[3:10] == [
             "n = 8",
@@ -813,57 +821,57 @@ class TestCheckpointResume:
             "rho = 0.1",
             "W = [[-5.0, 0.0], [0.0, 5.0]]",
         ]
-        assert read_checkpoint(base, fields)[1:] == (5, 2)
+        assert read_checkpoint(base, fields)[1] == 5
 
     def test_run_writes_the_run_fields(self, tmp_path):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=2)
         base = str(tmp_path / "auto")
         cfg = flow_config(max_iters=4, diag_subsample=16, checkpoint_every=4, checkpoint_path=base)
         run(m0, preset_objective(), noise_free_stream(4), cfg)
-        fields = checkpoint_fields(16, preset_objective(), 0.01, NonnegativeOrthant(2), cfg.perturb_std)
-        assert read_checkpoint(base, fields)[1] == 4
+        assert read_checkpoint(base, checkpoint_fields(16, preset_objective(), cfg))[1] == 4
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n", 9), ("d", 3), ("tau", 0.015), ("constraint", FullSpace(2)),
+        [("seed", 4), ("n", 9), ("d", 3), ("tau", 0.015), ("constraint", FullSpace(2)),
          ("perturb_std", 0.5), ("rho", 3.0), ("W", 4.0)],
     )
     def test_mismatched_run_field_refused(self, tmp_path, field, value):
         # W is diag(-s, s, ..., s) of dimension d and spacing s, as the
-        # differenced observations of spacing s give it.
-        def fields(n=8, d=2, tau=0.01, constraint=NonnegativeOrthant(2), perturb_std=0.0, rho=0.1, W=5.0):
+        # differenced observations of spacing s give it; the other fields
+        # come from flow_config.
+        def fields(n=8, d=2, rho=0.1, W=5.0, **cfg):
             obj = StreamingLSObjective(np.diag([-W] + [W] * (d - 1)), rho)
-            return checkpoint_fields(n, obj, tau, constraint, perturb_std)
+            return checkpoint_fields(n, obj, flow_config(**cfg))
 
         base = str(tmp_path / "ck")
-        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2, fields())
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, fields())
         with pytest.raises(DataError, match=f"checkpoint {field} = .* does not match"):
             read_checkpoint(base, fields(**{field: value}))
 
     def test_sidecar_without_run_fields_refused(self, tmp_path):
         base = str(tmp_path / "ck")
-        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2)
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, seed_and_rng(2))
         with pytest.raises(DataError, match="does not record 'n'"):
-            read_checkpoint(base, checkpoint_fields(8, preset_objective(), 0.01, NonnegativeOrthant(2), 0.0))
+            read_checkpoint(base, checkpoint_fields(8, preset_objective(), flow_config(seed=2)))
 
     def test_sidecar_of_another_generator_refused(self, tmp_path):
         base = str(tmp_path / "ck")
-        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2)
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, seed_and_rng(2))
         path = tmp_path / "ck.meta.txt"
         path.write_text(path.read_text().replace("rng = SFC64 ", "rng = "))
         with pytest.raises(DataError, match="checkpoint rng = substreams keyed by .* does not match"):
-            read_checkpoint(base)
+            read_checkpoint(base, seed_and_rng(2))
 
     def test_missing_particle_file_is_a_config_error(self, tmp_path):
         # Refused before the sidecar is read, which is missing too here.
         base = str(tmp_path / "absent")
         with pytest.raises(ConfigError, match=f"^checkpoint not found: {re.escape(base)}.particles.csv$"):
-            read_checkpoint(base)
+            read_checkpoint(base, seed_and_rng(2))
 
     @pytest.mark.parametrize("damage", ["edited particle", "missing digest"])
     def test_damaged_checkpoint_refused(self, tmp_path, damage):
         base = str(tmp_path / "ck")
-        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, 2)
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, seed_and_rng(2))
         if damage == "edited particle":
             path = tmp_path / "ck.particles.csv"
             path.write_bytes(path.read_bytes().replace(b"0.", b"1.", 1))
@@ -872,7 +880,7 @@ class TestCheckpointResume:
             lines = path.read_text().splitlines(keepends=True)
             path.write_text("".join(line for line in lines if not line.startswith("sha256")))
         with pytest.raises(DataError, match="sha256"):
-            read_checkpoint(base)
+            read_checkpoint(base, seed_and_rng(2))
 
     @settings(max_examples=60)
     @given(data=st.data())
@@ -907,11 +915,11 @@ class TestCheckpointResume:
         with tempfile.TemporaryDirectory() as tmp:
             full, full_trace = run(m0, obj, stream, cfg(total, os.path.join(tmp, "full")))
             head, head_trace = run(m0, obj, stream[:split], cfg(split))
-            fields = checkpoint_fields(n, obj, 0.01, NonnegativeOrthant(2), perturb_std)
-            write_checkpoint(os.path.join(tmp, "split"), head, split, 3, fields)
-            resumes = [(head, split), read_checkpoint(os.path.join(tmp, "split"), fields)[:2]]
+            fields = checkpoint_fields(n, obj, cfg(total))
+            write_checkpoint(os.path.join(tmp, "split"), head, split, fields)
+            resumes = [(head, split), read_checkpoint(os.path.join(tmp, "split"), fields)]
             if os.path.exists(os.path.join(tmp, "full.meta.txt")):
-                resumes.append(read_checkpoint(os.path.join(tmp, "full"), fields)[:2])
+                resumes.append(read_checkpoint(os.path.join(tmp, "full"), fields))
 
             rows = {r.k: r for r in full_trace.rows}
             for m, first in resumes:

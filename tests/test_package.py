@@ -20,7 +20,7 @@ import pytest
 import wgflow
 from wgflow import cli, measures
 from wgflow.errors import NumericalError
-from wgflow.flow import FlowConfig, run, step
+from wgflow.flow import FlowConfig, FlowTrace, run, step
 from wgflow.functionals import (
     StreamingLSObjective, convergence_bound, evaluate_objective, exact_gradient, perturbed_gradient,
     stochastic_gradient, validate_tau,
@@ -345,6 +345,8 @@ _VALUE_OBJECTS = {
     "StepBoundReport": (lambda: validate_tau(_W, 0.1, 0.01, 0.01),
                         ("alpha", "C", "sigma2", "eta", "tau", "tau_max", "ball_radius", "per_step_rate",
                          "tau_valid")),
+    "FlowTrace": (lambda: FlowTrace(validate_tau(_W, 0.1, 0.01, 0.01), [], 0),
+                  ("report", "rows", "iterations_run")),
 }
 
 
@@ -657,6 +659,7 @@ _CLI_FLOAT_KEYS = {
     "t_stop": (["--t_start", "5", "--t_stop", "4"], "t_stop must be finite and >= 5.0"),
     "t_step": (["--t_step", "0"], "t_step must be finite and > 0"),
     "day": (["--day", "-1"], "day must be finite and >= 0"),
+    "rule_level": (["--rule_level", "1.5"], "rule_level must lie in (0, 1)"),
 }
 
 
