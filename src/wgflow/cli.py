@@ -10,6 +10,11 @@ it refuses to run.  Every command validates its whole configuration
 before writing anything, and all outputs are deterministic given
 (config, seed).
 
+Each command imports the modules it runs: ``simulate`` and ``predict``
+never load ``flow``, ``functionals``, ``sets`` or ``transport``, and
+``diagnose`` never loads ``flow`` or ``sets`` (its norm gap is
+``transport.lipschitz_norm_gap`` with the Euclidean norm).
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 error, 5 refused unsafe step size.
 """
@@ -23,8 +28,7 @@ import sys
 
 import numpy as np
 
-# flow, functionals, sets and transport are imported by the commands that
-# run them, so a cold `simulate` or `predict` never loads them.
+# The other modules are imported by the commands that run them.
 from . import files, measures, pdm
 from .errors import ConfigError, DataError, NumericalError, UnsafeStepError
 
@@ -224,7 +228,7 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
         checkpoint_path=os.path.join(out_dir, "checkpoint"),
     )
 
-    n_particles = cfg.get_int("n_particles")
+    n_particles = measures.whole_number(cfg.get_int("n_particles"), "n_particles", at_least=1)
     start_iteration = 0
     if cfg.has("resume"):
         fields = flow.checkpoint_fields(n_particles, obj, run_cfg)
@@ -234,8 +238,8 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
                 f"checkpoint iteration {start_iteration} exceeds available observations"
             )
     else:
-        init_lo = cfg.get_vec("init_lo")
-        init_hi = cfg.get_vec("init_hi")
+        init_lo = measures.frozen_vector(cfg.get_vec("init_lo"), "init_lo")
+        init_hi = measures.frozen_vector(cfg.get_vec("init_hi"), "init_hi", size=init_lo.size)
         m0 = measures.init_uniform_box(init_lo, init_hi, n_particles, run_cfg.seed)
 
     final, trace = flow.run(m0, obj, diffs[start_iteration:], run_cfg, start_iteration)
@@ -257,7 +261,8 @@ def cmd_flow(cfg: Config, out_dir: str, force: bool) -> int:
 def _degradation_model(cfg: Config, require_truth: bool) -> pdm.DegradationModel:
     lam = np.zeros(2)
     if cfg.has("lambda1") or cfg.has("lambda2"):
-        lam = np.array([cfg.get_float("lambda1"), cfg.get_float("lambda2")])
+        lam = [measures.finite_number(cfg.get_float("lambda1"), "lambda1"),
+               measures.finite_number(cfg.get_float("lambda2"), "lambda2")]
     elif require_truth:
         raise ConfigError("missing required config keys 'lambda1'/'lambda2'")
     return pdm.DegradationModel(
@@ -459,8 +464,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    # The import-time heap lives until exit, so the collector's sweeps,
-    # the last one at exit included, need not walk it again.
+    """The ``wgflow`` script and ``python -m wgflow.cli``: :func:`main`, after
+    ``gc.freeze()``.  The import-time heap lives until exit, so the
+    collector's sweeps, the last one at exit included, need not walk it."""
     gc.freeze()
     sys.exit(main())
 

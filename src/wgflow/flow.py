@@ -149,6 +149,13 @@ def run(
     If the stream runs out early the trace's ``iterations_run`` reports the
     actual count.  A particle mean or trace-row value that is not finite
     raises :class:`NumericalError` naming the iteration.
+
+    The step size is judged by :func:`validate_tau` before any work: one
+    outside ``(0, tau_max)`` raises :class:`UnsafeStepError` unless
+    ``cfg.allow_unsafe_tau``, and the report is returned as the trace's
+    ``report``.  A step (the affine map, the noise and the projection)
+    works in three ``(N, d)`` buffers allocated once, so it allocates no
+    array of ``N`` particles; trace rows and checkpoints copy what they keep.
     """
     same_size(m0.d, obj.d, "measure dimension")
     same_size(cfg.constraint.dim, m0.d, "constraint dimension")
@@ -273,7 +280,9 @@ def checkpoint_fields(n: int, obj: StreamingLSObjective, cfg: FlowConfig) -> dic
     order and as the sidecar spells them: the seed and the generator, which
     with the iteration fix every remaining random draw (streams are keyed by
     ``(seed, iteration)``), then every setting that moves the particles of an
-    ``n``-particle run of ``obj`` under ``cfg``."""
+    ``n``-particle run of ``obj`` under ``cfg``.  The observations are not
+    among them (:func:`run` never sees their file), so a resume on another
+    file of the same spacing is not refused."""
     return {
         "seed": str(cfg.seed),
         "rng": _RNG,

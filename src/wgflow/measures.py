@@ -52,7 +52,8 @@ def _real(value) -> bool:
 def frozen_vector(value, what: str, size: int | None = None) -> np.ndarray:
     """A read-only float copy of ``value``, which must be a 1-d vector of
     finite numbers (of length ``size`` when given), no bool or text;
-    ``what`` names it in the ``ValueError`` that refuses anything else."""
+    anything else is refused with one ``ValueError``, ``<what> must be a
+    finite vector`` (``... of length <size>``)."""
     v = np.array(value, dtype=object, ndmin=1)
     if v.ndim != 1 or (size is not None and v.size != size) or not all(map(_real, v)):
         length = "" if size is None else f" of length {size}"
@@ -65,7 +66,8 @@ def frozen_vector(value, what: str, size: int | None = None) -> np.ndarray:
 def finite_number(value, what: str, above=None, at_least=None) -> float:
     """``float(value)``, which must be a finite number, not a bool or text,
     and, when given, ``> above`` or ``>= at_least`` (one bound at most);
-    ``what`` names it in the ``ValueError`` that refuses anything else."""
+    anything else is refused with one ``ValueError``, ``<what> must be
+    finite`` (``... and > <above>``, ``... and >= <at_least>``)."""
     if above is not None and at_least is not None:
         raise TypeError("finite_number takes one bound: above or at_least")
     v = float(value) if _real(value) else math.nan
@@ -78,8 +80,9 @@ def finite_number(value, what: str, above=None, at_least=None) -> float:
 def whole_number(value, what: str, at_least=None) -> int:
     """``value`` as an exact ``int``: a Python or NumPy integer (not a
     bool) or a finite float with no fractional part, within a float's
-    range and, when given, ``>= at_least``; ``what`` names it in the
-    ``ValueError`` that refuses anything else."""
+    range and, when given, ``>= at_least``; anything else is refused with
+    one ``ValueError``, ``<what> must be a whole number`` (``... >=
+    <at_least>``)."""
     value = int(value) if _real(value) and float(value).is_integer() else None
     if value is not None and (at_least is None or value >= at_least):
         return value
@@ -106,7 +109,8 @@ def finite_result(value, what: str, cause: str | None = None):
 
 class Fixed:
     """Base of the read-only value objects: ``__init__`` sets each attribute
-    (a slot of the subclass) once, and after that none is rebound or deleted."""
+    (a slot of the subclass) once, and after that rebinding or deleting one
+    raises ``AttributeError``."""
 
     __slots__ = ()
 

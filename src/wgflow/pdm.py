@@ -118,7 +118,9 @@ def _scan(m: np.ndarray, g, u: np.ndarray, start, out: np.ndarray) -> None:
     u_{jB+l}`` with the start ``s_j = e_{jB}``: its start and its inputs in
     one row, times one ``(2 + B c, 2B)`` response.  The starts follow the
     same recurrence with ``M^B`` and the forced block ends as 2-d inputs
-    (``g = I``), solved again until one block is left."""
+    (``g = I``), solved again until one block is left: four levels deep for
+    a 10^5-step day and five at :data:`_MAX_TRANSITIONS`.  No Python loop
+    runs over the blocks."""
     b = _BLOCK
     lagged = np.zeros((2 * b, 2, 2))  # row b - 1 + k is (M^k)^T
     lagged[b - 1] = np.eye(2)

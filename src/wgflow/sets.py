@@ -48,7 +48,8 @@ class ConvexSet(Fixed):
 
         Without ``out`` the result is a new array of the same shape and
         memory layout, and ``pts`` is not modified.  With ``out=pts`` the
-        points are projected in place and ``pts`` is returned.
+        points are projected in place and ``pts`` is returned; any other
+        ``out`` is refused.
         """
         pts = np.asarray(pts, dtype=float)
         same_size(pts.shape[1:], (self.dim,), "shape of each point")

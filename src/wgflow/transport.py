@@ -57,7 +57,11 @@ def check_subsample(cap: int, k: int) -> None:
 
 def subsample(m: ParticleMeasure, k: int, seed: int, key: int) -> ParticleMeasure:
     """``m`` itself if it has ``k`` particles, else ``k`` of them in particle order,
-    drawn without replacement from ``measures.substream(seed, key)``."""
+    drawn without replacement from ``measures.substream(seed, key)``.
+
+    Each call draws from a fresh stream: ``flow.run``'s trace rows (key 22)
+    take the same particles at every row, and ``diagnose`` (key 61) the same
+    positions of its two clouds."""
     if m.n == k:
         return m
     idx = measures.substream(seed, key).choice(m.n, k, replace=False)
@@ -78,7 +82,7 @@ def w2_exact(m: ParticleMeasure, n: ParticleMeasure) -> tuple[float, np.ndarray]
     (float, ndarray of int)
         Distance (square root of the optimal mean squared matching cost)
         and a minimizing permutation: the target index matched to each
-        source particle.
+        source particle, as the solver returns it, not checked again.
 
     Raises
     ------

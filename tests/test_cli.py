@@ -755,7 +755,7 @@ def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
         pytest.param("simulate", "days", "1" + "0" * 400, "days must be a whole number >= 1",
                      id="simulate-days-huge"),
         ("simulate", "seed", "-1", "seed must be a whole number >= 0"),
-        ("flow", "n_particles", "0", "particle count n must be a whole number >= 1"),
+        ("flow", "n_particles", "0", "n_particles must be a whole number >= 1"),
         ("flow", "seed", "-1", "seed must be a whole number >= 0"),
         ("flow", "max_iters", "-1", "max_iters must be a whole number >= 0"),
         ("flow", "diag_every", "0", "diag_every must be a whole number >= 1"),

@@ -28,6 +28,7 @@ from wgflow.functionals import (
 from wgflow.pdm import (
     DegradationModel, Observation, PlantParams, daily_observations, degrade, ls_estimate,
     predict_damping_band, process_matrix, simulate_trajectory, suggested_maintenance_time,
+    write_observations_csv,
 )
 from wgflow.sets import Ball, Box, FullSpace, Halfspace, NonnegativeOrthant
 from wgflow.transport import (
@@ -455,6 +456,25 @@ def _days(**kwargs):
     return [obs.y_hat.tolist() for obs in daily_observations(_MODEL, **{**plant, **kwargs})]
 
 
+class _Values(cli.Config):
+    # A config that hands a command each non-text value as it is, so a key
+    # the CLI reads through an intake meets every value of the tables below.
+    def _get(self, key, parse, what):
+        value = self.values[key]
+        return super()._get(key, parse, what) if isinstance(value, str) else value
+
+
+def _flow(**overrides):
+    # The flow stage under the paper preset on three noise-free days: the
+    # particle count of the cloud it writes.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "observations.csv")
+        write_observations_csv([Observation(t, degrade(_MODEL, t)) for t in (0.0, 5.0, 10.0)], path)
+        values = {**cli.DEFAULTS, **cli.CASE_STUDY_PRESET, "observations": path, **overrides}
+        cli.cmd_flow(_Values(values), tmp, False)
+        return measures.read_particles_csv(os.path.join(tmp, "particles.csv")).n
+
+
 # Every integer setting, as the one intake (measures.whole_number) names
 # it, with its lower bound: each is built once with the value, and what
 # it builds shows the value it kept.
@@ -474,6 +494,7 @@ _WHOLE_SETTINGS = {
     "convergence_bound": (lambda v: convergence_bound(validate_tau(_W, 0.1, 0.0, 0.01), 1.0, v), "k", 0),
     "daily_observations.days": (lambda v: _days(days=v), "days", 1),
     "daily_observations.seed": (lambda v: _days(seed=v), "seed", 0),
+    "cli.n_particles": (lambda v: _flow(n_particles=v), "n_particles", 1),
 }
 
 
@@ -642,6 +663,8 @@ _VECTOR_SETTINGS = {
     "simulate_trajectory.x0": (lambda v: simulate_trajectory(PlantParams(2.5, 1.0, 1.0, 0.01, 1.0, 0.0), v, 0),
                                [-2.5, math.nan], "x0 must be a finite vector of length 2"),
     "daily_observations.x0": (lambda v: _days(x0=v), [-2.5], "x0 must be a finite vector of length 2"),
+    "cli.init_lo": (lambda v: _flow(init_lo=v), [math.nan, 0.0], "init_lo must be a finite vector"),
+    "cli.init_hi": (lambda v: _flow(init_hi=v), [math.inf, 1.0], "init_hi must be a finite vector of length 2"),
 }
 
 
@@ -660,6 +683,8 @@ _CLI_FLOAT_KEYS = {
     "t_step": (["--t_step", "0"], "t_step must be finite and > 0"),
     "day": (["--day", "-1"], "day must be finite and >= 0"),
     "rule_level": (["--rule_level", "1.5"], "rule_level must lie in (0, 1)"),
+    "lambda1": (["--lambda1", "nan"], "lambda1 must be finite"),
+    "lambda2": (["--lambda2", "inf"], "lambda2 must be finite"),
 }
 
 
