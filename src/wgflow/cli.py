@@ -32,8 +32,6 @@ import numpy as np
 from . import files, measures, pdm
 from .errors import ConfigError, DataError, NumericalError, UnsafeStepError
 
-_DIAG_SUB_STREAM = 61
-
 #: Most time points `predict` evaluates the damping band on.
 _MAX_GRID_POINTS = 10**6
 
@@ -381,7 +379,7 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     k = min(cap, m.n, ref.n)
     transport.check_subsample(cap, k)
     seed = measures.whole_number(cfg.get_int("seed"), "seed", at_least=0)
-    sub_m, sub_r = (transport.subsample(c, k, seed, _DIAG_SUB_STREAM) for c in (m, ref))
+    sub_m, sub_r = (transport.subsample(c, k, seed, measures.DIAGNOSE_SUBSAMPLE_STREAM) for c in (m, ref))
     whole = k == m.n == ref.n
     w2, _ = transport.w2_exact(sub_m, sub_r)
     mean_gap, bures_gap, gelbrich = transport.moment_gaps(m, ref)

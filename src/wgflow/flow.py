@@ -27,11 +27,6 @@ from .functionals import StepBoundReport, convergence_bound, validate_tau  # noq
 from .measures import ParticleMeasure, same_size, whole_number
 from .sets import ConvexSet
 
-_PERTURB_STREAM = 21
-_DIAG_STREAM = 22
-# The generator behind every draw (measures.substream), as a sidecar names it.
-_RNG = "SFC64 substreams keyed by (seed, purpose, iteration)"
-
 
 def step(m: ParticleMeasure, field_values, tau: float, s: ConvexSet) -> ParticleMeasure:
     """One projected descent step: ``x_i -> proj_S(x_i - tau * xi_i)``.
@@ -182,7 +177,7 @@ def run(
         if obj.theta_star is not None:
             m = ParticleMeasure(x)
             objective = functionals.evaluate_objective(obj, m)
-            cloud = transport.subsample(m, ref_measure.n, cfg.seed, _DIAG_STREAM)
+            cloud = transport.subsample(m, ref_measure.n, cfg.seed, measures.TRACE_SUBSAMPLE_STREAM)
             w2, _ = transport.w2_exact(cloud, ref_measure)
         # A finite cloud far enough out overflows its squared norms.
         for name, value in (("objective", objective), ("grad_norm", grad_norm)):
@@ -230,7 +225,7 @@ def run(
 
             c = tau_wt @ y + tau_rho * mean
             if noise is not None:
-                measures.substream(cfg.seed, _PERTURB_STREAM, k).standard_normal(out=noise.T)
+                measures.substream(cfg.seed, measures.PERTURB_STREAM, k).standard_normal(out=noise.T)
                 noise *= noise_scale
             _affine(x, a, c, noise, moved)
             k += 1
@@ -277,15 +272,17 @@ def write_trace_csv(trace: FlowTrace, path, d: int) -> None:
 
 def checkpoint_fields(n: int, obj: StreamingLSObjective, cfg: FlowConfig) -> dict:
     """Every sidecar field that ties a checkpoint to its run, in sidecar
-    order and as the sidecar spells them: the seed and the generator, which
-    with the iteration fix every remaining random draw (streams are keyed by
-    ``(seed, iteration)``), then every setting that moves the particles of an
-    ``n``-particle run of ``obj`` under ``cfg``.  The observations are not
-    among them (:func:`run` never sees their file), so a resume on another
-    file of the same spacing is not refused."""
+    order and as the sidecar spells them: the seed and the generator
+    (``measures.RNG_TAG``), which with the iteration fix every remaining
+    random draw (streams are keyed by ``(seed, iteration)``), then every
+    setting that moves the particles of an ``n``-particle run of ``obj``
+    under ``cfg``, then ``numpy``, the NumPy version, since NumPy does not
+    promise the same bits from one version to the next.  The observations
+    are not among them (:func:`run` never sees their file), so a resume on
+    another file of the same spacing is not refused."""
     return {
         "seed": str(cfg.seed),
-        "rng": _RNG,
+        "rng": measures.RNG_TAG,
         "n": str(n),
         "d": str(obj.d),
         "tau": repr(cfg.tau),
@@ -293,6 +290,7 @@ def checkpoint_fields(n: int, obj: StreamingLSObjective, cfg: FlowConfig) -> dic
         "perturb_std": repr(cfg.perturb_std),
         "rho": repr(obj.rho),
         "W": json.dumps(obj.W.tolist()),
+        "numpy": np.__version__,
     }
 
 

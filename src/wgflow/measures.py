@@ -16,21 +16,49 @@ import numpy as np
 from . import files
 from .errors import DataError, NumericalError
 
-# Spawn-key tag for the uniform-box sampler, keeping its draws disjoint
-# from every other stream derived from the same seed.
-_BOX_STREAM = 11
+# The first spawn key of each purpose that draws from a run's seed, and
+# its user.  The values are distinct, so no two purposes share a stream.
+BOX_STREAM = 11  # init_uniform_box
+PERTURB_STREAM = 21  # flow.run's perturbation, keyed by iteration
+TRACE_SUBSAMPLE_STREAM = 22  # flow.run's trace rows
+TRAJECTORY_STREAM = 31  # pdm.simulate_trajectory
+DAY_STREAM = 41  # pdm.daily_observations, keyed by day
+DIAGNOSE_SUBSAMPLE_STREAM = 61  # cli.cmd_diagnose
+
+# The bit generator behind every draw, and the tag a checkpoint sidecar
+# records for it (flow.checkpoint_fields).
+BIT_GENERATOR = "SFC64"
+RNG_TAG = f"{BIT_GENERATOR} substreams keyed by (seed, purpose, iteration)"
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic SFC64 generator for ``(seed, *key)``.
+    """Deterministic :data:`BIT_GENERATOR` generator for ``(seed, *key)``.
 
     The key is the ``SeedSequence`` spawn key, so streams with distinct
     keys are statistically independent and do not depend on the order in
     which they are created: callers may consume them in any schedule
-    (including concurrently) with reproducible results.
+    (including concurrently) with reproducible results.  The first entry
+    of every key the package draws from names its purpose:
+
+    ===  =============================  ======================================
+    key  constant                       drawn by
+    ===  =============================  ======================================
+    11   ``BOX_STREAM``                 :func:`init_uniform_box`
+    21   ``PERTURB_STREAM``             ``flow.run``'s noise, then iteration
+    22   ``TRACE_SUBSAMPLE_STREAM``     ``flow.run``'s trace rows
+    31   ``TRAJECTORY_STREAM``          ``pdm.simulate_trajectory``
+    41   ``DAY_STREAM``                 ``pdm.daily_observations``, then day
+    61   ``DIAGNOSE_SUBSAMPLE_STREAM``  ``cli.cmd_diagnose``
+    ===  =============================  ======================================
+
+    NumPy does not promise the same bits across its versions, so a
+    checkpoint sidecar records both :data:`RNG_TAG` and ``np.__version__``
+    (``flow.checkpoint_fields``), and a resume under either changed is
+    refused.
     """
     seed = whole_number(seed, "seed", at_least=0)
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
+    bits = getattr(np.random, BIT_GENERATOR)(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.Generator(bits)
 
 
 def spawn_seed(seed: int, *key: int) -> int:
@@ -207,7 +235,7 @@ def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:
     if np.any(lo > hi):
         j = int(np.flatnonzero(lo > hi)[0])
         raise ValueError(f"invalid box: lo > hi in coordinate {j}")
-    rng = substream(seed, _BOX_STREAM)
+    rng = substream(seed, BOX_STREAM)
     pts = rng.uniform(lo, hi, size=(n, lo.size))
     return ParticleMeasure(pts)
 

@@ -22,9 +22,6 @@ from .measures import (
     spawn_seed, whole_number,
 )
 
-_TRAJ_STREAM = 31
-_DAY_STREAM = 41
-
 # Steps per block of the plant simulation's scan: the states of a block
 # are one row of a (blocks, 2 + B) x (2 + B, 2B) product of its start and
 # its noise, and the block starts are scanned again in blocks of as many.
@@ -175,7 +172,7 @@ def simulate_trajectory(p: PlantParams, x0, seed: int) -> tuple[np.ndarray, np.n
     if p.eps_half_width > 0:
         # uniform(-w, w) returns -w + 2w u for the doubles u that random
         # draws, so scaling them in place gives the same bits.
-        measures.substream(seed, _TRAJ_STREAM).random(out=eps[:n])
+        measures.substream(seed, measures.TRAJECTORY_STREAM).random(out=eps[:n])
         eps[:n] *= 2.0 * p.eps_half_width
         eps[:n] -= p.eps_half_width
     else:
@@ -281,12 +278,12 @@ def daily_observations(model: DegradationModel, days: int, x0, r: float, dt: flo
                        eps_half_width: float, seed: int) -> list[Observation]:
     """One least-squares estimate of ``(a, b)`` per day ``j < days``, at ``t = j T``.
 
-    Day ``j`` simulates the plant of :func:`degrade` at ``t`` from ``x0``, with
-    trajectory seed ``spawn_seed(seed, _DAY_STREAM, j)``.  The arguments that
-    are the same on every day are checked first, so a fault in one names no
-    day; a refused day re-raises its exception class with ``day j (t = ...): ``
-    in front.  An overflowing trajectory is refused as a non-finite estimate,
-    which NumPy's warnings would only repeat.
+    Day ``j`` simulates the plant of :func:`degrade` at ``t`` from ``x0``,
+    with trajectory seed ``spawn_seed(seed, measures.DAY_STREAM, j)``.  The
+    arguments that are the same on every day are checked first, so a fault in
+    one names no day; a refused day re-raises its exception class with
+    ``day j (t = ...): `` in front.  An overflowing trajectory is refused as a
+    non-finite estimate, which NumPy's warnings would only repeat.
     """
     days = whole_number(days, "days", at_least=1)
     x0 = frozen_vector(x0, "x0", 2)
@@ -299,7 +296,7 @@ def daily_observations(model: DegradationModel, days: int, x0, r: float, dt: flo
             try:
                 a, b = degrade(model, t).tolist()
                 plant = PlantParams(a, b, r, dt, horizon, eps_half_width)
-                traj = simulate_trajectory(plant, x0, spawn_seed(seed, _DAY_STREAM, j))
+                traj = simulate_trajectory(plant, x0, spawn_seed(seed, measures.DAY_STREAM, j))
                 observations.append(Observation(t, ls_estimate(traj, dt)))
             except (ValueError, NumericalError) as exc:
                 raise type(exc)(f"day {j} (t = {t}): {exc}") from None

@@ -59,8 +59,9 @@ def subsample(m: ParticleMeasure, k: int, seed: int, key: int) -> ParticleMeasur
     """``m`` itself if it has ``k`` particles, else ``k`` of them in particle order,
     drawn without replacement from ``measures.substream(seed, key)``.
 
-    Each call draws from a fresh stream: ``flow.run``'s trace rows (key 22)
-    take the same particles at every row, and ``diagnose`` (key 61) the same
+    Each call draws from a fresh stream: ``flow.run``'s trace rows (key
+    ``measures.TRACE_SUBSAMPLE_STREAM``) take the same particles at every row,
+    and ``diagnose`` (``measures.DIAGNOSE_SUBSAMPLE_STREAM``) the same
     positions of its two clouds."""
     if m.n == k:
         return m

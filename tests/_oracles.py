@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from wgflow.errors import NumericalError
-from wgflow.measures import substream
-from wgflow.pdm import _B_FLOOR, _TRAJ_STREAM, CrossingTime
+from wgflow.measures import TRAJECTORY_STREAM, substream
+from wgflow.pdm import _B_FLOOR, CrossingTime
 
 #: Largest time (days) the LS oracle scans for its last safe point.
 _SCAN_CAP = 2000.0
@@ -115,7 +115,7 @@ def simulate_loop(p, x0, seed):
     """
     n = int(p.horizon / p.dt + 1e-9)
     if p.eps_half_width > 0:
-        eps = substream(seed, _TRAJ_STREAM).uniform(-p.eps_half_width, p.eps_half_width, n)
+        eps = substream(seed, TRAJECTORY_STREAM).uniform(-p.eps_half_width, p.eps_half_width, n)
     else:
         eps = np.zeros(n)
     dt = p.dt

@@ -338,6 +338,24 @@ class TestFlow:
         assert len(lines) == 1 and lines[0].startswith("data error:") and "checkpoint rng = " in lines[0], lines
         assert not resumed.exists()
 
+    def test_resume_from_a_checkpoint_of_another_numpy_exits_3(self, tmp_path, capsys):
+        write_noise_free_observations(tmp_path / "observations.csv", days=12)
+        common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
+        first = tmp_path / "first"
+        assert run_cli(
+            "flow", *common, "--out", str(first), "--max_iters", "6", "--checkpoint_every", "6",
+        ) == 0
+        meta = first / "checkpoint.meta.txt"
+        meta.write_text(re.sub(r"(?m)^numpy = .*$", "numpy = 0.0", meta.read_text()))
+        capsys.readouterr()
+        resumed = tmp_path / "resumed"
+        assert run_cli("flow", *common, "--out", str(resumed), "--resume", str(first / "checkpoint")) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            f"data error: {meta}: checkpoint numpy = 0.0 does not match this run's numpy = {np.__version__}"
+        ]
+        assert not resumed.exists()
+
     @pytest.mark.parametrize(
         "iteration, code, message",
         [

@@ -25,7 +25,7 @@ from wgflow.flow import (
     write_trace_csv,
 )
 from wgflow.functionals import StreamingLSObjective, perturbed_gradient, stochastic_gradient
-from wgflow.measures import ParticleMeasure, covariance, init_uniform_box, substream
+from wgflow.measures import RNG_TAG, ParticleMeasure, covariance, init_uniform_box, substream
 from wgflow.sets import Ball, Box, FullSpace, Halfspace, NonnegativeOrthant, project_measure
 from wgflow.transport import w2_exact
 
@@ -861,6 +861,22 @@ class TestCheckpointResume:
         path.write_text(path.read_text().replace("rng = SFC64 ", "rng = "))
         with pytest.raises(DataError, match="checkpoint rng = substreams keyed by .* does not match"):
             read_checkpoint(base, seed_and_rng(2))
+
+    def test_sidecar_rng_names_the_generator_substream_builds(self):
+        rng = checkpoint_fields(8, preset_objective(), flow_config(seed=2))["rng"]
+        assert rng == RNG_TAG
+        assert type(substream(0).bit_generator).__name__ in rng
+
+    def test_sidecar_of_another_numpy_refused(self, tmp_path):
+        # NumPy does not promise the same bits across versions.
+        base = str(tmp_path / "ck")
+        fields = checkpoint_fields(8, preset_objective(), flow_config(seed=2))
+        write_checkpoint(base, init_uniform_box([0, 0], [1, 1], 8, seed=0), 5, fields)
+        path = tmp_path / "ck.meta.txt"
+        path.write_text(re.sub(r"(?m)^numpy = .*$", "numpy = 0.0", path.read_text()))
+        want = f"checkpoint numpy = 0.0 does not match this run's numpy = {re.escape(np.__version__)}$"
+        with pytest.raises(DataError, match=want):
+            read_checkpoint(base, fields)
 
     def test_missing_particle_file_is_a_config_error(self, tmp_path):
         # Refused before the sidecar is read, which is missing too here.

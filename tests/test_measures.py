@@ -218,6 +218,19 @@ class TestStreams:
     def test_substreams_are_sfc64(self):
         assert type(measures.substream(0).bit_generator).__name__ == "SFC64"
 
+    def test_purpose_keys_are_distinct(self):
+        # One stream per purpose: two purposes with one key would draw the same bits.
+        keys = {name: value for name, value in vars(measures).items() if name.endswith("_STREAM")}
+        assert sorted(keys) == [
+            "BOX_STREAM", "DAY_STREAM", "DIAGNOSE_SUBSAMPLE_STREAM", "PERTURB_STREAM",
+            "TRACE_SUBSAMPLE_STREAM", "TRAJECTORY_STREAM",
+        ]
+        assert len(set(keys.values())) == len(keys)
+
+    def test_substream_builds_the_named_generator_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(measures, "BIT_GENERATOR", "PCG64")
+        assert type(measures.substream(0).bit_generator).__name__ == "PCG64"
+
     def test_spawn_seed_deterministic(self):
         assert measures.spawn_seed(7, 1, 2) == measures.spawn_seed(7, 1, 2)
         assert measures.spawn_seed(7, 1, 2) != measures.spawn_seed(7, 2, 1)

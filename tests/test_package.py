@@ -78,6 +78,22 @@ def test_cli_import_loads_no_json():
     assert proc.stdout.strip() == "False"
 
 
+def test_only_measures_fixes_the_draws():
+    # The spawn keys and the bit generator have one owner, measures; every
+    # other module reads them from it.
+    owners = []
+    for path in sorted(glob.glob(os.path.join(SRC, "wgflow", "*.py"))):
+        with open(path) as fh:
+            source = fh.read()
+        assigned = {
+            target.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        if "SFC64" in source or any(name.endswith("_STREAM") for name in assigned):
+            owners.append(os.path.basename(path))
+    assert owners == ["measures.py"]
+
+
 def test_four_stages_load_no_scipy(tmp_path):
     # The cold pipeline: a simulation-mode flow (a W2 trace row at each of
     # its 10 iterates) and diagnose both solve exact transport problems,
@@ -170,6 +186,23 @@ def test_simulate_and_predict_load_only_their_modules(tmp_path):
     loaded = proc.stdout.splitlines()[-1]
     assert loaded == "['wgflow.cli', 'wgflow.errors', 'wgflow.files', 'wgflow.measures', 'wgflow.pdm']"
     assert (tmp_path / "tstar.csv").is_file()
+
+
+def test_predict_loads_no_numpy_random(tmp_path):
+    # predict draws nothing, and measures.substream names its generator
+    # only when called, so the stage never pays to import numpy.random.
+    assert cli.main(["simulate", "--paper-preset", "--out", str(tmp_path)]) == 0
+    belief = measures.init_uniform_box(np.zeros(2), np.full(2, 8 / 60), 100, 0)
+    measures.write_particles_csv(belief, tmp_path / "particles.csv")
+    code = (
+        "import sys\n"
+        "from wgflow.cli import main\n"
+        "assert main(['predict', '--paper-preset', '--out', sys.argv[1]]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = _python(code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_diagnose_loads_neither_the_flow_nor_the_sets(tmp_path):
