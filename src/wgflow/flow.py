@@ -71,9 +71,10 @@ class FlowConfig:
     accepted and validated but has no effect: every worker count runs the
     same single pass, so results are identical by construction.
     ``on_invalid`` chooses between aborting on a bad observation (default)
-    and skipping it with a log message.  Every integer field goes through
-    :func:`measures.whole_number`, so a fraction, a bool or a value below
-    its bound is refused and an integral float is kept as its ``int``.
+    and skipping it with a log message, for library streams: the command
+    line's readers refuse a bad observation first.  Every integer field goes
+    through :func:`measures.whole_number`, so a fraction, a bool or a value
+    below its bound is refused and an integral float is kept as its ``int``.
     """
 
     def __init__(
@@ -272,14 +273,14 @@ def write_trace_csv(trace: FlowTrace, path, d: int) -> None:
 
 def checkpoint_fields(n: int, obj: StreamingLSObjective, cfg: FlowConfig) -> dict:
     """Every sidecar field that ties a checkpoint to its run, in sidecar
-    order and as the sidecar spells them: the seed and the generator
-    (``measures.RNG_TAG``), which with the iteration fix every remaining
-    random draw (streams are keyed by ``(seed, iteration)``), then every
-    setting that moves the particles of an ``n``-particle run of ``obj``
-    under ``cfg``, then ``numpy``, the NumPy version, since NumPy does not
-    promise the same bits from one version to the next.  The observations
-    are not among them (:func:`run` never sees their file), so a resume on
-    another file of the same spacing is not refused."""
+    order and as the sidecar spells them: the seed and the generator with
+    its purpose keys (``measures.RNG_TAG``), which with the iteration fix
+    every remaining random draw, then every setting that moves the
+    particles of an ``n``-particle run of ``obj`` under ``cfg``, then
+    ``numpy``, the NumPy version, since NumPy does not promise the same
+    bits from one version to the next.  The observations are not among
+    them (:func:`run` never sees their file), so a resume on another file
+    of the same spacing is not refused."""
     return {
         "seed": str(cfg.seed),
         "rng": measures.RNG_TAG,

@@ -144,14 +144,15 @@ class StepBoundReport(NamedTuple):
 
 def validate_tau(W, rho: float, sigma_w2: float, tau: float) -> StepBoundReport:
     """Derive the convergence constants and check a step size against them;
-    ``W``, ``rho`` and ``sigma_w2`` are checked by :class:`StreamingLSObjective`."""
+    ``W``, ``rho`` and ``sigma_w2`` are checked by :class:`StreamingLSObjective`,
+    and a report field that is not finite raises :class:`NumericalError`."""
     obj = StreamingLSObjective(W, rho, None, sigma_w2)
     tau = measures.finite_number(tau, "tau", above=0)
     alpha = obj.sigma_min ** 2
     c = 4.0 * max(obj.sigma_max ** 2, obj.rho)
     eta = c / alpha
     tau_max = min(1.0 / alpha, 2.0 / c)
-    return StepBoundReport(
+    report = StepBoundReport(
         alpha=alpha,
         C=c,
         sigma2=c * obj.sigma_w2,
@@ -162,6 +163,9 @@ def validate_tau(W, rho: float, sigma_w2: float, tau: float) -> StepBoundReport:
         per_step_rate=1.0 - alpha * tau,
         tau_valid=bool(tau < tau_max),
     )
+    for name, value in zip(report._fields, report):
+        measures.finite_result(value, f"step-size report {name}", "W, rho, sigma_w2 or tau is too large")
+    return report
 
 
 def convergence_bound(report: StepBoundReport, w2_0: float, k: int) -> float:

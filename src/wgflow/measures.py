@@ -26,9 +26,10 @@ DAY_STREAM = 41  # pdm.daily_observations, keyed by day
 DIAGNOSE_SUBSAMPLE_STREAM = 61  # cli.cmd_diagnose
 
 # The bit generator behind every draw, and the tag a checkpoint sidecar
-# records for it (flow.checkpoint_fields).
+# records for it and for every purpose above (flow.checkpoint_fields).
 BIT_GENERATOR = "SFC64"
-RNG_TAG = f"{BIT_GENERATOR} substreams keyed by (seed, purpose, iteration)"
+RNG_TAG = f"{BIT_GENERATOR} substreams keyed by (seed, purpose, iteration), purposes " + " ".join(
+    str(key) for name, key in globals().items() if name.endswith("_STREAM"))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -52,9 +53,9 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     ===  =============================  ======================================
 
     NumPy does not promise the same bits across its versions, so a
-    checkpoint sidecar records both :data:`RNG_TAG` and ``np.__version__``
-    (``flow.checkpoint_fields``), and a resume under either changed is
-    refused.
+    checkpoint sidecar records :data:`RNG_TAG` (the generator and every
+    purpose key) and ``np.__version__`` (``flow.checkpoint_fields``), and a
+    resume under any of them changed is refused.
     """
     seed = whole_number(seed, "seed", at_least=0)
     bits = getattr(np.random, BIT_GENERATOR)(np.random.SeedSequence(seed, spawn_key=key))
@@ -246,12 +247,16 @@ def write_particles_csv(m: ParticleMeasure, path) -> None:
     files.write_table(path, [f"x{j + 1}" for j in range(m.d)], m.points.tolist())
 
 
-def read_particles_csv(path) -> ParticleMeasure:
-    """Read a particle checkpoint written by :func:`write_particles_csv`."""
+def read_particles_csv(path, d: int | None = None) -> ParticleMeasure:
+    """Read a particle checkpoint written by :func:`write_particles_csv`; a file
+    of no valid cloud, or of a dimension other than ``d``, raises :class:`DataError`."""
     points = files.read_table(
         path, "particle file", lambda h: h == [f"x{j + 1}" for j in range(len(h))]
     )
     try:
-        return ParticleMeasure(points)
+        m = ParticleMeasure(points)
+        if d is not None:
+            same_size(m.d, d, "particle dimension")
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    return m

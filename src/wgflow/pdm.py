@@ -283,7 +283,7 @@ def daily_observations(model: DegradationModel, days: int, x0, r: float, dt: flo
     arguments that are the same on every day are checked first, so a fault in
     one names no day; a refused day re-raises its exception class with
     ``day j (t = ...): `` in front.  An overflowing trajectory is refused as a
-    non-finite estimate, which NumPy's warnings would only repeat.
+    non-finite fit (:class:`NumericalError`), which NumPy's warnings would only repeat.
     """
     days = whole_number(days, "days", at_least=1)
     x0 = frozen_vector(x0, "x0", 2)
@@ -297,7 +297,9 @@ def daily_observations(model: DegradationModel, days: int, x0, r: float, dt: flo
                 a, b = degrade(model, t).tolist()
                 plant = PlantParams(a, b, r, dt, horizon, eps_half_width)
                 traj = simulate_trajectory(plant, x0, spawn_seed(seed, measures.DAY_STREAM, j))
-                observations.append(Observation(t, ls_estimate(traj, dt)))
+                fit = finite_result(ls_estimate(traj, dt), "the least-squares fit",
+                                    "the trajectory overflows")
+                observations.append(Observation(t, fit))
             except (ValueError, NumericalError) as exc:
                 raise type(exc)(f"day {j} (t = {t}): {exc}") from None
     return observations
@@ -366,7 +368,8 @@ def difference_stream(obs: Sequence[Observation]) -> np.ndarray:
     The observations must be equally spaced in time; the differences then
     follow the linear model with matrix :func:`process_matrix` of the
     spacing and zero-mean noise (each raw noise term appears once with
-    either sign).  Returns an ``(len(obs) - 1, 2)`` array.
+    either sign).  Returns an ``(len(obs) - 1, 2)`` array.  Uneven times or
+    a difference that overflows raise :class:`DataError` naming the times.
     """
     if len(obs) < 2:
         raise DataError("need at least two observations to difference")
@@ -385,7 +388,12 @@ def difference_stream(obs: Sequence[Observation]) -> np.ndarray:
             f"irregular observation spacing: gap {gaps[i]} between t={times[i]} and "
             f"t={times[i + 1]}, expected {spacing}"
         )
-    return np.diff(np.stack([o.y_hat for o in obs]), axis=0)
+    with np.errstate(over="ignore"):
+        diffs = np.diff(np.stack([o.y_hat for o in obs]), axis=0)
+    i = int(np.argmin(np.isfinite(diffs).all(axis=1)))  # the first that overflows, if any
+    if not np.isfinite(diffs[i]).all():
+        raise DataError(f"the estimate difference between t={times[i]} and t={times[i + 1]} is not finite")
+    return diffs
 
 
 def observation_residuals(obs: Sequence[Observation], d: DegradationModel) -> np.ndarray:

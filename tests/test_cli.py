@@ -116,9 +116,9 @@ class TestSimulate:
         out = tmp_path / "out"
         args = fast_sim_args(out, days=2, extra=("--x0", "1e308,1e308"))
         proc = run_cli_process("-m", "wgflow.cli", *args)
-        assert proc.returncode == 2, proc.stderr
+        assert proc.returncode == 4, proc.stderr
         assert proc.stderr.splitlines() == [
-            "config error: day 0 (t = 0.0): y_hat must be a finite vector of length 2"
+            "numerical error: day 0 (t = 0.0): the least-squares fit is not finite: the trajectory overflows"
         ]
         assert not out.exists()
 
@@ -338,6 +338,23 @@ class TestFlow:
         assert len(lines) == 1 and lines[0].startswith("data error:") and "checkpoint rng = " in lines[0], lines
         assert not resumed.exists()
 
+    def test_resume_from_a_checkpoint_of_other_purpose_keys_exits_3(self, tmp_path, capsys):
+        write_noise_free_observations(tmp_path / "observations.csv", days=12)
+        common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
+        first = tmp_path / "first"
+        assert run_cli(
+            "flow", *common, "--out", str(first), "--max_iters", "6", "--checkpoint_every", "6",
+        ) == 0
+        # The sidecar of a build whose perturbation drew under purpose 23.
+        meta = first / "checkpoint.meta.txt"
+        meta.write_text(meta.read_text().replace(measures.RNG_TAG, measures.RNG_TAG.replace(" 21 ", " 23 ")))
+        capsys.readouterr()
+        resumed = tmp_path / "resumed"
+        assert run_cli("flow", *common, "--out", str(resumed), "--resume", str(first / "checkpoint")) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error:") and "purposes 11 23 22" in lines[0], lines
+        assert not resumed.exists()
+
     def test_resume_from_a_checkpoint_of_another_numpy_exits_3(self, tmp_path, capsys):
         write_noise_free_observations(tmp_path / "observations.csv", days=12)
         common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
@@ -395,6 +412,37 @@ class TestFlow:
         (tmp_path / "observations.csv").write_text("t,a_hat,b_hat\n0,not_a_number,1\n")
         assert run_cli("flow", "--paper-preset", "--out", str(tmp_path)) == 3
         assert not (tmp_path / "particles.csv").exists()
+
+    def test_observations_whose_difference_overflows_exit_3_with_one_line(self, tmp_path):
+        # Finite estimates whose first difference is not.  A fresh process
+        # under warnings-as-errors shows that no NumPy warning reaches stderr.
+        obs = tmp_path / "observations.csv"
+        obs.write_text("t,a_hat,b_hat\n0,1e308,1\n5,-1e308,1\n10,1e308,1\n")
+        out = tmp_path / "out"
+        proc = run_cli_process("-W", "error::RuntimeWarning", "-m", "wgflow.cli", "flow", "--paper-preset",
+                               "--observations", str(obs), "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "data error: the estimate difference between t=0.0 and t=5.0 is not finite"
+        ]
+        assert not out.exists()
+
+    def test_overflowing_step_report_exits_4_with_the_line_diagnose_prints(self, tmp_path, capsys):
+        # rho = 1e308 makes the report's C = 4 max(sigma_max^2, rho) overflow.
+        write_noise_free_observations(tmp_path / "observations.csv", days=4)
+        measures.write_particles_csv(measures.ParticleMeasure(np.tile(LAM, (8, 1))), tmp_path / "particles.csv")
+        lines = []
+        for command in ("flow", "diagnose"):
+            out = tmp_path / command
+            assert run_cli(command, "--paper-preset", "--observations", str(tmp_path / "observations.csv"),
+                           "--particles", str(tmp_path / "particles.csv"),
+                           "--reference", str(tmp_path / "particles.csv"),
+                           "--out", str(out), "--rho", "1e308") == 4
+            lines.append(capsys.readouterr().err.splitlines())
+            assert not out.exists()
+        assert lines[0] == lines[1] == [
+            "numerical error: step-size report C is not finite: W, rho, sigma_w2 or tau is too large"
+        ]
 
 
 class TestPredict:
@@ -506,6 +554,14 @@ class TestPredict:
     def test_empty_particle_file_exits_3(self, tmp_path):
         (tmp_path / "particles.csv").write_text("x1,x2\n")
         assert run_cli("predict", "--paper-preset", "--out", str(tmp_path)) == 3
+
+    def test_particle_file_of_another_dimension_exits_3_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "particles.csv"
+        measures.write_particles_csv(measures.ParticleMeasure([[0.1], [0.2]]), path)
+        out = tmp_path / "out"
+        assert run_cli("predict", "--paper-preset", "--particles", str(path), "--out", str(out)) == 3
+        assert capsys.readouterr().err.splitlines() == [f"data error: {path}: particle dimension is 1, expected 2"]
+        assert not out.exists()
 
     def test_without_truth_columns_empty(self, tmp_path):
         measures.write_particles_csv(
@@ -658,8 +714,7 @@ class TestDiagnose:
         assert run_cli("diagnose", "--paper-preset", *args) == 4
         lines = capsys.readouterr().err.splitlines()
         assert lines == [
-            "numerical error: step-size report ball_radius is not finite: "
-            "T, rho, sigma_w2 or tau is too large"
+            "numerical error: step-size report ball_radius is not finite: W, rho, sigma_w2 or tau is too large"
         ]
         assert not out.exists()
 
@@ -1046,6 +1101,16 @@ class TestConfigHandling:
     def test_unknown_key_without_a_close_match(self, tmp_path, capsys):
         assert run_cli("simulate", "--paper-preset", "--out", str(tmp_path), "--zzzz", "1") == 2
         assert capsys.readouterr().err.splitlines() == ["config error: unknown config key 'zzzz'"]
+
+    def test_on_invalid_is_not_a_key(self, tmp_path, capsys):
+        # on_invalid is FlowConfig's, for library streams: no file the flow
+        # stage reads can hand the run an observation it would refuse.
+        write_noise_free_observations(tmp_path / "observations.csv", days=4)
+        out = tmp_path / "out"
+        assert run_cli("flow", "--paper-preset", "--out", str(out), "--observations",
+                       str(tmp_path / "observations.csv"), "--on_invalid", "skip") == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: unknown config key 'on_invalid'"]
+        assert not out.exists()
 
     def test_one_config_file_serves_every_stage(self, tmp_path):
         # Keys that only flow, predict or diagnose read do not stop simulate.

@@ -802,7 +802,7 @@ class TestCheckpointResume:
         assert (tmp_path / "ck.meta.txt").read_text().splitlines() == [
             "iteration = 5",
             "seed = 2",
-            "rng = SFC64 substreams keyed by (seed, purpose, iteration)",
+            "rng = SFC64 substreams keyed by (seed, purpose, iteration), purposes 11 21 22 31 41 61",
             f"sha256 = {digest}",
         ]
 

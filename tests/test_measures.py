@@ -202,6 +202,13 @@ class TestParticleCsv:
         with pytest.raises(DataError, match="header"):
             measures.read_particles_csv(path)
 
+    def test_cloud_of_another_dimension_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "line.csv"
+        measures.write_particles_csv(cloud((0.1,), (0.2,)), path)
+        assert measures.read_particles_csv(path, 1).d == 1
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: particle dimension is 1, expected 2$"):
+            measures.read_particles_csv(path, 2)
+
 
 class TestStreams:
     def test_substream_order_independent(self):
@@ -226,6 +233,12 @@ class TestStreams:
             "TRACE_SUBSAMPLE_STREAM", "TRAJECTORY_STREAM",
         ]
         assert len(set(keys.values())) == len(keys)
+
+    def test_rng_tag_names_every_purpose_key(self):
+        # A checkpoint drawn under other purpose keys must not resume.
+        keys = sorted(value for name, value in vars(measures).items() if name.endswith("_STREAM"))
+        assert measures.RNG_TAG.startswith(f"{measures.BIT_GENERATOR} ")
+        assert measures.RNG_TAG.endswith(", purposes " + " ".join(map(str, keys)))
 
     def test_substream_builds_the_named_generator_at_call_time(self, monkeypatch):
         monkeypatch.setattr(measures, "BIT_GENERATOR", "PCG64")

@@ -19,7 +19,7 @@ import pytest
 
 import wgflow
 from wgflow import cli, measures
-from wgflow.errors import NumericalError
+from wgflow.errors import DataError, NumericalError
 from wgflow.flow import FlowConfig, FlowTrace, run, step
 from wgflow.functionals import (
     StreamingLSObjective, convergence_bound, evaluate_objective, exact_gradient, perturbed_gradient,
@@ -556,6 +556,18 @@ def _cloud(n, d):
     return measures.ParticleMeasure(np.arange(n * d, dtype=float).reshape(n, d) / (n * d))
 
 
+def _read_particles(cloud, d):
+    # read_particles_csv's refusal of the written cloud, less the file name
+    # that its DataError puts in front.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "particles.csv")
+        measures.write_particles_csv(cloud, path)
+        try:
+            measures.read_particles_csv(path, d)
+        except DataError as exc:
+            raise ValueError(str(exc).removeprefix(f"{path}: ")) from None
+
+
 # Every pairing of sizes that must agree, as the one refusal
 # (measures.same_size) names it: each site gets one mismatched partner,
 # and the message is "<what> is <got>, expected <want>".
@@ -599,6 +611,7 @@ _SAME_SIZE_SITES = {
     "predict_damping_band": (lambda: predict_damping_band(_cloud(4, 3), _MODEL, [0.0]), "belief dimension", 3, 2),
     "suggested_maintenance_time": (lambda: suggested_maintenance_time(_cloud(4, 1), _MODEL),
                                    "belief dimension", 1, 2),
+    "read_particles_csv": (lambda: _read_particles(_cloud(4, 1), 2), "particle dimension", 1, 2),
 }
 
 
@@ -650,8 +663,10 @@ _NOT_FINITE_SITES = {
                              f"the Gelbrich bound is not finite: {_TOO_LARGE}"),
     "suggested_maintenance_time": (lambda: suggested_maintenance_time(_far(1.7e308), _MODEL, "mean"),
                                    "the belief's mean rate is not finite"),
-    "diagnose.report": (lambda: _diagnose([[0.05, 0.05]], tau="1e308"),
-                        "step-size report ball_radius is not finite: T, rho, sigma_w2 or tau is too large"),
+    "validate_tau": (lambda: validate_tau(np.eye(2), 1e308, 0.0, 0.01),
+                     "step-size report C is not finite: W, rho, sigma_w2 or tau is too large"),
+    "daily_observations.fit": (lambda: _days(x0=[1e200, 0.0]),
+                               "day 0 (t = 0.0): the least-squares fit is not finite: the trajectory overflows"),
     "diagnose.measured": (lambda: _diagnose([[1.7e308, 1.7e308]] * 2),
                           f"gelbrich_lower_bound_subsampled is not finite: {_TOO_LARGE}"),
 }
@@ -743,8 +758,8 @@ _INTAKES = {
 # it): each names an item of a list its function walks, so no literal
 # can be matched against the tables.
 _COMPUTED_WHAT = {
-    ("cli.py", "f'step-size report {name}'"),
     ("cli.py", "name"),
+    ("functionals.py", "f'step-size report {name}'"),
     ("flow.py", "name"),
     ("pdm.py", "name"),
     ("transport.py", "name"),

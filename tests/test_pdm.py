@@ -449,6 +449,14 @@ class TestDifferenceStream:
         with pytest.raises(DataError, match="two"):
             difference_stream([Observation(0.0, np.array([2.5, 1.0]))])
 
+    def test_overflowing_difference_rejected_naming_its_days(self):
+        # Finite estimates whose difference is not; a NumPy warning about it
+        # fails the test too (the suite turns RuntimeWarning into an error).
+        obs = [Observation(t, [a, 1.0]) for t, a in ((0.0, 1e308), (5.0, -1e308), (10.0, 1e308))]
+        message = "the estimate difference between t=0.0 and t=5.0 is not finite"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            difference_stream(obs)
+
     def test_process_matrix(self):
         assert np.array_equal(process_matrix(5.0), np.diag([-5.0, 5.0]))
         with pytest.raises(ValueError):
