@@ -333,7 +333,7 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     files.write_table(
         prediction_path,
         ["t", f"p{100 * p_lo:g}", "mean", f"p{100 * p_hi:g}", "zeta_true"],
-        ([*row, z] for row, z in zip(band.tolist(), zeta_true)),
+        ([*row.tolist(), z] for row, z in zip(band, zeta_true)),
     )
     baselines = [None if c is None else c.days for c in (ls_time, true_time)]
     files.write_table(tstar_path, ["day", "ours", "ls", "true"], [[day, by_rule[rule].days, *baselines]])
@@ -361,8 +361,8 @@ def cmd_diagnose(cfg: Config, out_dir: str, force: bool) -> int:
     cap = measures.whole_number(cfg.get_int("diag_subsample"), "diag_subsample", at_least=1)
     particles_path = _input_path(cfg, "particles", out_dir, "particles.csv")
     reference_path = _input_path(cfg, "reference", out_dir, "reference.csv")
-    m = measures.read_particles_csv(particles_path)
-    ref = measures.read_particles_csv(reference_path, m.d)
+    m = measures.read_particles_csv(particles_path, 2)
+    ref = measures.read_particles_csv(reference_path, 2)
 
     w = pdm.process_matrix(cfg.get_float("T"))
     report = functionals.validate_tau(

@@ -101,13 +101,24 @@ class FlowConfig:
         self.checkpoint_path = checkpoint_path
 
 
-def _affine(x: np.ndarray, a: np.ndarray, c: np.ndarray, noise, out: np.ndarray) -> np.ndarray:
-    """``x A + c - noise`` into the column-major ``out``: a step's cloud
-    before projection."""
+# The most perturbation normals drawn at once (128 KB): one chunk buffer
+# stands in for an (N, d) noise array.
+_NOISE_CHUNK = 2**14
+
+
+def _affine(x: np.ndarray, a: np.ndarray, c: np.ndarray, out: np.ndarray, rng, scale: float, chunk):
+    """``x A + c`` into the column-major ``out``, less ``scale`` times the
+    normals ``rng`` draws coordinate by coordinate through ``chunk``: a
+    step's cloud before projection."""
     np.matmul(x, a, out=out)
     out += c
-    if noise is not None:
-        out -= noise
+    if rng is not None:
+        for col in out.T:
+            for start in range(0, col.size, chunk.size):
+                part = chunk[: col.size - start]
+                rng.standard_normal(out=part)
+                part *= scale
+                col[start : start + part.size] -= part
     return out
 
 
@@ -150,8 +161,12 @@ def run(
     outside ``(0, tau_max)`` raises :class:`UnsafeStepError` unless
     ``cfg.allow_unsafe_tau``, and the report is returned as the trace's
     ``report``.  A step (the affine map, the noise and the projection)
-    works in three ``(N, d)`` buffers allocated once, so it allocates no
-    array of ``N`` particles; trace rows and checkpoints copy what they keep.
+    works in two ``(N, d)`` buffers and one noise chunk of at most
+    ``_NOISE_CHUNK`` values, allocated once, so it allocates no array of
+    ``N`` particles; trace rows and checkpoints copy what they keep.  The
+    noise keeps its bits whatever the chunk size: NumPy's float64 normals
+    keep no spare value between calls, so filling the chunk again and again
+    draws the values one fill of an ``(N, d)`` array would.
     """
     same_size(m0.d, obj.d, "measure dimension")
     same_size(cfg.constraint.dim, m0.d, "constraint dimension")
@@ -194,17 +209,21 @@ def run(
     tau_rho = tau * obj.rho
     noise_scale = tau * cfg.perturb_std
     sidecar = checkpoint_fields(m0.n, obj, cfg) if cfg.checkpoint_every else None
-    # Three column-major (N, d) buffers: the iterate x, the work buffer
-    # moved and the noise, drawn into its transpose coordinate by
-    # coordinate, so every per-step pass runs over contiguous columns.  A
-    # step builds its cloud in moved, projects it in place and swaps the
-    # two, so the previous iterate stays in moved until the next step
-    # overwrites it.
+    # Two column-major (N, d) buffers, the iterate x and the work buffer
+    # moved, so every per-step pass runs over contiguous columns, and one
+    # noise chunk, drawn into column by column.  A step builds its cloud in
+    # moved, projects it in place and swaps the two, so the previous iterate
+    # stays in moved until the next step overwrites it, or a recorded
+    # step's grad_norm does.
     x = np.array(m0.points, order="F")
     moved = np.empty_like(x)
-    noise = np.empty((d, m0.n)).T if noise_scale > 0 else None
-    c = grad_norm = None  # of the last step taken
+    chunk = np.empty(min(m0.n, _NOISE_CHUNK)) if noise_scale > 0 else None
+    c = grad_norm = last_k = None  # of the last step taken
     k = start_iteration
+
+    def draws(key):  # a step's perturbation normals, or None without noise
+        return None if chunk is None else measures.substream(cfg.seed, measures.PERTURB_STREAM, key)
+
     # Every refusal while stepping or recording names the iteration here, once.
     try:
         mean = measures.finite_result(x.mean(axis=0), "the particle mean")
@@ -225,16 +244,14 @@ def run(
                 continue
 
             c = tau_wt @ y + tau_rho * mean
-            if noise is not None:
-                measures.substream(cfg.seed, measures.PERTURB_STREAM, k).standard_normal(out=noise.T)
-                noise *= noise_scale
-            _affine(x, a, c, noise, moved)
+            last_k = k
+            _affine(x, a, c, moved, draws(k), noise_scale, chunk)
             k += 1
             record_due = (k - start_iteration) % cfg.diag_every == 0
             checkpoint_due = cfg.checkpoint_every and (k - start_iteration) % cfg.checkpoint_every == 0
-            # Taken before the projection overwrites moved; the spent noise
-            # holds the field in place of a new array.
-            grad_norm = _grad_norm(x, moved, tau, noise) if record_due else None
+            # Taken before the projection overwrites moved; the previous
+            # iterate, spent once moved is built, holds the field.
+            grad_norm = _grad_norm(x, moved, tau, x) if record_due else None
             cfg.constraint.project_points(moved, out=moved)
             x, moved = moved, x
             mean = measures.finite_result(x.mean(axis=0), "the particle mean")
@@ -247,13 +264,15 @@ def run(
         if rows[-1].k != k:
             if grad_norm is None and c is not None:
                 # Rebuild the last step's cloud before projection from the
-                # iterate it started at, which moved still holds.
-                pre = _affine(moved, a, c, noise, np.empty_like(moved))
+                # iterate it started at, which moved still holds, with its
+                # noise drawn again from the key of that step (skipped
+                # observations advance k past it).
+                pre = _affine(moved, a, c, np.empty_like(moved), draws(last_k), noise_scale, chunk)
                 grad_norm = _grad_norm(moved, pre, tau, pre)
             record(k, mean, grad_norm)
     except NumericalError as exc:
         raise NumericalError(f"flow diverged at iteration {k}: {exc}") from None
-    moved = noise = pre = None  # freed before the final copy
+    moved = pre = None  # freed before the final copy
     return ParticleMeasure(x), FlowTrace(report, rows, k - start_iteration)
 
 

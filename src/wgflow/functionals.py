@@ -228,8 +228,8 @@ def perturbed_gradient(base, noise_std: float, rng: np.random.Generator) -> np.n
     noise_std = measures.finite_number(noise_std, "noise_std", at_least=0)
     if noise_std == 0:
         return np.array(b)
-    # Drawn coordinate by coordinate, as the flow fills its column-major
-    # noise buffer.
+    # Drawn coordinate by coordinate, the order in which the flow draws its
+    # noise into each column of a step's cloud, one chunk at a time.
     return b + rng.normal(0.0, noise_std, size=b.shape[::-1]).T
 
 

@@ -243,8 +243,9 @@ def init_uniform_box(lo, hi, n: int, seed: int) -> ParticleMeasure:
 
 def write_particles_csv(m: ParticleMeasure, path) -> None:
     """Write a particle checkpoint: header ``x1,...,xd``, one row per
-    particle in particle order, full round-trip precision."""
-    files.write_table(path, [f"x{j + 1}" for j in range(m.d)], m.points.tolist())
+    particle in particle order, full round-trip precision.  Rows are made
+    one at a time, so the write holds no copy of the cloud."""
+    files.write_table(path, [f"x{j + 1}" for j in range(m.d)], (row.tolist() for row in m.points))
 
 
 def read_particles_csv(path, d: int | None = None) -> ParticleMeasure:

@@ -555,11 +555,17 @@ class TestPredict:
         (tmp_path / "particles.csv").write_text("x1,x2\n")
         assert run_cli("predict", "--paper-preset", "--out", str(tmp_path)) == 3
 
-    def test_particle_file_of_another_dimension_exits_3_naming_it(self, tmp_path, capsys):
+    # Both stages that read a belief read it as the 2-d model's rates.
+    @pytest.mark.parametrize("command, keys", [
+        ("predict", ["--particles"]),
+        ("diagnose", ["--particles", "--reference"]),
+    ], ids=["predict", "diagnose"])
+    def test_particle_file_of_another_dimension_exits_3_naming_it(self, tmp_path, capsys, command, keys):
         path = tmp_path / "particles.csv"
         measures.write_particles_csv(measures.ParticleMeasure([[0.1], [0.2]]), path)
         out = tmp_path / "out"
-        assert run_cli("predict", "--paper-preset", "--particles", str(path), "--out", str(out)) == 3
+        inputs = [arg for key in keys for arg in (key, str(path))]
+        assert run_cli(command, "--paper-preset", *inputs, "--out", str(out)) == 3
         assert capsys.readouterr().err.splitlines() == [f"data error: {path}: particle dimension is 1, expected 2"]
         assert not out.exists()
 
@@ -746,7 +752,7 @@ class TestDiagnose:
         want = transport.lipschitz_norm_gap(m, ref, lambda x: float(np.linalg.norm(x)))
         assert rows["lipschitz_norm_gap"] == repr(want)
 
-    def test_dimension_mismatch_exits_3(self, tmp_path):
+    def test_dimension_mismatch_exits_3(self, tmp_path, capsys):
         measures.write_particles_csv(
             measures.ParticleMeasure(np.zeros((4, 2))), tmp_path / "particles.csv"
         )
@@ -754,6 +760,9 @@ class TestDiagnose:
             measures.ParticleMeasure(np.zeros((4, 3))), tmp_path / "reference.csv"
         )
         assert run_cli("diagnose", "--paper-preset", "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {tmp_path / 'reference.csv'}: particle dimension is 3, expected 2"
+        ]
 
 
 # Library argument checks raise ValueError; the CLI reports each as a

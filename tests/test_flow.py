@@ -14,6 +14,7 @@ from _oracles import inside, linear_flow_w2, objective_direct
 from wgflow.errors import ConfigError, DataError, NumericalError, UnsafeStepError
 from wgflow.files import read_table
 from wgflow.flow import (
+    _NOISE_CHUNK,
     FlowConfig,
     checkpoint_fields,
     convergence_bound,
@@ -25,7 +26,7 @@ from wgflow.flow import (
     write_trace_csv,
 )
 from wgflow.functionals import StreamingLSObjective, perturbed_gradient, stochastic_gradient
-from wgflow.measures import RNG_TAG, ParticleMeasure, covariance, init_uniform_box, substream
+from wgflow.measures import PERTURB_STREAM, RNG_TAG, ParticleMeasure, covariance, init_uniform_box, substream
 from wgflow.sets import Ball, Box, FullSpace, Halfspace, NonnegativeOrthant, project_measure
 from wgflow.transport import w2_exact
 
@@ -560,13 +561,14 @@ class TestRunAgainstReference:
 
 
 class TestRunMemory:
-    """``run`` works in three (N, d) buffers: the iterate, the cloud before
-    projection and the noise, plus one temporary when the last step's
-    grad_norm has to be rebuilt after the loop."""
+    """``run`` works in two (N, d) buffers, the iterate and the cloud before
+    projection, and one noise chunk (0.41 of a cloud at this N), plus one
+    temporary when the last step's grad_norm has to be rebuilt after the
+    loop."""
 
     N = 20000
 
-    @pytest.mark.parametrize("max_iters, limit", [(20, 3.5), (19, 4.5)], ids=["recorded", "unrecorded"])
+    @pytest.mark.parametrize("max_iters, limit", [(20, 2.8), (19, 3.6)], ids=["recorded", "unrecorded"])
     def test_peak_in_particle_arrays(self, max_iters, limit):
         m0 = init_uniform_box([0, 0], [8.0 / 60.0] * 2, self.N, seed=5)
         obj = StreamingLSObjective(W, 0.1, None, 4e-4)
@@ -581,6 +583,57 @@ class TestRunMemory:
             tracemalloc.stop()
         assert trace.rows[-1].k == max_iters and trace.rows[-1].grad_norm is not None
         assert (peak - base) / m0.points.nbytes <= limit
+
+
+class TestNoiseChunks:
+    """At ``2 * _NOISE_CHUNK + 5`` particles each noise column crosses two
+    chunk boundaries and the second column starts mid-chunk; the run still
+    gives the bits of a loop that draws each step's noise in one fill."""
+
+    N = 2 * _NOISE_CHUNK + 5
+    STD = 0.05
+
+    def written_out(self, m0, obj, stream, cfg):
+        """The run's steps, each with one ``(d, N)`` normal fill per key:
+        the final cloud and the grad_norm of each step taken, by ``k``."""
+        tau = cfg.tau
+        a = np.eye(2) - tau * obj.H
+        x = np.array(m0.points, order="F")
+        grad_norms = {}
+        for k, y in enumerate(stream):
+            if not np.all(np.isfinite(y)):
+                grad_norms[k + 1] = grad_norms.get(k)
+                continue
+            eps = substream(cfg.seed, PERTURB_STREAM, k).standard_normal((2, self.N)).T
+            pre = np.matmul(x, a, out=np.empty_like(x))
+            pre += tau * obj.W.T @ y + tau * obj.rho * x.mean(axis=0)
+            pre -= tau * self.STD * eps
+            g = x - pre
+            g *= g
+            grad_norms[k + 1] = math.sqrt(float(g.sum()) / self.N) / tau
+            x = cfg.constraint.project_points(pre, out=pre)
+        return x, grad_norms
+
+    @pytest.mark.parametrize(
+        "steps, every, skip_last",
+        [(4, 2, False), (5, 2, False), (5, 3, True)],
+        ids=["recorded-last", "unrecorded-last", "skipped-last"],
+    )
+    def test_bits_of_one_fill_per_step(self, steps, every, skip_last):
+        m0 = init_uniform_box([-0.1, -0.1], [0.2, 0.2], self.N, seed=4)
+        obj = StreamingLSObjective(W_SKEW, 0.1, None, 0.08)
+        stream = oracle_stream(steps)
+        if skip_last:
+            stream[-1] = np.array([np.nan, 0.0])
+        cfg = flow_config(
+            max_iters=steps, diag_every=every, constraint=Ball(THETA, 0.05),
+            perturb_std=self.STD, on_invalid="skip",
+        )
+        final, trace = run(m0, obj, stream, cfg)
+        want, grad_norms = self.written_out(m0, obj, stream, cfg)
+        assert np.array_equal(final.points, want)
+        assert trace.rows[-1].k == steps and trace.rows[-1].grad_norm is not None
+        assert [r.grad_norm for r in trace.rows[1:]] == [grad_norms[r.k] for r in trace.rows[1:]]
 
 
 class TestPerturbationNoise:

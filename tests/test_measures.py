@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,17 @@ class TestParticleCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,x2"
         assert lines[1] == "1.0,2.0"
+
+    def test_write_holds_no_copy_of_the_cloud(self, tmp_path):
+        m = init_uniform_box([0.0, 0.0], [1.0, 1.0], 100_000, seed=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            measures.write_particles_csv(m, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < m.points.nbytes
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
