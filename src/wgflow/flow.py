@@ -69,19 +69,16 @@ class FlowConfig:
     (a cap of at least the particle count measures the whole cloud; :func:`run`
     refuses one that would measure more than the exact solver's cap).  ``workers`` is
     accepted and validated but has no effect: every worker count runs the
-    same single pass, so results are identical by construction.
-    ``on_invalid`` chooses between aborting on a bad observation (default)
-    and skipping it with a log message, for library streams: the command
-    line's readers refuse a bad observation first.  Every integer field goes
-    through :func:`measures.whole_number`, so a fraction, a bool or a value
-    below its bound is refused and an integral float is kept as its ``int``.
+    same single pass, so results are identical by construction.  Every
+    integer field goes through :func:`measures.whole_number`, so a fraction,
+    a bool or a value below its bound is refused and an integral float is
+    kept as its ``int``.
     """
 
     def __init__(
         self, tau: float, max_iters: int, seed: int, constraint: ConvexSet, perturb_std: float = 0.0,
         diag_every: int = 10, diag_subsample: int = 256, allow_unsafe_tau: bool = False,
-        on_invalid: str = "abort", workers: int = 1, checkpoint_every: int = 0,
-        checkpoint_path: Optional[str] = None,
+        workers: int = 1, checkpoint_every: int = 0, checkpoint_path: Optional[str] = None,
     ):
         self.tau = measures.finite_number(tau, "tau", above=0)
         self.max_iters = whole_number(max_iters, "max_iters", at_least=0)
@@ -91,9 +88,6 @@ class FlowConfig:
         self.diag_every = whole_number(diag_every, "diag_every", at_least=1)
         self.diag_subsample = whole_number(diag_subsample, "diag_subsample", at_least=1)
         self.allow_unsafe_tau = allow_unsafe_tau
-        if on_invalid not in ("abort", "skip"):
-            raise ValueError("on_invalid must be 'abort' or 'skip'")
-        self.on_invalid = on_invalid
         self.workers = whole_number(workers, "workers", at_least=1)
         self.checkpoint_every = whole_number(checkpoint_every, "checkpoint_every", at_least=0)
         if self.checkpoint_every and checkpoint_path is None:
@@ -119,15 +113,15 @@ def _affine(x: np.ndarray, a: np.ndarray, c: np.ndarray, out: np.ndarray, rng, s
                 rng.standard_normal(out=part)
                 part *= scale
                 col[start : start + part.size] -= part
-    return out
 
 
-def _grad_norm(prev: np.ndarray, moved: np.ndarray, tau: float, out=None) -> float:
+def _grad_norm(prev: np.ndarray, moved: np.ndarray, tau: float) -> float:
     # The step moved every particle to ``prev - tau * xi`` before projecting,
-    # so the perturbed field it followed is ``(prev - moved) / tau``.
-    g = np.subtract(prev, moved, out=out)
-    g *= g
-    return math.sqrt(float(g.sum()) / g.shape[0]) / tau
+    # so the perturbed field it followed is ``(prev - moved) / tau``.  It is
+    # squared in place of the spent ``prev``.
+    prev -= moved
+    prev *= prev
+    return math.sqrt(float(prev.sum()) / prev.shape[0]) / tau
 
 
 # Overflow inside a step shows up as a non-finite mean, which run reports
@@ -151,22 +145,27 @@ def run(
     The iteration index ``k`` counts observations (``start_iteration``
     offsets it when resuming from a checkpoint); perturbation noise is
     drawn from a stream keyed by ``(seed, k)``, so a resumed run reproduces
-    the uninterrupted one bit for bit.  Diagnostics rows are recorded at
-    ``k = 0``, every ``diag_every`` iterations and at the final iterate.
+    the uninterrupted one bit for bit.  Diagnostics rows fall at
+    ``k = start_iteration``, at multiples of ``diag_every`` and at the final
+    iterate, and checkpoints at multiples of ``checkpoint_every``, on the
+    uninterrupted run's grid.  A row's ``grad_norm`` measures the step that
+    led to it; the first row and a final row that is not due have none.
     If the stream runs out early the trace's ``iterations_run`` reports the
-    actual count.  A particle mean or trace-row value that is not finite
+    actual count.  An observation that is not a finite vector of length
+    ``d`` raises :class:`DataError` naming its iteration, and no later one
+    is pulled; a particle mean or trace-row value that is not finite
     raises :class:`NumericalError` naming the iteration.
 
     The step size is judged by :func:`validate_tau` before any work: one
     outside ``(0, tau_max)`` raises :class:`UnsafeStepError` unless
     ``cfg.allow_unsafe_tau``, and the report is returned as the trace's
-    ``report``.  A step (the affine map, the noise and the projection)
-    works in two ``(N, d)`` buffers and one noise chunk of at most
-    ``_NOISE_CHUNK`` values, allocated once, so it allocates no array of
-    ``N`` particles; trace rows and checkpoints copy what they keep.  The
-    noise keeps its bits whatever the chunk size: NumPy's float64 normals
-    keep no spare value between calls, so filling the chunk again and again
-    draws the values one fill of an ``(N, d)`` array would.
+    ``report``.  The run works in two ``(N, d)`` buffers and one noise
+    chunk of at most ``_NOISE_CHUNK`` values, allocated once, so no step
+    allocates an array of ``N`` particles; trace rows and checkpoints copy
+    what they keep.  The noise keeps its bits whatever the chunk size:
+    NumPy's float64 normals keep no spare value between calls, so filling
+    the chunk again and again draws the values one fill of an ``(N, d)``
+    array would.
     """
     same_size(m0.d, obj.d, "measure dimension")
     same_size(cfg.constraint.dim, m0.d, "constraint dimension")
@@ -212,17 +211,11 @@ def run(
     # Two column-major (N, d) buffers, the iterate x and the work buffer
     # moved, so every per-step pass runs over contiguous columns, and one
     # noise chunk, drawn into column by column.  A step builds its cloud in
-    # moved, projects it in place and swaps the two, so the previous iterate
-    # stays in moved until the next step overwrites it, or a recorded
-    # step's grad_norm does.
+    # moved, projects it in place and swaps the two.
     x = np.array(m0.points, order="F")
-    moved = np.empty_like(x)
+    moved = np.empty(x.shape, order="F")
     chunk = np.empty(min(m0.n, _NOISE_CHUNK)) if noise_scale > 0 else None
-    c = grad_norm = last_k = None  # of the last step taken
     k = start_iteration
-
-    def draws(key):  # a step's perturbation normals, or None without noise
-        return None if chunk is None else measures.substream(cfg.seed, measures.PERTURB_STREAM, key)
 
     # Every refusal while stepping or recording names the iteration here, once.
     try:
@@ -231,48 +224,29 @@ def run(
 
         for y in itertools.islice(stream, cfg.max_iters):
             y = np.asarray(y, dtype=float)
-            ok = y.shape == (d,) and bool(np.all(np.isfinite(y)))
-            if not ok:
-                if cfg.on_invalid == "abort":
-                    raise DataError(f"invalid observation at iteration {k}: {y!r}")
-                import logging  # only this path logs; no flow stage loads logging otherwise (~5 ms)
-
-                logging.getLogger(__name__).warning(
-                    "skipping invalid observation at iteration %d", k
-                )
-                k += 1
-                continue
-
+            if y.shape != (d,) or not np.all(np.isfinite(y)):
+                raise DataError(f"invalid observation at iteration {k}: {y!r}")
             c = tau_wt @ y + tau_rho * mean
-            last_k = k
-            _affine(x, a, c, moved, draws(k), noise_scale, chunk)
+            rng = None if chunk is None else measures.substream(cfg.seed, measures.PERTURB_STREAM, k)
+            _affine(x, a, c, moved, rng, noise_scale, chunk)
             k += 1
-            record_due = (k - start_iteration) % cfg.diag_every == 0
-            checkpoint_due = cfg.checkpoint_every and (k - start_iteration) % cfg.checkpoint_every == 0
-            # Taken before the projection overwrites moved; the previous
-            # iterate, spent once moved is built, holds the field.
-            grad_norm = _grad_norm(x, moved, tau, x) if record_due else None
+            record_due = k % cfg.diag_every == 0
+            # Taken before the projection overwrites moved.
+            grad_norm = _grad_norm(x, moved, tau) if record_due else None
             cfg.constraint.project_points(moved, out=moved)
             x, moved = moved, x
             mean = measures.finite_result(x.mean(axis=0), "the particle mean")
 
             if record_due:
                 record(k, mean, grad_norm)
-            if checkpoint_due:
+            if cfg.checkpoint_every and k % cfg.checkpoint_every == 0:
                 write_checkpoint(cfg.checkpoint_path, ParticleMeasure(x), k, sidecar)
 
         if rows[-1].k != k:
-            if grad_norm is None and c is not None:
-                # Rebuild the last step's cloud before projection from the
-                # iterate it started at, which moved still holds, with its
-                # noise drawn again from the key of that step (skipped
-                # observations advance k past it).
-                pre = _affine(moved, a, c, np.empty_like(moved), draws(last_k), noise_scale, chunk)
-                grad_norm = _grad_norm(moved, pre, tau, pre)
-            record(k, mean, grad_norm)
+            record(k, mean, None)
     except NumericalError as exc:
         raise NumericalError(f"flow diverged at iteration {k}: {exc}") from None
-    moved = pre = None  # freed before the final copy
+    moved = None  # freed before the final copy
     return ParticleMeasure(x), FlowTrace(report, rows, k - start_iteration)
 
 

@@ -183,8 +183,9 @@ class TestFlow:
         assert (full / "particles.csv").read_bytes() == (split / "particles.csv").read_bytes()
 
     def test_resume_with_max_iters_past_the_stream_stops_where_it_ends(self, tmp_path):
-        # 11 differences, resumed at 6: rows at k = 6 and 10, and at 11 the
-        # row rebuilt from the last step, whatever max_iters allows beyond it.
+        # 11 differences, resumed at 6: rows at k = 6, at 8 on the
+        # uninterrupted run's grid, and at the final k = 11, whatever
+        # max_iters allows beyond it.
         write_noise_free_observations(tmp_path / "observations.csv", days=12)
         common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
         first = tmp_path / "first"
@@ -194,7 +195,7 @@ class TestFlow:
             resume = ["--resume", str(first / "checkpoint"), "--diag_every", "4", *extra]
             assert run_cli("flow", *common, "--out", str(out), *resume) == 0
         rows = list(csv.reader(open(resumed[0] / "trace.csv")))
-        assert [row[0] for row in rows[1:]] == ["6", "10", "11"]
+        assert [row[0] for row in rows[1:]] == ["6", "8", "11"]
         for name in ("particles.csv", "trace.csv"):
             assert (resumed[0] / name).read_bytes() == (resumed[1] / name).read_bytes(), name
 
@@ -1112,8 +1113,8 @@ class TestConfigHandling:
         assert capsys.readouterr().err.splitlines() == ["config error: unknown config key 'zzzz'"]
 
     def test_on_invalid_is_not_a_key(self, tmp_path, capsys):
-        # on_invalid is FlowConfig's, for library streams: no file the flow
-        # stage reads can hand the run an observation it would refuse.
+        # No setting of that name exists: the run refuses every bad
+        # observation, and the flow stage's reader refuses one first.
         write_noise_free_observations(tmp_path / "observations.csv", days=4)
         out = tmp_path / "out"
         assert run_cli("flow", "--paper-preset", "--out", str(out), "--observations",

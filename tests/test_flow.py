@@ -235,46 +235,32 @@ class TestRun:
         assert trace.rows[-1].k == 7
 
     @pytest.mark.parametrize(
-        "rows, bad, max_iters, pulled",
-        [(10, None, 4, 4), (10, 1, 4, 4), (3, None, 10, 3)],
-        ids=["capped", "skip-counts", "short"],
+        "rows, max_iters, pulled", [(10, 4, 4), (3, 10, 3)], ids=["capped", "short"]
     )
-    def test_iterator_pulled_once_per_iteration(self, rows, bad, max_iters, pulled):
-        # One pull per iteration, a skipped observation included, and never
-        # one ahead: in deployment the next observation may not exist yet.
+    def test_iterator_pulled_once_per_iteration(self, rows, max_iters, pulled):
+        # One pull per iteration, and never one ahead: in deployment the
+        # next observation may not exist yet.
         obs = [W @ THETA * (1 + i / 100) for i in range(rows)]
-        if bad is not None:
-            obs[bad] = np.array([np.nan, 0.0])
         it = iter(obs)
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
-        cfg = flow_config(max_iters=max_iters, diag_subsample=16, on_invalid="skip")
+        cfg = flow_config(max_iters=max_iters, diag_subsample=16)
         _, trace = run(m0, preset_objective(), it, cfg)
         assert trace.iterations_run == pulled
         assert next(it, None) is (obs[pulled] if pulled < rows else None)
 
-    def test_invalid_observation_aborts_by_default(self):
+    @pytest.mark.parametrize(
+        "bad", [np.array([np.nan, 0.0]), np.array([0.0, np.inf]), np.zeros(3)],
+        ids=["nan", "inf", "length-3"],
+    )
+    def test_invalid_observation_aborts_by_default(self, bad):
+        # Refused at its own absolute iteration, before the next one is pulled.
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
-        stream = [W @ THETA, np.array([np.nan, 0.0])]
+        obs = [W @ THETA, bad, W @ THETA, W @ THETA]
+        it = iter(obs)
         cfg = flow_config(max_iters=10, diag_subsample=16)
-        with pytest.raises(DataError, match="iteration 1"):
-            run(m0, preset_objective(), stream, cfg)
-
-    def test_invalid_observation_skipped_on_request(self):
-        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
-        stream = [W @ THETA, np.array([np.nan, 0.0]), W @ THETA]
-        cfg = flow_config(max_iters=10, diag_subsample=16, on_invalid="skip")
-        final, trace = run(m0, preset_objective(), stream, cfg)
-        assert trace.iterations_run == 3  # the bad index is consumed without a step
-
-    def test_skipped_observation_is_logged_once_naming_its_iteration(self, caplog):
-        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
-        stream = [W @ THETA, np.array([np.nan, 0.0]), W @ THETA]
-        cfg = flow_config(max_iters=10, diag_subsample=16, on_invalid="skip")
-        with caplog.at_level("WARNING", logger="wgflow.flow"):
-            run(m0, preset_objective(), stream, cfg)
-        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
-            ("wgflow.flow", "WARNING", "skipping invalid observation at iteration 1")
-        ]
+        with pytest.raises(DataError, match=r"^invalid observation at iteration 6: "):
+            run(m0, preset_objective(), it, cfg, start_iteration=5)
+        assert next(it) is obs[2]
 
     def test_unsafe_tau_refused_then_allowed(self):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
@@ -434,8 +420,9 @@ def reference_run(m0, obj, stream, cfg):
             xi = perturbed_gradient(xi, cfg.perturb_std, substream(cfg.seed, 21, k))
         grad_norm = math.sqrt(float(np.mean(np.sum(xi * xi, axis=1))))
         m = step(m, xi, cfg.tau, cfg.constraint)
-        if (k + 1) % cfg.diag_every == 0 or k + 1 == len(stream):
-            rows.append((k + 1, m.points.mean(axis=0), grad_norm))
+        due = (k + 1) % cfg.diag_every == 0
+        if due or k + 1 == len(stream):
+            rows.append((k + 1, m.points.mean(axis=0), grad_norm if due else None))
     return m, rows
 
 
@@ -530,10 +517,9 @@ class TestRunAgainstReference:
             assert np.max(np.abs(covariance(m) - a @ cov @ a.T)) <= tol
 
     @pytest.mark.parametrize("perturb_std", [0.0, 0.05])
-    def test_final_grad_norm_is_the_same_recorded_or_rebuilt(self, perturb_std):
-        # A record step takes grad_norm before projecting; an unrecorded
-        # final step rebuilds its cloud after the loop.  Both give the
-        # same bits.
+    def test_grad_norm_is_the_same_at_any_stride_and_absent_when_not_due(self, perturb_std):
+        # A due step takes grad_norm before projecting, with the same bits
+        # whatever the stride; a final row that is not due has none.
         m0 = init_uniform_box([-0.1, -0.1], [0.2, 0.2], 37, seed=4)
         obj = StreamingLSObjective(W_SKEW, 0.1, None, 0.08)
         stream = oracle_stream(7)
@@ -545,31 +531,19 @@ class TestRunAgainstReference:
             for every in (1, 5)
         ]
         assert [r.k for r in rows[1]] == [0, 5, 7]
-        assert rows[1][-1].grad_norm == rows[0][-1].grad_norm
+        assert rows[1][-1].grad_norm is None
         assert rows[1][1].grad_norm == rows[0][5].grad_norm
-
-    def test_skip_after_the_last_step_repeats_its_grad_norm(self):
-        m0 = init_uniform_box([-0.1, -0.1], [0.2, 0.2], 37, seed=4)
-        obj = StreamingLSObjective(W_SKEW, 0.1, None, 0.08)
-        stream = oracle_stream(4) + [np.array([np.nan, 0.0])]
-        cfg = flow_config(
-            max_iters=5, diag_every=2, diag_subsample=37, perturb_std=0.05, on_invalid="skip"
-        )
-        _, trace = run(m0, obj, stream, cfg)
-        assert [r.k for r in trace.rows] == [0, 2, 4, 5]
-        assert trace.rows[-1].grad_norm == trace.rows[-2].grad_norm
 
 
 class TestRunMemory:
     """``run`` works in two (N, d) buffers, the iterate and the cloud before
-    projection, and one noise chunk (0.41 of a cloud at this N), plus one
-    temporary when the last step's grad_norm has to be rebuilt after the
-    loop."""
+    projection, and one noise chunk (0.41 of a cloud at this N)."""
 
     N = 20000
+    LIMIT = 2.8
 
-    @pytest.mark.parametrize("max_iters, limit", [(20, 2.8), (19, 3.6)], ids=["recorded", "unrecorded"])
-    def test_peak_in_particle_arrays(self, max_iters, limit):
+    @pytest.mark.parametrize("max_iters", [20, 19], ids=["recorded", "unrecorded"])
+    def test_peak_in_particle_arrays(self, max_iters):
         m0 = init_uniform_box([0, 0], [8.0 / 60.0] * 2, self.N, seed=5)
         obj = StreamingLSObjective(W, 0.1, None, 4e-4)
         stream = oracle_stream(max_iters)
@@ -581,8 +555,9 @@ class TestRunMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trace.rows[-1].k == max_iters and trace.rows[-1].grad_norm is not None
-        assert (peak - base) / m0.points.nbytes <= limit
+        assert trace.rows[-1].k == max_iters
+        assert (trace.rows[-1].grad_norm is None) == (max_iters % cfg.diag_every != 0)
+        assert (peak - base) / m0.points.nbytes <= self.LIMIT
 
 
 class TestNoiseChunks:
@@ -595,15 +570,12 @@ class TestNoiseChunks:
 
     def written_out(self, m0, obj, stream, cfg):
         """The run's steps, each with one ``(d, N)`` normal fill per key:
-        the final cloud and the grad_norm of each step taken, by ``k``."""
+        the final cloud and the grad_norm of each step, by ``k``."""
         tau = cfg.tau
         a = np.eye(2) - tau * obj.H
         x = np.array(m0.points, order="F")
         grad_norms = {}
         for k, y in enumerate(stream):
-            if not np.all(np.isfinite(y)):
-                grad_norms[k + 1] = grad_norms.get(k)
-                continue
             eps = substream(cfg.seed, PERTURB_STREAM, k).standard_normal((2, self.N)).T
             pre = np.matmul(x, a, out=np.empty_like(x))
             pre += tau * obj.W.T @ y + tau * obj.rho * x.mean(axis=0)
@@ -614,26 +586,21 @@ class TestNoiseChunks:
             x = cfg.constraint.project_points(pre, out=pre)
         return x, grad_norms
 
-    @pytest.mark.parametrize(
-        "steps, every, skip_last",
-        [(4, 2, False), (5, 2, False), (5, 3, True)],
-        ids=["recorded-last", "unrecorded-last", "skipped-last"],
-    )
-    def test_bits_of_one_fill_per_step(self, steps, every, skip_last):
+    @pytest.mark.parametrize("steps", [4, 5], ids=["recorded-last", "unrecorded-last"])
+    def test_bits_of_one_fill_per_step(self, steps):
         m0 = init_uniform_box([-0.1, -0.1], [0.2, 0.2], self.N, seed=4)
         obj = StreamingLSObjective(W_SKEW, 0.1, None, 0.08)
         stream = oracle_stream(steps)
-        if skip_last:
-            stream[-1] = np.array([np.nan, 0.0])
         cfg = flow_config(
-            max_iters=steps, diag_every=every, constraint=Ball(THETA, 0.05),
-            perturb_std=self.STD, on_invalid="skip",
+            max_iters=steps, diag_every=2, constraint=Ball(THETA, 0.05), perturb_std=self.STD
         )
         final, trace = run(m0, obj, stream, cfg)
         want, grad_norms = self.written_out(m0, obj, stream, cfg)
         assert np.array_equal(final.points, want)
-        assert trace.rows[-1].k == steps and trace.rows[-1].grad_norm is not None
-        assert [r.grad_norm for r in trace.rows[1:]] == [grad_norms[r.k] for r in trace.rows[1:]]
+        assert [r.k for r in trace.rows] == [0, 2, 4] + [5] * (steps == 5)
+        assert [r.grad_norm for r in trace.rows[1:]] == [
+            grad_norms[r.k] if r.k % 2 == 0 else None for r in trace.rows[1:]
+        ]
 
 
 class TestPerturbationNoise:
@@ -824,7 +791,7 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize("perturb_std", [0.0, 0.02])
     def test_integral_float_start_iteration_writes_the_int_run_bytes(self, tmp_path, perturb_std):
-        # 3.0 is the int 3: the same noise keys, and k written as 3, 5, 7.
+        # 3.0 is the int 3: the same noise keys, and k written as 3, 4, 6, 7.
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=5)
         cfg = flow_config(max_iters=4, diag_every=2, diag_subsample=16, perturb_std=perturb_std)
         traces = []
@@ -834,7 +801,28 @@ class TestCheckpointResume:
             write_trace_csv(trace, path, 2)
             traces.append(path.read_bytes())
         assert traces[0] == traces[1]
-        assert [line.split(b",")[0] for line in traces[1].splitlines()[1:]] == [b"3", b"5", b"7"]
+        assert [line.split(b",")[0] for line in traces[1].splitlines()[1:]] == [b"3", b"4", b"6", b"7"]
+
+    def test_resumed_run_leaves_the_uninterrupted_runs_checkpoint(self, tmp_path):
+        # Checkpoints fall on multiples of checkpoint_every, wherever the
+        # run started: resumed at 6 with a stride of 4, the run writes at 8.
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=2)
+        obj = preset_objective(sigma_w2=0.2)
+        stream = oracle_stream(9)
+
+        def cfg(max_iters, path):
+            return flow_config(
+                max_iters=max_iters, diag_subsample=16, perturb_std=0.02,
+                checkpoint_every=4, checkpoint_path=str(tmp_path / path),
+            )
+
+        run(m0, obj, stream, cfg(9, "full"))
+        head, _ = run(m0, obj, stream[:6], cfg(6, "head"))
+        run(head, obj, stream[6:], cfg(3, "resumed"), start_iteration=6)
+        for suffix in (".particles.csv", ".meta.txt"):
+            full = (tmp_path / ("full" + suffix)).read_bytes()
+            assert (tmp_path / ("resumed" + suffix)).read_bytes() == full, suffix
+        assert read_checkpoint(str(tmp_path / "resumed"), checkpoint_fields(16, obj, cfg(9, "x")))[1] == 8
 
     def test_run_writes_checkpoints_on_stride(self, tmp_path):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=2)
@@ -954,11 +942,10 @@ class TestCheckpointResume:
     @settings(max_examples=60)
     @given(data=st.data())
     def test_resume_at_a_random_split_is_identical(self, data):
-        # A run with skipped observations, resumed at any split, in memory
-        # and through a checkpoint file, against the uninterrupted run.
+        # A run resumed at any split, in memory and through a checkpoint
+        # file, against the uninterrupted run.
         total = data.draw(st.integers(1, 24), label="observations")
         split = data.draw(st.integers(0, total), label="split")
-        invalid = data.draw(st.sets(st.integers(0, total - 1)), label="invalid at")
         diag_every = data.draw(st.integers(1, 6), label="diag_every")
         checkpoint_every = data.draw(st.integers(1, 6), label="checkpoint_every")
         perturb_std = data.draw(st.sampled_from([0.0, 0.05]), label="perturb_std")
@@ -968,18 +955,18 @@ class TestCheckpointResume:
         obj = preset_objective(sigma_w2=0.2)
         rng = np.random.default_rng(17)
         stream = [W @ THETA + rng.normal(0, 0.3, 2) for _ in range(total)]
-        for i in invalid:
-            stream[i] = np.array([np.nan, 0.0])
 
         def cfg(max_iters, path=None):
             return flow_config(
-                max_iters=max_iters, diag_every=diag_every, diag_subsample=n,
-                perturb_std=perturb_std, on_invalid="skip",
+                max_iters=max_iters, diag_every=diag_every, diag_subsample=n, perturb_std=perturb_std,
                 checkpoint_every=checkpoint_every if path else 0, checkpoint_path=path,
             )
 
-        def stepped(first, k):
-            return any(i not in invalid for i in range(first, k))
+        def assert_same(a, b, grad_norm=True):
+            assert (a.k, a.objective, a.w2_ref) == (b.k, b.objective, b.w2_ref), b.k
+            assert np.array_equal(a.mean, b.mean), b.k
+            if grad_norm:
+                assert a.grad_norm == b.grad_norm, b.k
 
         with tempfile.TemporaryDirectory() as tmp:
             full, full_trace = run(m0, obj, stream, cfg(total, os.path.join(tmp, "full")))
@@ -991,22 +978,25 @@ class TestCheckpointResume:
                 resumes.append(read_checkpoint(os.path.join(tmp, "full"), fields))
 
             rows = {r.k: r for r in full_trace.rows}
+            # The head run's rows are the uninterrupted run's, but for a
+            # final one that is not due, which has no grad_norm.
+            for row in head_trace.rows:
+                if row.k < split or split % diag_every == 0:
+                    assert_same(rows[row.k], row)
+                else:
+                    assert row.grad_norm is None
             for m, first in resumes:
                 final, tail_trace = run(m, obj, stream[first:], cfg(total - first), start_iteration=first)
                 assert np.array_equal(final.points, full.points)
-                resumed = {r.k: r for r in tail_trace.rows}
-                if first == split:
-                    resumed.update({r.k: r for r in head_trace.rows})
-                for k in rows.keys() & resumed.keys():
-                    a, b = rows[k], resumed[k]
-                    assert (a.objective, a.w2_ref) == (b.objective, b.w2_ref), k
-                    assert np.array_equal(a.mean, b.mean), k
-                    # A run knows the field only of steps it took itself;
-                    # rows up to the split come from the head run.
-                    if stepped(0 if first == split and k <= split else first, k):
-                        assert a.grad_norm == b.grad_norm, k
-                    else:
-                        assert b.grad_norm is None, k
+                # A resumed run does not know the step before its first row;
+                # every later row lies on the uninterrupted run's grid.
+                head_row, *later = tail_trace.rows
+                assert head_row.k == first and head_row.grad_norm is None
+                if first in rows:
+                    assert_same(rows[first], head_row, grad_norm=False)
+                for row in later:
+                    assert row.k in rows, row.k
+                    assert_same(rows[row.k], row)
 
 
 class TestTraceCsv:

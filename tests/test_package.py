@@ -56,8 +56,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_logging():
-    # Only flow.run's skip path logs, and it imports logging there: at
-    # module level the import would cost the flow stage several ms.
+    # No module of the package logs, so no stage loads logging, whose
+    # import would cost the flow stage several ms.
     code = "import sys, wgflow.cli; print('logging' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
