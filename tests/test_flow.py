@@ -262,6 +262,11 @@ class TestRun:
             run(m0, preset_objective(), it, cfg, start_iteration=5)
         assert next(it) is obs[2]
 
+    def test_no_setting_lets_a_bad_observation_through(self):
+        # Refusal is the one path: there is no switch to skip instead.
+        with pytest.raises(TypeError, match="on_invalid"):
+            flow_config(on_invalid="skip")
+
     def test_unsafe_tau_refused_then_allowed(self):
         m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=1)
         cfg = flow_config(tau=0.05, max_iters=1, diag_subsample=16)
@@ -834,6 +839,30 @@ class TestCheckpointResume:
         m, k = read_checkpoint(base, checkpoint_fields(16, preset_objective(), flow_config(seed=3)))
         assert k == 8
         assert m.n == 16
+
+    @pytest.mark.parametrize("good", [0, 3], ids=["first", "fourth"])
+    def test_refused_observation_leaves_the_checkpoint_of_its_iteration(self, tmp_path, good):
+        # The last checkpoint is the cloud before the refused observation,
+        # at the iteration the refusal names, so a resume starts on it.
+        m0 = init_uniform_box([0, 0], [0.2, 0.2], 16, seed=2)
+        obj = preset_objective(sigma_w2=0.2)
+        stream = oracle_stream(good) + [np.array([np.nan, 0.0])]
+        base = str(tmp_path / "ck")
+        cfg = flow_config(
+            max_iters=10, diag_subsample=16, perturb_std=0.02,
+            checkpoint_every=1, checkpoint_path=base,
+        )
+        with pytest.raises(DataError, match=rf"^invalid observation at iteration {5 + good}: "):
+            run(m0, obj, stream, cfg, start_iteration=5)
+        if not good:
+            assert not os.path.exists(base + ".meta.txt")
+            return
+        head, _ = run(m0, obj, stream[:good], flow_config(
+            max_iters=good, diag_subsample=16, perturb_std=0.02,
+        ), start_iteration=5)
+        m, k = read_checkpoint(base, checkpoint_fields(16, obj, cfg))
+        assert k == 5 + good
+        assert np.array_equal(m.points, head.points)
 
 
     def test_sidecar_records_the_particle_digest(self, tmp_path):
