@@ -212,7 +212,8 @@ def convex_set_from_config(record: dict) -> ConvexSet:
     """Build a set from a tagged record, e.g. ``{"kind": "nonneg_orthant", "d": 2}``.
 
     Kinds: ``box`` (lo, hi), ``nonneg_orthant`` (d), ``halfspace`` (a, b),
-    ``ball`` (center, radius), ``all`` (d).
+    ``ball`` (center, radius), ``all`` (d).  A field that the kind does
+    not take is refused, like a missing one.
     """
     if not isinstance(record, dict) or "kind" not in record:
         raise ConfigError("constraint must be a record with a 'kind' field")
@@ -220,6 +221,9 @@ def convex_set_from_config(record: dict) -> ConvexSet:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown constraint kind '{kind}'")
+    extra = next((name for name in record if name != "kind" and name not in cls.fields), None)
+    if extra is not None:
+        raise ConfigError(f"constraint kind '{kind}' has no field '{extra}'")
     try:
         return cls(*(record[name] for name in cls.fields))
     except KeyError as exc:

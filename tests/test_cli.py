@@ -74,11 +74,16 @@ class TestSimulate:
         assert run_cli(*fast_sim_args(out_b)) == 0
         assert (out_a / "observations.csv").read_bytes() == (out_b / "observations.csv").read_bytes()
 
-    def test_unstable_dt_exits_4(self, tmp_path, capsys):
-        code = run_cli(*fast_sim_args(tmp_path / "x", extra=("--dt", "3.0")))
+    # dt = 1 puts the spectral radius on the bound, which is refused too.
+    @pytest.mark.parametrize("dt, radius", [("3.0", "5.000000"), ("1", "1.000000")])
+    def test_unstable_dt_exits_4(self, tmp_path, capsys, dt, radius):
+        code = run_cli(*fast_sim_args(tmp_path / "x", extra=("--dt", dt)))
         assert code == 4
-        assert "spectral radius" in capsys.readouterr().err
-        assert not (tmp_path / "x" / "observations.csv").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical error: day 0 (t = 0.0): unstable discretization: spectral radius {radius} >= 1 "
+            f"for dt={float(dt)}; reduce the sampling period"
+        ]
+        assert not (tmp_path / "x").exists()
 
     def test_missing_required_key_exits_2(self, tmp_path):
         assert run_cli("simulate", "--out", str(tmp_path / "y")) == 2
@@ -110,11 +115,12 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         assert not out.exists()
 
-    def test_overflowing_day_is_named_in_one_line(self, tmp_path):
-        # A huge but finite x0 overflows day 0's fit.  NumPy's warning
-        # about it must not reach stderr, which a fresh process shows.
+    @pytest.mark.parametrize("key, value", [("x0", "1e308,1e308"), ("r", "1e308")])
+    def test_overflowing_day_is_named_in_one_line(self, tmp_path, key, value):
+        # A huge but finite x0 or reference r overflows day 0's fit.  NumPy's
+        # warning about it must not reach stderr, which a fresh process shows.
         out = tmp_path / "out"
-        args = fast_sim_args(out, days=2, extra=("--x0", "1e308,1e308"))
+        args = fast_sim_args(out, days=2, extra=(f"--{key}", value))
         proc = run_cli_process("-m", "wgflow.cli", *args)
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.splitlines() == [
@@ -161,11 +167,13 @@ class TestFlow:
         assert run_cli(*args, "--force") == 0
         assert (tmp_path / "particles.csv").exists()
 
-    def test_resume_matches_uninterrupted(self, tmp_path):
+    # At 40000 particles each noise column spans several draw chunks.
+    @pytest.mark.parametrize("n_particles", ["64", "40000"])
+    def test_resume_matches_uninterrupted(self, tmp_path, n_particles):
         write_noise_free_observations(tmp_path / "observations.csv", days=12)
         full = tmp_path / "full"
         split = tmp_path / "split"
-        common = ["--paper-preset", "--n_particles", "64", "--seed", "4"]
+        common = ["--paper-preset", "--n_particles", n_particles, "--seed", "4"]
         assert run_cli(
             "flow", *common, "--out", str(full),
             "--observations", str(tmp_path / "observations.csv"),
@@ -183,11 +191,19 @@ class TestFlow:
         assert (full / "particles.csv").read_bytes() == (split / "particles.csv").read_bytes()
 
     def test_resume_with_max_iters_past_the_stream_stops_where_it_ends(self, tmp_path):
-        # 11 differences, resumed at 6: rows at k = 6, at 8 on the
-        # uninterrupted run's grid, and at the final k = 11, whatever
-        # max_iters allows beyond it.
-        write_noise_free_observations(tmp_path / "observations.csv", days=12)
+        # 9 differences.  Uninterrupted, diag_every 4 records rows at k = 0,
+        # 4, 8 and the final 9, whose grad_norm was not due, and moves no
+        # particle.  Resumed at 6: rows at k = 6, then the uninterrupted
+        # run's rows 8 and 9, whatever max_iters allows beyond them.
+        write_noise_free_observations(tmp_path / "observations.csv", days=10)
         common = ["--paper-preset", "--n_particles", "64", "--observations", str(tmp_path / "observations.csv")]
+        every = {n: tmp_path / f"every-{n}" for n in ("1", "4")}
+        for n, out in every.items():
+            assert run_cli("flow", *common, "--out", str(out), "--diag_every", n) == 0
+        batch = list(csv.reader(open(every["4"] / "trace.csv")))
+        assert [row[0] for row in batch[1:]] == ["0", "4", "8", "9"]
+        assert batch[-1][-1] == ""
+        assert (every["4"] / "particles.csv").read_bytes() == (every["1"] / "particles.csv").read_bytes()
         first = tmp_path / "first"
         assert run_cli("flow", *common, "--out", str(first), "--max_iters", "6", "--checkpoint_every", "6") == 0
         resumed = [tmp_path / "to-the-end", tmp_path / "max-iters-50"]
@@ -195,7 +211,8 @@ class TestFlow:
             resume = ["--resume", str(first / "checkpoint"), "--diag_every", "4", *extra]
             assert run_cli("flow", *common, "--out", str(out), *resume) == 0
         rows = list(csv.reader(open(resumed[0] / "trace.csv")))
-        assert [row[0] for row in rows[1:]] == ["6", "8", "11"]
+        assert [row[0] for row in rows[1:]] == ["6", "8", "9"]
+        assert rows[-2:] == batch[-2:]
         for name in ("particles.csv", "trace.csv"):
             assert (resumed[0] / name).read_bytes() == (resumed[1] / name).read_bytes(), name
 
@@ -883,9 +900,22 @@ def test_integer_key_out_of_range_exits_2_naming_it(tmp_path, capsys, command, k
         ("simulate", ("--paper-preset", "--b0", "inf", "--zeta_min", "0"), "b0 must be finite and > 0"),
         ("diagnose", ("--paper-preset", "--T", "inf"), "T must be finite and > 0"),
         ("predict", ("--paper-preset", "--day", "-inf"), "day must be finite and >= 0"),
+        ("flow", ("--paper-preset", "--constraint",
+                  '{"kind": "box", "lo": [0, 0], "hi": [1, 1], "hii": [0.01, 0.01]}'),
+         "constraint kind 'box' has no field 'hii'"),
+        ("simulate", ("--paper-preset", "--zeta_min", "2"),
+         "the freshly maintained system must start in the safe set"),
+        ("flow", ("--paper-preset", "--constraint", '{"kind": "ball", "center": [0, 0, 0], "radius": 1}'),
+         "constraint dimension is 3, expected 2"),
+        ("flow", ("--paper-preset", "--constraint", '{"kind": "ball", "center": [0, 0, 0], "radius": true}'),
+         "invalid constraint parameters: ball radius must be finite and >= 0"),
+        ("flow", ("--paper-preset", "--rho", "0"), "rho must be finite and > 0"),
+        ("simulate", ("--paper-preset", "--lambda1", "nan"), "lambda1 must be finite"),
     ],
     ids=["constraint-not-an-object", "override-without-dashes", "t_step", "t_stop", "rule", "missing-key",
-         "halfspace-b-nan", "flow-tau-inf", "simulate-T-inf", "b0-inf", "diagnose-T-inf", "day"],
+         "halfspace-b-nan", "flow-tau-inf", "simulate-T-inf", "b0-inf", "diagnose-T-inf", "day",
+         "box-field-hii", "zeta_min-unsafe", "ball-3d", "ball-radius-bool", "flow-rho-0",
+         "simulate-lambda1-nan"],
 )
 def test_refused_argument_exits_2_with_its_message(tmp_path, capsys, command, args, message):
     write_noise_free_observations(tmp_path / "observations.csv", days=4)

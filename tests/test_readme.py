@@ -63,4 +63,6 @@ def test_readme_pipeline_is_the_ci_pipeline():
     step = workflow.index("      - name: README pipeline through the installed script")
     end = next(i for i in range(step + 1, len(workflow)) if workflow[i].startswith("      - name:"))
     assert [c[1] for c in readme] == ["simulate", "flow", "predict", "diagnose"]
-    assert _commands(workflow[step:end])[:4] == readme
+    # The step runs the README's commands and no other: the command line's
+    # refusals, resumes and row grid are checked by the tests.
+    assert _commands(workflow[step:end]) == readme

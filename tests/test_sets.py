@@ -188,6 +188,11 @@ class TestConfigEncoding:
         with pytest.raises(ConfigError):
             convex_set_from_config({"kind": "ball", "center": [0, 0]})
 
+    def test_field_the_kind_does_not_take(self):
+        record = {"kind": "box", "lo": [0, 0], "hi": [1, 1], "hii": [0.01, 0.01]}
+        with pytest.raises(ConfigError, match="^constraint kind 'box' has no field 'hii'$"):
+            convex_set_from_config(record)
+
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
             convex_set_from_config({"kind": "box", "lo": [1], "hi": [0]})
