@@ -305,6 +305,9 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
         )
 
     band = pdm.predict_damping_band(belief, model, t_grid, p_lo, p_hi)
+    lo_column, hi_column = (f"p{100 * p:g}" for p in (p_lo, p_hi))
+    if lo_column == hi_column and p_lo != p_hi:
+        raise ConfigError(f"p_lo={p_lo} and p_hi={p_hi} both name the band column '{lo_column}'")
     zeta_true = [None] * count
     if have_truth:
         truth = measures.ParticleMeasure([model.lam])  # the belief of one particle at the true rates
@@ -332,7 +335,7 @@ def cmd_predict(cfg: Config, out_dir: str, force: bool) -> int:
     files.remove(prediction_path, tstar_path)
     files.write_table(
         prediction_path,
-        ["t", f"p{100 * p_lo:g}", "mean", f"p{100 * p_hi:g}", "zeta_true"],
+        ["t", lo_column, "mean", hi_column, "zeta_true"],
         ([*row.tolist(), z] for row, z in zip(band, zeta_true)),
     )
     baselines = [None if c is None else c.days for c in (ls_time, true_time)]

@@ -97,35 +97,16 @@ class TestSimulate:
         assert lines == ["config error: day 15 (t = 75.0): a must be finite and > 0"]
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("eps_half_width", "1e308", "eps_half_width must be nonnegative and at most half the float limit"),
-            ("eps_half_width", "nan", "eps_half_width must be finite and >= 0"),
-            ("r", "nan", "r must be finite"),
-            ("dt", "inf", "dt must be finite and > 0"),
-            ("horizon", "-1", "horizon must be finite and > 0"),
-            ("x0", "nan,0", "x0 must be a finite vector of length 2"),
-            ("seed", "-1", "seed must be a whole number >= 0"),
-        ],
-    )
-    def test_fault_of_a_day_independent_key_names_no_day(self, tmp_path, capsys, key, value, message):
-        out = tmp_path / "out"
-        assert run_cli("simulate", "--paper-preset", "--out", str(out), f"--{key}", value) == 2
-        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
-        assert not out.exists()
-
     @pytest.mark.parametrize("key, value", [("x0", "1e308,1e308"), ("r", "1e308")])
-    def test_overflowing_day_is_named_in_one_line(self, tmp_path, key, value):
+    def test_overflowing_day_is_named_in_one_line(self, tmp_path, capsys, key, value):
         # A huge but finite x0 or reference r overflows day 0's fit.  NumPy's
-        # warning about it must not reach stderr, which a fresh process shows.
+        # warning about it must not escape: pyproject turns a RuntimeWarning
+        # into an error, which would raise out of cli.main and fail the test.
         out = tmp_path / "out"
-        args = fast_sim_args(out, days=2, extra=(f"--{key}", value))
-        proc = run_cli_process("-m", "wgflow.cli", *args)
-        assert proc.returncode == 4, proc.stderr
-        assert proc.stderr.splitlines() == [
-            "numerical error: day 0 (t = 0.0): the least-squares fit is not finite: the trajectory overflows"
-        ]
+        assert run_cli(*fast_sim_args(out, days=2, extra=(f"--{key}", value))) == 4
+        assert capsys.readouterr().err == (
+            "numerical error: day 0 (t = 0.0): the least-squares fit is not finite: the trajectory overflows\n"
+        )
         assert not out.exists()
 
 
@@ -216,20 +197,6 @@ class TestFlow:
         for name in ("particles.csv", "trace.csv"):
             assert (resumed[0] / name).read_bytes() == (resumed[1] / name).read_bytes(), name
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        write_noise_free_observations(tmp_path / "observations.csv", days=8)
-        outs = []
-        for workers in ("1", "4"):
-            out = tmp_path / f"w{workers}"
-            assert run_cli(
-                "flow", "--paper-preset", "--out", str(out),
-                "--observations", str(tmp_path / "observations.csv"),
-                "--n_particles", "64", "--workers", workers,
-            ) == 0
-            outs.append(out)
-        assert (outs[0] / "particles.csv").read_bytes() == (outs[1] / "particles.csv").read_bytes()
-        assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
-
     def test_divergence_exits_4_with_one_line(self, tmp_path):
         write_noise_free_observations(tmp_path / "observations.csv", days=8)
         out = tmp_path / "new"
@@ -258,17 +225,17 @@ class TestFlow:
         ]
         assert not out.exists()
 
-    def test_trace_row_divergence_names_the_iteration(self, tmp_path):
+    def test_trace_row_divergence_names_the_iteration(self, tmp_path, capsys):
         # The first step already overflows the squared distances of the
-        # k = 1 trace row, before the cloud itself turns non-finite.
+        # k = 1 trace row, before the cloud itself turns non-finite.  A NumPy
+        # warning on the way would raise out of cli.main: pyproject turns a
+        # RuntimeWarning into an error.
         write_noise_free_observations(tmp_path / "observations.csv", days=8)
-        proc = run_cli_process(
-            "-m", "wgflow.cli", "flow", "--paper-preset", "--out", str(tmp_path),
-            "--n_particles", "64", "--force", "--tau", "1e200",
-        )
-        assert proc.returncode == 4
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "iteration 1" in lines[0], proc.stderr
+        assert run_cli(
+            "flow", "--paper-preset", "--out", str(tmp_path), "--n_particles", "64", "--force", "--tau", "1e200",
+        ) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "iteration 1" in lines[0], lines
         assert not (tmp_path / "particles.csv").exists()
 
     def test_truncated_checkpoint_refused_on_resume(self, tmp_path, capsys):
@@ -516,33 +483,6 @@ class TestPredict:
         ours = float(next(csv.DictReader(open(tmp_path / "tstar.csv")))["ours"])
         assert f"{ours:.3f}" == printed[rule]
 
-    def test_oversized_grid_exits_2_with_one_line(self, tmp_path):
-        measures.write_particles_csv(
-            measures.ParticleMeasure(np.tile(LAM, (8, 1))), tmp_path / "particles.csv"
-        )
-        proc = run_cli_process(
-            "-m", "wgflow.cli", "predict", "--paper-preset", "--out", str(tmp_path),
-            "--t_step", "1e-300",
-        )
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
-        assert not (tmp_path / "prediction.csv").exists()
-
-    @pytest.mark.parametrize(
-        "key, value", [("t_start", "nan"), ("t_start", "-1"), ("t_stop", "inf"), ("t_step", "inf")]
-    )
-    def test_nonfinite_grid_key_exits_2_naming_it(self, tmp_path, capsys, key, value):
-        path = tmp_path / "particles.csv"
-        measures.write_particles_csv(measures.ParticleMeasure(np.tile(LAM, (8, 1))), path)
-        out = tmp_path / "out"
-        args = ["--particles", str(path), "--out", str(out), f"--{key}", value]
-        assert run_cli("predict", "--paper-preset", *args) == 2
-        lines = capsys.readouterr().err.splitlines()
-        bound = {"t_start": " and >= 0", "t_stop": " and >= 0.0", "t_step": " and > 0"}[key]
-        assert lines == [f"config error: {key} must be finite{bound}"]
-        assert not out.exists()
-
     @pytest.mark.parametrize("key", ["lambda1", "lambda2"])
     def test_overflowing_true_ratio_exits_4_with_one_line(self, tmp_path, capsys, key):
         # The drift lambda t overflows from t = 2 on the default grid, where
@@ -783,148 +723,151 @@ class TestDiagnose:
         ]
 
 
-# Library argument checks raise ValueError; the CLI reports each as a
-# configuration error.  Inputs per command: config key -> file under in/.
+# Each command's input files, named relative to the directory the rows of
+# CONFIG_REFUSALS run in.
 _INPUTS = {
-    "simulate": {},
-    "flow": {"observations": "observations.csv"},
-    "predict": {"particles": "particles.csv"},
-    "diagnose": {"particles": "particles.csv", "reference": "particles.csv"},
+    "simulate": [],
+    "flow": ["--observations", "observations.csv"],
+    "predict": ["--particles", "particles.csv"],
+    "diagnose": ["--particles", "particles.csv", "--reference", "particles.csv"],
 }
 
+_P = "--paper-preset"
+_CAP = transport.MAX_EXACT_PARTICLES
+# Every refusal of a setting: (command, arguments, line).  The command
+# runs with its _INPUTS and the arguments, exits 2, prints nothing but
+# "config error: <line>" and writes nothing.  Library argument checks
+# raise ValueError, which the CLI reports as a configuration error.
+CONFIG_REFUSALS = [
+    ("simulate", (_P, "--T", "inf"), "T must be finite and > 0"),
+    ("simulate", (_P, "--b0", "inf", "--zeta_min", "0"), "b0 must be finite and > 0"),
+    ("simulate", (_P, "--days", "0"), "days must be a whole number >= 1"),
+    ("simulate", (_P, "--days", "1" + "0" * 400), "days must be a whole number >= 1"),
+    ("simulate", (_P, "--dt", "inf"), "dt must be finite and > 0"),
+    ("simulate", (_P, "--eps_half_width", "nan"), "eps_half_width must be finite and >= 0"),
+    ("simulate", (_P, "--eps_half_width", "inf"), "eps_half_width must be finite and >= 0"),
+    # Finite, but the noise width 2 eps is not.
+    ("simulate", (_P, "--eps_half_width", "1e308"),
+     "eps_half_width must be nonnegative and at most half the float limit"),
+    ("simulate", (_P, "--horizon", "-1"), "horizon must be finite and > 0"),
+    ("simulate", (_P, "--horizon", "0.0015"), "day 0 (t = 0.0): need at least two transitions to fit two parameters"),
+    ("simulate", (_P, "--lambda1", "nan"), "lambda1 must be finite"),
+    ("simulate", (_P, "--r", "nan"), "r must be finite"),
+    ("simulate", (_P, "--seed", "-1"), "seed must be a whole number >= 0"),
+    ("simulate", (_P, "--seed", "abc"), "config key 'seed' must be an integer, got 'abc'"),
+    ("simulate", (_P, "--seed=5"), "overrides must come in '--key value' pairs, got ['--seed=5']"),
+    ("simulate", (_P, "seed", "5"), "expected an override flag, got 'seed'"),
+    ("simulate", (_P, "--x0", "nan,0"), "x0 must be a finite vector of length 2"),
+    ("simulate", (_P, "--zeta_min", "2"), "the freshly maintained system must start in the safe set"),
+    ("flow", (), "missing required config key 'init_hi'"),
+    ("flow", (_P, "--checkpoint_every", "-1"), "checkpoint_every must be a whole number >= 0"),
+    ("flow", (_P, "--constraint", "[1]"), "config key 'constraint' must be a JSON object, got '[1]'"),
+    ("flow", (_P, "--constraint", '{"kind":"box","lo":[0],"hi":[1]}'), "constraint dimension is 1, expected 2"),
+    ("flow", (_P, "--constraint", '{"kind": "box", "lo": [0, 0], "hi": [1, 1], "hii": [0.01, 0.01]}'),
+     "constraint kind 'box' has no field 'hii'"),
+    ("flow", (_P, "--constraint", '{"kind":"nonneg_orthant","d":2.7}'),
+     "invalid constraint parameters: dimension d must be a whole number >= 1"),
+    ("flow", (_P, "--constraint", '{"kind":"halfspace","a":[1e200,0],"b":1}'),
+     "invalid constraint parameters: halfspace normal must have a squared norm that is a normal float"),
+    ("flow", (_P, "--constraint", '{"kind": "halfspace", "a": [1, 0], "b": NaN}'),
+     "invalid constraint parameters: halfspace offset b must be finite"),
+    ("flow", (_P, "--constraint", '{"kind": "ball", "center": [0, 0, 0], "radius": 1}'),
+     "constraint dimension is 3, expected 2"),
+    ("flow", (_P, "--constraint", '{"kind": "ball", "center": [0, 0, 0], "radius": true}'),
+     "invalid constraint parameters: ball radius must be finite and >= 0"),
+    ("flow", (_P, "--diag_every", "0"), "diag_every must be a whole number >= 1"),
+    ("flow", (_P, "--diag_subsample", "0"), "diag_subsample must be a whole number >= 1"),
+    ("flow", (_P, "--init_hi", "1,nan"), "init_hi must be a finite vector of length 2"),
+    ("flow", (_P, "--init_hi", "inf,1"), "init_hi must be a finite vector of length 2"),
+    ("flow", (_P, "--init_lo", "-inf,0"), "init_lo must be a finite vector"),
+    ("flow", (_P, "--init_lo", "-1.5e308,0", "--init_hi", "1.5e308,1"),
+     "box bounds and their widths hi - lo must be finite"),
+    ("flow", (_P, "--max_iters", "-1"), "max_iters must be a whole number >= 0"),
+    ("flow", (_P, "--n_particles", "0"), "n_particles must be a whole number >= 1"),
+    ("flow", (_P, "--n_particles", "5000", "--diag_subsample", "5000"),
+     f"diag_subsample 5000 would measure 5000 particles, above the exact-solver cap {_CAP}; lower diag_subsample"),
+    ("flow", (_P, "--observations", "absent.csv"), "input file for 'observations' not found: absent.csv"),
+    ("flow", (_P, "--perturb_std", "nan"), "perturb_std must be finite and >= 0"),
+    ("flow", (_P, "--perturb_std", "inf"), "perturb_std must be finite and >= 0"),
+    ("flow", (_P, "--resume", "absent"), "checkpoint not found: absent.particles.csv"),
+    ("flow", (_P, "--rho", "0"), "rho must be finite and > 0"),
+    ("flow", (_P, "--rho", "inf"), "rho must be finite and > 0"),
+    ("flow", (_P, "--seed", "-1"), "seed must be a whole number >= 0"),
+    ("flow", (_P, "--sigma_w2", "-1"), "sigma_w2 must be finite and >= 0"),
+    ("flow", (_P, "--tau", "inf"), "tau must be finite and > 0"),
+    ("flow", (_P, "--theta_star", "nan,0"), "theta_star must be a finite vector of length 2"),
+    ("flow", (_P, "--workers", "0"), "workers must be a whole number >= 1"),
+    ("predict", (_P, "--a0", "1e200"), "a0 and a0**2 must be finite"),
+    ("predict", (_P, "--chance_alpha", "0"), "unknown config key 'chance_alpha'"),
+    ("predict", (_P, "--day", "nan"), "day must be finite and >= 0"),
+    ("predict", (_P, "--day", "inf"), "day must be finite and >= 0"),
+    ("predict", (_P, "--day", "-inf"), "day must be finite and >= 0"),
+    ("predict", (_P, "--day", "-3"), "day must be finite and >= 0"),
+    ("predict", (_P, "--day", "-1"), "day must be finite and >= 0"),
+    ("predict", (_P, "--lambda1", "nan"), "lambda1 must be finite"),
+    ("predict", (_P, "--lambda2", "inf"), "lambda2 must be finite"),
+    ("predict", (_P, "--p_hi", "nan"), "p_hi must be finite"),
+    ("predict", (_P, "--p_lo", "0.95"), "quantile levels must satisfy 0 <= p_lo <= p_hi <= 1"),
+    # Two levels that agree to six significant digits would name two columns alike.
+    ("predict", (_P, "--p_lo", "0.1234561", "--p_hi", "0.1234562"),
+     "p_lo=0.1234561 and p_hi=0.1234562 both name the band column 'p12.3456'"),
+    ("predict", (_P, "--rule", "foo"), "unknown maintenance rule 'foo'"),
+    ("predict", (_P, "--rule", "chance", "--rule_level", "0"), "rule_level must lie in (0, 1)"),
+    ("predict", (_P, "--rule_level", "1.5"), "rule_level must lie in (0, 1)"),
+    ("predict", (_P, "--t_start", "nan"), "t_start must be finite and >= 0"),
+    ("predict", (_P, "--t_start", "-1"), "t_start must be finite and >= 0"),
+    ("predict", (_P, "--t_start", "5", "--t_stop", "4"), "t_stop must be finite and >= 5.0"),
+    ("predict", (_P, "--t_stop", "inf"), "t_stop must be finite and >= 0.0"),
+    ("predict", (_P, "--t_step", "0"), "t_step must be finite and > 0"),
+    ("predict", (_P, "--t_step", "inf"), "t_step must be finite and > 0"),
+    ("predict", (_P, "--t_step", "1e-300"),
+     "prediction grid from t_start=0.0 to t_stop=60.0 in steps of 1e-300 exceeds 1000000 points; raise t_step"),
+    ("predict", (_P, "--zeta_min", "-0.1"), "zeta_min must be finite and >= 0"),
+    ("diagnose", (_P, "--T", "0"), "T must be finite and > 0"),
+    ("diagnose", (_P, "--T", "inf"), "T must be finite and > 0"),
+    ("diagnose", (_P, "--diag_subsample", "0"), "diag_subsample must be a whole number >= 1"),
+    ("diagnose", (_P, "--diag_subsample", "-1"), "diag_subsample must be a whole number >= 1"),
+    ("diagnose", (_P, "--particles", "big.csv", "--reference", "big.csv", "--diag_subsample", "5000"),
+     f"diag_subsample 5000 would measure 5000 particles, above the exact-solver cap {_CAP}; lower diag_subsample"),
+    # Refused although the 8-particle clouds are measured whole.
+    ("diagnose", (_P, "--seed", "-1"), "seed must be a whole number >= 0"),
+]
 
-@pytest.mark.parametrize(
-    "command, overrides",
-    [
-        ("predict", ("--t_start", "-1")),
-        ("predict", ("--p_lo", "0.95")),
-        ("predict", ("--rule_level", "1.5")),
-        ("predict", ("--chance_alpha", "0")),
-        ("flow", ("--constraint", '{"kind":"box","lo":[0],"hi":[1]}')),
-        ("diagnose", ("--diag_subsample", "0")),
-        ("diagnose", ("--diag_subsample", "-1")),
-        ("diagnose", ("--T", "0")),
-        ("simulate", ("--horizon", "0.0015")),
-        ("flow", ("--constraint", '{"kind":"nonneg_orthant","d":2.7}')),
-        ("flow", ("--constraint", '{"kind":"halfspace","a":[1e200,0],"b":1}')),
-        ("predict", ("--rule", "chance", "--rule_level", "0")),
-        ("simulate", ("--seed", "abc")),
-        ("simulate", ("--seed=5",)),
-        ("predict", ("--day", "nan")),
-        ("predict", ("--day", "inf")),
-        ("predict", ("--day", "-3")),
-        ("predict", ("--zeta_min", "-0.1")),
-        ("predict", ("--a0", "1e200")),
-        ("flow", ("--init_lo", "-1.5e308,0", "--init_hi", "1.5e308,1")),
-        ("flow", ("--n_particles", "5000", "--diag_subsample", "5000")),
-        ("diagnose", ("--particles", "big.csv", "--reference", "big.csv", "--diag_subsample", "5000")),
-        ("diagnose", ("--seed", "-1")),  # refused although the 8-particle clouds are measured whole
-    ],
-)
-def test_argument_error_exits_2_with_one_line(tmp_path, command, overrides):
-    inputs = tmp_path / "in"
-    inputs.mkdir()
+
+@pytest.fixture(scope="module")
+def refusal_inputs(tmp_path_factory):
+    """The directory of the input files every row of CONFIG_REFUSALS reads."""
+    inputs = tmp_path_factory.mktemp("refusal-inputs")
     write_noise_free_observations(inputs / "observations.csv", days=4)
-    measures.write_particles_csv(
-        measures.ParticleMeasure(np.tile(LAM, (8, 1))), inputs / "particles.csv"
-    )
-    # Relative paths in the overrides name files under in/.
-    measures.write_particles_csv(
-        measures.init_uniform_box([0, 0], [0.1, 0.1], 5000, seed=0), inputs / "big.csv"
-    )
-    args = [arg for k, name in _INPUTS[command].items() for arg in (f"--{k}", str(inputs / name))]
-    out = tmp_path / "out"
-    proc = run_cli_process(
-        "-m", "wgflow.cli", command, "--paper-preset", "--out", str(out), *args, *overrides,
-        cwd=inputs,
-    )
-    assert proc.returncode == 2, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
-    if overrides[0] == "--diag_subsample":
-        assert "diag_subsample must be a whole number >= 1" in lines[0]
-    if "5000" in overrides:
-        assert "diag_subsample 5000" in lines[0] and f"cap {transport.MAX_EXACT_PARTICLES}" in lines[0]
-    assert not out.exists() or not any(out.iterdir())
+    measures.write_particles_csv(measures.ParticleMeasure(np.tile(LAM, (8, 1))), inputs / "particles.csv")
+    measures.write_particles_csv(measures.init_uniform_box([0, 0], [0.1, 0.1], 5000, seed=0), inputs / "big.csv")
+    return inputs
 
 
 @pytest.mark.parametrize(
-    "command, key, value, message",
-    [
-        ("simulate", "days", "0", "days must be a whole number >= 1"),
-        pytest.param("simulate", "days", "1" + "0" * 400, "days must be a whole number >= 1",
-                     id="simulate-days-huge"),
-        ("simulate", "seed", "-1", "seed must be a whole number >= 0"),
-        ("flow", "n_particles", "0", "n_particles must be a whole number >= 1"),
-        ("flow", "seed", "-1", "seed must be a whole number >= 0"),
-        ("flow", "max_iters", "-1", "max_iters must be a whole number >= 0"),
-        ("flow", "diag_every", "0", "diag_every must be a whole number >= 1"),
-        ("flow", "diag_subsample", "0", "diag_subsample must be a whole number >= 1"),
-        ("flow", "workers", "0", "workers must be a whole number >= 1"),
-        ("flow", "checkpoint_every", "-1", "checkpoint_every must be a whole number >= 0"),
-        ("diagnose", "diag_subsample", "0", "diag_subsample must be a whole number >= 1"),
-        ("diagnose", "seed", "-1", "seed must be a whole number >= 0"),
-    ],
+    "command, arguments, line", CONFIG_REFUSALS,
+    ids=[" ".join([command, *arguments])[:60] for command, arguments, _ in CONFIG_REFUSALS],
 )
-def test_integer_key_out_of_range_exits_2_naming_it(tmp_path, capsys, command, key, value, message):
-    # Config.get_int parses the text; the intake (measures.whole_number) judges the number.
-    inputs = tmp_path / "in"
-    inputs.mkdir()
-    write_noise_free_observations(inputs / "observations.csv", days=4)
-    measures.write_particles_csv(
-        measures.ParticleMeasure(np.tile(LAM, (8, 1))), inputs / "particles.csv"
-    )
-    args = [arg for k, name in _INPUTS[command].items() for arg in (f"--{k}", str(inputs / name))]
+def test_refused_setting_exits_2_with_its_line(refusal_inputs, tmp_path, monkeypatch, capsys, command, arguments,
+                                              line):
+    # Any warning is an error, so one that would reach a fresh process's
+    # stderr beside the line raises out of cli.main and fails the row.
+    monkeypatch.chdir(refusal_inputs)
     out = tmp_path / "out"
-    code = run_cli(command, "--paper-preset", "--out", str(out), *args, f"--{key}", value)
-    assert code == 2
-    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
-    assert not out.exists() or not any(out.iterdir())
-
-
-@pytest.mark.parametrize(
-    "command, args, message",
-    [
-        ("flow", ("--paper-preset", "--constraint", "[1]"),
-         "config key 'constraint' must be a JSON object, got '[1]'"),
-        ("simulate", ("--paper-preset", "seed", "5"), "expected an override flag, got 'seed'"),
-        ("predict", ("--paper-preset", "--t_step", "0"), "t_step must be finite and > 0"),
-        ("predict", ("--paper-preset", "--t_start", "5", "--t_stop", "4"),
-         "t_stop must be finite and >= 5.0"),
-        ("predict", ("--paper-preset", "--rule", "foo"), "unknown maintenance rule 'foo'"),
-        ("flow", (), "missing required config key 'init_hi'"),
-        ("flow", ("--paper-preset", "--constraint", '{"kind": "halfspace", "a": [1, 0], "b": NaN}'),
-         "invalid constraint parameters: halfspace offset b must be finite"),
-        ("flow", ("--paper-preset", "--tau", "inf"), "tau must be finite and > 0"),
-        ("simulate", ("--paper-preset", "--T", "inf"), "T must be finite and > 0"),
-        ("simulate", ("--paper-preset", "--b0", "inf", "--zeta_min", "0"), "b0 must be finite and > 0"),
-        ("diagnose", ("--paper-preset", "--T", "inf"), "T must be finite and > 0"),
-        ("predict", ("--paper-preset", "--day", "-inf"), "day must be finite and >= 0"),
-        ("flow", ("--paper-preset", "--constraint",
-                  '{"kind": "box", "lo": [0, 0], "hi": [1, 1], "hii": [0.01, 0.01]}'),
-         "constraint kind 'box' has no field 'hii'"),
-        ("simulate", ("--paper-preset", "--zeta_min", "2"),
-         "the freshly maintained system must start in the safe set"),
-        ("flow", ("--paper-preset", "--constraint", '{"kind": "ball", "center": [0, 0, 0], "radius": 1}'),
-         "constraint dimension is 3, expected 2"),
-        ("flow", ("--paper-preset", "--constraint", '{"kind": "ball", "center": [0, 0, 0], "radius": true}'),
-         "invalid constraint parameters: ball radius must be finite and >= 0"),
-        ("flow", ("--paper-preset", "--rho", "0"), "rho must be finite and > 0"),
-        ("simulate", ("--paper-preset", "--lambda1", "nan"), "lambda1 must be finite"),
-    ],
-    ids=["constraint-not-an-object", "override-without-dashes", "t_step", "t_stop", "rule", "missing-key",
-         "halfspace-b-nan", "flow-tau-inf", "simulate-T-inf", "b0-inf", "diagnose-T-inf", "day",
-         "box-field-hii", "zeta_min-unsafe", "ball-3d", "ball-radius-bool", "flow-rho-0",
-         "simulate-lambda1-nan"],
-)
-def test_refused_argument_exits_2_with_its_message(tmp_path, capsys, command, args, message):
-    write_noise_free_observations(tmp_path / "observations.csv", days=4)
-    measures.write_particles_csv(measures.ParticleMeasure(np.tile(LAM, (8, 1))), tmp_path / "particles.csv")
-    inputs = [arg for k, name in _INPUTS[command].items() for arg in (f"--{k}", str(tmp_path / name))]
-    out = tmp_path / "out"
-    assert run_cli(command, "--out", str(out), *inputs, *args) == 2
-    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--out", str(out), *_INPUTS[command], *arguments])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"config error: {line}\n")
     assert not out.exists()
+
+
+def test_refusal_table_sets_every_key_and_repeats_no_row():
+    # A key none of the rows sets has no refusal checked; a new key fails
+    # here until it brings one.
+    flags = {argument for _, arguments, _ in CONFIG_REFUSALS for argument in arguments}
+    assert sorted(key for key in cli.CONFIG_KEYS if f"--{key}" not in flags) == []
+    assert len({(command, arguments) for command, arguments, _ in CONFIG_REFUSALS}) == len(CONFIG_REFUSALS)
 
 
 @pytest.mark.parametrize(
@@ -947,30 +890,6 @@ def test_overflowing_belief_exits_4_with_one_line(tmp_path, capsys, command, clo
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical error:"), lines
     assert quantity in lines[0] and "is not finite" in lines[0]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "command, overrides",
-    [
-        ("flow", ("--init_hi", "1,nan")),
-        ("flow", ("--init_hi", "inf,1")),
-        ("flow", ("--init_lo", "-inf,0")),
-        ("flow", ("--perturb_std", "nan")),
-        ("flow", ("--perturb_std", "inf")),
-        ("flow", ("--rho", "inf")),
-        ("simulate", ("--eps_half_width", "nan")),
-        ("simulate", ("--eps_half_width", "inf")),
-        ("simulate", ("--eps_half_width", "1e308")),  # finite, but the noise width 2 eps is not
-    ],
-)
-def test_nonfinite_value_exits_2_with_one_line(tmp_path, capsys, command, overrides):
-    obs = tmp_path / "observations.csv"
-    write_noise_free_observations(obs, days=4)
-    out = tmp_path / "out"
-    assert run_cli(command, "--paper-preset", "--observations", str(obs), "--out", str(out), *overrides) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
     assert not out.exists()
 
 

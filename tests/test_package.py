@@ -16,6 +16,7 @@ import re
 
 import numpy as np
 import pytest
+from test_cli import CONFIG_REFUSALS
 
 import wgflow
 from wgflow import cli, measures
@@ -38,44 +39,66 @@ from wgflow.transport import (
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wgflow.__file__)))
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy's packages cost more to import than the rest of this one, and
-    # no stage needs them: w2_exact, which a simulation-mode flow and
-    # diagnose call, loads the two compiled kernels it needs from their
-    # files (see the next test).
-    code = "import sys, wgflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=SRC),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+# A cold process that imports the package, or runs one stage over the
+# inputs written beforehand, then prints the name of every module loaded.
+_COLD_PROCESS = (
+    "import sys\n"
+    "if len(sys.argv) > 1:\n"
+    "    from wgflow.cli import main\n"
+    "    assert main(sys.argv[1:]) == 0\n"
+    "else:\n"
+    "    import wgflow\n"
+    "print(*sorted(sys.modules))\n"
+)
+# No stage loads scipy's packages: they cost more to import than the rest
+# of this one, and w2_exact loads the two compiled kernels it needs from
+# their files.  No module logs, and the value objects are plain classes.
+_NEVER = ("scipy", "logging", "dataclasses")
+_STAGE_MODULES = "cli errors files measures pdm"
+# Each cold process: its arguments, the exact wgflow.* modules it loads
+# and the modules that must stay out.
+_COLD_PROCESSES = {
+    # Each public name is imported from its module on first use.
+    "import": ([], "", ("numpy", *_NEVER)),
+    # Only the flow's constraint key is JSON, and its parse imports json.
+    "simulate": (["simulate", "--horizon", "2"], _STAGE_MODULES, (*_NEVER, "json")),
+    "flow": (["flow", "--observations", "observations.csv"],
+             f"{_STAGE_MODULES} flow functionals sets transport", _NEVER),
+    # predict draws nothing, and measures.substream names its generator
+    # only when called.
+    "predict": (["predict", "--particles", "particles.csv", "--observations", "observations.csv"],
+                _STAGE_MODULES, (*_NEVER, "json", "numpy.random")),
+    # diagnose reports the step-size constants, which functionals derives,
+    # and measures two clouds; it runs no flow and projects nothing.
+    "diagnose": (["diagnose", "--particles", "particles.csv", "--reference", "particles.csv"],
+                 f"{_STAGE_MODULES} functionals transport", (*_NEVER, "json")),
+}
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    inputs = tmp_path_factory.mktemp("stage-inputs")
+    write_observations_csv([Observation(t, degrade(_MODEL, t)) for t in 5.0 * np.arange(10)],
+                           inputs / "observations.csv")
+    belief = measures.init_uniform_box(np.zeros(2), np.full(2, 8 / 60), 100, 0)
+    measures.write_particles_csv(belief, inputs / "particles.csv")
+    return inputs
+
+
+@pytest.mark.parametrize("process", _COLD_PROCESSES)
+def test_cold_process_loads_only_its_modules(stage_inputs, tmp_path, process):
+    arguments, modules, absent = _COLD_PROCESSES[process]
+    if arguments:
+        arguments = [*arguments, "--paper-preset", "--out", str(tmp_path)]
+    proc = _python(_COLD_PROCESS, *arguments, cwd=stage_inputs)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_cli_import_loads_no_logging():
-    # No module of the package logs, so no stage loads logging, whose
-    # import would cost the flow stage several ms.
-    code = "import sys, wgflow.cli; print('logging' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=SRC),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_cli_import_loads_no_json():
-    # Only the flow's constraint key is JSON, and cmd_flow's parse imports
-    # json there, so simulate, predict and diagnose never load it.
-    proc = _python("import sys, wgflow.cli; print('json' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert sorted(m.removeprefix("wgflow.") for m in loaded if m.startswith("wgflow.")) == sorted(modules.split())
+    assert [m for m in loaded if any(m == name or m.startswith(f"{name}.") for name in absent)] == []
+    if process == "flow":
+        # A simulation-mode flow: a W2 trace row at each of its 10 iterates.
+        trace = (tmp_path / "trace.csv").read_text().splitlines()
+        assert len(trace) == 11 and all(row.split(",")[2] for row in trace[1:])
 
 
 def test_only_measures_fixes_the_draws():
@@ -92,38 +115,6 @@ def test_only_measures_fixes_the_draws():
         if "SFC64" in source or any(name.endswith("_STREAM") for name in assigned):
             owners.append(os.path.basename(path))
     assert owners == ["measures.py"]
-
-
-def test_four_stages_load_no_scipy(tmp_path):
-    # The cold pipeline: a simulation-mode flow (a W2 trace row at each of
-    # its 10 iterates) and diagnose both solve exact transport problems,
-    # and scipy's packages would about triple the cost of either.  All
-    # four stages run in one process, and the modules loaded by the end
-    # are checked.  Neither the import nor the stages load dataclasses:
-    # the value objects are plain classes.
-    code = (
-        "import sys\n"
-        "from wgflow.cli import main\n"
-        "imported = 'dataclasses' in sys.modules\n"
-        "out = sys.argv[1]\n"
-        "for argv in (['simulate'], ['flow'], ['predict'],\n"
-        "             ['diagnose', '--reference', out + '/particles.csv']):\n"
-        "    assert main([*argv, '--paper-preset', '--out', out]) == 0, argv\n"
-        "print(imported, 'dataclasses' in sys.modules)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=SRC),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["False False", "[]"]
-    trace = (tmp_path / "trace.csv").read_text().splitlines()
-    assert len(trace) == 11 and all(row.split(",")[2] for row in trace[1:])
-    assert (tmp_path / "tstar.csv").is_file() and (tmp_path / "diagnostics.csv").is_file()
 
 
 def test_the_benchmark_tracer_finds_every_name_it_wraps():
@@ -156,78 +147,15 @@ def test_all_lists_exactly_the_public_imports():
     assert set(wgflow._SOURCES) == set(wgflow.__all__)
 
 
-def _python(code, *args):
+def _python(code, *args, cwd=None):
     return subprocess.run(
         [sys.executable, "-c", code, *args],
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=120,
     )
-
-
-def test_simulate_and_predict_load_only_their_modules(tmp_path):
-    # Neither stage runs the flow, so a cold process of either should not
-    # pay to import it, its sets or transport.
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from wgflow import measures\n"
-        "from wgflow.cli import main\n"
-        "out = sys.argv[1]\n"
-        "assert main(['simulate', '--paper-preset', '--out', out]) == 0\n"
-        "belief = measures.init_uniform_box(np.zeros(2), np.full(2, 8 / 60), 100, 0)\n"
-        "measures.write_particles_csv(belief, out + '/particles.csv')\n"
-        "assert main(['predict', '--paper-preset', '--out', out]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('wgflow.')))\n"
-    )
-    proc = _python(code, str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1]
-    assert loaded == "['wgflow.cli', 'wgflow.errors', 'wgflow.files', 'wgflow.measures', 'wgflow.pdm']"
-    assert (tmp_path / "tstar.csv").is_file()
-
-
-def test_predict_loads_no_numpy_random(tmp_path):
-    # predict draws nothing, and measures.substream names its generator
-    # only when called, so the stage never pays to import numpy.random.
-    assert cli.main(["simulate", "--paper-preset", "--out", str(tmp_path)]) == 0
-    belief = measures.init_uniform_box(np.zeros(2), np.full(2, 8 / 60), 100, 0)
-    measures.write_particles_csv(belief, tmp_path / "particles.csv")
-    code = (
-        "import sys\n"
-        "from wgflow.cli import main\n"
-        "assert main(['predict', '--paper-preset', '--out', sys.argv[1]]) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
-    )
-    proc = _python(code, str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
-
-
-def test_diagnose_loads_neither_the_flow_nor_the_sets(tmp_path):
-    # diagnose reports the step-size constants, which functionals derives,
-    # and measures two clouds; it runs no flow and projects nothing.
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from wgflow import measures\n"
-        "from wgflow.cli import main\n"
-        "out = sys.argv[1]\n"
-        "belief = measures.init_uniform_box(np.zeros(2), np.full(2, 8 / 60), 100, 0)\n"
-        "measures.write_particles_csv(belief, out + '/particles.csv')\n"
-        "assert main(['diagnose', '--paper-preset', '--out', out,\n"
-        "             '--reference', out + '/particles.csv']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('wgflow.')))\n"
-    )
-    proc = _python(code, str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1]
-    assert loaded == (
-        "['wgflow.cli', 'wgflow.errors', 'wgflow.files', 'wgflow.functionals', "
-        "'wgflow.measures', 'wgflow.pdm', 'wgflow.transport']"
-    )
-    assert (tmp_path / "diagnostics.csv").is_file()
 
 
 def test_step_bound_names_resolve_from_the_flow_and_the_package():
@@ -236,14 +164,6 @@ def test_step_bound_names_resolve_from_the_flow_and_the_package():
 
     for name in ("StepBoundReport", "convergence_bound", "validate_tau"):
         assert getattr(flow, name) is getattr(functionals, name) is getattr(wgflow, name), name
-
-
-def test_package_import_loads_no_numpy():
-    # Each public name is imported from its module on first use.
-    code = "import sys, wgflow; print('numpy' in sys.modules, [m for m in sys.modules if 'wgflow' in m])"
-    proc = _python(code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False ['wgflow']"
 
 
 def test_star_import_binds_each_name_to_its_module_object():
@@ -268,28 +188,6 @@ def test_entry_point_freezes_the_import_time_heap():
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
-
-
-def _tracer_table(name):
-    # Read from the benchmark's tracer without importing it.
-    with open(os.path.join(os.path.dirname(SRC), "perfbench", "tracing.py")) as fh:
-        tree = ast.parse(fh.read())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"perfbench/tracing.py defines no {name}")
-
-
-def test_every_name_the_benchmark_tracer_wraps_exists():
-    # `perfbench/run.py --trace 1` wraps each of these by owner.__dict__
-    # lookup and fails on a missing one.
-    from wgflow import sets
-
-    for module, attr, _ in _tracer_table("_FUNCTIONS"):
-        assert attr in vars(importlib.import_module(f"wgflow.{module}")), f"{module}.{attr}"
-    assert "__init__" in vars(measures.ParticleMeasure)
-    for kind in _tracer_table("_SET_CLASSES"):
-        assert "project_points" in vars(getattr(sets, kind)), kind
 
 
 def test_measures_functions_are_called_through_their_module(monkeypatch):
@@ -723,28 +621,6 @@ def test_every_vector_setting_is_refused_with_the_one_message(site):
         build(value)
 
 
-# Every float that the CLI reads from its own keys, as text, rather than
-# through a library object: each refused value exits 2 with one line.
-_CLI_FLOAT_KEYS = {
-    "t_start": (["--t_start", "nan"], "t_start must be finite and >= 0"),
-    "t_stop": (["--t_start", "5", "--t_stop", "4"], "t_stop must be finite and >= 5.0"),
-    "t_step": (["--t_step", "0"], "t_step must be finite and > 0"),
-    "day": (["--day", "-1"], "day must be finite and >= 0"),
-    "rule_level": (["--rule_level", "1.5"], "rule_level must lie in (0, 1)"),
-    "lambda1": (["--lambda1", "nan"], "lambda1 must be finite"),
-    "lambda2": (["--lambda2", "inf"], "lambda2 must be finite"),
-}
-
-
-@pytest.mark.parametrize("key", _CLI_FLOAT_KEYS)
-def test_every_float_the_cli_reads_is_refused_with_the_one_message(key, tmp_path, capsys):
-    args, message = _CLI_FLOAT_KEYS[key]
-    path = str(tmp_path / "particles.csv")
-    measures.write_particles_csv(_BELIEF, path)
-    assert cli.main(["predict", "--paper-preset", "--particles", path, "--out", str(tmp_path / "out"), *args]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-
-
 # Each intake helper, the position of its ``what`` argument and the words
 # that follow ``what`` in its refusal.
 _INTAKES = {
@@ -786,7 +662,7 @@ def test_every_intake_site_has_a_refusal_case():
     # new intake site with no case fails here.
     messages = [
         *(message for _, message in _FLOAT_SETTINGS.values()),
-        *(message for _, message in _CLI_FLOAT_KEYS.values()),
+        *(line for _, _, line in CONFIG_REFUSALS),
         *(f"{name} must be a whole number >= {bound}" for _, name, bound in _WHOLE_SETTINGS.values()),
         *(message for _, _, message in _VECTOR_SETTINGS.values()),
         *(f"{what} is {got}, expected {want}" for _, what, got, want in _SAME_SIZE_SITES.values()),
