@@ -761,7 +761,12 @@ CONFIG_REFUSALS = [
     ("simulate", (_P, "--zeta_min", "2"), "the freshly maintained system must start in the safe set"),
     ("flow", (), "missing required config key 'init_hi'"),
     ("flow", (_P, "--checkpoint_every", "-1"), "checkpoint_every must be a whole number >= 0"),
+    ("flow", (_P, "--config", "bad.cfg"), "bad.cfg:1: expected 'key = value', got 'tau'"),
     ("flow", (_P, "--constraint", "[1]"), "config key 'constraint' must be a JSON object, got '[1]'"),
+    ("flow", (_P, "--constraint", "{"), "config key 'constraint' must be a JSON object, got '{'"),
+    ("flow", (_P, "--constraint", '{"lo": [0, 0]}'), "constraint must be a record with a 'kind' field"),
+    ("flow", (_P, "--constraint", '{"kind": "sphere"}'), "unknown constraint kind 'sphere'"),
+    ("flow", (_P, "--constraint", '{"kind": "box", "lo": [0, 0]}'), "constraint kind 'box' is missing field 'hi'"),
     ("flow", (_P, "--constraint", '{"kind":"box","lo":[0],"hi":[1]}'), "constraint dimension is 1, expected 2"),
     ("flow", (_P, "--constraint", '{"kind": "box", "lo": [0, 0], "hi": [1, 1], "hii": [0.01, 0.01]}'),
      "constraint kind 'box' has no field 'hii'"),
@@ -780,6 +785,8 @@ CONFIG_REFUSALS = [
     ("flow", (_P, "--init_hi", "1,nan"), "init_hi must be a finite vector of length 2"),
     ("flow", (_P, "--init_hi", "inf,1"), "init_hi must be a finite vector of length 2"),
     ("flow", (_P, "--init_lo", "-inf,0"), "init_lo must be a finite vector"),
+    ("flow", (_P, "--init_lo", "0,x"), "config key 'init_lo' must be comma-separated numbers, got '0,x'"),
+    ("flow", (_P, "--init_lo", "0,0,0"), "init_hi must be a finite vector of length 3"),
     ("flow", (_P, "--init_lo", "-1.5e308,0", "--init_hi", "1.5e308,1"),
      "box bounds and their widths hi - lo must be finite"),
     ("flow", (_P, "--max_iters", "-1"), "max_iters must be a whole number >= 0"),
@@ -794,6 +801,7 @@ CONFIG_REFUSALS = [
     ("flow", (_P, "--rho", "inf"), "rho must be finite and > 0"),
     ("flow", (_P, "--seed", "-1"), "seed must be a whole number >= 0"),
     ("flow", (_P, "--sigma_w2", "-1"), "sigma_w2 must be finite and >= 0"),
+    ("flow", (_P, "--tau", "abc"), "config key 'tau' must be a number, got 'abc'"),
     ("flow", (_P, "--tau", "inf"), "tau must be finite and > 0"),
     ("flow", (_P, "--theta_star", "nan,0"), "theta_star must be a finite vector of length 2"),
     ("flow", (_P, "--workers", "0"), "workers must be a whole number >= 1"),
@@ -806,7 +814,11 @@ CONFIG_REFUSALS = [
     ("predict", (_P, "--day", "-1"), "day must be finite and >= 0"),
     ("predict", (_P, "--lambda1", "nan"), "lambda1 must be finite"),
     ("predict", (_P, "--lambda2", "inf"), "lambda2 must be finite"),
+    ("predict", (_P, "--observations", "absent.csv"), "input file for 'observations' not found: absent.csv"),
+    ("predict", (_P, "--particles", "absent.csv"), "input file for 'particles' not found: absent.csv"),
     ("predict", (_P, "--p_hi", "nan"), "p_hi must be finite"),
+    ("predict", (_P, "--p_hi", "1.5"), "quantile levels must satisfy 0 <= p_lo <= p_hi <= 1"),
+    ("predict", (_P, "--p_lo", "-0.1"), "quantile levels must satisfy 0 <= p_lo <= p_hi <= 1"),
     ("predict", (_P, "--p_lo", "0.95"), "quantile levels must satisfy 0 <= p_lo <= p_hi <= 1"),
     # Two levels that agree to six significant digits would name two columns alike.
     ("predict", (_P, "--p_lo", "0.1234561", "--p_hi", "0.1234562"),
@@ -814,6 +826,8 @@ CONFIG_REFUSALS = [
     ("predict", (_P, "--rule", "foo"), "unknown maintenance rule 'foo'"),
     ("predict", (_P, "--rule", "chance", "--rule_level", "0"), "rule_level must lie in (0, 1)"),
     ("predict", (_P, "--rule_level", "1.5"), "rule_level must lie in (0, 1)"),
+    ("predict", (_P, "--rule_level", "1"), "rule_level must lie in (0, 1)"),
+    ("predict", (_P, "--rule_level", "nan"), "rule_level must lie in (0, 1)"),
     ("predict", (_P, "--t_start", "nan"), "t_start must be finite and >= 0"),
     ("predict", (_P, "--t_start", "-1"), "t_start must be finite and >= 0"),
     ("predict", (_P, "--t_start", "5", "--t_stop", "4"), "t_stop must be finite and >= 5.0"),
@@ -827,6 +841,7 @@ CONFIG_REFUSALS = [
     ("diagnose", (_P, "--T", "inf"), "T must be finite and > 0"),
     ("diagnose", (_P, "--diag_subsample", "0"), "diag_subsample must be a whole number >= 1"),
     ("diagnose", (_P, "--diag_subsample", "-1"), "diag_subsample must be a whole number >= 1"),
+    ("diagnose", (_P, "--reference", "absent.csv"), "input file for 'reference' not found: absent.csv"),
     ("diagnose", (_P, "--particles", "big.csv", "--reference", "big.csv", "--diag_subsample", "5000"),
      f"diag_subsample 5000 would measure 5000 particles, above the exact-solver cap {_CAP}; lower diag_subsample"),
     # Refused although the 8-particle clouds are measured whole.
@@ -841,6 +856,7 @@ def refusal_inputs(tmp_path_factory):
     write_noise_free_observations(inputs / "observations.csv", days=4)
     measures.write_particles_csv(measures.ParticleMeasure(np.tile(LAM, (8, 1))), inputs / "particles.csv")
     measures.write_particles_csv(measures.init_uniform_box([0, 0], [0.1, 0.1], 5000, seed=0), inputs / "big.csv")
+    (inputs / "bad.cfg").write_text("tau\n")
     return inputs
 
 
